@@ -3,13 +3,13 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20
+    python3 perfbench/run.py --workload serve-mixed --seed 1 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 35
     python3 perfbench/run.py --smoke
 
 It builds the release `pslocal` binary and the in-process helper
 (`perfbench/tool`), generates the workload's inputs from `--seed`, and
-then either
+then, for `--seconds` (default: BENCHMARK.json's `run_seconds`), either
 
 * `--trace 0`: drives the real binary closed-loop with tracing off and
   reports the end-to-end metrics of BENCHMARK.json, checking every
@@ -30,16 +30,16 @@ import json
 import os
 import selectors
 import shutil
+import signal
 import socket
 import statistics
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 WORKLOADS = ("serve-mixed", "serve-dense", "reduce-checkpointed")
-# Closed-loop clients per workload, each with one request in flight.
-CONNECTIONS = {"serve-mixed": 2, "serve-dense": 1, "reduce-checkpointed": 1}
 ROOT = Path.cwd()
 WORK = ROOT / ".bench_work"
 TOOL_MANIFEST = Path(__file__).resolve().parent / "tool" / "Cargo.toml"
@@ -89,6 +89,29 @@ def child_cpu_s():
     return (int(fields[13]) + int(fields[14])) / os.sysconf("SC_CLK_TCK")
 
 
+class ChildTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise ChildTimeout
+
+
+@contextmanager
+def deadline(what):
+    """Fails the benchmark when the block, which waits on a child, takes
+    longer than CHILD_TIMEOUT_S."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(CHILD_TIMEOUT_S)
+    try:
+        yield
+    except ChildTimeout:
+        raise SystemExit(f"{what} took longer than {CHILD_TIMEOUT_S} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def percentile(sorted_values, p):
     """Nearest-rank percentile."""
     if not sorted_values:
@@ -126,7 +149,12 @@ class Server:
             stderr=subprocess.DEVNULL,
             cwd=WORK,
         )
-        line = self.proc.stdout.readline().decode()
+        try:
+            with deadline("starting pslocal serve"):
+                line = self.proc.stdout.readline().decode()
+        except BaseException:
+            self.stop()
+            raise
         if not line.startswith("listening on "):
             self.stop()
             raise SystemExit(f"pslocal serve did not start: {line!r}")
@@ -235,7 +263,10 @@ def closed_loop(server, lines, expected, clients, seconds):
         send(sock, state)
     in_flight = clients
     while in_flight:
-        for key, _ in sel.select(timeout=CHILD_TIMEOUT_S):
+        events = sel.select(timeout=CHILD_TIMEOUT_S)
+        if not events:
+            raise SystemExit(f"pslocal serve did not answer within {CHILD_TIMEOUT_S} s")
+        for key, _ in events:
             sock, state = key.fileobj, key.data
             chunk = sock.recv(65536)
             if not chunk:
@@ -255,11 +286,10 @@ def closed_loop(server, lines, expected, clients, seconds):
     return records, window, conns
 
 
-def run_serve(workload, seconds, pslocal, inputs):
+def run_serve(seconds, pslocal, inputs, clients):
     lines = [l.encode() + b"\n" for l in (inputs / "requests.jsonl").read_text().splitlines()]
     expected = [l.encode() for l in (inputs / "expected.jsonl").read_text().splitlines()]
     setup_s, setup_samples = serve_setup_s(pslocal)
-    clients = CONNECTIONS[workload]
 
     cpu_before = child_cpu_s()
     server = Server(pslocal)
@@ -307,26 +337,19 @@ def run_serve(workload, seconds, pslocal, inputs):
 # --------------------------------------------------------------- reduce
 
 
-def read_jobs(inputs):
-    jobs = []
-    for row in (inputs / "jobs.tsv").read_text().splitlines():
-        file, oracle, seed, k, phases, set_size, colors = row.split("\t")
-        jobs.append({"file": file, "oracle": oracle, "seed": seed, "k": k, "phases": int(phases)})
-    return jobs
-
-
 def reduce_once(pslocal, instance, job, ckpt):
     """One `pslocal reduce --checkpoint-dir` process, spawn to exit.
     Returns (seconds, exit code, stdout, peak RSS in MB, CPU seconds)."""
     shutil.rmtree(ckpt, ignore_errors=True)
-    cmd = [str(pslocal), "reduce", "--k", job["k"], "--oracle", job["oracle"],
-           "--seed", job["seed"], "--checkpoint-dir", str(ckpt)]
+    cmd = [str(pslocal), "reduce", "--k", str(job["k"]), "--oracle", job["oracle"],
+           "--seed", str(job["seed"]), "--checkpoint-dir", str(ckpt)]
     with open(instance, "rb") as stdin:
         started = time.perf_counter()
         proc = subprocess.Popen(cmd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         try:
-            out = proc.stdout.read()
-            _, status, usage = os.wait4(proc.pid, 0)
+            with deadline("pslocal reduce"):
+                out = proc.stdout.read()
+                _, status, usage = os.wait4(proc.pid, 0)
         except BaseException:
             proc.kill()
             proc.wait()
@@ -337,11 +360,10 @@ def reduce_once(pslocal, instance, job, ckpt):
     return elapsed, proc.returncode, out, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
 
 
-ONE_EDGE_JOB = {"k": "4", "oracle": "luby", "seed": "1"}
+ONE_EDGE_JOB = {"k": 4, "oracle": "luby", "seed": 1}
 
 
-def run_reduce(seconds, pslocal, tool_bin, inputs):
-    jobs = read_jobs(inputs)
+def run_reduce(seconds, pslocal, tool_bin, inputs, jobs):
     ckpt = WORK / "checkpoint"
     outputs = fresh(WORK / "reduce-out")
     first = {}
@@ -419,6 +441,7 @@ def load_spec():
     return (
         {m["name"]: m["unit"] for m in spec["end_to_end"]},
         {m["name"]: m["unit"] for m in spec["per_layer"]},
+        spec["run_seconds"],
     )
 
 
@@ -426,20 +449,23 @@ def run_workload(workload, seed, seconds, trace, tiny, bins, spec):
     pslocal, tool_bin = bins
     size = ["--tiny"] if tiny else []
     inputs = fresh(WORK / "inputs" / f"{workload}-{seed}")
-    summary = tool(tool_bin, "prepare", "--workload", workload, "--seed", seed, "--dir", inputs, *size)
-    log(f"{workload}: inputs for seed {seed}: {summary}")
+    prepared = json.loads(tool(tool_bin, "prepare", "--workload", workload, "--seed", seed,
+                               "--dir", inputs, *size))
+    log(f"{workload}: inputs for seed {seed}: {prepared['summary']}")
     if trace:
         walked = json.loads(tool(tool_bin, "walk", "--workload", workload, "--seed", seed,
                                  "--dir", inputs, "--work", WORK / "walk", "--seconds", seconds,
-                                 "--clients", CONNECTIONS[workload], *size))
+                                 *size))
         attempted, failed, metrics = walked["attempted"], walked["failed"], walked["metrics"]
         detail = {"walk_divergent": walked["divergent"], "divergences": walked["divergences"]}
         units = spec[1]
     elif workload == "reduce-checkpointed":
-        attempted, failed, metrics, detail = run_reduce(seconds, pslocal, tool_bin, inputs)
+        attempted, failed, metrics, detail = run_reduce(seconds, pslocal, tool_bin, inputs,
+                                                        prepared["jobs"])
         units = spec[0]
     else:
-        attempted, failed, metrics, detail = run_serve(workload, seconds, pslocal, inputs)
+        attempted, failed, metrics, detail = run_serve(seconds, pslocal, inputs,
+                                                       prepared["clients"])
         units = spec[0]
     shutil.rmtree(inputs, ignore_errors=True)
     if set(metrics) != set(units):
@@ -481,9 +507,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, help="measured window (default: run_seconds)")
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
-    parser.add_argument("--tiny", action="store_true", help="seconds-scale inputs")
     parser.add_argument("--smoke", action="store_true",
                         help="every workload at a tiny size, both modes, must be error-free")
     args = parser.parse_args()
@@ -507,7 +532,7 @@ def main():
     else:
         workloads = WORKLOADS if args.workload == "all" else (args.workload,)
         plan = [(w, args.trace) for w in workloads]
-        tiny, seconds = args.tiny, args.seconds
+        tiny, seconds = False, spec[2] if args.seconds is None else args.seconds
 
     results = []
     for workload, trace in plan:

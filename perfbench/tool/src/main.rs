@@ -5,7 +5,7 @@
 //! ```text
 //! perfbench-tool prepare --workload W --seed S --dir D [--tiny]
 //! perfbench-tool check-reduce --dir D --outputs O
-//! perfbench-tool walk --workload W --seed S --dir D --work DIR --seconds T --clients C [--tiny]
+//! perfbench-tool walk --workload W --seed S --dir D --work DIR --seconds T [--tiny]
 //! perfbench-tool host
 //! ```
 //!
@@ -125,7 +125,6 @@ fn run() -> Result<String, String> {
             &PathBuf::from(args.get("dir")?),
             &PathBuf::from(args.get("work")?),
             args.parsed("seconds")?,
-            args.parsed("clients")?,
         ),
         "host" => Ok(format!(
             "{{\"nproc\":{},\"effective_parallelism\":{:.3}}}",

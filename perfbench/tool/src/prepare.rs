@@ -51,6 +51,14 @@ impl ReduceExpect {
         )
     }
 
+    /// The fields the harness needs to run the job, as a JSON object.
+    fn json(&self) -> String {
+        format!(
+            "{{\"file\":\"{}\",\"oracle\":\"{}\",\"seed\":{},\"k\":{},\"phases\":{}}}",
+            self.file, self.oracle, self.seed, self.k, self.phases
+        )
+    }
+
     /// Parses one row of [`JOBS_FILE`].
     pub fn parse(row: &str) -> Result<Self, String> {
         let cols: Vec<&str> = row.split('\t').collect();
@@ -132,8 +140,21 @@ fn write(dir: &Path, file: &str, text: &str) -> Result<(), String> {
     fs::write(dir.join(file), text).map_err(|e| format!("cannot write {file}: {e}"))
 }
 
-/// Writes `workload`'s inputs for `seed` into `dir` and returns a
-/// one-line summary for the log.
+/// The line `prepare` prints for the harness: the workload's client
+/// count, the reduce jobs to run and a summary for the log. The
+/// harness reads these rather than [`JOBS_FILE`], whose layout only
+/// this crate knows.
+fn prepared(workload: Workload, jobs: &[ReduceExpect], summary: &str) -> String {
+    let jobs: Vec<String> = jobs.iter().map(ReduceExpect::json).collect();
+    format!(
+        "{{\"clients\":{},\"jobs\":[{}],\"summary\":\"{summary}\"}}",
+        workload.clients(),
+        jobs.join(",")
+    )
+}
+
+/// Writes `workload`'s inputs for `seed` into `dir` and returns the
+/// [`prepared`] line.
 pub fn prepare(workload: Workload, seed: u64, size: Size, dir: &Path) -> Result<String, String> {
     fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     if workload != Workload::ReduceCheckpointed {
@@ -143,7 +164,8 @@ pub fn prepare(workload: Workload, seed: u64, size: Size, dir: &Path) -> Result<
         write(dir, REQUESTS_FILE, &(lines.join("\n") + "\n"))?;
         write(dir, EXPECTED_FILE, &(expected.join("\n") + "\n"))?;
         let multi = expected.iter().filter(|l| !l.contains("\"phases\":1,")).count();
-        return Ok(format!("{} requests, {multi} multi-phase", lines.len()));
+        let summary = format!("{} requests, {multi} multi-phase", lines.len());
+        return Ok(prepared(workload, &[], &summary));
     }
 
     // Per oracle, as many single-phase as multi-phase jobs, so half
@@ -178,5 +200,6 @@ pub fn prepare(workload: Workload, seed: u64, size: Size, dir: &Path) -> Result<
     let one_edge = Hypergraph::from_edges(2, [vec![0usize, 1]]).map_err(|e| e.to_string())?;
     write(dir, ONE_EDGE_FILE, &write_hypergraph(&one_edge))?;
     let phases: Vec<String> = jobs.iter().map(|j| j.phases.to_string()).collect();
-    Ok(format!("{} jobs, phases {}", jobs.len(), phases.join(",")))
+    let summary = format!("{} jobs, phases {}", jobs.len(), phases.join(","));
+    Ok(prepared(workload, &jobs, &summary))
 }

@@ -634,10 +634,10 @@ fn json_number(x: f64) -> String {
 
 /// Runs the traced walk of `workload` over the inputs `prepare` wrote
 /// to `inputs` for `seed`, for about `seconds` (at least one pass over
-/// every input); serve workloads keep `clients` requests in flight in
-/// the service and server measurements. Returns one JSON line:
-/// requests attempted, requests whose walk diverged from the driver,
-/// and the per-layer metrics.
+/// every input); serve workloads keep the workload's client count of
+/// requests in flight in the service and server measurements. Returns
+/// one JSON line: requests attempted, requests whose walk diverged from
+/// the driver, and the per-layer metrics.
 pub fn walk(
     workload: Workload,
     seed: u64,
@@ -645,8 +645,8 @@ pub fn walk(
     inputs: &Path,
     work: &Path,
     seconds: f64,
-    clients: usize,
 ) -> Result<String, String> {
+    let clients = workload.clients();
     let budget = Duration::from_secs_f64(seconds.max(0.0));
     let mut t = Tally::default();
     let mut scratch = BitsetScratch::new();

@@ -33,6 +33,15 @@ impl Workload {
             )),
         }
     }
+
+    /// Closed-loop clients, each with one request in flight: serve
+    /// connections, or reduce processes at a time.
+    pub fn clients(self) -> usize {
+        match self {
+            Workload::ServeMixed => 2,
+            Workload::ServeDense | Workload::ReduceCheckpointed => 1,
+        }
+    }
 }
 
 /// Input scale: the benchmark's own, or a tiny one for the smoke run.
