@@ -188,9 +188,7 @@ fn classify(rel: &str) -> Option<FileClass> {
         return Some(FileClass::Binary);
     }
     if let Some(rest) = rel.strip_prefix("crates/") {
-        let mut parts = rest.splitn(2, '/');
-        let dir = parts.next()?;
-        let tail = parts.next()?;
+        let (dir, tail) = rest.split_once('/')?;
         if tail.starts_with("src/") {
             return Some(FileClass::Library { krate: format!("pslocal-{dir}") });
         }

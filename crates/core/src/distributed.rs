@@ -27,11 +27,10 @@
 //! and the bill reduces to the paper's.
 
 use crate::conflict_graph::ConflictGraph;
-use crate::correspondence;
-use crate::reduction::{ReductionConfig, ReductionError};
+use crate::reduction::{commit_phase, ReductionConfig, ReductionError};
 use crate::simulation::simulate_in_hypergraph;
 use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{HyperedgeId, Hypergraph, Palette};
+use pslocal_graph::{HyperedgeId, Hypergraph};
 use pslocal_maxis::{LubyOracle, MaxIsOracle};
 use serde::{Deserialize, Serialize};
 
@@ -108,34 +107,22 @@ pub fn distributed_reduction_with<O: MaxIsOracle + ?Sized>(
     let mut coloring = Multicoloring::new(h.node_count());
     let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
 
-    let first_cg = ConflictGraph::build(h, k);
-    let lambda = oracle.lambda_for(first_cg.graph()).ok_or(ReductionError::NoLambdaAvailable)?;
+    let mut cg = ConflictGraph::build(h, k);
+    let lambda = oracle.lambda_for(cg.graph()).ok_or(ReductionError::NoLambdaAvailable)?;
     let rho = ReductionConfig::rho(lambda, m);
 
     let mut phases = Vec::new();
     let mut total_host_rounds = 0usize;
     let mut total_stalled_rounds = 0usize;
     let mut phase = 0usize;
-    let mut first_cg = Some(first_cg);
     while !residual.is_empty() && phase < rho {
-        let cg = match first_cg.take() {
-            Some(cg) => cg,
-            None => {
-                let (h_i, _) = h.restrict_edges(&residual);
-                ConflictGraph::build(&h_i, k)
-            }
-        };
         let sim = simulate_in_hypergraph(&cg);
         let (set, oracle_rounds) = oracle.independent_set_with_rounds(cg.graph());
         // Rounds the host spent waiting on a slow oracle are dropped
         // rounds — the nodes idled, but the LOCAL clock still ticked.
         let stalled_rounds = oracle.stalled_steps();
-        let decoded = correspondence::lemma_2_1b(&cg, &set);
-        let phase_colors =
-            correspondence::apply_palette(&decoded.coloring, Palette::phase(k, phase));
-        coloring.merge(&phase_colors);
         let edges_before = residual.len();
-        residual.retain(|&e| !checker::is_edge_happy(h, &coloring, e));
+        let commit = commit_phase(h, &cg, &set, k, phase, &mut coloring, &mut residual);
 
         let host_rounds = oracle_rounds * sim.rounds_per_conflict_round + stalled_rounds + 2;
         total_host_rounds += host_rounds;
@@ -149,6 +136,9 @@ pub fn distributed_reduction_with<O: MaxIsOracle + ?Sized>(
             host_rounds,
         });
         phase += 1;
+        if !residual.is_empty() && phase < rho {
+            cg = cg.restrict_to_edges(&commit.keep_pos);
+        }
     }
 
     if !residual.is_empty() {
@@ -216,6 +206,26 @@ mod tests {
         let h = planted(5, 24, 8, 2);
         let err = distributed_reduction_with(&h, &WorstWitnessOracle, 2).unwrap_err();
         assert_eq!(err, ReductionError::NoLambdaAvailable);
+    }
+
+    #[test]
+    fn distributed_run_matches_the_trusting_driver() {
+        use crate::reduction::reduce_cf_to_maxis;
+        use pslocal_maxis::{GreedyOracle, PrecisionOracle};
+        let oracles: [&dyn MaxIsOracle; 2] = [&GreedyOracle, &PrecisionOracle::new(4.0)];
+        let mut multi_phase = 0;
+        for seed in 0..6u64 {
+            let k = 2 + seed as usize % 2;
+            let h = planted(40 + seed, 36, 16, k);
+            for oracle in oracles {
+                let dist = distributed_reduction_with(&h, oracle, k).unwrap();
+                let base = reduce_cf_to_maxis(&h, oracle, ReductionConfig::new(k)).unwrap();
+                assert_eq!(dist.coloring, base.coloring, "seed {seed}, {}", oracle.name());
+                assert_eq!(dist.phases.len(), base.phases_used);
+                multi_phase += usize::from(base.phases_used > 1);
+            }
+        }
+        assert!(multi_phase > 0, "some run must restrict between phases");
     }
 
     #[test]

@@ -110,9 +110,9 @@ pub use reduction::{
     ReductionError, ReductionOutcome,
 };
 pub use resilient::{
-    reduce_cf_resilient, reduce_cf_resilient_resumable, reduce_cf_resilient_traced,
-    reduce_cf_resilient_with_workspace, stall_budget, FaultEvent, FaultEventKind, PartialOutcome,
-    ResilientConfig, ResilientFailure, ResilientOutcome,
+    reduce_cf_resilient, reduce_cf_resilient_resumable, reduce_cf_resilient_with_workspace,
+    stall_budget, FaultEvent, FaultEventKind, PartialOutcome, ResilientConfig, ResilientFailure,
+    ResilientOutcome,
 };
 pub use server::{Server, ServerConfig, ServerReport, ShutdownHandle, DEFAULT_MAX_CONNECTIONS};
 pub use service::{

@@ -26,7 +26,7 @@
 //! | `epsilon`     | number | planted-instance uniformity slack (default 0.5)  |
 //! | `oracle`      | string | comma-separated fallback chain (default `greedy`)|
 //! | `kernel`      | string | `auto` \| `csr` \| `bitset`                      |
-//! | `oracle_cache`| bool   | memoize whole-phase oracle answers               |
+//! | `oracle_cache`| bool   | ignored: the resilient driver has no memo        |
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!

@@ -1548,4 +1548,63 @@ mod tests {
         assert_eq!(insp.phases.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
+
+    fn planted(seed: u64, n: usize, m: usize, k: usize) -> Hypergraph {
+        use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k)).hypergraph
+    }
+
+    /// `(crc32, length)` of the journal a finished checkpointed run left.
+    fn journal_digest(dir: &Path) -> (u32, usize) {
+        let bytes = fs::read(PhaseJournal::file_path(dir)).unwrap();
+        let _ = fs::remove_dir_all(dir);
+        (crc32(&bytes), bytes.len())
+    }
+
+    #[test]
+    fn trusting_journal_bytes_are_stable() {
+        // Journals written by older binaries must stay resumable, so the
+        // bytes a run writes are pinned, not just their round trip.
+        use crate::reduction::{reduce_cf_to_maxis_resumable, ReductionConfig};
+        use pslocal_telemetry::Telemetry;
+        let k = 3;
+        let h = planted(22, 40, 18, k);
+        let dir = temp_dir("pin-trusting");
+        let (out, _) = reduce_cf_to_maxis_resumable(
+            &h,
+            &pslocal_maxis::PrecisionOracle::new(4.0),
+            ReductionConfig::new(k),
+            &Checkpointing::new(&dir),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        assert!(out.phases_used >= 2, "pin a multi-phase journal");
+        assert_eq!(journal_digest(&dir), (0xF683_D7C1, 808));
+    }
+
+    #[test]
+    fn resilient_journal_bytes_are_stable() {
+        use crate::resilient::{reduce_cf_resilient_resumable, ResilientConfig};
+        use pslocal_maxis::{FaultKind, FaultPlan, FaultyOracle, PrecisionOracle};
+        use pslocal_telemetry::Telemetry;
+        let k = 3;
+        let h = planted(32, 40, 18, k);
+        let plan = FaultPlan::scripted(vec![None, Some(FaultKind::Panic)]);
+        let flaky = FaultyOracle::new(PrecisionOracle::new(4.0), plan);
+        let dir = temp_dir("pin-resilient");
+        let (out, _) = reduce_cf_resilient_resumable(
+            &h,
+            &[&flaky],
+            ResilientConfig::new(k),
+            &Checkpointing::new(&dir),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        assert!(out.reduction.phases_used >= 2, "pin a multi-phase journal");
+        assert_eq!(out.retries, 1, "the journal carries a retry and its fault event");
+        assert_eq!(out.fault_log.len(), 1);
+        assert_eq!(journal_digest(&dir), (0x0A47_7E66, 976));
+    }
 }

@@ -12,23 +12,25 @@
 //! `(1 − 1/λ)^ρ · m < 1` — no edge remains. The output multicoloring is
 //! conflict-free with at most `k·ρ` colors.
 //!
-//! [`reduce_cf_to_maxis`] implements exactly that loop, recording every
+//! [`reduce_cf_to_maxis`] runs exactly that loop, recording every
 //! per-phase quantity the experiment suite (T4, F1, F2) tabulates, plus
 //! the [`LocalityBudget`] that certifies the reduction's
-//! polylogarithmic overhead.
+//! polylogarithmic overhead. The loop itself is shared with the
+//! resilient driver (see [`crate::resilient`]); this module holds the
+//! trusting entry points and the pieces every phase uses: the
+//! Lemma 2.1 quota and commit, the phase budget, and the records.
 
-use crate::components::{ComponentExecutor, ParallelismOptions};
-use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
+use crate::components::ParallelismOptions;
+use crate::conflict_graph::ConflictGraph;
 use crate::correspondence;
-use crate::recovery::{
-    self, Checkpointing, DriverKind, JournalPhase, PhaseJournal, RecoveryReport,
-};
-use crate::workspace::{CacheLookup, PhaseWorkspace};
+use crate::recovery::{Checkpointing, RecoveryReport};
+use crate::resilient::{run_phases, Acquire};
+use crate::workspace::PhaseWorkspace;
 use pslocal_cfcolor::{checker, Multicoloring};
 use pslocal_graph::{HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, Palette};
-use pslocal_maxis::{CrashPoint, MaxIsOracle};
+use pslocal_maxis::MaxIsOracle;
 use pslocal_slocal::LocalityBudget;
-use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Span, Telemetry};
+use pslocal_telemetry::{Sink, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -36,8 +38,7 @@ use std::fmt;
 /// The locality charged to one oracle invocation in the reduction's
 /// [`LocalityBudget`]: `⌈log₂(max(n, 2))⌉` for an `n`-vertex input —
 /// the polylogarithmic view radius footnote 2 grants the P-SLOCAL
-/// oracle. Shared by the trusting and resilient drivers so their
-/// accounting cannot drift.
+/// oracle.
 pub fn oracle_locality(n: usize) -> usize {
     ((n.max(2) as f64).log2().ceil()) as usize
 }
@@ -78,15 +79,17 @@ pub fn lemma_2_1_quota(edges: usize, lambda: f64) -> usize {
 }
 
 /// The largest residual edge count a phase may leave behind under the
-/// Lemma 2.1 geometric-decay invariant: `⌊(1 − 1/λ)·|E_i|⌋`. Shared by
-/// both drivers' decay checks and the recovery layer's replay
-/// re-check, so the three enforcement sites cannot drift.
+/// Lemma 2.1 geometric-decay invariant: `⌊(1 − 1/λ)·|E_i|⌋`, which is
+/// exactly `|E_i| − ⌈|E_i|/λ⌉` — the complement of
+/// [`lemma_2_1_quota`], so the bound shares its exact integer
+/// arithmetic. Shared by the phase loop's decay check and the recovery
+/// layer's replay re-check, so the enforcement sites cannot drift.
 pub(crate) fn decay_allowed(edges_before: usize, lambda: f64) -> usize {
-    ((1.0 - 1.0 / lambda) * edges_before as f64).floor() as usize
+    edges_before - lemma_2_1_quota(edges_before, lambda)
 }
 
-/// One phase's commit, exactly as both drivers (and journal replay)
-/// perform it: decode the partial coloring from the accepted
+/// One phase's commit, exactly as the phase loop (and journal replay)
+/// performs it: decode the partial coloring from the accepted
 /// independent set (Lemma 2.1 b), merge it under the phase's fresh
 /// palette, and drop the edges it made happy. `keep_pos` holds the
 /// survivors' positions *within the incoming residual* — their
@@ -97,11 +100,10 @@ pub(crate) struct PhaseCommit {
     pub edges_after: usize,
 }
 
-/// The single shared implementation of the phase commit. The trusting
-/// driver, the resilient driver, and journal replay all call this one
-/// function, which is what makes a resumed run byte-identical to an
-/// uninterrupted one *by construction* rather than by parallel
-/// maintenance of three copies.
+/// The single shared implementation of the phase commit. The phase
+/// loop behind both drivers, journal replay and the distributed view
+/// all call this one function, which is what makes a resumed run
+/// byte-identical to an uninterrupted one *by construction*.
 pub(crate) fn commit_phase(
     h: &Hypergraph,
     cg: &ConflictGraph,
@@ -165,7 +167,9 @@ pub struct ReductionConfig {
     /// independence on the live graph before being trusted). Off by
     /// default: with the memo on, telemetry's `oracle_calls` counts
     /// only real invocations — cache traffic shows up as
-    /// `oracle_cache_hit` / `oracle_cache_miss` instead.
+    /// `oracle_cache_hit` / `oracle_cache_miss` instead. Only the
+    /// trusting driver consults the memo; the resilient driver (and so
+    /// `batch` / `serve`) accepts the field and ignores it.
     pub oracle_cache: bool,
 }
 
@@ -338,6 +342,13 @@ impl Error for ReductionError {}
 ///
 /// See [`ReductionError`]. On success the returned coloring is
 /// conflict-free (additionally re-verified internally).
+///
+/// # Panics
+///
+/// The oracle is trusted: its answers are committed unchecked, and a
+/// panic inside it propagates unretried.
+/// [`reduce_cf_resilient`](crate::reduce_cf_resilient) validates and
+/// isolates instead.
 pub fn reduce_cf_to_maxis<O: MaxIsOracle + ?Sized>(
     h: &Hypergraph,
     oracle: &O,
@@ -382,16 +393,19 @@ pub fn reduce_cf_to_maxis_with_workspace<O: MaxIsOracle + ?Sized, S: Sink>(
     tel: &Telemetry<S>,
     ws: &mut PhaseWorkspace,
 ) -> Result<ReductionOutcome, ReductionError> {
-    reduce_trusting_inner(h, oracle, config, tel, None, ws).map(|(outcome, _)| outcome)
+    run_phases(h, &[oracle], config, Acquire::Trust, tel, None, ws, None)
+        .map(|(out, _)| out.reduction)
+        .map_err(|failure| failure.error)
 }
 
 /// [`reduce_cf_to_maxis_traced`] with crash-safe checkpointing: every
-/// committed phase is durably appended to the [`PhaseJournal`] in
-/// `checkpoint.dir`, and with [`Checkpointing::resume`] an existing
-/// journal is replayed (each record re-validated against the instance —
-/// see [`crate::recovery`]) so the run continues from the last good
-/// phase. The outcome is **byte-identical** to an uninterrupted run:
-/// replay re-commits through the same code path and
+/// committed phase is durably appended to the
+/// [`PhaseJournal`](crate::recovery::PhaseJournal) in `checkpoint.dir`,
+/// and with [`Checkpointing::resume`] an existing journal is replayed
+/// (each record re-validated against the instance — see
+/// [`crate::recovery`]) so the run continues from the last good phase.
+/// The outcome is **byte-identical** to an uninterrupted run: replay
+/// re-commits through the same code path and
 /// [`MaxIsOracle::resume_at`] repositions per-call oracle state.
 ///
 /// # Errors
@@ -407,300 +421,10 @@ pub fn reduce_cf_to_maxis_resumable<O: MaxIsOracle + ?Sized, S: Sink>(
     checkpoint: &Checkpointing,
     tel: &Telemetry<S>,
 ) -> Result<(ReductionOutcome, RecoveryReport), ReductionError> {
-    reduce_trusting_inner(h, oracle, config, tel, Some(checkpoint), &mut PhaseWorkspace::new())
-}
-
-fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
-    h: &Hypergraph,
-    oracle: &O,
-    config: ReductionConfig,
-    tel: &Telemetry<S>,
-    checkpoint: Option<&Checkpointing>,
-    ws: &mut PhaseWorkspace,
-) -> Result<(ReductionOutcome, RecoveryReport), ReductionError> {
-    let root = span!(tel, names::REDUCTION);
-    let m = h.edge_count();
-    let k = config.k;
-    let mut coloring = Multicoloring::new(h.node_count());
-    let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
-
-    // The phase budget needs λ before the first oracle call; use the
-    // oracle's guarantee on the first-phase conflict graph (the largest
-    // one — λ for Δ+1-type guarantees only shrinks as edges vanish).
-    let first_cg =
-        ConflictGraph::build_traced(h, k, ConflictGraphOptions::with_kernel(config.kernel), &root);
-    let lambda = match config.lambda_override {
-        Some(l) => l,
-        None => match lambda_for_phase(&first_cg, oracle) {
-            Some(l) => l,
-            None => return Err(ReductionError::NoLambdaAvailable),
-        },
-    };
-    let rho = ReductionConfig::rho(lambda, m);
-    let budget = config.max_phases.unwrap_or(rho).min(rho);
-
-    // The decay invariant is enforced only for oracles whose λ is
-    // rigorous per instance: exact (λ = 1) and maximal-IS-based
-    // (λ = Δ+1) guarantees. Asymptotic guarantees (clique removal's
-    // O(n/log²n)) and conditional ones (decomposition with greedy
-    // fallback) are measured by the experiments instead.
-    let certified = matches!(
-        oracle.guarantee(),
-        pslocal_maxis::ApproxGuarantee::Exact | pslocal_maxis::ApproxGuarantee::MaxDegreePlusOne
-    );
-    let enforce_decay = certified && config.lambda_override.is_none() && lambda >= 1.0;
-
-    // Phase-incremental pipeline: `G_k^{i+1}` is the induced subgraph
-    // of `G_k^i` on the surviving hyperedges' triple blocks (removing
-    // edges never creates conflicts), so each later phase filters the
-    // retained CSR rows of the previous graph instead of re-running the
-    // construction kernel — see `ConflictGraph::restrict_to_edges`.
-    let mut cg = first_cg;
-    let mut records = Vec::new();
-    let mut phase = 0usize;
-    // Cumulative oracle calls (single chain slot): the resume position
-    // `MaxIsOracle::resume_at` needs to keep per-call state aligned.
-    let mut oracle_calls = 0u64;
-    let mut report = RecoveryReport::default();
-    let mut journal: Option<PhaseJournal> = None;
-    let crash = checkpoint.and_then(|c| c.crash.as_ref());
-
-    if let Some(ckpt) = checkpoint {
-        let ctx = recovery::ReplayCtx {
-            h,
-            driver: DriverKind::Trusting,
-            k,
-            lambda,
-            rho,
-            budget,
-            threads: config.parallelism.threads,
-            enforce_decay,
-            chain_names: vec![oracle.name()],
-        };
-        let replayed =
-            recovery::open_or_replay(&ctx, ckpt, &mut cg, &mut coloring, &mut residual, &root)
-                .map_err(|e| ReductionError::CheckpointFailed { message: e.to_string() })?;
-        phase = replayed.phase;
-        records = replayed.records;
-        oracle_calls = replayed.chain_calls[0];
-        report = replayed.report;
-        journal = Some(replayed.journal);
-        oracle.resume_at(oracle_calls as usize);
-    }
-
-    while !residual.is_empty() && phase < budget {
-        let phase_span = span!(root, names::PHASE, phase);
-        let edges_before = residual.len();
-        // The journal stores the conflict graph's fingerprint *at phase
-        // start* — the graph the set is about to be chosen on. The
-        // dense and CSR routes fingerprint to the same value, so the
-        // journal stays kernel-agnostic.
-        let cg_fingerprint = journal.as_ref().map(|_| cg.fingerprint());
-        recovery::maybe_crash(crash, phase, CrashPoint::MidOracle);
-        let (set, calls) = phase_independent_set(
-            &cg,
-            oracle,
-            config.parallelism,
-            config.oracle_cache,
-            ws,
-            &phase_span,
-        );
-        oracle_calls += calls as u64;
-        recovery::maybe_crash(crash, phase, CrashPoint::AfterOracle);
-        let commit_span = span!(phase_span, names::COMMIT);
-        let commit = commit_phase(h, &cg, &set, k, phase, &mut coloring, &mut residual);
-        let edges_after = commit.edges_after;
-        commit_span.add(Counter::HappyEdges, (edges_before - edges_after) as u64);
-        commit_span.close();
-        phase_span.add(Counter::EdgesRemoved, (edges_before - edges_after) as u64);
-        root.add(Counter::Phases, 1);
-
-        records.push(PhaseRecord {
-            phase,
-            edges_before,
-            conflict_nodes: cg.node_count(),
-            conflict_edges: cg.edge_count(),
-            independent_set_size: set.len(),
-            edges_removed: edges_before - edges_after,
-            edges_after,
-        });
-
-        if enforce_decay && edges_after > decay_allowed(edges_before, lambda) {
-            return Err(ReductionError::DecayViolated {
-                phase,
-                before: edges_before,
-                after: edges_after,
-                lambda,
-            });
-        }
-
-        if let Some(j) = journal.as_mut() {
-            recovery::maybe_crash(crash, phase, CrashPoint::BeforeJournal);
-            let write_span = span!(phase_span, names::CHECKPOINT_WRITE);
-            let entry = JournalPhase {
-                phase,
-                // pslocal: allow(panic-path, "the fingerprint is computed earlier in this same journaling branch; None here is a control-flow bug")
-                cg_fingerprint: cg_fingerprint.expect("computed while journaling"),
-                set: set.vertices().iter().map(|v| v.index() as u64).collect(),
-                // pslocal: allow(panic-path, "records.push happened unconditionally a few lines up, so last() always exists")
-                record: records.last().expect("just pushed").clone(),
-                // The trusting driver enforces no delivery quota.
-                quota_required: 0,
-                primary: true,
-                chain_calls: vec![oracle_calls],
-                retries: 0,
-                fallbacks: 0,
-                events: Vec::new(),
-            };
-            let bytes = j
-                .append_phase(entry)
-                .map_err(|e| ReductionError::CheckpointFailed { message: e.to_string() })?;
-            write_span.add(Counter::JournalBytes, bytes);
-            write_span.close();
-            report.journal_bytes = bytes;
-            recovery::maybe_crash(crash, phase, CrashPoint::AfterJournal);
-        }
-
-        phase += 1;
-        if !residual.is_empty() && phase < budget {
-            let restrict_span = span!(phase_span, names::RESTRICT);
-            let restricted =
-                cg.restrict_to_edges_in(&commit.keep_pos, &mut ws.arena, &mut ws.nodes);
-            // Recycle the retired graph's CSR buffers (if materialized)
-            // into the arena for the next phase's build.
-            if let Some(old) = std::mem::replace(&mut cg, restricted).into_graph() {
-                ws.arena.recycle(old);
-            }
-            restrict_span.add(Counter::CsrBytes, cg.csr_bytes());
-        }
-    }
-
-    if !residual.is_empty() {
-        return Err(ReductionError::PhaseBudgetExhausted {
-            rho: budget,
-            remaining_edges: residual.len(),
-        });
-    }
-
-    debug_assert!(checker::is_conflict_free(h, &coloring));
-    let total_colors = coloring.total_color_count();
-    Ok((
-        ReductionOutcome {
-            coloring,
-            lambda,
-            rho,
-            phases_used: phase,
-            total_colors,
-            records,
-            locality: LocalityBudget {
-                own_locality: 1,
-                oracle_calls: phase,
-                oracle_locality: oracle_locality(h.node_count()),
-            },
-        },
-        report,
-    ))
-}
-
-/// The oracle's concrete λ on a phase conflict graph, preferring the
-/// dense route ([`MaxIsOracle::lambda_for_dense`]) when the graph was
-/// built on the bitset kernel, so the budget computation does not
-/// force a CSR materialization.
-pub(crate) fn lambda_for_phase<O: MaxIsOracle + ?Sized>(
-    cg: &ConflictGraph,
-    oracle: &O,
-) -> Option<f64> {
-    if let Some(bits) = cg.bitset() {
-        if let Some(l) = oracle.lambda_for_dense(bits) {
-            return Some(l);
-        }
-    }
-    oracle.lambda_for(cg.graph())
-}
-
-/// Obtains one phase's independent set. The serial path (one thread,
-/// or a connected/empty conflict graph) is a single whole-graph oracle
-/// call with the drivers' historical span shape: an `oracle` span
-/// directly under the phase span, indexed 0 — dispatched to the
-/// word-parallel dense kernel ([`MaxIsOracle::independent_set_dense`])
-/// when the graph was built on the bitset route and the oracle
-/// supports it, byte-identical by the oracle's dense contract. With
-/// `threads > 1` and a disconnected conflict graph, each component is
-/// solved concurrently on the [`ComponentExecutor`] — the phase span
-/// gains `components` / `largest_component` counters and one
-/// `component` span per component (each holding its own `oracle`
-/// child), and the per-component sets are merged under the
-/// machine-checked disjointness invariant. `Counter::OracleCalls`
-/// counts every oracle invocation either way.
-///
-/// With `use_cache`, the workspace's fingerprint-keyed memo is
-/// consulted first: a hit (re-verified independent on the live graph)
-/// answers the phase with **zero** oracle invocations and an
-/// `oracle_cache_hit` count instead of `oracle_calls`; a miss counts
-/// `oracle_cache_miss` and memoizes the serial whole-graph answer.
-///
-/// Returns the set alongside the number of `independent_set`
-/// invocations it consumed (0 cache hit, 1 serial, one per component
-/// parallel) — the quantity the checkpointing layer journals as the
-/// oracle's resume position.
-fn phase_independent_set<O: MaxIsOracle + ?Sized, S: Sink>(
-    cg: &ConflictGraph,
-    oracle: &O,
-    parallelism: ParallelismOptions,
-    use_cache: bool,
-    ws: &mut PhaseWorkspace,
-    phase_span: &Span<'_, S>,
-) -> (IndependentSet, usize) {
-    let fingerprint = use_cache.then(|| cg.fingerprint());
-    if let Some(fp) = fingerprint {
-        match ws.cache.get_verified(fp, cg) {
-            CacheLookup::Hit(set) => {
-                phase_span.add(Counter::OracleCacheHits, 1);
-                return (set, 0);
-            }
-            CacheLookup::Reject => {
-                // Fingerprint collision: the memoized set is not
-                // independent in this graph. The colliding entry has
-                // been evicted; fall through to the oracle.
-                phase_span.add(Counter::OracleCacheRejects, 1);
-                phase_span.add(Counter::OracleCacheMisses, 1);
-            }
-            CacheLookup::Miss => phase_span.add(Counter::OracleCacheMisses, 1),
-        }
-    }
-    if parallelism.is_parallel() {
-        let exec = ComponentExecutor::new(cg.graph(), parallelism);
-        if exec.should_decompose() {
-            let parts = exec.partition().len();
-            phase_span.add(Counter::Components, parts as u64);
-            phase_span.add(Counter::LargestComponent, exec.partition().largest_size() as u64);
-            let locals = exec.run(|c, sub| {
-                let comp_span = span!(phase_span, names::COMPONENT, c);
-                let oracle_span = span!(comp_span, names::ORACLE, 0);
-                let set = oracle.independent_set(sub);
-                oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-                oracle_span.close();
-                comp_span.add(Counter::ParallelOracleCalls, 1);
-                set
-            });
-            phase_span.add(Counter::OracleCalls, parts as u64);
-            return (exec.merge(locals), parts);
-        }
-    }
-    let oracle_span = span!(phase_span, names::ORACLE, 0);
-    let set = match cg.bitset() {
-        Some(bits) if oracle.supports_dense() => {
-            oracle.independent_set_dense(bits, &mut ws.scratch)
-        }
-        _ => oracle.independent_set(cg.graph()),
-    };
-    oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-    oracle_span.close();
-    phase_span.add(Counter::OracleCalls, 1);
-    if let Some(fp) = fingerprint {
-        ws.cache.insert(fp, set.vertices().to_vec());
-    }
-    (set, 1)
+    let ws = &mut PhaseWorkspace::new();
+    run_phases(h, &[oracle], config, Acquire::Trust, tel, Some(checkpoint), ws, None)
+        .map(|(out, report)| (out.reduction, report))
+        .map_err(|failure| failure.error)
 }
 
 #[cfg(test)]
@@ -709,8 +433,9 @@ mod tests {
     use crate::recovery::CrashPlan;
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_maxis::{
-        CliqueRemovalOracle, DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle,
+        CliqueRemovalOracle, CrashPoint, DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle,
     };
+    use pslocal_telemetry::Counter;
     use rand::SeedableRng;
 
     fn planted(seed: u64, n: usize, m: usize, k: usize) -> Hypergraph {
@@ -890,6 +615,37 @@ mod tests {
         // λ barely above 1 still demands everything.
         let just_above_one = f64::from_bits(1.0f64.to_bits() + 1);
         assert_eq!(lemma_2_1_quota(1usize << 40, just_above_one), 1usize << 40);
+    }
+
+    #[test]
+    fn decay_bound_agrees_with_the_exact_quota() {
+        // ⌊(1 − 1/λ)·|E_i|⌋ in f64 rounds up here; the bound must be the
+        // exact complement of the Lemma 2.1 quota.
+        let edges = 4_523_437_425_277usize;
+        assert_eq!(decay_allowed(edges, 1554.0), 4_520_526_590_382);
+        assert_eq!(decay_allowed(edges, 1554.0), edges - lemma_2_1_quota(edges, 1554.0));
+        assert_eq!(decay_allowed(10, 2.5), 6);
+        assert_eq!(decay_allowed(0, 3.0), 0);
+    }
+
+    #[test]
+    fn trusting_driver_lets_an_oracle_panic_escape() {
+        // The trusting driver does not isolate its oracle: the first
+        // panic ends the run with the oracle's own payload, unretried.
+        use pslocal_maxis::{FaultKind, FaultPlan, FaultyOracle};
+        let k = 3;
+        let h = planted(24, 36, 15, k);
+        let faulty =
+            FaultyOracle::new(GreedyOracle, FaultPlan::scripted(vec![Some(FaultKind::Panic)]));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reduce_cf_to_maxis(&h, &faulty, ReductionConfig::new(k))
+        }))
+        .expect_err("the oracle panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("injected fault: oracle panicked on call 0")
+        );
+        assert_eq!(faulty.calls(), 1, "no retry");
     }
 
     #[test]

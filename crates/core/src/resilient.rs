@@ -32,22 +32,29 @@
 //! > invalid coloring. With no faults it reproduces
 //! > [`reduce_cf_to_maxis`](crate::reduce_cf_to_maxis) exactly
 //! > (byte-identical [`PhaseRecord`]s).
+//!
+//! Both drivers run one phase engine, `run_phases`, which differs only
+//! in how it acquires each phase's set: the trusting entry points pass
+//! a one-oracle chain under the `Trust` policy (no validation, no
+//! retry, the oracle's panic propagates), the entry points here pass
+//! the chain under `Validate`. One chain × retry walk serves the whole
+//! phase graph and, on component-parallel phases, each component.
 
-use crate::components::ComponentExecutor;
+use crate::components::{ComponentExecutor, ParallelismOptions};
 use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
 use crate::recovery::{
     self, Checkpointing, DriverKind, JournalPhase, PhaseJournal, RecoveryReport, StoredFaultEvent,
 };
 use crate::reduction::{
-    commit_phase, decay_allowed, lambda_for_phase, lemma_2_1_quota, oracle_locality, PhaseRecord,
-    ReductionConfig, ReductionError, ReductionOutcome,
+    commit_phase, decay_allowed, lemma_2_1_quota, oracle_locality, PhaseRecord, ReductionConfig,
+    ReductionError, ReductionOutcome,
 };
-use crate::workspace::PhaseWorkspace;
+use crate::workspace::{CacheLookup, PhaseWorkspace};
 use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{Graph, HyperedgeId, Hypergraph, IndependentSet};
+use pslocal_graph::{BitsetScratch, Graph, HyperedgeId, Hypergraph, IndependentSet};
 use pslocal_maxis::{ApproxGuarantee, CrashPoint, CrashSignal, MaxIsOracle};
 use pslocal_slocal::LocalityBudget;
-use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Telemetry};
+use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Span, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -167,7 +174,9 @@ pub struct ResilientConfig {
     /// Retries per oracle per phase *beyond* the first attempt.
     pub max_retries: usize,
     /// Base step budget for stalled calls; attempt `j` of an oracle
-    /// tolerates `stall_tolerance << j` steps (exponential backoff).
+    /// tolerates [`stall_budget`]`(stall_tolerance, j)` steps, which is
+    /// `stall_tolerance · 2^j` saturated at `usize::MAX` (exponential
+    /// backoff).
     pub stall_tolerance: usize,
 }
 
@@ -238,16 +247,6 @@ impl Error for ResilientFailure {
     }
 }
 
-/// Validates a claimed independent set against the graph the oracle
-/// was called on — the whole conflict graph on the serial path, one
-/// component's induced subgraph on the parallel path. The range check
-/// must come first: `is_independent_set` panics on out-of-range
-/// vertices.
-fn validates_independence(graph: &Graph, set: &IndependentSet) -> bool {
-    let n = graph.node_count();
-    set.vertices().iter().all(|v| v.index() < n) && graph.is_independent_set(set.vertices())
-}
-
 /// Runs the Theorem 1.1 reduction against an untrusted oracle
 /// **chain** (`chain[0]` is the primary; later entries are fallbacks,
 /// tried left to right).
@@ -272,36 +271,21 @@ pub fn reduce_cf_resilient(
     chain: &[&dyn MaxIsOracle],
     config: ResilientConfig,
 ) -> Result<ResilientOutcome, ResilientFailure> {
-    reduce_cf_resilient_traced(h, chain, config, &Telemetry::disabled())
+    let ws = &mut PhaseWorkspace::new();
+    reduce_cf_resilient_with_workspace(h, chain, config, &Telemetry::disabled(), ws, None)
 }
 
-/// [`reduce_cf_resilient`] under a telemetry pipeline: the same
-/// `reduction` / `phase` / `oracle` / `commit` / `restrict` span tree
-/// as the trusting driver's traced variant, except each phase carries
-/// one `oracle` span **per attempt** (indexed by attempt number), and
-/// the `retries` / `fallbacks` / `stalled_steps` / `fault_events`
-/// counters mirror the fault log. With a disabled pipeline this is
-/// exactly `reduce_cf_resilient`.
+/// [`reduce_cf_resilient`] under a telemetry pipeline, lending a
+/// caller-owned [`PhaseWorkspace`] and honoring an optional wall-clock
+/// `deadline` — the batch service's entry point (`crate::service`),
+/// whose workers hold one long-lived workspace each and cancel overdue
+/// requests cooperatively.
 ///
-/// # Errors
-///
-/// See [`reduce_cf_resilient`].
-#[allow(clippy::result_large_err)]
-pub fn reduce_cf_resilient_traced<S: Sink>(
-    h: &Hypergraph,
-    chain: &[&dyn MaxIsOracle],
-    config: ResilientConfig,
-    tel: &Telemetry<S>,
-) -> Result<ResilientOutcome, ResilientFailure> {
-    reduce_resilient_inner(h, chain, config, tel, None, &mut PhaseWorkspace::new(), None)
-        .map(|(outcome, _)| outcome)
-}
-
-/// [`reduce_cf_resilient_traced`] lending a caller-owned
-/// [`PhaseWorkspace`] and honoring an optional wall-clock `deadline` —
-/// the batch service's entry point (`crate::service`), whose workers
-/// hold one long-lived workspace each and cancel overdue requests
-/// cooperatively.
+/// The span tree is the trusting driver's — `reduction` / `phase` /
+/// `oracle` / `commit` / `restrict` — except each phase carries one
+/// `oracle` span **per attempt** (indexed by attempt number), and the
+/// `retries` / `fallbacks` / `stalled_steps` / `fault_events` counters
+/// mirror the fault log.
 ///
 /// The deadline is checked at every **phase boundary** (before the
 /// phase's oracle work starts), never mid-call: an overdue run fails
@@ -323,15 +307,16 @@ pub fn reduce_cf_resilient_with_workspace<S: Sink>(
     ws: &mut PhaseWorkspace,
     deadline: Option<Instant>,
 ) -> Result<ResilientOutcome, ResilientFailure> {
-    reduce_resilient_inner(h, chain, config, tel, None, ws, deadline).map(|(outcome, _)| outcome)
+    run_phases(h, chain, config.base, config.acquire(), tel, None, ws, deadline)
+        .map(|(outcome, _)| outcome)
 }
 
-/// [`reduce_cf_resilient_traced`] with crash-safe checkpointing: every
-/// committed phase — including its fault events, per-slot oracle-call
-/// positions, and the quota actually enforced on the accepted set — is
-/// durably appended to the [`PhaseJournal`] in `checkpoint.dir`; with
-/// [`Checkpointing::resume`] an existing journal is replayed
-/// (corruption-tolerant, each record re-validated — see
+/// [`reduce_cf_resilient_with_workspace`] with crash-safe
+/// checkpointing: every committed phase — including its fault events,
+/// per-slot oracle-call positions, and the quota actually enforced on
+/// the accepted set — is durably appended to the [`PhaseJournal`] in
+/// `checkpoint.dir`; with [`Checkpointing::resume`] an existing journal
+/// is replayed (corruption-tolerant, each record re-validated — see
 /// [`crate::recovery`]) and the run continues from the last good
 /// phase, with every oracle in the chain fast-forwarded through
 /// [`MaxIsOracle::resume_at`] so fault schedules stay aligned and the
@@ -354,23 +339,252 @@ pub fn reduce_cf_resilient_resumable<S: Sink>(
     checkpoint: &Checkpointing,
     tel: &Telemetry<S>,
 ) -> Result<(ResilientOutcome, RecoveryReport), ResilientFailure> {
-    reduce_resilient_inner(
-        h,
-        chain,
-        config,
-        tel,
-        Some(checkpoint),
-        &mut PhaseWorkspace::new(),
-        None,
-    )
+    let ws = &mut PhaseWorkspace::new();
+    run_phases(h, chain, config.base, config.acquire(), tel, Some(checkpoint), ws, None)
 }
 
+/// How [`run_phases`] obtains each phase's independent set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Acquire {
+    /// The trusting driver: commit the single oracle's answer
+    /// unchecked and let its panic propagate. With
+    /// [`ReductionConfig::oracle_cache`] a verified memo hit answers a
+    /// repeated phase graph without an oracle call.
+    Trust,
+    /// The resilient driver: validate every answer, retry each oracle
+    /// under a doubling stall budget, and fall back along the chain.
+    Validate { max_retries: usize, stall_tolerance: usize },
+}
+
+impl ResilientConfig {
+    fn acquire(&self) -> Acquire {
+        Acquire::Validate { max_retries: self.max_retries, stall_tolerance: self.stall_tolerance }
+    }
+}
+
+impl Acquire {
+    /// Judges one answer `set` that `oracle` returned on `target` after
+    /// stalling `stalled` steps, on attempt `retry` of that oracle:
+    /// `Ok(quota)` accepts it, where `quota` is the Lemma 2.1 delivery
+    /// quota it was held to (0 when none applies), and `Err` names the
+    /// rejection. `Trust` accepts everything.
+    fn judge<O: MaxIsOracle + ?Sized>(
+        self,
+        target: &Target<'_>,
+        oracle: &O,
+        set: &IndependentSet,
+        stalled: usize,
+        retry: usize,
+    ) -> Result<usize, FaultEventKind> {
+        let Acquire::Validate { stall_tolerance, .. } = self else { return Ok(0) };
+        let tolerance = stall_budget(stall_tolerance, retry);
+        if stalled > tolerance {
+            return Err(FaultEventKind::OracleStalled { steps: stalled, tolerance });
+        }
+        if !target.is_independent(set) {
+            return Err(FaultEventKind::OracleInvalidOutput);
+        }
+        // Delivery quota per Lemma 2.1, against the calling oracle's
+        // own certified λ on the graph it solved; heuristic and
+        // asymptotic guarantees promise no per-instance quota.
+        let required = match certified(oracle).then(|| target.quota_basis(oracle)) {
+            Some((Some(l), edges)) if l >= 1.0 => lemma_2_1_quota(edges, l),
+            _ => 0,
+        };
+        if set.len() < required {
+            return Err(FaultEventKind::OracleUnderDelivered { delivered: set.len(), required });
+        }
+        Ok(required)
+    }
+}
+
+/// Whether `oracle`'s λ is rigorous per instance: exact (λ = 1) and
+/// maximal-IS-based (λ = Δ+1) guarantees. Only these gate the Lemma 2.1
+/// quota and the decay invariant; asymptotic guarantees (clique
+/// removal's O(n/log²n)) and conditional ones (decomposition with
+/// greedy fallback) are measured by the experiments instead.
+fn certified<O: MaxIsOracle + ?Sized>(oracle: &O) -> bool {
+    matches!(oracle.guarantee(), ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne)
+}
+
+/// The oracle's concrete λ on a phase conflict graph, preferring the
+/// dense route ([`MaxIsOracle::lambda_for_dense`]) when the graph was
+/// built on the bitset kernel, so the budget computation does not
+/// force a CSR materialization.
+fn lambda_for_phase<O: MaxIsOracle + ?Sized>(cg: &ConflictGraph, oracle: &O) -> Option<f64> {
+    if let Some(bits) = cg.bitset() {
+        if let Some(l) = oracle.lambda_for_dense(bits) {
+            return Some(l);
+        }
+    }
+    oracle.lambda_for(cg.graph())
+}
+
+/// The graph one chain walk solves, with the residual hyperedge count
+/// its Lemma 2.1 quota is computed on.
+enum Target<'a> {
+    /// The whole phase graph. Calls take the word-parallel dense kernel
+    /// ([`MaxIsOracle::independent_set_dense`]) when the graph was
+    /// built on the bitset route and the oracle supports it,
+    /// byte-identical by the oracle's dense contract; the scratch is
+    /// state-free across calls, so a caught panic mid-kernel cannot
+    /// poison a retry.
+    Whole { cg: &'a ConflictGraph, scratch: &'a mut BitsetScratch, edges: usize },
+    /// Component `c`'s induced subgraph. Every hyperedge's triple block
+    /// is an `E_edge` clique, so blocks never split across components
+    /// and the residual hyperedges partition over them: `edges` is the
+    /// component's own share.
+    Component { c: usize, sub: &'a Graph, edges: usize },
+}
+
+impl Target<'_> {
+    fn solve<O: MaxIsOracle + ?Sized>(&mut self, oracle: &O) -> IndependentSet {
+        match self {
+            Target::Whole { cg, scratch, .. } => match cg.bitset() {
+                Some(bits) if oracle.supports_dense() => {
+                    oracle.independent_set_dense(bits, scratch)
+                }
+                _ => oracle.independent_set(cg.graph()),
+            },
+            Target::Component { sub, .. } => oracle.independent_set(sub),
+        }
+    }
+
+    fn is_independent(&self, set: &IndependentSet) -> bool {
+        match self {
+            Target::Whole { cg, .. } => cg.verify_independent(set),
+            // The range check must come first: `is_independent_set`
+            // panics on out-of-range vertices.
+            Target::Component { sub, .. } => {
+                set.vertices().iter().all(|v| v.index() < sub.node_count())
+                    && sub.is_independent_set(set.vertices())
+            }
+        }
+    }
+
+    /// The oracle's λ on this graph, and the hyperedge count its
+    /// Lemma 2.1 quota is taken over.
+    fn quota_basis<O: MaxIsOracle + ?Sized>(&self, oracle: &O) -> (Option<f64>, usize) {
+        match self {
+            Target::Whole { cg, edges, .. } => (lambda_for_phase(cg, oracle), *edges),
+            Target::Component { sub, edges, .. } => (oracle.lambda_for(sub), *edges),
+        }
+    }
+}
+
+/// An answer a chain walk accepted.
+struct Accepted {
+    set: IndependentSet,
+    /// The chain slot that produced it.
+    slot: usize,
+    /// The Lemma 2.1 quota it was held to (0 = none).
+    quota: usize,
+}
+
+/// What one chain walk did, for the phase to aggregate.
+#[derive(Default)]
+struct Walk {
+    accepted: Option<Accepted>,
+    attempts: usize,
+    fallbacks: usize,
+    events: Vec<FaultEvent>,
+    /// `independent_set` invocations per chain slot (resume accounting).
+    per_slot: Vec<u64>,
+}
+
+/// The chain × retry walk: tries each oracle of `chain` in turn, each
+/// up to `max_retries + 1` times, until `acquire` accepts an answer on
+/// `target`. Each attempt gets an `oracle` span under `span`, indexed
+/// by attempt, and one `oracle_calls` tick (`parallel_oracle_calls` on
+/// a component). A panicking call is a rejected attempt, except under
+/// `Trust` or when its payload is a [`CrashSignal`]: an injected
+/// *process* crash is not an oracle fault, and both re-raise.
+fn walk_chain<O: MaxIsOracle + ?Sized, S: Sink>(
+    chain: &[&O],
+    acquire: Acquire,
+    phase: usize,
+    mut target: Target<'_>,
+    span: &Span<'_, S>,
+) -> Walk {
+    let max_retries = match acquire {
+        Acquire::Trust => 0,
+        Acquire::Validate { max_retries, .. } => max_retries,
+    };
+    let (component, calls) = match target {
+        Target::Whole { .. } => (None, Counter::OracleCalls),
+        Target::Component { c, .. } => (Some(c), Counter::ParallelOracleCalls),
+    };
+    let event = |attempt, oracle: &O, kind| FaultEvent {
+        phase,
+        attempt,
+        oracle: oracle.name(),
+        component,
+        kind,
+    };
+    let mut walk = Walk { per_slot: vec![0; chain.len()], ..Walk::default() };
+    'chain: for (slot, &oracle) in chain.iter().enumerate() {
+        if slot > 0 {
+            walk.fallbacks += 1;
+            walk.events.push(event(walk.attempts, oracle, FaultEventKind::FallbackEngaged));
+        }
+        for retry in 0..=max_retries {
+            let attempt = walk.attempts;
+            walk.attempts += 1;
+            walk.per_slot[slot] += 1;
+            let oracle_span = span!(span, names::ORACLE, attempt);
+            span.add(calls, 1);
+            let set = match catch_unwind(AssertUnwindSafe(|| target.solve(oracle))) {
+                Ok(set) => set,
+                Err(payload)
+                    if matches!(acquire, Acquire::Trust) || payload.is::<CrashSignal>() =>
+                {
+                    resume_unwind(payload)
+                }
+                Err(_) => {
+                    drop(oracle_span);
+                    walk.events.push(event(attempt, oracle, FaultEventKind::OraclePanicked));
+                    continue;
+                }
+            };
+            // A single *stateful* oracle is shared by all component
+            // workers, so stall readings may interleave across
+            // components; the budget still bounds every reading it acts
+            // on.
+            let stalled = oracle.stalled_steps();
+            oracle_span.add(Counter::StalledSteps, stalled as u64);
+            oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
+            drop(oracle_span);
+            match acquire.judge(&target, oracle, &set, stalled, retry) {
+                Ok(quota) => {
+                    walk.accepted = Some(Accepted { set, slot, quota });
+                    break 'chain;
+                }
+                Err(kind) => walk.events.push(event(attempt, oracle, kind)),
+            }
+        }
+    }
+    walk
+}
+
+/// The phase loop behind every driver entry point: build `G_k`, fix λ
+/// and the budget `ρ`, then per phase obtain an independent set as
+/// `acquire` says, commit it through the shared
+/// [`commit_phase`](crate::reduction::commit_phase), journal it, and
+/// restrict `G_k` to the surviving hyperedges.
+///
+/// The set comes from one [`walk_chain`] on the whole phase graph or,
+/// with `threads > 1` and a disconnected graph, one walk per component
+/// on the [`ComponentExecutor`] (a fault retries only its component),
+/// merged under the executor's disjointness check. Serial execution is
+/// the one-walk case of the same aggregation. Either way the phase
+/// commits atomically: one exhausted walk fails the whole phase.
 #[allow(clippy::result_large_err)]
 #[allow(clippy::too_many_arguments)]
-fn reduce_resilient_inner<S: Sink>(
+pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
     h: &Hypergraph,
-    chain: &[&dyn MaxIsOracle],
-    config: ResilientConfig,
+    chain: &[&O],
+    config: ReductionConfig,
+    acquire: Acquire,
     tel: &Telemetry<S>,
     checkpoint: Option<&Checkpointing>,
     ws: &mut PhaseWorkspace,
@@ -378,7 +592,7 @@ fn reduce_resilient_inner<S: Sink>(
 ) -> Result<(ResilientOutcome, RecoveryReport), ResilientFailure> {
     let root = span!(tel, names::REDUCTION);
     let m = h.edge_count();
-    let k = config.base.k;
+    let k = config.k;
     let mut coloring = Multicoloring::new(h.node_count());
     let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
     let mut fault_log: Vec<FaultEvent> = Vec::new();
@@ -402,34 +616,26 @@ fn reduce_resilient_inner<S: Sink>(
         }};
     }
 
-    if chain.is_empty() {
+    let Some(&primary) = chain.first() else {
         fail!(ReductionError::RetriesExhausted { phase: 0, attempts: 0 });
-    }
+    };
 
-    // λ and budget exactly as the trusting driver computes them, from
-    // the primary oracle.
-    let first_cg = ConflictGraph::build_traced(
-        h,
-        k,
-        ConflictGraphOptions::with_kernel(config.base.kernel),
-        &root,
-    );
-    let lambda = match config.base.lambda_override {
-        Some(l) => l,
-        None => match lambda_for_phase(&first_cg, chain[0]) {
-            Some(l) => l,
-            None => fail!(ReductionError::NoLambdaAvailable),
-        },
+    // The phase budget needs λ before the first oracle call: the
+    // primary's guarantee on the first-phase conflict graph (the
+    // largest one — λ for Δ+1-type guarantees only shrinks as edges
+    // vanish).
+    let options = ConflictGraphOptions::with_kernel(config.kernel);
+    let mut cg = ConflictGraph::build_traced(h, k, options, &root);
+    let Some(lambda) = config.lambda_override.or_else(|| lambda_for_phase(&cg, primary)) else {
+        fail!(ReductionError::NoLambdaAvailable);
     };
     let rho = ReductionConfig::rho(lambda, m);
-    let budget = config.base.max_phases.unwrap_or(rho).min(rho);
-
-    // Decay invariant applies to primary-accepted phases of a certified
-    // primary (mirrors the trusting driver); replay re-checks under the
-    // same gate.
-    let primary_certified =
-        matches!(chain[0].guarantee(), ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne);
-    let enforce_decay = primary_certified && config.base.lambda_override.is_none() && lambda >= 1.0;
+    let budget = config.max_phases.unwrap_or(rho).min(rho);
+    // The decay invariant applies to primary-accepted phases of a
+    // certified primary (fallback commits are already annotated in the
+    // fault log); replay re-checks under the same gate.
+    let enforce_decay = certified(primary) && config.lambda_override.is_none() && lambda >= 1.0;
+    let trust = matches!(acquire, Acquire::Trust);
 
     let mut retries = 0usize;
     let mut fallbacks_engaged = 0usize;
@@ -440,22 +646,16 @@ fn reduce_resilient_inner<S: Sink>(
     let mut report = RecoveryReport::default();
     let mut journal: Option<PhaseJournal> = None;
     let crash = checkpoint.and_then(|c| c.crash.as_ref());
-    // Phase-incremental pipeline, identical to `reduce_cf_to_maxis`:
-    // later phases filter the previous conflict graph's retained CSR
-    // rows (`ConflictGraph::restrict_to_edges`) instead of re-running
-    // the construction kernel, which also keeps the two drivers'
-    // per-phase graphs — and hence their records — byte-identical.
-    let mut cg = first_cg;
 
     if let Some(ckpt) = checkpoint {
         let ctx = recovery::ReplayCtx {
             h,
-            driver: DriverKind::Resilient,
+            driver: if trust { DriverKind::Trusting } else { DriverKind::Resilient },
             k,
             lambda,
             rho,
             budget,
-            threads: config.base.parallelism.threads,
+            threads: config.parallelism.threads,
             enforce_decay,
             chain_names: chain.iter().map(|o| o.name()).collect(),
         };
@@ -481,8 +681,8 @@ fn reduce_resilient_inner<S: Sink>(
         fault_log = replayed.fault_log;
         report = replayed.report;
         journal = Some(replayed.journal);
-        for (slot, oracle) in chain.iter().enumerate() {
-            oracle.resume_at(chain_calls[slot] as usize);
+        for (oracle, &calls) in chain.iter().zip(&chain_calls) {
+            oracle.resume_at(calls as usize);
         }
     }
 
@@ -495,349 +695,122 @@ fn reduce_resilient_inner<S: Sink>(
         let phase_span = span!(root, names::PHASE, phase);
         let edges_before = residual.len();
         let phase_log_start = fault_log.len();
+        // The journal stores the conflict graph's fingerprint *at phase
+        // start* — the graph the set is about to be chosen on. The
+        // dense and CSR routes fingerprint to the same value, so the
+        // journal stays kernel-agnostic.
         let cg_fingerprint = journal.as_ref().map(|_| cg.fingerprint());
         recovery::maybe_crash(crash, phase, CrashPoint::MidOracle);
 
-        // Acquire an acceptable independent set. With `threads > 1`
-        // and a disconnected conflict graph, each component runs its
-        // own chain walk concurrently (a fault retries only its
-        // component, never its siblings) and the verified local sets
-        // merge; otherwise the historical serial chain walk runs on
-        // the whole graph. Either way the phase commits atomically.
+        let memo = (trust && config.oracle_cache).then(|| cg.fingerprint());
+        // A memo hit is re-verified independent on the live graph; a
+        // collision evicts the stale entry and counts as a miss.
+        let cached = memo.and_then(|fp| match ws.cache.get_verified(fp, &cg) {
+            CacheLookup::Hit(set) => {
+                phase_span.add(Counter::OracleCacheHits, 1);
+                Some(set)
+            }
+            lookup => {
+                let rejected = matches!(lookup, CacheLookup::Reject);
+                phase_span.add(Counter::OracleCacheRejects, u64::from(rejected));
+                phase_span.add(Counter::OracleCacheMisses, 1);
+                None
+            }
+        });
         // `quota_required` is the Lemma 2.1 quota actually enforced on
-        // the accepted set (0 = none: heuristic oracle, or the
-        // parallel path whose per-component quotas do not reduce to
-        // one whole-graph number) — journaled so replay re-demands
-        // exactly what the original run demanded.
+        // the accepted set — journaled so replay re-demands exactly
+        // what the original run demanded. It is 0 when none applied,
+        // and on decomposed phases, whose per-component quotas do not
+        // reduce to one whole-graph number.
         let (set, accepted_primary, quota_required) = 'acquire: {
-            if config.base.parallelism.is_parallel() {
-                let exec = ComponentExecutor::new(cg.graph(), config.base.parallelism);
-                if exec.should_decompose() {
-                    let parts = exec.partition().len();
-                    phase_span.add(Counter::Components, parts as u64);
-                    phase_span
-                        .add(Counter::LargestComponent, exec.partition().largest_size() as u64);
-                    // Every hyperedge's triple block is an E_edge
-                    // clique, so blocks never split across components
-                    // and the residual hyperedges *partition* over
-                    // them: the Lemma 2.1 quota each component must
-                    // meet is ⌈m_c/λ_c⌉ on its own hyperedge count.
-                    let mut comp_edges = vec![0usize; parts];
+            if let Some(set) = cached {
+                break 'acquire (set, true, 0);
+            }
+            let exec = Some(config.parallelism)
+                .filter(ParallelismOptions::is_parallel)
+                .map(|options| ComponentExecutor::new(cg.graph(), options))
+                .filter(ComponentExecutor::should_decompose);
+            let walks = match &exec {
+                None => {
+                    let target =
+                        Target::Whole { cg: &cg, scratch: &mut ws.scratch, edges: edges_before };
+                    vec![walk_chain(chain, acquire, phase, target, &phase_span)]
+                }
+                Some(exec) => {
+                    let parts = exec.partition();
+                    phase_span.add(Counter::Components, parts.len() as u64);
+                    phase_span.add(Counter::LargestComponent, parts.largest_size() as u64);
+                    let mut comp_edges = vec![0usize; parts.len()];
                     for e in cg.hypergraph().edge_ids() {
-                        comp_edges[exec.partition().component_of(cg.block_start(e))] += 1;
+                        comp_edges[parts.component_of(cg.block_start(e))] += 1;
                     }
-                    struct ComponentAttempt {
-                        set: Option<(IndependentSet, usize)>,
-                        attempts: usize,
-                        fallbacks: usize,
-                        events: Vec<FaultEvent>,
-                        /// `independent_set` invocations per chain slot
-                        /// within this component (resume accounting).
-                        per_slot: Vec<u64>,
-                    }
-                    let results = exec.run(|c, sub| {
+                    let walks = exec.run(|c, sub| {
                         let comp_span = span!(phase_span, names::COMPONENT, c);
-                        let mut events = Vec::new();
-                        let mut accepted = None;
-                        let mut attempt = 0usize;
-                        let mut fallbacks = 0usize;
-                        let mut per_slot = vec![0u64; chain.len()];
-                        'chain: for (idx, oracle) in chain.iter().enumerate() {
-                            if idx > 0 {
-                                fallbacks += 1;
-                                events.push(FaultEvent {
-                                    phase,
-                                    attempt,
-                                    oracle: oracle.name(),
-                                    component: Some(c),
-                                    kind: FaultEventKind::FallbackEngaged,
-                                });
-                            }
-                            for retry in 0..=config.max_retries {
-                                let this_attempt = attempt;
-                                attempt += 1;
-                                let tolerance = stall_budget(config.stall_tolerance, retry);
-                                let oracle_span = span!(comp_span, names::ORACLE, this_attempt);
-                                comp_span.add(Counter::ParallelOracleCalls, 1);
-                                per_slot[idx] += 1;
-                                let answer =
-                                    catch_unwind(AssertUnwindSafe(|| oracle.independent_set(sub)));
-                                let set = match answer {
-                                    Err(payload) => {
-                                        // An injected *process* crash is
-                                        // not an oracle fault: re-raise
-                                        // so it kills the run.
-                                        if payload.downcast_ref::<CrashSignal>().is_some() {
-                                            resume_unwind(payload);
-                                        }
-                                        drop(oracle_span);
-                                        events.push(FaultEvent {
-                                            phase,
-                                            attempt: this_attempt,
-                                            oracle: oracle.name(),
-                                            component: Some(c),
-                                            kind: FaultEventKind::OraclePanicked,
-                                        });
-                                        continue;
-                                    }
-                                    Ok(set) => set,
-                                };
-                                // A single *stateful* oracle is shared
-                                // by all workers, so stall readings may
-                                // interleave across components; the
-                                // budget still bounds every reading it
-                                // acts on.
-                                let stalled = oracle.stalled_steps();
-                                oracle_span.add(Counter::StalledSteps, stalled as u64);
-                                oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-                                drop(oracle_span);
-                                if stalled > tolerance {
-                                    events.push(FaultEvent {
-                                        phase,
-                                        attempt: this_attempt,
-                                        oracle: oracle.name(),
-                                        component: Some(c),
-                                        kind: FaultEventKind::OracleStalled {
-                                            steps: stalled,
-                                            tolerance,
-                                        },
-                                    });
-                                    continue;
-                                }
-                                if !validates_independence(sub, &set) {
-                                    events.push(FaultEvent {
-                                        phase,
-                                        attempt: this_attempt,
-                                        oracle: oracle.name(),
-                                        component: Some(c),
-                                        kind: FaultEventKind::OracleInvalidOutput,
-                                    });
-                                    continue;
-                                }
-                                let certified = matches!(
-                                    oracle.guarantee(),
-                                    ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne
-                                );
-                                if certified {
-                                    if let Some(l) = oracle.lambda_for(sub) {
-                                        if l >= 1.0 {
-                                            let required = lemma_2_1_quota(comp_edges[c], l);
-                                            if set.len() < required {
-                                                events.push(FaultEvent {
-                                                    phase,
-                                                    attempt: this_attempt,
-                                                    oracle: oracle.name(),
-                                                    component: Some(c),
-                                                    kind: FaultEventKind::OracleUnderDelivered {
-                                                        delivered: set.len(),
-                                                        required,
-                                                    },
-                                                });
-                                                continue;
-                                            }
-                                        }
-                                    }
-                                }
-                                accepted = Some((set, idx));
-                                break 'chain;
-                            }
-                        }
-                        ComponentAttempt {
-                            set: accepted,
-                            attempts: attempt,
-                            fallbacks,
-                            events,
-                            per_slot,
-                        }
+                        let target = Target::Component { c, sub, edges: comp_edges[c] };
+                        walk_chain(chain, acquire, phase, target, &comp_span)
                     });
-                    // Aggregate in component-id order: the fault log,
-                    // counters, and merge result are deterministic
-                    // regardless of how workers interleaved.
-                    let mut total_attempts = 0usize;
-                    let mut accepted_count = 0usize;
-                    let mut all_primary = true;
-                    let mut first_failed: Option<usize> = None;
-                    let mut locals = Vec::with_capacity(parts);
-                    for (c, r) in results.into_iter().enumerate() {
-                        total_attempts += r.attempts;
-                        fallbacks_engaged += r.fallbacks;
-                        phase_span.add(Counter::Fallbacks, r.fallbacks as u64);
-                        for (slot, calls) in r.per_slot.iter().enumerate() {
-                            chain_calls[slot] += calls;
-                        }
-                        for ev in r.events {
-                            fault!(ev);
-                        }
-                        match r.set {
-                            Some((set, idx)) => {
-                                accepted_count += 1;
-                                if idx != 0 {
-                                    all_primary = false;
-                                }
-                                locals.push(set);
-                            }
-                            None => {
-                                first_failed.get_or_insert(c);
-                                locals.push(IndependentSet::empty());
-                            }
-                        }
+                    let attempts: usize = walks.iter().map(|w| w.attempts).sum();
+                    phase_span.add(Counter::OracleCalls, attempts as u64);
+                    walks
+                }
+            };
+            // Aggregate in walk order (component id order): the fault
+            // log, counters, and merge are deterministic however the
+            // workers interleaved.
+            let (mut attempts, mut accepted) = (0usize, 0usize);
+            let (mut all_primary, mut quota) = (true, 0usize);
+            let mut first_failed: Option<usize> = None;
+            let mut sets = Vec::with_capacity(walks.len());
+            for (c, walk) in walks.into_iter().enumerate() {
+                attempts += walk.attempts;
+                fallbacks_engaged += walk.fallbacks;
+                phase_span.add(Counter::Fallbacks, walk.fallbacks as u64);
+                for (total, calls) in chain_calls.iter_mut().zip(&walk.per_slot) {
+                    *total += calls;
+                }
+                for event in walk.events {
+                    fault!(event);
+                }
+                match walk.accepted {
+                    Some(a) => {
+                        accepted += 1;
+                        all_primary &= a.slot == 0;
+                        quota = a.quota;
+                        sets.push(a.set);
                     }
-                    phase_span.add(Counter::OracleCalls, total_attempts as u64);
-                    let phase_retries = total_attempts - accepted_count;
-                    retries += phase_retries;
-                    phase_span.add(Counter::Retries, phase_retries as u64);
-                    if let Some(c) = first_failed {
-                        // No partial commit: one exhausted component
-                        // fails the whole phase, keeping salvage a
-                        // whole-phase boundary exactly as on the
-                        // serial path.
-                        fault!(FaultEvent {
-                            phase,
-                            attempt: total_attempts.saturating_sub(1),
-                            oracle: chain.last().map_or("", |o| o.name()),
-                            component: Some(c),
-                            kind: FaultEventKind::RetriesExhausted { attempts: total_attempts },
-                        });
-                        fail!(ReductionError::RetriesExhausted { phase, attempts: total_attempts });
+                    None => {
+                        first_failed.get_or_insert(c);
+                        sets.push(IndependentSet::empty());
                     }
-                    // Per-component quotas (⌈m_c/λ_c⌉, possibly met by
-                    // fallback slots) do not reduce to one whole-graph
-                    // number, so the journal records no quota here.
-                    break 'acquire (exec.merge(locals), all_primary, 0);
                 }
             }
-            // Serial path: walk the chain, retry each oracle up to
-            // max_retries times with a doubling stall budget per
-            // attempt.
-            let mut accepted: Option<(IndependentSet, usize, usize)> = None;
-            let mut attempt = 0usize;
-            'chain: for (idx, oracle) in chain.iter().enumerate() {
-                if idx > 0 {
-                    fallbacks_engaged += 1;
-                    phase_span.add(Counter::Fallbacks, 1);
-                    fault!(FaultEvent {
-                        phase,
-                        attempt,
-                        oracle: oracle.name(),
-                        component: None,
-                        kind: FaultEventKind::FallbackEngaged,
-                    });
-                }
-                for retry in 0..=config.max_retries {
-                    let this_attempt = attempt;
-                    attempt += 1;
-                    let tolerance = stall_budget(config.stall_tolerance, retry);
-                    let oracle_span = span!(phase_span, names::ORACLE, this_attempt);
-                    phase_span.add(Counter::OracleCalls, 1);
-                    chain_calls[idx] += 1;
-                    // Dense dispatch mirrors the trusting driver; the
-                    // workspace scratch is state-free across calls, so
-                    // a caught panic mid-kernel cannot poison retries.
-                    let answer = catch_unwind(AssertUnwindSafe(|| match cg.bitset() {
-                        Some(bits) if oracle.supports_dense() => {
-                            oracle.independent_set_dense(bits, &mut ws.scratch)
-                        }
-                        _ => oracle.independent_set(cg.graph()),
-                    }));
-                    let set = match answer {
-                        Err(payload) => {
-                            // An injected *process* crash is not an
-                            // oracle fault: re-raise so it kills the
-                            // run instead of burning a retry.
-                            if payload.downcast_ref::<CrashSignal>().is_some() {
-                                resume_unwind(payload);
-                            }
-                            drop(oracle_span);
-                            fault!(FaultEvent {
-                                phase,
-                                attempt: this_attempt,
-                                oracle: oracle.name(),
-                                component: None,
-                                kind: FaultEventKind::OraclePanicked,
-                            });
-                            continue;
-                        }
-                        Ok(set) => set,
-                    };
-                    let stalled = oracle.stalled_steps();
-                    oracle_span.add(Counter::StalledSteps, stalled as u64);
-                    oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-                    drop(oracle_span);
-                    if stalled > tolerance {
-                        fault!(FaultEvent {
-                            phase,
-                            attempt: this_attempt,
-                            oracle: oracle.name(),
-                            component: None,
-                            kind: FaultEventKind::OracleStalled { steps: stalled, tolerance },
-                        });
-                        continue;
-                    }
-                    if !cg.verify_independent(&set) {
-                        fault!(FaultEvent {
-                            phase,
-                            attempt: this_attempt,
-                            oracle: oracle.name(),
-                            component: None,
-                            kind: FaultEventKind::OracleInvalidOutput,
-                        });
-                        continue;
-                    }
-                    // Delivery quota per Lemma 2.1, against the calling
-                    // oracle's own certified λ on this phase's conflict
-                    // graph; heuristic and asymptotic guarantees promise
-                    // no per-instance quota, so only certified ones
-                    // gate.
-                    let certified = matches!(
-                        oracle.guarantee(),
-                        ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne
-                    );
-                    let mut required = 0usize;
-                    if certified {
-                        if let Some(l) = lambda_for_phase(&cg, *oracle) {
-                            if l >= 1.0 {
-                                required = lemma_2_1_quota(edges_before, l);
-                                if set.len() < required {
-                                    fault!(FaultEvent {
-                                        phase,
-                                        attempt: this_attempt,
-                                        oracle: oracle.name(),
-                                        component: None,
-                                        kind: FaultEventKind::OracleUnderDelivered {
-                                            delivered: set.len(),
-                                            required,
-                                        },
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    accepted = Some((set, idx, required));
-                    break 'chain;
-                }
-            }
-            retries += attempt.saturating_sub(1);
-            phase_span.add(Counter::Retries, attempt.saturating_sub(1) as u64);
-
-            let Some((set, accepted_idx, quota_required)) = accepted else {
+            retries += attempts - accepted;
+            phase_span.add(Counter::Retries, (attempts - accepted) as u64);
+            if let Some(c) = first_failed {
                 fault!(FaultEvent {
                     phase,
-                    attempt: attempt.saturating_sub(1),
+                    attempt: attempts.saturating_sub(1),
                     oracle: chain.last().map_or("", |o| o.name()),
-                    component: None,
-                    kind: FaultEventKind::RetriesExhausted { attempts: attempt },
+                    component: exec.as_ref().map(|_| c),
+                    kind: FaultEventKind::RetriesExhausted { attempts },
                 });
-                fail!(ReductionError::RetriesExhausted { phase, attempts: attempt });
-            };
-            break 'acquire (set, accepted_idx == 0, quota_required);
+                fail!(ReductionError::RetriesExhausted { phase, attempts });
+            }
+            match exec {
+                Some(exec) => (exec.merge(sets), all_primary, 0),
+                None => {
+                    // The one whole-graph walk accepted its set; the
+                    // memo keeps whole-graph answers only.
+                    let set = sets.pop().unwrap_or_else(IndependentSet::empty);
+                    if let Some(fp) = memo {
+                        ws.cache.insert(fp, set.vertices().to_vec());
+                    }
+                    (set, all_primary, quota)
+                }
+            }
         };
-
         recovery::maybe_crash(crash, phase, CrashPoint::AfterOracle);
 
-        // Commit the phase exactly as the trusting driver does — the
-        // shared `commit_phase` kernel is what keeps the two drivers
-        // (and journal replay) byte-identical.
         let commit_span = span!(phase_span, names::COMMIT);
         let commit = commit_phase(h, &cg, &set, k, phase, &mut coloring, &mut residual);
         let edges_after = commit.edges_after;
@@ -846,7 +819,7 @@ fn reduce_resilient_inner<S: Sink>(
         phase_span.add(Counter::EdgesRemoved, (edges_before - edges_after) as u64);
         root.add(Counter::Phases, 1);
 
-        records.push(PhaseRecord {
+        let record = PhaseRecord {
             phase,
             edges_before,
             conflict_nodes: cg.node_count(),
@@ -854,11 +827,9 @@ fn reduce_resilient_inner<S: Sink>(
             independent_set_size: set.len(),
             edges_removed: edges_before - edges_after,
             edges_after,
-        });
+        };
+        records.push(record.clone());
 
-        // Decay invariant, mirroring the trusting driver: enforced only
-        // for primary-accepted phases of a certified primary (fallback
-        // commits are already annotated in the fault log).
         if accepted_primary && enforce_decay && edges_after > decay_allowed(edges_before, lambda) {
             fail!(ReductionError::DecayViolated {
                 phase,
@@ -868,16 +839,14 @@ fn reduce_resilient_inner<S: Sink>(
             });
         }
 
-        if let Some(j) = journal.as_mut() {
+        if let (Some(j), Some(cg_fingerprint)) = (journal.as_mut(), cg_fingerprint) {
             recovery::maybe_crash(crash, phase, CrashPoint::BeforeJournal);
             let write_span = span!(phase_span, names::CHECKPOINT_WRITE);
             let entry = JournalPhase {
                 phase,
-                // pslocal: allow(panic-path, "the fingerprint is computed earlier in this same journaling branch; None here is a control-flow bug")
-                cg_fingerprint: cg_fingerprint.expect("computed while journaling"),
+                cg_fingerprint,
                 set: set.vertices().iter().map(|v| v.index() as u64).collect(),
-                // pslocal: allow(panic-path, "records.push happened unconditionally a few lines up, so last() always exists")
-                record: records.last().expect("just pushed").clone(),
+                record,
                 quota_required,
                 primary: accepted_primary,
                 chain_calls: chain_calls.clone(),
@@ -900,6 +869,12 @@ fn reduce_resilient_inner<S: Sink>(
 
         phase += 1;
         if !residual.is_empty() && phase < budget {
+            // Phase-incremental pipeline: `G_k^{i+1}` is the induced
+            // subgraph of `G_k^i` on the surviving hyperedges' triple
+            // blocks (removing edges never creates conflicts), so later
+            // phases filter the retained CSR rows instead of re-running
+            // the construction kernel, recycling the retired graph's
+            // buffers through the workspace arena.
             let restrict_span = span!(phase_span, names::RESTRICT);
             let restricted =
                 cg.restrict_to_edges_in(&commit.keep_pos, &mut ws.arena, &mut ws.nodes);
@@ -1161,8 +1136,16 @@ mod tests {
         let plan = FaultPlan::scripted(vec![Some(FaultKind::Panic), Some(FaultKind::Stall(50))]);
         let faulty = FaultyOracle::new(GreedyOracle, plan);
         let tel = Telemetry::new(MemorySink::new());
-        let out =
-            reduce_cf_resilient_traced(&h, &[&faulty], ResilientConfig::new(k), &tel).unwrap();
+        let ws = &mut PhaseWorkspace::new();
+        let out = reduce_cf_resilient_with_workspace(
+            &h,
+            &[&faulty],
+            ResilientConfig::new(k),
+            &tel,
+            ws,
+            None,
+        )
+        .unwrap();
         let sink = tel.into_sink();
         assert!(sink.open_spans().is_empty(), "caught panic must not orphan the oracle span");
         assert_eq!(sink.counter_total(Counter::FaultEvents), out.fault_log.len() as u64);

@@ -108,8 +108,9 @@ BATCH (batched multi-instance serving):
   required), \"n\"/\"m\"/\"k\"/\"seed\"/\"epsilon\" (planted instance;
   defaults 128 / n/2 / 4 / 0xC0FFEE / 0.5), \"oracle\" (comma-separated
   fallback chain, default greedy), \"kernel\" (auto|csr|bitset),
-  \"oracle_cache\" (bool), \"deadline_ms\" (per-request override),
-  \"faults\" (comma script injected into the primary oracle: - | panic |
+  \"oracle_cache\" (bool; accepted and ignored: the resilient driver
+  has no memo), \"deadline_ms\" (per-request override), \"faults\"
+  (comma script injected into the primary oracle: - | panic |
   invalid-set | empty-set | under-deliver | stall:N).
   stdout: one JSON line per request in completion order —
     {\"id\":..,\"outcome\":\"ok\",\"phases\":P,\"set_size\":S,\"colors\":C}

@@ -25,9 +25,9 @@
 use proptest::prelude::*;
 use pslocal::cfcolor::checker;
 use pslocal::core::{
-    reduce_cf_resilient, reduce_cf_resilient_traced, reduce_cf_to_maxis, ComponentPartition,
-    ConflictGraph, FaultEvent, FaultEventKind, ReductionConfig, ReductionError, ResilientConfig,
-    ResilientFailure, ResilientOutcome,
+    reduce_cf_resilient, reduce_cf_resilient_with_workspace, reduce_cf_to_maxis,
+    ComponentPartition, ConflictGraph, FaultEvent, FaultEventKind, PhaseWorkspace, ReductionConfig,
+    ReductionError, ResilientConfig, ResilientFailure, ResilientOutcome,
 };
 use pslocal::graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfInstance, PlantedCfParams,
@@ -129,11 +129,13 @@ fn assert_invariant(
     // Never a panic — injected oracle panics must be isolated inside
     // the driver, not escape to the caller.
     let tel = Telemetry::new(MemorySink::new());
-    let result =
-        catch_unwind(AssertUnwindSafe(|| reduce_cf_resilient_traced(h, &chain, config, &tel)))
-            .unwrap_or_else(|_| {
-                panic!("driver panicked (seed {fault_seed}, rate {rate}) — invariant broken")
-            });
+    let ws = &mut PhaseWorkspace::new();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        reduce_cf_resilient_with_workspace(h, &chain, config, &tel, ws, None)
+    }))
+    .unwrap_or_else(|_| {
+        panic!("driver panicked (seed {fault_seed}, rate {rate}) — invariant broken")
+    });
 
     let (fault_log, committed) = match &result {
         Ok(out) => (&out.fault_log, out.reduction.phases_used),
@@ -365,8 +367,10 @@ fn component_fault_retries_only_its_component() {
     // claims it) panics.
     let faulty = FaultyOracle::new(GreedyOracle, FaultPlan::scripted(vec![Some(FaultKind::Panic)]));
     let tel = Telemetry::new(MemorySink::new());
-    let out = reduce_cf_resilient_traced(&inst.hypergraph, &[&faulty], config, &tel)
-        .expect("one panicking component must not sink the run");
+    let ws = &mut PhaseWorkspace::new();
+    let out =
+        reduce_cf_resilient_with_workspace(&inst.hypergraph, &[&faulty], config, &tel, ws, None)
+            .expect("one panicking component must not sink the run");
 
     // Isolation: exactly one extra call — the faulted component was
     // re-solved alone, the other components' results were kept.

@@ -170,8 +170,10 @@ fn resilient_single_component_takes_the_serial_fast_path() {
     config.base = config.base.with_threads(8);
     let chain: Vec<&dyn MaxIsOracle> = vec![&GreedyOracle];
     let sink = Telemetry::new(MemorySink::new());
-    let out = pslocal::core::reduce_cf_resilient_traced(&h, &chain, config, &sink)
-        .expect("clean run completes");
+    let ws = &mut pslocal::core::PhaseWorkspace::new();
+    let out =
+        pslocal::core::reduce_cf_resilient_with_workspace(&h, &chain, config, &sink, ws, None)
+            .expect("clean run completes");
     assert!(out.fault_log.is_empty());
     assert!(checker::is_conflict_free(&h, &out.reduction.coloring));
     assert_serial_fast_path(sink.sink());
