@@ -30,6 +30,9 @@
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
+//! A shape the generator cannot realize (see [`PlantedCfParams::check`])
+//! is a malformed line like any other.
+//!
 //! # Response schema
 //!
 //! One JSON object per request, in completion order. Only
@@ -265,9 +268,11 @@ pub fn kernel_by_name(name: &str) -> Result<KernelStrategy, String> {
 ///
 /// # Errors
 ///
-/// A human-readable description of the first malformed field. The
-/// caller decides whether that aborts the batch (`pslocal batch`) or
-/// becomes a `bad_request` response line (the server).
+/// A human-readable description of the first malformed field, or of
+/// a planted shape the generator cannot realize
+/// ([`PlantedCfParams::check`]). The caller decides whether that
+/// aborts the batch (`pslocal batch`) or becomes a `bad_request`
+/// response line (the server).
 pub fn parse_request(
     line: &str,
     default_deadline: Option<Duration>,
@@ -279,8 +284,10 @@ pub fn parse_request(
     let k: usize = fields.num("k")?.unwrap_or(4);
     let seed: u64 = fields.num("seed")?.unwrap_or(0xC0FFEE);
     let epsilon: f64 = fields.num("epsilon")?.unwrap_or(0.5);
+    let params = PlantedCfParams { n, m, k, epsilon };
+    params.check()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let inst = planted_cf_instance(&mut rng, PlantedCfParams { n, m, k, epsilon });
+    let inst = planted_cf_instance(&mut rng, params);
 
     let mut chain: Vec<BoxedOracle> = fields
         .str("oracle")?

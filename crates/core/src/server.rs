@@ -77,7 +77,7 @@
 use crate::protocol::{
     bad_request_line, overloaded_line, parse_request, rejected_line, response_line,
 };
-use crate::service::{Service, ServiceConfig, ServiceReport, ServiceResponse};
+use crate::service::{Service, ServiceConfig, ServiceResponse};
 use crate::sync::lock_unpoisoned;
 use pslocal_telemetry::{names, span, Counter, Sink, Telemetry};
 use std::io::{self, Read, Write};
@@ -171,7 +171,7 @@ impl ShutdownHandle {
     /// Flags the server as draining: the acceptor stops accepting and
     /// every reader stops taking requests at its next poll slice.
     /// Someone must still call [`Server::shutdown`] to join the
-    /// threads and recover the report.
+    /// threads and recover the telemetry pipeline.
     pub fn request_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
@@ -180,18 +180,6 @@ impl ShutdownHandle {
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
-}
-
-/// What [`Server::shutdown`] hands back once every thread is joined.
-#[derive(Debug)]
-pub struct ServerReport<S: Sink> {
-    /// Responses that finished during the drain without a connection
-    /// to deliver to (requests submitted through the server always
-    /// deliver to their connection, so this is empty unless the
-    /// service was also used directly).
-    pub drained: Vec<ServiceResponse>,
-    /// The telemetry pipeline, recovered for final reporting.
-    pub telemetry: Telemetry<S>,
 }
 
 /// The TCP front end — see the [module docs](self).
@@ -215,8 +203,7 @@ pub struct ServerReport<S: Sink> {
 /// BufReader::new(conn).read_line(&mut line)?;
 /// assert!(line.contains("\"id\":\"doc\""));
 /// assert!(line.contains("\"outcome\":\"ok\""));
-/// let report = server.shutdown();
-/// assert!(report.drained.is_empty());
+/// server.shutdown();
 /// # Ok(())
 /// # }
 /// ```
@@ -286,7 +273,7 @@ impl<S: Sink + Send + Sync + 'static> Server<S> {
     /// Panics if a server thread died of an unexpected panic — the
     /// handlers isolate per-connection I/O errors, so this indicates a
     /// bug.
-    pub fn shutdown(self) -> ServerReport<S> {
+    pub fn shutdown(self) -> Telemetry<S> {
         self.draining.store(true, Ordering::SeqCst);
         // pslocal: allow(panic-path, "documented contract: handlers isolate per-connection I/O errors, so a dead server thread is a bug that must surface at shutdown")
         self.acceptor.join().expect("acceptor panicked");
@@ -302,8 +289,9 @@ impl<S: Sink + Send + Sync + 'static> Server<S> {
         let service = Arc::try_unwrap(self.service)
             // pslocal: allow(panic-path, "acceptor and every connection thread joined above, so no Arc clone can remain; a failure here is unreachable by construction")
             .unwrap_or_else(|_| unreachable!("all connection threads joined, no clones remain"));
-        let ServiceReport { drained, telemetry } = service.shutdown();
-        ServerReport { drained, telemetry }
+        // Every request was submitted with a per-connection reply, so
+        // the service's own drain list is always empty.
+        service.shutdown().telemetry
     }
 }
 

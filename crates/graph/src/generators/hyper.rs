@@ -56,6 +56,34 @@ impl PlantedCfParams {
     pub fn max_edge_size(&self) -> usize {
         (((1.0 + self.epsilon) * self.k as f64).floor() as usize).clamp(self.k, self.n)
     }
+
+    /// Checks that [`planted_cf_instance`] can realize the parameters:
+    /// `k` is at least 1, `n ≥ k`, and there are enough off-color
+    /// vertices, i.e. `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for
+    /// `k ≥ 2` holds whenever `n ≥ 4k`.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated condition.
+    pub fn check(&self) -> Result<(), String> {
+        let PlantedCfParams { n, k, .. } = *self;
+        if k == 0 {
+            return Err("palette size k must be positive".to_string());
+        }
+        if n < k {
+            return Err(format!("need at least k = {k} vertices, got {n}"));
+        }
+        let max_size = self.max_edge_size();
+        let off_color = n - n.div_ceil(k);
+        if max_size - 1 > off_color {
+            return Err(format!(
+                "infeasible planted instance: edges of size up to {max_size} need {} off-color \
+                 vertices but only {off_color} exist (n = {n}, k = {k})",
+                max_size - 1,
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Generates an almost-uniform hypergraph together with a planted
@@ -70,26 +98,17 @@ impl PlantedCfParams {
 ///
 /// # Panics
 ///
-/// Panics if the parameters are infeasible: `k` must be at least 1, and
-/// there must be enough off-color vertices, i.e.
-/// `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for `k ≥ 2` holds whenever
-/// `n ≥ 4k` (a debug-friendly message reports the violated condition).
+/// Panics with the violated condition if the parameters are infeasible
+/// (see [`PlantedCfParams::check`], which callers holding outside input
+/// run first).
 pub fn planted_cf_instance<R: Rng + ?Sized>(
     rng: &mut R,
     params: PlantedCfParams,
 ) -> PlantedCfInstance {
+    // pslocal: allow(panic-path, "documented # Panics contract: infeasible parameters are a caller bug, and callers holding outside input run PlantedCfParams::check first")
+    params.check().unwrap_or_else(|reason| panic!("{reason}"));
     let PlantedCfParams { n, m, k, epsilon } = params;
-    assert!(k >= 1, "palette size k must be positive");
-    assert!(n >= k, "need at least k = {k} vertices, got {n}");
     let max_size = params.max_edge_size();
-    let largest_class = n.div_ceil(k);
-    assert!(
-        max_size - 1 <= n - largest_class,
-        "infeasible planted instance: edges of size up to {max_size} need {} off-color \
-         vertices but only {} exist (n = {n}, k = {k})",
-        max_size - 1,
-        n - largest_class,
-    );
 
     // Balanced color assignment over a random permutation.
     let palette = Palette::base(k);

@@ -6,7 +6,7 @@
 //!
 //! * [`PhaseTimeline`] aggregates a Theorem 1.1 reduction's span tree
 //!   into the build / oracle / commit cost split per phase (the shape
-//!   the paper's ρ-phase analysis induces and `bench-report` tabulates);
+//!   the paper's ρ-phase analysis induces);
 //! * [`render_tree`] renders any span forest as an indented tree with
 //!   durations, proportional bars, and attributed counters.
 

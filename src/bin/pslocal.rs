@@ -15,24 +15,20 @@
 //! deterministically (see `pslocal_core::components`).
 
 use pslocal::cfcolor::checker;
-use pslocal::core::protocol::{self, kernel_by_name, parse_request, rejected_line, response_line};
+use pslocal::core::protocol::{
+    self, boxed_oracle_by_name, kernel_by_name, parse_request, rejected_line, response_line,
+};
 use pslocal::core::{
-    inspect_journal, parallel_independent_set, reduce_cf_to_maxis, reduce_cf_to_maxis_resumable,
-    reduce_cf_to_maxis_traced, BoxedOracle, Checkpointing, ConflictGraph, CrashPlan,
-    ParallelismOptions, ReductionConfig, ReductionOutcome, RequestOutcome, ResilientConfig, Server,
-    ServerConfig, Service, ServiceConfig, ServiceRequest, ServiceResponse, DEFAULT_MAX_CONNECTIONS,
-    DEFAULT_QUEUE_CAPACITY,
+    inspect_journal, parallel_independent_set, reduce_cf_to_maxis_resumable,
+    reduce_cf_to_maxis_traced, Checkpointing, CrashPlan, ParallelismOptions, ReductionConfig,
+    ReductionOutcome, Server, ServerConfig, Service, ServiceConfig, ServiceRequest,
+    ServiceResponse, DEFAULT_MAX_CONNECTIONS, DEFAULT_QUEUE_CAPACITY,
 };
-use pslocal::graph::generators::hyper::{
-    multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
-};
+use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::generators::random::gnp;
 use pslocal::graph::io::{read_graph, read_hypergraph, write_graph, write_hypergraph};
 use pslocal::graph::{GraphStats, HypergraphStats, KernelStrategy};
-use pslocal::maxis::{
-    CliqueRemovalOracle, DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle, MaxIsOracle,
-    TracedOracle,
-};
+use pslocal::maxis::{MaxIsOracle, TracedOracle};
 use pslocal::telemetry::{
     event_to_json, render_tree, AggregateSink, Counter, JsonlSink, MemorySink, PhaseTimeline,
     Telemetry,
@@ -68,9 +64,6 @@ USAGE:
   pslocal client --addr HOST:PORT [--stats | --shutdown | --ping]
                                 (send stdin JSONL requests — or one
                                  command — and stream the responses)
-  pslocal bench-report [--oracle O] [--seed S] [--iters I] [--threads T]
-                       [--out FILE]
-                                (perf baseline -> BENCH_reduction.json)
   pslocal checkpoint-inspect --checkpoint-dir DIR
                                 (decode a phase journal: header, stats,
                                  per-phase records)
@@ -89,7 +82,7 @@ CHECKPOINTING (reduce):
                          before-journal | after-journal) — for
                         crash-recovery testing
 
-PARALLELISM (maxis / reduce / bench-report):
+PARALLELISM (maxis / reduce):
   --threads T           solve connected components on up to T workers
                         (default 1 = serial; results are identical for
                          every thread count, merged by component id)
@@ -142,7 +135,7 @@ SERVE (the batch protocol over persistent TCP connections):
   --metrics-out FILE    stream every telemetry event as JSONL to FILE
   A final stats snapshot and the drain summary go to stderr on exit.
 
-TELEMETRY (maxis / reduce / batch / trace-report / bench-report):
+TELEMETRY (maxis / reduce / batch / trace-report):
   --trace               render the span tree to stdout after the run
   --metrics-out FILE    append every telemetry event as JSONL to FILE
 
@@ -237,17 +230,6 @@ fn kernel_opt(args: &Args) -> Result<KernelStrategy, String> {
     kernel_by_name(args.get("kernel").unwrap_or("auto"))
 }
 
-fn oracle_by_name(name: &str, seed: u64) -> Result<Box<dyn MaxIsOracle>, String> {
-    Ok(match name {
-        "exact" => Box::new(ExactOracle),
-        "greedy" => Box::new(GreedyOracle),
-        "luby" => Box::new(LubyOracle::new(seed)),
-        "clique-removal" => Box::new(CliqueRemovalOracle),
-        "decomposition" => Box::new(DecompositionOracle::default()),
-        other => return Err(format!("unknown oracle {other:?} (see --help)")),
-    })
-}
-
 fn read_stdin() -> Result<String, String> {
     let mut text = String::new();
     std::io::stdin().read_to_string(&mut text).map_err(|e| format!("cannot read stdin: {e}"))?;
@@ -281,31 +263,25 @@ impl TraceOpts {
             print!("{}", render_tree(&sink.spans()));
         }
         if let Some(path) = &self.metrics_out {
-            append_events_jsonl(path, sink, &[])?;
+            append_events_jsonl(path, sink)?;
         }
         Ok(())
     }
 }
 
-/// Appends `sink`'s events to `path` as JSON Lines, preceded by the
-/// given metadata line entries (already-serialized JSON objects).
-fn append_events_jsonl(path: &str, sink: &MemorySink, meta: &[String]) -> Result<(), String> {
-    use std::io::Write as _;
+/// Appends `sink`'s events to `path` as JSON Lines.
+fn append_events_jsonl(path: &str, sink: &MemorySink) -> Result<(), String> {
     let file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
-    let mut write =
-        |line: &str| writeln!(w, "{line}").map_err(|e| format!("cannot write {path}: {e}"));
-    for line in meta {
-        write(line)?;
-    }
+    let write_err = |e: std::io::Error| format!("cannot write {path}: {e}");
     for event in sink.events() {
-        write(&event_to_json(&event))?;
+        writeln!(w, "{}", event_to_json(&event)).map_err(write_err)?;
     }
-    Ok(())
+    w.flush().map_err(write_err)
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
@@ -352,7 +328,7 @@ fn cmd_maxis(args: &Args) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
     let opts = TraceOpts::from(args);
     let par = threads_opt(args)?;
-    let oracle = oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
+    let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let g = read_graph(&read_stdin()?).map_err(|e| e.to_string())?;
     let set = if opts.wanted() {
         let tel = Telemetry::new(MemorySink::new());
@@ -434,7 +410,7 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
         oracle_cache: args.flag("oracle-cache"),
         ..ReductionConfig::new(k)
     };
-    let oracle = oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
+    let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let ckpt = checkpoint_opt(args)?;
     let h = read_hypergraph(&read_stdin()?).map_err(|e| e.to_string())?;
     let out = if opts.wanted() {
@@ -620,7 +596,7 @@ fn cmd_trace_report(args: &Args) -> Result<(), String> {
     let n: usize = args.parsed("n")?.unwrap_or(128);
     let m: usize = args.parsed("m")?.unwrap_or(n / 2);
     let k: usize = args.parsed("k")?.unwrap_or(4);
-    let oracle = oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
+    let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let opts = TraceOpts::from(args);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -647,633 +623,8 @@ fn cmd_trace_report(args: &Args) -> Result<(), String> {
     println!();
     print!("{}", render_tree(&spans));
     if let Some(path) = &opts.metrics_out {
-        append_events_jsonl(path, &sink, &[])?;
+        append_events_jsonl(path, &sink)?;
         eprintln!("appended telemetry events to {path}");
-    }
-    Ok(())
-}
-
-/// One sized measurement of `bench-report`.
-struct BenchEntry {
-    n: usize,
-    m: usize,
-    k: usize,
-    conflict_nodes: usize,
-    conflict_edges: usize,
-    /// Adjacency route `KernelStrategy::Auto` resolves to on this
-    /// instance's first-phase conflict graph (`"bitset"` or `"csr"`).
-    kernel: &'static str,
-    build_ns: u128,
-    oracle_ns: u128,
-    /// End-to-end reduction under the default `Auto` kernel.
-    reduction_ns: u128,
-    /// Same reduction with the kernel pinned to `Csr` — the same-host
-    /// baseline the dense-route speedup claim is measured against.
-    csr_reduction_ns: u128,
-    phases: usize,
-    /// Oracle-memoization counters from the instrumented run (cache
-    /// enabled there so the columns are live; phase graphs within one
-    /// reduction are all distinct, so expect `misses == phases`).
-    oracle_cache_hits: u64,
-    oracle_cache_misses: u64,
-    /// Telemetry-derived split of one instrumented reduction run:
-    /// conflict-graph construction (initial build + per-phase restricts),
-    /// oracle time, commit time, and the whole reduction span.
-    tel_build_ns: u64,
-    tel_oracle_ns: u64,
-    tel_commit_ns: u64,
-    tel_reduction_ns: u64,
-}
-
-impl BenchEntry {
-    fn build_ns_per_edge(&self) -> f64 {
-        if self.conflict_edges == 0 {
-            0.0
-        } else {
-            self.build_ns as f64 / self.conflict_edges as f64
-        }
-    }
-
-    /// Csr-baseline over Auto speedup of the end-to-end reduction.
-    fn kernel_speedup(&self) -> f64 {
-        if self.reduction_ns == 0 {
-            0.0
-        } else {
-            self.csr_reduction_ns as f64 / self.reduction_ns as f64
-        }
-    }
-}
-
-/// Median of `iters` timings of `f` (best-effort; `iters ≥ 1`).
-fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
-    let mut samples: Vec<u128> = (0..iters.max(1))
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// The bench-report's component-parallel measurement: one reduction
-/// over a disjoint union of planted copies, timed serial vs. `threads`
-/// workers.
-struct ParallelBench {
-    copies: usize,
-    n: usize,
-    m: usize,
-    k: usize,
-    threads: usize,
-    /// CPUs the host actually offers — the number that decides whether
-    /// `threads` workers can speed anything up (1 CPU cannot).
-    host_threads: usize,
-    serial_ns: u128,
-    parallel_ns: u128,
-}
-
-impl ParallelBench {
-    fn speedup(&self) -> f64 {
-        if self.parallel_ns == 0 {
-            0.0
-        } else {
-            self.serial_ns as f64 / self.parallel_ns as f64
-        }
-    }
-}
-
-/// One worker-count measurement of the batch-service benchmark.
-struct ServiceBenchRun {
-    workers: usize,
-    wall_ns: u128,
-    p50_latency_ns: u128,
-    p99_latency_ns: u128,
-}
-
-impl ServiceBenchRun {
-    /// Completed requests per second at this pool size.
-    fn throughput_rps(&self, instances: usize) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            instances as f64 / (self.wall_ns as f64 / 1e9)
-        }
-    }
-}
-
-/// The batch-service benchmark: `instances` mixed dense/sparse planted
-/// instances through [`Service`] at several pool sizes, against a plain
-/// serial loop over the same resilient driver.
-struct ServiceBench {
-    instances: usize,
-    host_threads: usize,
-    sequential_ns: u128,
-    runs: Vec<ServiceBenchRun>,
-}
-
-/// Measures the service block: 64 mixed instances (dense `(128, 64, 8)`
-/// alternating with sparse `(384, 192, 4)`), sequential baseline plus
-/// workers ∈ {1, 2, 4}.
-fn bench_service(seed: u64) -> Result<ServiceBench, String> {
-    const INSTANCES: usize = 64;
-    let shapes = [(128usize, 64usize, 8usize), (384, 192, 4)];
-    let prebuilt: Vec<(pslocal::graph::Hypergraph, usize)> = (0..INSTANCES)
-        .map(|i| {
-            let (n, m, k) = shapes[i % shapes.len()];
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ i as u64);
-            (planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k)).hypergraph, k)
-        })
-        .collect();
-
-    let start = Instant::now();
-    for (h, k) in &prebuilt {
-        let out = pslocal::core::reduce_cf_resilient(h, &[&GreedyOracle], ResilientConfig::new(*k))
-            .map_err(|f| format!("sequential service baseline failed: {}", f.error))?;
-        std::hint::black_box(out);
-    }
-    let sequential_ns = start.elapsed().as_nanos();
-
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let service = Service::start(
-            ServiceConfig::new(workers).with_queue_capacity(INSTANCES),
-            Telemetry::disabled(),
-        );
-        let start = Instant::now();
-        for (i, (h, k)) in prebuilt.iter().enumerate() {
-            let request = ServiceRequest::new(
-                format!("bench-{i}"),
-                h.clone(),
-                vec![Box::new(GreedyOracle) as BoxedOracle],
-                ResilientConfig::new(*k),
-            );
-            service.submit(request).map_err(|e| format!("bench submission rejected: {e}"))?;
-        }
-        let mut latencies: Vec<u128> = (0..INSTANCES)
-            .map(|_| {
-                let response = service.recv().ok_or("service worker pool died mid-bench")?;
-                if let RequestOutcome::Failed { error } = &response.outcome {
-                    return Err(format!("bench request {} failed: {error}", response.id));
-                }
-                Ok(response.latency.as_nanos())
-            })
-            .collect::<Result<_, String>>()?;
-        let wall_ns = start.elapsed().as_nanos();
-        service.shutdown();
-        latencies.sort_unstable();
-        runs.push(ServiceBenchRun {
-            workers,
-            wall_ns,
-            p50_latency_ns: percentile_ns(&latencies, 50.0),
-            p99_latency_ns: percentile_ns(&latencies, 99.0),
-        });
-    }
-    Ok(ServiceBench {
-        instances: INSTANCES,
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        sequential_ns,
-        runs,
-    })
-}
-
-/// One client-concurrency measurement of the TCP-server benchmark.
-struct ServerBenchRun {
-    clients: usize,
-    wall_ns: u128,
-    p50_latency_ns: u128,
-    p99_latency_ns: u128,
-}
-
-impl ServerBenchRun {
-    /// Completed requests per second over the socket.
-    fn throughput_rps(&self, requests: usize) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            requests as f64 / (self.wall_ns as f64 / 1e9)
-        }
-    }
-}
-
-/// The TCP-server benchmark: the same mixed request mix as the service
-/// block, but over real loopback sockets through [`Server`] — wire
-/// parse, admission, and socket writes included in every latency.
-struct ServerBench {
-    requests: usize,
-    workers: usize,
-    host_threads: usize,
-    runs: Vec<ServerBenchRun>,
-}
-
-/// Measures the server block: 32 mixed JSONL requests against an
-/// in-process [`Server`] (2 workers), driven by 1 sequential client
-/// and by 4 concurrent client connections. Latency is synchronous and
-/// client-side: one request on the wire, wait for its response line.
-fn bench_server(seed: u64) -> Result<ServerBench, String> {
-    use std::io::BufRead as _;
-    const REQUESTS: usize = 32;
-    const WORKERS: usize = 2;
-    let shapes = [(128usize, 64usize, 8usize), (384, 192, 4)];
-    let lines: Vec<String> = (0..REQUESTS)
-        .map(|i| {
-            let (n, m, k) = shapes[i % shapes.len()];
-            format!(
-                "{{\"id\":\"s-{i}\",\"n\":{n},\"m\":{m},\"k\":{k},\"seed\":{}}}",
-                seed ^ i as u64
-            )
-        })
-        .collect();
-
-    let config = ServerConfig::default()
-        .with_service(ServiceConfig::new(WORKERS).with_queue_capacity(REQUESTS));
-    let server = Server::start("127.0.0.1:0", config, Telemetry::disabled())
-        .map_err(|e| format!("bench server cannot bind: {e}"))?;
-    let addr = server.local_addr();
-
-    let drive = |batch: &[String]| -> Result<Vec<u128>, String> {
-        let stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| format!("bench client cannot connect: {e}"))?;
-        let mut writer = stream.try_clone().map_err(|e| format!("bench client clone: {e}"))?;
-        let mut reader = std::io::BufReader::new(stream);
-        let mut latencies = Vec::with_capacity(batch.len());
-        for line in batch {
-            let started = Instant::now();
-            writer
-                .write_all(format!("{line}\n").as_bytes())
-                .map_err(|e| format!("bench client write: {e}"))?;
-            let mut response = String::new();
-            reader.read_line(&mut response).map_err(|e| format!("bench client read: {e}"))?;
-            if !response.contains("\"outcome\":\"ok\"") {
-                return Err(format!("bench request answered {}", response.trim()));
-            }
-            latencies.push(started.elapsed().as_nanos());
-        }
-        Ok(latencies)
-    };
-
-    let mut runs = Vec::new();
-    for clients in [1usize, 4] {
-        let started = Instant::now();
-        let mut latencies: Vec<u128> = if clients == 1 {
-            drive(&lines)?
-        } else {
-            // Round-robin split: every connection still sees the mixed
-            // dense/sparse alternation.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        let batch: Vec<String> =
-                            lines.iter().skip(c).step_by(clients).cloned().collect();
-                        scope.spawn(move || drive(&batch))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("bench client thread")).try_fold(
-                    Vec::new(),
-                    |mut all, result| {
-                        all.extend(result?);
-                        Ok::<_, String>(all)
-                    },
-                )
-            })?
-        };
-        let wall_ns = started.elapsed().as_nanos();
-        latencies.sort_unstable();
-        runs.push(ServerBenchRun {
-            clients,
-            wall_ns,
-            p50_latency_ns: percentile_ns(&latencies, 50.0),
-            p99_latency_ns: percentile_ns(&latencies, 99.0),
-        });
-    }
-    server.shutdown();
-    Ok(ServerBench {
-        requests: REQUESTS,
-        workers: WORKERS,
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        runs,
-    })
-}
-
-fn cmd_bench_report(args: &Args) -> Result<(), String> {
-    let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
-    let iters: usize = args.parsed("iters")?.unwrap_or(3);
-    // The serial-vs-parallel comparison defaults to 4 workers.
-    let threads = match args.parsed::<usize>("threads")?.unwrap_or(4) {
-        0 => return Err("--threads must be at least 1".to_string()),
-        t => t,
-    };
-    let oracle = oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
-    let out_path = args.get("out").unwrap_or("BENCH_reduction.json").to_string();
-    let metrics_out = args.get("metrics-out").map(String::from);
-
-    let grid: &[(usize, usize, usize)] =
-        &[(64, 32, 4), (128, 64, 4), (128, 64, 8), (256, 128, 4), (384, 192, 4)];
-    let mut entries = Vec::new();
-    for &(n, m, k) in grid {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k));
-        let h = &inst.hypergraph;
-        let cg = ConflictGraph::build(h, k);
-        let build_ns = median_ns(iters, || {
-            std::hint::black_box(ConflictGraph::build(std::hint::black_box(h), k));
-        });
-        let oracle_ns = median_ns(iters, || {
-            std::hint::black_box(oracle.independent_set(std::hint::black_box(cg.graph())));
-        });
-        let mut phases = 0usize;
-        let mut failed: Option<String> = None;
-        let mut timed_kernel = |kernel: KernelStrategy| {
-            let mut config = ReductionConfig::new(k);
-            config.kernel = kernel;
-            median_ns(iters, || {
-                match reduce_cf_to_maxis(h, oracle.as_ref(), config) {
-                    Ok(out) => {
-                        phases = out.phases_used;
-                        std::hint::black_box(out);
-                    }
-                    Err(e) => {
-                        failed = Some(format!("reduction failed on (n={n}, m={m}, k={k}): {e}"))
-                    }
-                };
-            })
-        };
-        // Baseline first so `phases` ends up reflecting the Auto run
-        // (they are identical by kernel invariance, but keep the
-        // bookkeeping honest).
-        let csr_reduction_ns = timed_kernel(KernelStrategy::Csr);
-        let reduction_ns = timed_kernel(KernelStrategy::Auto);
-        if let Some(message) = failed {
-            return Err(message);
-        }
-        // Instrumented runs per grid point: the span tree attributes
-        // the wall clock to build / oracle / commit, which the median
-        // timings above cannot separate inside `reduce_cf_to_maxis`.
-        // Best-of-`iters` keeps one-shot scheduling outliers (thread
-        // spawn on the sharded build) out of the published split.
-        // Memoization is enabled here so the cache columns are live.
-        let mut traced_config = ReductionConfig::new(k);
-        traced_config.oracle_cache = true;
-        let mut best: Option<(PhaseTimeline, MemorySink)> = None;
-        for _ in 0..iters.max(1) {
-            let tel = Telemetry::new(MemorySink::new());
-            reduce_cf_to_maxis_traced(h, oracle.as_ref(), traced_config, &tel)
-                .map_err(|e| format!("reduction failed on (n={n}, m={m}, k={k}): {e}"))?;
-            let sink = tel.into_sink();
-            let timeline = PhaseTimeline::from_spans(&sink.spans())
-                .ok_or("no reduction span recorded (telemetry pipeline broken?)")?;
-            if best.as_ref().is_none_or(|(t, _)| timeline.total_ns < t.total_ns) {
-                best = Some((timeline, sink));
-            }
-        }
-        let (timeline, sink) = best.ok_or("bench-report produced no instrumented run")?;
-        if let Some(path) = &metrics_out {
-            let meta = format!(
-                "{{\"meta\":\"bench-entry\",\"n\":{n},\"m\":{m},\"k\":{k},\"oracle\":\"{}\",\"seed\":{seed}}}",
-                oracle.name()
-            );
-            append_events_jsonl(path, &sink, &[meta])?;
-        }
-        entries.push(BenchEntry {
-            n,
-            m,
-            k,
-            conflict_nodes: cg.node_count(),
-            conflict_edges: cg.edge_count(),
-            kernel: if cg.bitset().is_some() { "bitset" } else { "csr" },
-            build_ns,
-            oracle_ns,
-            reduction_ns,
-            csr_reduction_ns,
-            phases,
-            oracle_cache_hits: sink.counter_total(Counter::OracleCacheHits),
-            oracle_cache_misses: sink.counter_total(Counter::OracleCacheMisses),
-            tel_build_ns: timeline.build_ns,
-            tel_oracle_ns: timeline.oracle_ns,
-            tel_commit_ns: timeline.commit_ns,
-            tel_reduction_ns: timeline.total_ns,
-        });
-    }
-
-    // Component-parallel phase execution on a multi-component planted
-    // instance (8 vertex-disjoint copies, so the conflict graph has ≥ 8
-    // components): one full reduction, serial vs. `threads` workers.
-    // Same work, same result (the executor is thread-count-invariant);
-    // only the wall clock moves.
-    let (pn, pm, pk, copies) = (128usize, 64usize, 8usize, 8usize);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let pinst = multi_component_cf_instance(&mut rng, PlantedCfParams::new(pn, pm, pk), copies);
-    let ph = &pinst.hypergraph;
-    let serial_cfg = ReductionConfig::new(pk);
-    let parallel_cfg = serial_cfg.with_threads(threads);
-    let mut failed: Option<String> = None;
-    let mut timed_reduce = |cfg: ReductionConfig| {
-        median_ns(iters, || match reduce_cf_to_maxis(ph, oracle.as_ref(), cfg) {
-            Ok(out) => {
-                std::hint::black_box(out);
-            }
-            Err(e) => failed = Some(format!("parallel bench reduction failed: {e}")),
-        })
-    };
-    let serial_ns = timed_reduce(serial_cfg);
-    let parallel_ns = timed_reduce(parallel_cfg);
-    if let Some(message) = failed {
-        return Err(message);
-    }
-    let parallel = ParallelBench {
-        copies,
-        n: ph.node_count(),
-        m: ph.edge_count(),
-        k: pk,
-        threads,
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        serial_ns,
-        parallel_ns,
-    };
-
-    // Batched serving: the same oracle over 64 mixed instances, serial
-    // loop vs. the service's worker pool.
-    let service = bench_service(seed)?;
-
-    // The TCP front end: the same request mix over real loopback
-    // sockets, sequential vs. concurrent clients.
-    let server = bench_server(seed)?;
-
-    // Hand-rolled JSON: the vendored serde stub has no serializer and
-    // the container has no serde_json; the schema below is frozen so
-    // future PRs can diff perf trajectories mechanically.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"pslocal-bench-reduction/v6\",\n");
-    json.push_str(&format!("  \"oracle\": \"{}\",\n", oracle.name()));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"m\": {}, \"k\": {}, \"conflict_nodes\": {}, \
-             \"conflict_edges\": {}, \"kernel\": \"{}\", \"phases\": {}, \"build_ns\": {}, \
-             \"oracle_ns\": {}, \"reduction_ns\": {}, \"csr_reduction_ns\": {}, \
-             \"kernel_speedup\": {:.2}, \"build_ns_per_edge\": {:.2}, \
-             \"oracle_cache_hits\": {}, \"oracle_cache_misses\": {}, \
-             \"tel_build_ns\": {}, \"tel_oracle_ns\": {}, \"tel_commit_ns\": {}, \
-             \"tel_reduction_ns\": {}}}{}\n",
-            e.n,
-            e.m,
-            e.k,
-            e.conflict_nodes,
-            e.conflict_edges,
-            e.kernel,
-            e.phases,
-            e.build_ns,
-            e.oracle_ns,
-            e.reduction_ns,
-            e.csr_reduction_ns,
-            e.kernel_speedup(),
-            e.build_ns_per_edge(),
-            e.oracle_cache_hits,
-            e.oracle_cache_misses,
-            e.tel_build_ns,
-            e.tel_oracle_ns,
-            e.tel_commit_ns,
-            e.tel_reduction_ns,
-            if i + 1 < entries.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"parallel\": {{\"copies\": {}, \"n\": {}, \"m\": {}, \"k\": {}, \
-         \"threads\": {}, \"host_threads\": {}, \"serial_ns\": {}, \"parallel_ns\": {}, \
-         \"speedup\": {:.2}}}\n",
-        parallel.copies,
-        parallel.n,
-        parallel.m,
-        parallel.k,
-        parallel.threads,
-        parallel.host_threads,
-        parallel.serial_ns,
-        parallel.parallel_ns,
-        parallel.speedup(),
-    ));
-    // Convert the trailing newline of the parallel block into a comma
-    // so the service block can follow it.
-    json.truncate(json.len() - 1);
-    json.push_str(",\n");
-    json.push_str(&format!(
-        "  \"service\": {{\"instances\": {}, \"host_threads\": {}, \"sequential_ns\": {}, \
-         \"runs\": [\n",
-        service.instances, service.host_threads, service.sequential_ns,
-    ));
-    for (i, run) in service.runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ns\": {}, \"throughput_rps\": {:.2}, \
-             \"speedup_vs_sequential\": {:.2}, \"p50_latency_ns\": {}, \"p99_latency_ns\": {}}}{}\n",
-            run.workers,
-            run.wall_ns,
-            run.throughput_rps(service.instances),
-            if run.wall_ns == 0 { 0.0 } else { service.sequential_ns as f64 / run.wall_ns as f64 },
-            run.p50_latency_ns,
-            run.p99_latency_ns,
-            if i + 1 < service.runs.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]},\n");
-    json.push_str(&format!(
-        "  \"server\": {{\"requests\": {}, \"workers\": {}, \"host_threads\": {}, \"runs\": [\n",
-        server.requests, server.workers, server.host_threads,
-    ));
-    for (i, run) in server.runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"clients\": {}, \"wall_ns\": {}, \"throughput_rps\": {:.2}, \
-             \"p50_latency_ns\": {}, \"p99_latency_ns\": {}}}{}\n",
-            run.clients,
-            run.wall_ns,
-            run.throughput_rps(server.requests),
-            run.p50_latency_ns,
-            run.p99_latency_ns,
-            if i + 1 < server.runs.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]}\n");
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-
-    println!("wrote {out_path}");
-    for e in &entries {
-        println!(
-            "n={} m={} k={}: |V|={} |E|={} [{}] build={}us oracle={}us reduce={}us \
-             (csr {}us, {:.2}x; {} phases, {:.1} ns/edge, cache {}h/{}m)",
-            e.n,
-            e.m,
-            e.k,
-            e.conflict_nodes,
-            e.conflict_edges,
-            e.kernel,
-            e.build_ns / 1000,
-            e.oracle_ns / 1000,
-            e.reduction_ns / 1000,
-            e.csr_reduction_ns / 1000,
-            e.kernel_speedup(),
-            e.phases,
-            e.build_ns_per_edge(),
-            e.oracle_cache_hits,
-            e.oracle_cache_misses,
-        );
-        println!(
-            "    telemetry split: build={}us oracle={}us commit={}us total={}us",
-            e.tel_build_ns / 1000,
-            e.tel_oracle_ns / 1000,
-            e.tel_commit_ns / 1000,
-            e.tel_reduction_ns / 1000,
-        );
-    }
-    println!(
-        "parallel: {} copies of (n={}, m={}, k={}): serial={}us, {} threads={}us \
-         ({:.2}x on a {}-CPU host)",
-        parallel.copies,
-        pn,
-        pm,
-        parallel.k,
-        parallel.serial_ns / 1000,
-        parallel.threads,
-        parallel.parallel_ns / 1000,
-        parallel.speedup(),
-        parallel.host_threads,
-    );
-    println!(
-        "service: {} mixed instances, sequential = {}ms ({}-CPU host)",
-        service.instances,
-        service.sequential_ns / 1_000_000,
-        service.host_threads,
-    );
-    for run in &service.runs {
-        println!(
-            "    workers = {}: wall = {}ms, {:.1} req/s ({:.2}x vs sequential), \
-             latency p50 = {}us, p99 = {}us",
-            run.workers,
-            run.wall_ns / 1_000_000,
-            run.throughput_rps(service.instances),
-            if run.wall_ns == 0 { 0.0 } else { service.sequential_ns as f64 / run.wall_ns as f64 },
-            run.p50_latency_ns / 1000,
-            run.p99_latency_ns / 1000,
-        );
-    }
-    println!(
-        "server: {} requests over loopback TCP ({} workers, {}-CPU host)",
-        server.requests, server.workers, server.host_threads,
-    );
-    for run in &server.runs {
-        println!(
-            "    clients = {}: wall = {}ms, {:.1} req/s, latency p50 = {}us, p99 = {}us",
-            run.clients,
-            run.wall_ns / 1_000_000,
-            run.throughput_rps(server.requests),
-            run.p50_latency_ns / 1000,
-            run.p99_latency_ns / 1000,
-        );
-    }
-    if let Some(path) = &metrics_out {
-        println!("appended telemetry events to {path}");
     }
     Ok(())
 }
@@ -1388,19 +739,27 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
 
     eprintln!("serve: draining...");
-    let report = server.shutdown();
-    let count = |label: &str| report.drained.iter().filter(|r| r.outcome.label() == label).count();
+    // Responses go straight to their connections, so the drain is
+    // counted as the outcome counters' growth across `shutdown`.
+    // `requests_completed` is read first: workers bump it after the
+    // outcome counters, so no outcome's growth can exceed its growth.
+    let outcomes = || {
+        [Counter::RequestsCompleted, Counter::DeadlinesExceeded, Counter::RequestsFailed]
+            .map(|c| stats.counter(c.name()))
+    };
+    let before = outcomes();
+    let tel = server.shutdown();
+    let after = outcomes();
+    let [completed, deadline_exceeded, failed] = std::array::from_fn(|i| after[i] - before[i]);
     eprintln!(
-        "serve: drained {} in-flight requests ({} ok, {} deadline_exceeded, {} failed)",
-        report.drained.len(),
-        count(protocol::OUTCOME_OK),
-        count(protocol::OUTCOME_DEADLINE_EXCEEDED),
-        count(protocol::OUTCOME_FAILED),
+        "serve: drained {completed} in-flight requests ({} ok, {deadline_exceeded} \
+         deadline_exceeded, {failed} failed)",
+        completed - deadline_exceeded - failed,
     );
     eprint!("{}", stats.render());
-    // Dropping the report drops the telemetry pipeline, flushing the
-    // JSONL metrics artifact's buffered tail.
-    drop(report);
+    // Dropping the telemetry pipeline flushes the JSONL metrics
+    // artifact's buffered tail.
+    drop(tel);
     Ok(())
 }
 
@@ -1482,7 +841,6 @@ fn dispatch() -> Result<(), String> {
         Some("serve") => cmd_serve(&args),
         Some("client") => cmd_client(&args),
         Some("trace-report") => cmd_trace_report(&args),
-        Some("bench-report") => cmd_bench_report(&args),
         Some("checkpoint-inspect") => cmd_checkpoint_inspect(&args),
         Some("lint") => cmd_lint(&args),
         Some("help") | None => {

@@ -318,4 +318,17 @@ fn cli_batch_rejects_malformed_lines_with_the_line_number() {
     let missing_id = run_cli(&["batch"], "{\"n\":32}\n");
     assert!(!missing_id.status.success());
     assert!(String::from_utf8_lossy(&missing_id.stderr).contains("\"id\""));
+
+    // Infeasible planted shapes (k = 0, n < k, too few off-color
+    // vertices) are malformed lines too: a clean exit 1, not a panic.
+    for shape in [
+        r#"{"id":"k0","n":10,"m":5,"k":0}"#,
+        r#"{"id":"nk","n":3,"m":5,"k":4}"#,
+        r#"{"id":"inf","n":8,"m":5,"k":2,"epsilon":3}"#,
+    ] {
+        let out = run_cli(&["batch"], &format!("{{\"id\":\"ok\"}}\n{shape}\n"));
+        assert_eq!(out.status.code(), Some(1), "{shape}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 2"), "{shape}: {stderr}");
+    }
 }
