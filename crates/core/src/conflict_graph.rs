@@ -40,15 +40,12 @@
 //! every block's contribution is closed-form (the `E_edge` clique for
 //! `e` itself, a position sweep for blocks containing `v`, the `e ∩ g`
 //! wedge positions otherwise). Rows come out sorted, in node order, so
-//! the kernel writes the CSR directly: total work `O(|E(G_k)| + W)`
+//! one pass writes the CSR directly: total work `O(|E(G_k)| + W)`
 //! with `W = Σ_v deg(v)²` the wedge count, and nothing is ever sorted,
-//! deduplicated, or post-processed. Above a work threshold — or on
-//! request via [`BuildStrategy::Parallel`] — contiguous block ranges
-//! are sharded across `std::thread::scope` workers whose outputs
-//! concatenate (row order equals node order, so concatenation *is* the
-//! merge). [`BuildStrategy::Reference`] keeps the predicate-driven
-//! all-pairs builder alive as the machine-checkable specification the
-//! equivalence property tests compare against.
+//! deduplicated, or post-processed. [`ConflictGraph::build_reference`]
+//! keeps the predicate-driven all-pairs builder alive as the
+//! machine-checkable specification the equivalence property tests
+//! compare every kernel against.
 
 use pslocal_graph::{
     csr, BitsetGraph, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, NodeId,
@@ -83,29 +80,6 @@ pub struct FamilyCounts {
     pub color_family: usize,
 }
 
-/// How [`ConflictGraph::build_with_options`] materializes the edge set.
-///
-/// Every strategy produces the **identical** [`Graph`] (same CSR bytes)
-/// — the equivalence property suite proves it; they differ only in
-/// cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildStrategy {
-    /// Output-sensitive kernel; shards across threads when the
-    /// estimated edge count clears a threshold.
-    #[default]
-    Auto,
-    /// Output-sensitive kernel, single-threaded.
-    Serial,
-    /// Output-sensitive kernel, always sharded across
-    /// `std::thread::scope` workers.
-    Parallel,
-    /// Predicate-driven all-pairs reference: tests every pair of
-    /// triples against the three family predicates. `Θ((Σ|e|·k)²)` —
-    /// the executable specification, retained for equivalence tests
-    /// and ablation cross-checks, far too slow for real instances.
-    Reference,
-}
-
 /// Construction options for [`ConflictGraph`] — used by ablation
 /// experiments and the builder-equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,37 +91,23 @@ pub struct ConflictGraphOptions {
     /// experiment A2 measures exactly how often. The default (`false`)
     /// follows the lemma's proof and requires `u ≠ v`.
     pub literal_ecolor: bool,
-    /// Which construction kernel to run (identical output, different
-    /// cost — see [`BuildStrategy`]).
-    pub strategy: BuildStrategy,
     /// Which adjacency representation the phase pipeline runs on:
     /// `Auto` (default) takes the dense bit-row route when the density
     /// heuristic says flat words beat CSR pointer chasing, `Csr` and
-    /// `Bitset` force a route. The choice applies under the default
-    /// [`BuildStrategy::Auto`]; the explicit CSR build strategies
-    /// (`Serial` / `Parallel` / `Reference`) are equivalence and
-    /// ablation knobs that pin the CSR pipeline regardless. Every route
-    /// yields identical phase outputs — the bitset equivalence suite
-    /// proves it.
+    /// `Bitset` force a route. Every route yields identical phase
+    /// outputs — the bitset equivalence suite proves it.
     pub kernel: KernelStrategy,
 }
 
 impl ConflictGraphOptions {
     /// Options selecting the paper-literal `E_color` reading with the
-    /// default (auto) build strategy.
+    /// default (auto) kernel.
     pub fn literal() -> Self {
         ConflictGraphOptions { literal_ecolor: true, ..Self::default() }
     }
 
-    /// Options selecting a build strategy with the proof-faithful
-    /// `E_color` reading.
-    pub fn with_strategy(strategy: BuildStrategy) -> Self {
-        ConflictGraphOptions { strategy, ..Self::default() }
-    }
-
     /// Options selecting an adjacency kernel (dense bitset vs CSR) with
-    /// the proof-faithful `E_color` reading and the default build
-    /// strategy.
+    /// the proof-faithful `E_color` reading.
     pub fn with_kernel(kernel: KernelStrategy) -> Self {
         ConflictGraphOptions { kernel, ..Self::default() }
     }
@@ -209,11 +169,11 @@ impl ConflictGraph {
     }
 
     /// Builds `G_k` under a telemetry pipeline: a `conflict-graph` span
-    /// wraps the construction, every kernel shard gets a child `shard`
-    /// span with a `shard_build_ns` sample, and the finished CSR's byte
-    /// footprint is attributed as `csr_bytes`. With a disabled pipeline
-    /// this is exactly [`ConflictGraph::build_with_options`] — static
-    /// dispatch to the null sink erases every emission site.
+    /// wraps the construction, the kernel pass gets a child `shard`
+    /// span with a `shard_build_ns` sample, and the finished graph's CSR
+    /// byte footprint is attributed as `csr_bytes`. With a disabled
+    /// pipeline this is exactly [`ConflictGraph::build_with_options`] —
+    /// static dispatch to the null sink erases every emission site.
     ///
     /// # Panics
     ///
@@ -226,56 +186,75 @@ impl ConflictGraph {
     ) -> Self {
         assert!(k >= 1, "palette size k must be positive");
         let span = parent.span(names::CONFLICT_GRAPH);
-        let m = h.edge_count();
-        let mut base = vec![0u32; m + 1];
-        for e in 0..m {
-            base[e + 1] = base[e] + (h.edge_size(HyperedgeId::new(e)) * k) as u32;
-        }
-        let node_count = base[m] as usize;
-        // The kernel resolution reuses the parallel threshold's cheap
-        // edge estimate — the exact count exists only after the build.
-        // Explicit CSR build strategies pin the CSR pipeline (they are
-        // the equivalence/ablation knobs); the kernel choice applies
-        // under the default Auto build strategy.
-        let dense = matches!(options.strategy, BuildStrategy::Auto)
-            && options.kernel.use_bitset(node_count, kernel::estimated_edges(h, k));
-        if dense {
+        let base = block_bases(h, k);
+        let node_count = base[h.edge_count()] as usize;
+        // The kernel resolution runs on a cheap edge estimate — the
+        // exact count exists only after the build.
+        let dense = options.kernel.use_bitset(node_count, kernel::estimated_edges(h, k));
+        let (edge_count, graph, bits) = if dense {
             let bits = kernel::build_bitset(h, k, options, &base, &span);
-            let edge_count = bits.edge_count();
-            span.add(Counter::CsrBytes, csr_bytes_for(node_count, edge_count));
-            return ConflictGraph {
-                graph: OnceLock::new(),
-                bits: Some(bits),
-                node_count,
-                edge_count,
-                hypergraph: h.clone(),
-                k,
-                options,
-                base,
-            };
-        }
-        let graph = match options.strategy {
-            BuildStrategy::Reference => kernel::build_reference(h, k, options, &base),
-            BuildStrategy::Serial => kernel::build_fast(h, k, options, &base, 1, &span),
-            BuildStrategy::Parallel => {
-                kernel::build_fast(h, k, options, &base, kernel::worker_count().max(2), &span)
-            }
-            BuildStrategy::Auto => {
-                let workers = if kernel::estimated_edges(h, k) >= kernel::PARALLEL_THRESHOLD {
-                    kernel::worker_count()
-                } else {
-                    1
-                };
-                kernel::build_fast(h, k, options, &base, workers, &span)
-            }
+            (bits.edge_count(), OnceLock::new(), Some(bits))
+        } else {
+            let graph = kernel::build_csr(h, k, options, &base, &span);
+            (graph.edge_count(), OnceLock::from(graph), None)
         };
-        span.add(Counter::CsrBytes, csr_bytes(&graph));
-        let edge_count = graph.edge_count();
-        ConflictGraph {
-            graph: OnceLock::from(graph),
-            bits: None,
+        let cg = ConflictGraph {
+            graph,
+            bits,
             node_count,
             edge_count,
+            hypergraph: h.clone(),
+            k,
+            options,
+            base,
+        };
+        span.add(Counter::CsrBytes, cg.csr_bytes());
+        cg
+    }
+
+    /// Builds `G_k` with the predicate-driven all-pairs reference: every
+    /// pair of triples is tested against the three family predicates
+    /// verbatim. This is the executable form of the paper's set-builder
+    /// definitions and the ground truth the equivalence property suites
+    /// compare every kernel against — `Θ((Σ|e|·k)²)`, far too slow for
+    /// real instances. The result is CSR-resident whichever kernel
+    /// `options` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn build_reference(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
+        assert!(k >= 1, "palette size k must be positive");
+        let base = block_bases(h, k);
+        let node_count = base[h.edge_count()] as usize;
+        let mut triples = Vec::with_capacity(node_count);
+        for e in h.edge_ids() {
+            for &v in h.edge(e) {
+                for c in 0..k {
+                    triples.push((e, v, c));
+                }
+            }
+        }
+        let mut pairs = Vec::new();
+        for i in 0..node_count {
+            let (e, v, c) = triples[i];
+            for (j, &(g, u, d)) in triples.iter().enumerate().skip(i + 1) {
+                let vertex_family = v == u && c != d;
+                let edge_family = e == g;
+                let color_family = c == d
+                    && (options.literal_ecolor || v != u)
+                    && (h.edge_contains(e, u) || h.edge_contains(g, v));
+                if vertex_family || edge_family || color_family {
+                    pairs.push((NodeId::new(i), NodeId::new(j)));
+                }
+            }
+        }
+        let graph = csr::from_pairs(node_count, pairs);
+        ConflictGraph {
+            node_count,
+            edge_count: graph.edge_count(),
+            graph: OnceLock::from(graph),
+            bits: None,
             hypergraph: h.clone(),
             k,
             options,
@@ -386,15 +365,15 @@ impl ConflictGraph {
     /// The simple graph `G_k` in CSR form.
     ///
     /// On the dense route the CSR is materialized **lazily** on first
-    /// access (serial kernel run over the retained hypergraph) and
-    /// cached; the bytes are identical to an eager build, as all build
-    /// strategies produce the same CSR. The per-phase hot path never
-    /// calls this in dense mode.
+    /// access (the CSR kernel run over the retained hypergraph) and
+    /// cached; the bytes are identical to an eager build, as both
+    /// kernels emit the same graph. The per-phase hot path never calls
+    /// this in dense mode.
     pub fn graph(&self) -> &Graph {
         self.graph.get_or_init(|| {
             let tel = Telemetry::disabled();
             let span = tel.span(names::CONFLICT_GRAPH);
-            kernel::build_fast(&self.hypergraph, self.k, self.options, &self.base, 1, &span)
+            kernel::build_csr(&self.hypergraph, self.k, self.options, &self.base, &span)
         })
     }
 
@@ -452,12 +431,13 @@ impl ConflictGraph {
         set.vertices().iter().all(|v| v.index() < n) && g.is_independent_set(set.vertices())
     }
 
-    /// The byte footprint of the phase graph's CSR form (`u32` offsets
-    /// plus both directions of every edge) — computed from the counts,
-    /// so the dense route reports the same figure without materializing
-    /// the CSR.
+    /// The byte footprint of the phase graph's CSR form (`u32` offsets,
+    /// one per node plus the sentinel, and both directions of every
+    /// edge) — the quantity the `csr_bytes` telemetry counter reports.
+    /// Computed from the counts, so the dense route reports the same
+    /// figure without materializing the CSR.
     pub fn csr_bytes(&self) -> u64 {
-        csr_bytes_for(self.node_count, self.edge_count)
+        4 * (self.node_count as u64 + 1 + 2 * self.edge_count as u64)
     }
 
     /// The conflict-graph node for `(e, v, c)`, or `None` if `v ∉ e` or
@@ -541,17 +521,15 @@ impl ConflictGraph {
     }
 }
 
-/// The CSR byte footprint of a graph: `u32` offsets (one per node plus
-/// the sentinel) and `u32` targets (both endpoints of every edge) — the
-/// quantity the `csr_bytes` telemetry counter reports.
-pub(crate) fn csr_bytes(g: &Graph) -> u64 {
-    csr_bytes_for(g.node_count(), g.edge_count())
-}
-
-/// [`csr_bytes`] from the counts alone — what the CSR form occupies (or
-/// would occupy, on the dense route where it may never materialize).
-pub(crate) fn csr_bytes_for(nodes: usize, edges: usize) -> u64 {
-    4 * (nodes as u64 + 1 + 2 * edges as u64)
+/// The triple-block bases of `G_k(h)`: `base[e]` is the first triple
+/// node of hyperedge `e`, and `base[m]` the node count.
+fn block_bases(h: &Hypergraph, k: usize) -> Vec<u32> {
+    let m = h.edge_count();
+    let mut base = vec![0u32; m + 1];
+    for e in 0..m {
+        base[e + 1] = base[e] + (h.edge_size(HyperedgeId::new(e)) * k) as u32;
+    }
+    base
 }
 
 /// The construction kernels behind [`ConflictGraph::build_with_options`].
@@ -574,27 +552,15 @@ pub(crate) fn csr_bytes_for(nodes: usize, edges: usize) -> u64 {
 ///
 /// Blocks are visited in ascending `g` by merging the (sorted) slot
 /// list of `v` with the (sorted) wedge list of `e`, so each row comes
-/// out sorted and rows are emitted in node order — the shard *is* a
-/// finished CSR fragment. Total work is `O(|E(G_k)| + W)` where
-/// `W = Σ_v deg(v)²` is the wedge count. Workers shard contiguous
-/// block ranges under `std::thread::scope` and the shards concatenate
-/// (no merge pass: row order equals node order).
+/// out sorted and rows are emitted in node order — one pass writes the
+/// finished CSR. Total work is `O(|E(G_k)| + W)` where
+/// `W = Σ_v deg(v)²` is the wedge count.
 mod kernel {
     use super::ConflictGraphOptions;
     use pslocal_graph::bitset::{set_bit_range, BitsetGraph};
     use pslocal_graph::{csr, Graph, HyperedgeId, Hypergraph, NodeId};
     use pslocal_telemetry::{names, span, Histogram, Sink, Span};
-    use std::ops::Range;
     use std::time::Instant;
-
-    /// Estimated `|E(G_k)|` above which [`super::BuildStrategy::Auto`]
-    /// shards the emission across threads. Below it, thread spawn and
-    /// shard-merge bookkeeping cost more than they save.
-    pub(super) const PARALLEL_THRESHOLD: usize = 1 << 17;
-
-    pub(super) fn worker_count() -> usize {
-        std::thread::available_parallelism().map(|p| p.get().min(8)).unwrap_or(1)
-    }
 
     /// Cheap upper estimate of `|E(G_k)|` in `O(Σ|e|)`: the `E_edge`
     /// cliques exactly, plus a per-edge incidence bound on `E_color`
@@ -658,81 +624,63 @@ mod kernel {
         }
     }
 
-    /// One shard of the streamed CSR: the rows of a contiguous range of
-    /// triple blocks, in node order.
-    struct RowShard {
-        /// Cumulative row ends, local to the shard (one entry per row).
-        row_ends: Vec<u32>,
-        /// Concatenated sorted neighbor lists (absolute node ids).
-        targets: Vec<NodeId>,
-    }
-
-    /// Streams the rows of the triple blocks of hyperedges in `range`.
+    /// The output-sensitive kernel: slot-index once, then stream every
+    /// block's rows in node order straight into the CSR arrays, under a
+    /// `shard` span (child of the build span) that samples the pass's
+    /// wall time as `shard_build_ns`. The timing probe is gated on
+    /// `S::ENABLED`, so the disabled pipeline never touches the clock.
     ///
     /// For each hyperedge `e` the *wedge list* — the `(g, pos-in-g)`
     /// slots of `e`'s members with `g ≠ e`, sorted — is built once, and
     /// every row of `e`'s block merges it with the slot list of the
     /// row's vertex, emitting each neighbor block's closed-form pattern
     /// in ascending order (see the module docs). Rows come out sorted
-    /// and in node order, so the shard *is* a finished CSR fragment —
+    /// and in node order, so the arrays *are* the finished CSR —
     /// nothing is ever sorted, deduplicated, or post-processed.
-    fn emit_blocks(
+    pub(super) fn build_csr<S: Sink>(
         h: &Hypergraph,
         k: usize,
         options: ConflictGraphOptions,
         base: &[u32],
-        idx: &SlotIndex,
-        range: Range<usize>,
-    ) -> RowShard {
-        let first = base[range.start] as usize;
-        let row_count = base[range.end] as usize - first;
-        let mut row_ends: Vec<u32> = Vec::with_capacity(row_count);
+        parent: &Span<'_, S>,
+    ) -> Graph {
+        let shard_span = span!(parent, names::SHARD, 0);
+        let t0 = S::ENABLED.then(Instant::now);
+        let idx = SlotIndex::build(h);
+        let m = h.edge_count();
+        let literal = options.literal_ecolor;
         let mut wedges: Vec<(u32, u32)> = Vec::new();
         // Exact-capacity count pass: one mini-merge per (e, v) — every
         // block's contribution to a row is closed-form, and the k rows
         // of a (e, v) slot all have the same length — so `targets`
         // never reallocates during emission.
         let mut total = 0usize;
-        for e in range.clone() {
-            build_wedges(h, idx, e, &mut wedges);
-            let members = h.edge(HyperedgeId::new(e));
-            for &v in members {
-                total += k * row_len(
-                    e,
-                    k,
-                    options.literal_ecolor,
-                    base,
-                    idx.slots(v.index()).0,
-                    &wedges,
-                );
+        for e in 0..m {
+            build_wedges(h, &idx, e, &mut wedges);
+            for &v in h.edge(HyperedgeId::new(e)) {
+                total += k * row_len(e, k, literal, base, idx.slots(v.index()).0, &wedges);
             }
         }
+        let mut offsets: Vec<u32> = Vec::with_capacity(base[m] as usize + 1);
+        offsets.push(0);
         let mut targets: Vec<NodeId> = Vec::with_capacity(total);
         let kw = k as u32;
-        for e in range {
-            build_wedges(h, idx, e, &mut wedges);
-            let members = h.edge(HyperedgeId::new(e));
-            for (pv, &v) in members.iter().enumerate() {
+        for e in 0..m {
+            build_wedges(h, &idx, e, &mut wedges);
+            for (pv, &v) in h.edge(HyperedgeId::new(e)).iter().enumerate() {
                 let vslots = idx.slots(v.index());
                 for c in 0..kw {
                     let a = base[e] + pv as u32 * kw + c;
-                    emit_row(
-                        a,
-                        e,
-                        c,
-                        kw,
-                        options.literal_ecolor,
-                        base,
-                        vslots,
-                        &wedges,
-                        &mut targets,
-                    );
-                    row_ends.push(targets.len() as u32);
+                    emit_row(a, e, c, kw, literal, base, vslots, &wedges, &mut targets);
+                    offsets.push(targets.len() as u32);
                 }
             }
         }
         debug_assert_eq!(targets.len(), total);
-        RowShard { row_ends, targets }
+        if let Some(t0) = t0 {
+            shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
+        }
+        csr::from_raw_parts(offsets, targets)
     }
 
     /// Collects hyperedge `e`'s wedge list: the `(g, pos-in-g)` slots of
@@ -846,120 +794,15 @@ mod kernel {
         }
     }
 
-    /// Splits `0..m` into at most `parts` contiguous ranges of roughly
-    /// equal squared-block-size weight (the clique term dominates each
-    /// block's emission cost).
-    fn balanced_ranges(base: &[u32], m: usize, parts: usize) -> Vec<Range<usize>> {
-        let weight = |e: usize| {
-            let b = (base[e + 1] - base[e]) as u64;
-            b * b
-        };
-        let total: u64 = (0..m).map(weight).sum();
-        let mut ranges = Vec::with_capacity(parts);
-        let (mut start, mut acc) = (0usize, 0u64);
-        for e in 0..m {
-            acc += weight(e);
-            if acc * parts as u64 >= total * (ranges.len() as u64 + 1) {
-                ranges.push(start..e + 1);
-                start = e + 1;
-            }
-        }
-        if start < m {
-            ranges.push(start..m);
-        }
-        ranges
-    }
-
-    /// The output-sensitive kernel: slot-index once, stream every block
-    /// row in sorted node order, concatenate. With `workers > 1`,
-    /// contiguous block ranges run under `std::thread::scope`; because
-    /// rows are emitted in node order, shard concatenation **is** the
-    /// merge — identical output regardless of `workers`.
-    pub(super) fn build_fast<S: Sink>(
-        h: &Hypergraph,
-        k: usize,
-        options: ConflictGraphOptions,
-        base: &[u32],
-        workers: usize,
-        parent: &Span<'_, S>,
-    ) -> Graph {
-        let idx = SlotIndex::build(h);
-        let m = h.edge_count();
-        let node_count = base[m] as usize;
-        let workers = workers.clamp(1, m.max(1));
-        if workers == 1 {
-            // Single shard: the streamed arrays *are* the CSR — move
-            // them, prepending the zero offset.
-            let shard = timed_shard(h, k, options, base, &idx, 0..m, parent, 0);
-            let mut offsets = Vec::with_capacity(node_count + 1);
-            offsets.push(0u32);
-            offsets.extend_from_slice(&shard.row_ends);
-            return csr::from_raw_parts(offsets, shard.targets);
-        }
-        let shards: Vec<RowShard> = {
-            let idx = &idx;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = balanced_ranges(base, m, workers)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, range)| {
-                        s.spawn(move || timed_shard(h, k, options, base, idx, range, parent, i))
-                    })
-                    .collect();
-                // pslocal: allow(panic-path, "shard workers run pure array code with no panic paths of their own; a panicking worker is a kernel bug that must surface, not yield a truncated kernel")
-                handles.into_iter().map(|j| j.join().expect("kernel worker panicked")).collect()
-            })
-        };
-        let total_targets: usize = shards.iter().map(|s| s.targets.len()).sum();
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        offsets.push(0u32);
-        let mut targets = Vec::with_capacity(total_targets);
-        for shard in shards {
-            let shift = targets.len() as u32;
-            offsets.extend(shard.row_ends.iter().map(|&end| end + shift));
-            targets.extend_from_slice(&shard.targets);
-        }
-        debug_assert_eq!(offsets.len(), node_count + 1);
-        csr::from_raw_parts(offsets, targets)
-    }
-
-    /// Runs [`emit_blocks`] for one shard under a `shard` span (child
-    /// of the build span), sampling its wall time as `shard_build_ns`.
-    /// The timing probe is gated on `S::ENABLED`, so the disabled
-    /// pipeline never touches the clock.
-    #[allow(clippy::too_many_arguments)]
-    fn timed_shard<S: Sink>(
-        h: &Hypergraph,
-        k: usize,
-        options: ConflictGraphOptions,
-        base: &[u32],
-        idx: &SlotIndex,
-        range: Range<usize>,
-        parent: &Span<'_, S>,
-        shard_index: usize,
-    ) -> RowShard {
-        let shard_span = span!(parent, names::SHARD, shard_index);
-        let t0 = S::ENABLED.then(Instant::now);
-        let shard = emit_blocks(h, k, options, base, idx, range);
-        if let Some(t0) = t0 {
-            shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
-        }
-        shard
-    }
-
     /// The dense-kernel twin of the streamed CSR build: the same
     /// closed-form per-block merge as [`emit_row`], but each row is
     /// written as a **bit row**. Contiguous neighbor ranges — the
     /// `E_edge` clique halves and the `E_vertex` color slot runs —
     /// become masked word fills ([`set_bit_range`]); the position
     /// sweeps and wedge hits set single bits. The resulting
-    /// [`BitsetGraph`] is exactly `to_bitset()` of the CSR the other
-    /// kernels emit (checked by the bitset equivalence suite, and in
-    /// debug builds by `from_raw_parts`'s popcount re-check).
-    ///
-    /// Serial by design: the dense route only fires for graphs of at
-    /// most [`pslocal_graph::bitset::BITSET_MAX_NODES`] nodes, where
-    /// one pass beats thread spawn-and-join.
+    /// [`BitsetGraph`] is exactly `to_bitset()` of the CSR that
+    /// [`build_csr`] emits (checked by the bitset equivalence suite, and
+    /// in debug builds by `from_raw_parts`'s popcount re-check).
     pub(super) fn build_bitset<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -1087,42 +930,6 @@ mod kernel {
                 }
             }
         }
-    }
-
-    /// The all-pairs reference: materialize every triple, test every
-    /// pair against the three family predicates verbatim. This is the
-    /// executable form of the paper's set-builder definitions and the
-    /// ground truth of the equivalence property suite.
-    pub(super) fn build_reference(
-        h: &Hypergraph,
-        k: usize,
-        options: ConflictGraphOptions,
-        base: &[u32],
-    ) -> Graph {
-        let node_count = base[h.edge_count()] as usize;
-        let mut triples = Vec::with_capacity(node_count);
-        for e in h.edge_ids() {
-            for &v in h.edge(e) {
-                for c in 0..k {
-                    triples.push((e, v, c));
-                }
-            }
-        }
-        let mut pairs = Vec::new();
-        for i in 0..node_count {
-            let (e, v, c) = triples[i];
-            for (j, &(g, u, d)) in triples.iter().enumerate().skip(i + 1) {
-                let vertex_family = v == u && c != d;
-                let edge_family = e == g;
-                let color_family = c == d
-                    && (options.literal_ecolor || v != u)
-                    && (h.edge_contains(e, u) || h.edge_contains(g, v));
-                if vertex_family || edge_family || color_family {
-                    pairs.push((NodeId::new(i), NodeId::new(j)));
-                }
-            }
-        }
-        csr::from_pairs(node_count, pairs)
     }
 }
 

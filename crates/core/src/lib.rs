@@ -88,9 +88,7 @@ pub use completeness::{completeness_on_instance, CompletenessReport};
 pub use components::{
     parallel_independent_set, ComponentExecutor, ComponentPartition, ParallelismOptions,
 };
-pub use conflict_graph::{
-    BuildStrategy, ConflictGraph, ConflictGraphOptions, FamilyCounts, Triple,
-};
+pub use conflict_graph::{ConflictGraph, ConflictGraphOptions, FamilyCounts, Triple};
 pub use containment::{containment_certificate, ContainmentReport};
 pub use correspondence::{
     apply_palette, coloring_to_independent_set, independent_set_to_coloring, lemma_2_1a,
@@ -100,8 +98,8 @@ pub use distributed::{
     distributed_reduction, distributed_reduction_with, DistributedPhase, DistributedReduction,
 };
 pub use recovery::{
-    crc32, fingerprint_graph, fingerprint_hypergraph, inspect_journal, Checkpointing, CrashMode,
-    CrashPlan, DriverKind, JournalError, JournalHeader, JournalInspection, JournalPhase, OpenStats,
+    crc32, fingerprint_hypergraph, inspect_journal, Checkpointing, CrashMode, CrashPlan,
+    DriverKind, JournalError, JournalHeader, JournalInspection, JournalPhase, OpenStats,
     PhaseJournal, RecoveryReport, StoredFaultEvent, JOURNAL_FILE_NAME,
 };
 pub use reduction::{

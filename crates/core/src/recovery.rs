@@ -43,10 +43,11 @@
 //! 1. **structure** — length, CRC, tag, and full decode already held at
 //!    open; the phase index must equal the replay cursor;
 //! 2. **fingerprint** — the stored conflict-graph fingerprint must
-//!    match [`fingerprint_graph`] of the graph the cursor actually
-//!    reached;
+//!    match [`ConflictGraph::fingerprint`] of the graph the cursor
+//!    actually reached;
 //! 3. **independence** — the stored set must be in range and verified
-//!    independent in that graph ([`IndependentSet::new`]);
+//!    independent in that graph ([`ConflictGraph::verify_independent`],
+//!    the check the live loop applies to untrusted oracle answers);
 //! 4. **quota** — the set must meet the Lemma 2.1 quota the original
 //!    run enforced ([`JournalPhase::quota_required`]);
 //! 5. **re-commit** — the phase is re-committed through the drivers'
@@ -64,7 +65,7 @@ use crate::conflict_graph::ConflictGraph;
 use crate::reduction::{commit_phase, decay_allowed, PhaseRecord};
 use crate::resilient::{FaultEvent, FaultEventKind};
 use pslocal_cfcolor::Multicoloring;
-use pslocal_graph::{Graph, HyperedgeId, Hypergraph, IndependentSet, NodeId};
+use pslocal_graph::{HyperedgeId, Hypergraph, IndependentSet, NodeId};
 use pslocal_maxis::{CrashPoint, CrashSignal};
 use pslocal_telemetry::{names, span, Counter, Sink, Span};
 use std::error::Error;
@@ -130,18 +131,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// bitset kernels and the recovery layer cannot drift apart.
 pub fn fingerprint_hypergraph(h: &Hypergraph) -> u64 {
     h.fingerprint()
-}
-
-/// Order-sensitive FNV-1a fingerprint of a graph's CSR structure:
-/// vertex count, edge count, and every adjacency row in order. Stored
-/// per phase record so replay can prove the stored independent set was
-/// chosen on the conflict graph the replay cursor actually reached.
-///
-/// Delegates to [`pslocal_graph::fingerprint`]; equal to
-/// `ConflictGraph::fingerprint` of the same graph regardless of which
-/// kernel (CSR or bitset) materialized it.
-pub fn fingerprint_graph(g: &Graph) -> u64 {
-    g.fingerprint()
 }
 
 // ---------------------------------------------------------------------
@@ -449,7 +438,9 @@ impl StoredFaultEvent {
 pub struct JournalPhase {
     /// Phase index (must be sequential from 0).
     pub phase: usize,
-    /// [`fingerprint_graph`] of the conflict graph at phase start.
+    /// [`ConflictGraph::fingerprint`] of the conflict graph at phase
+    /// start, so replay can prove the stored set was chosen on the graph
+    /// the replay cursor actually reached.
     pub cg_fingerprint: u64,
     /// The committed independent set's vertices (conflict-graph node
     /// indices).
@@ -1206,18 +1197,21 @@ fn validate_and_commit(
         return None;
     }
     // Fingerprint: the set must have been chosen on *this* graph.
-    if jp.cg_fingerprint != fingerprint_graph(cg.graph()) {
+    // Replay reads the same accessors as the live loop, so a dense
+    // phase graph never materializes its CSR here either.
+    if jp.cg_fingerprint != cg.fingerprint() {
         return None;
     }
-    // Independence, range-checked first (`IndependentSet::new` expects
-    // in-range vertices).
-    let n = cg.graph().node_count();
+    // Independence: range and adjacency, re-checked on whichever
+    // representation is resident. The range check runs first because
+    // `NodeId::new` panics on ids past `u32::MAX`.
+    let n = cg.node_count();
     if jp.set.iter().any(|&v| v >= n as u64) {
         return None;
     }
     let vertices: Vec<NodeId> = jp.set.iter().map(|&v| NodeId::new(v as usize)).collect();
-    let set = IndependentSet::new(cg.graph(), vertices).ok()?;
-    if set.len() < jp.quota_required {
+    let set = IndependentSet::new_unchecked(vertices);
+    if !cg.verify_independent(&set) || set.len() < jp.quota_required {
         return None;
     }
     // Events must intern against the live chain.
@@ -1235,8 +1229,8 @@ fn validate_and_commit(
     let reproduced = PhaseRecord {
         phase,
         edges_before,
-        conflict_nodes: cg.graph().node_count(),
-        conflict_edges: cg.graph().edge_count(),
+        conflict_nodes: cg.node_count(),
+        conflict_edges: cg.edge_count(),
         independent_set_size: set.len(),
         edges_removed: edges_before - commit.edges_after,
         edges_after: commit.edges_after,
@@ -1489,8 +1483,8 @@ mod tests {
     fn fingerprints_separate_instances_and_graphs() {
         let g1 = cycle(10);
         let g2 = cycle(11);
-        assert_ne!(fingerprint_graph(&g1), fingerprint_graph(&g2));
-        assert_eq!(fingerprint_graph(&g1), fingerprint_graph(&cycle(10)));
+        assert_ne!(g1.fingerprint(), g2.fingerprint());
+        assert_eq!(g1.fingerprint(), cycle(10).fingerprint());
         let h1 = Hypergraph::from_edges(6, vec![vec![0, 1, 2], vec![3, 4, 5]]).unwrap();
         let h2 = Hypergraph::from_edges(6, vec![vec![0, 1, 2], vec![3, 4]]).unwrap();
         assert_ne!(fingerprint_hypergraph(&h1), fingerprint_hypergraph(&h2));

@@ -14,9 +14,9 @@
 //!
 //! The module exposes three entry points, all `O(edges + n)`:
 //!
-//! * [`from_pairs`] / [`from_pair_shards`] — duplicate-tolerant
-//!   assembly from unordered endpoint pairs, the merge point of the
-//!   parallel conflict-graph kernel's per-shard edge buffers;
+//! * [`from_pairs`] — duplicate-tolerant assembly from unordered
+//!   endpoint pairs, behind [`GraphBuilder`](crate::GraphBuilder) and the
+//!   conflict graph's all-pairs reference builder;
 //! * [`from_sorted_unique_edges`] — zero-copy finalization when the
 //!   caller already holds the canonical sorted edge list;
 //! * [`induced_sorted`] — induced subgraphs on a *sorted* keep set
@@ -51,30 +51,14 @@ use crate::{Graph, NodeId};
 /// assert_eq!(g.neighbors(NodeId::new(0)), &[NodeId::new(1), NodeId::new(2)]);
 /// ```
 pub fn from_pairs(n: usize, pairs: Vec<(NodeId, NodeId)>) -> Graph {
-    from_pair_shards(n, vec![pairs])
-}
-
-/// Builds a graph by merging per-shard pair buffers (the output of a
-/// parallel edge enumeration) via counting sort, without concatenating
-/// the shards first.
-///
-/// Semantics are identical to [`from_pairs`] on the concatenation of
-/// `shards`.
-///
-/// # Panics
-///
-/// Panics if a pair is a self loop or references a node `≥ n`.
-pub fn from_pair_shards(n: usize, shards: Vec<Vec<(NodeId, NodeId)>>) -> Graph {
-    let total: usize = shards.iter().map(Vec::len).sum();
+    let total = pairs.len();
     // Pass 1: stable counting sort by the minor (larger) endpoint.
     let mut count = vec![0u32; n + 1];
-    for shard in &shards {
-        for &(u, v) in shard {
-            assert!(u != v, "self loop {u} in CSR pair buffer");
-            assert!(u.index() < n && v.index() < n, "pair ({u}, {v}) out of range 0..{n}");
-            let hi = if u < v { v } else { u };
-            count[hi.index()] += 1;
-        }
+    for &(u, v) in &pairs {
+        assert!(u != v, "self loop {u} in CSR pair buffer");
+        assert!(u.index() < n && v.index() < n, "pair ({u}, {v}) out of range 0..{n}");
+        let hi = if u < v { v } else { u };
+        count[hi.index()] += 1;
     }
     let mut start = 0u32;
     for c in count.iter_mut() {
@@ -83,15 +67,13 @@ pub fn from_pair_shards(n: usize, shards: Vec<Vec<(NodeId, NodeId)>>) -> Graph {
         start += here;
     }
     let mut by_minor = vec![(NodeId::new(0), NodeId::new(0)); total];
-    for shard in &shards {
-        for &(u, v) in shard {
-            let pair = if u < v { (u, v) } else { (v, u) };
-            let slot = &mut count[pair.1.index()];
-            by_minor[*slot as usize] = pair;
-            *slot += 1;
-        }
+    for &(u, v) in &pairs {
+        let pair = if u < v { (u, v) } else { (v, u) };
+        let slot = &mut count[pair.1.index()];
+        by_minor[*slot as usize] = pair;
+        *slot += 1;
     }
-    drop(shards);
+    drop(pairs);
     // Pass 2: stable counting sort by the major (smaller) endpoint;
     // stability preserves the minor order within each major run, so the
     // result is lexicographically sorted.
@@ -284,20 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_concatenate() {
-        let a = vec![(NodeId::new(0), NodeId::new(1)), (NodeId::new(2), NodeId::new(1))];
-        let b = vec![(NodeId::new(3), NodeId::new(0)), (NodeId::new(1), NodeId::new(0))];
-        let merged = from_pair_shards(4, vec![a.clone(), b.clone()]);
-        let mut all = a;
-        all.extend(b);
-        assert_eq!(merged, from_pairs(4, all));
-        assert_eq!(merged.edge_count(), 3);
-    }
-
-    #[test]
     fn empty_inputs() {
         assert_eq!(from_pairs(5, Vec::new()), Graph::empty(5));
-        assert_eq!(from_pair_shards(0, Vec::new()), Graph::empty(0));
+        assert_eq!(from_pairs(0, Vec::new()), Graph::empty(0));
         assert_eq!(from_sorted_unique_edges(3, Vec::new()), Graph::empty(3));
     }
 

@@ -40,8 +40,8 @@ impl Graph {
     /// count, edge count, and every adjacency row in order.
     ///
     /// Identical to the fingerprint the crash-recovery journal stores
-    /// per phase record (`pslocal-core`'s `fingerprint_graph` delegates
-    /// here), so the value is stable across releases.
+    /// per phase record (`pslocal-core`'s `ConflictGraph::fingerprint`
+    /// delegates here), so the value is stable across releases.
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fnv1a::new();
         f.word(self.node_count() as u64);

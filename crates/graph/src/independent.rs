@@ -99,15 +99,20 @@ impl IndependentSet {
 
     /// Wraps `vertices` **without** verifying independence or range.
     ///
-    /// This is the escape hatch for fault injection: chaos testing must
-    /// be able to hand downstream consumers a *claimed* independent set
-    /// that is actually broken, so that their own re-validation (e.g.
-    /// the resilient reduction driver's per-phase independence check)
-    /// can be exercised. The list is still sorted and deduplicated so
-    /// accessor invariants ([`contains`](Self::contains) binary search,
-    /// ordered iteration) keep holding.
+    /// Two kinds of caller need this. Code that re-validates a claimed
+    /// set itself on a representation [`IndependentSet::new`] cannot
+    /// read: journal replay and the oracle cache check the set with
+    /// `ConflictGraph::verify_independent`, the range and adjacency
+    /// check on whichever of the CSR or the bit rows is resident. And
+    /// fault injection: chaos testing must be able to hand downstream
+    /// consumers a *claimed* independent set that is actually broken,
+    /// so that their own re-validation (e.g. the resilient reduction
+    /// driver's per-phase independence check) can be exercised. The
+    /// list is still sorted and deduplicated so accessor invariants
+    /// ([`contains`](Self::contains) binary search, ordered iteration)
+    /// keep holding.
     ///
-    /// Outside fault-injection code, use [`IndependentSet::new`].
+    /// Everywhere else, use [`IndependentSet::new`].
     pub fn new_unchecked(mut vertices: Vec<NodeId>) -> Self {
         vertices.sort_unstable();
         vertices.dedup();

@@ -69,7 +69,8 @@ pub mod names {
     pub const REDUCTION: &str = "reduction";
     /// Conflict-graph construction kernel.
     pub const CONFLICT_GRAPH: &str = "conflict-graph";
-    /// One worker shard of the parallel construction kernel.
+    /// The construction kernel's single emission pass (index 0), child
+    /// of the conflict-graph span.
     pub const SHARD: &str = "shard";
     /// Phase-incremental restriction of the previous conflict graph.
     pub const RESTRICT: &str = "restrict";

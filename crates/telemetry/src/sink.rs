@@ -182,7 +182,7 @@ impl fmt::Display for Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Histogram {
-    /// Wall time one conflict-graph builder shard spent emitting, ns.
+    /// Wall time of the conflict-graph kernel's emission pass, ns.
     ShardBuildNs,
     /// Size of an oracle's returned independent set.
     IndependentSetSize,
@@ -267,8 +267,8 @@ pub enum Event {
 
 /// A consumer of telemetry [`Event`]s.
 ///
-/// `Sync` is a supertrait because the conflict-graph builder records
-/// per-shard timings from scoped worker threads through a shared
+/// `Sync` is a supertrait because the component executor's scoped
+/// workers and the service's worker threads record through a shared
 /// reference.
 pub trait Sink: Sync {
     /// Compile-time enable flag. Instrumentation sites branch on this

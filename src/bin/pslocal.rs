@@ -293,7 +293,9 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
             let m = args.required("m")?;
             let k = args.required("k")?;
             let epsilon: f64 = args.parsed("epsilon")?.unwrap_or(0.5);
-            let inst = planted_cf_instance(&mut rng, PlantedCfParams { n, m, k, epsilon });
+            let params = PlantedCfParams { n, m, k, epsilon };
+            params.check()?;
+            let inst = planted_cf_instance(&mut rng, params);
             println!(
                 "c planted conflict-free instance: k = {k}, epsilon = {epsilon}, seed = {seed}"
             );
@@ -303,6 +305,9 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         Some("gnp") => {
             let n = args.required("n")?;
             let p: f64 = args.required("p")?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("--p must lie in [0, 1], got {p}"));
+            }
             let g = gnp(&mut rng, n, p);
             println!("c G({n}, {p}) seed = {seed}");
             print!("{}", write_graph(&g));
@@ -402,7 +407,10 @@ fn run_reduce<S: pslocal::telemetry::Sink>(
 
 fn cmd_reduce(args: &Args) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
-    let k: usize = args.required("k")?;
+    let k = match args.required::<usize>("k")? {
+        0 => return Err("--k must be at least 1".to_string()),
+        k => k,
+    };
     let opts = TraceOpts::from(args);
     let config = ReductionConfig {
         parallelism: threads_opt(args)?,
@@ -596,11 +604,13 @@ fn cmd_trace_report(args: &Args) -> Result<(), String> {
     let n: usize = args.parsed("n")?.unwrap_or(128);
     let m: usize = args.parsed("m")?.unwrap_or(n / 2);
     let k: usize = args.parsed("k")?.unwrap_or(4);
+    let params = PlantedCfParams::new(n, m, k);
+    params.check()?;
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let opts = TraceOpts::from(args);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k));
+    let inst = planted_cf_instance(&mut rng, params);
     let tel = Telemetry::new(MemorySink::new());
     let out =
         reduce_cf_to_maxis_traced(&inst.hypergraph, oracle.as_ref(), ReductionConfig::new(k), &tel)
@@ -830,25 +840,60 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand with the options it accepts — exactly those USAGE
+/// lists. `dispatch` rejects any other `--key` before the command runs,
+/// so a misspelled option fails instead of silently taking a default.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("gen", &["n", "m", "k", "epsilon", "p", "seed"], cmd_gen),
+    ("stats", &[], |_| cmd_stats()),
+    ("maxis", &["oracle", "threads", "seed", "trace", "metrics-out"], cmd_maxis),
+    (
+        "reduce",
+        &[
+            "k",
+            "oracle",
+            "threads",
+            "seed",
+            "kernel",
+            "oracle-cache",
+            "checkpoint-dir",
+            "resume",
+            "crash-at",
+            "trace",
+            "metrics-out",
+        ],
+        cmd_reduce,
+    ),
+    ("trace-report", &["n", "m", "k", "oracle", "seed", "trace", "metrics-out"], cmd_trace_report),
+    ("batch", &["workers", "queue", "deadline-ms", "trace", "metrics-out"], cmd_batch),
+    (
+        "serve",
+        &["addr", "workers", "queue-depth", "max-conns", "deadline-ms", "metrics-out"],
+        cmd_serve,
+    ),
+    ("client", &["addr", "stats", "shutdown", "ping"], cmd_client),
+    ("checkpoint-inspect", &["checkpoint-dir"], cmd_checkpoint_inspect),
+    ("lint", &["root", "deny", "json", "fix-hints", "lock-order"], cmd_lint),
+    ("help", &[], |_| {
+        println!("{USAGE}");
+        Ok(())
+    }),
+];
+
 fn dispatch() -> Result<(), String> {
     let args = Args::parse(std::env::args().skip(1))?;
-    match args.positional.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args),
-        Some("stats") => cmd_stats(),
-        Some("maxis") => cmd_maxis(&args),
-        Some("reduce") => cmd_reduce(&args),
-        Some("batch") => cmd_batch(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("client") => cmd_client(&args),
-        Some("trace-report") => cmd_trace_report(&args),
-        Some("checkpoint-inspect") => cmd_checkpoint_inspect(&args),
-        Some("lint") => cmd_lint(&args),
-        Some("help") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
+    let name = args.positional.first().map_or("help", String::as_str);
+    let (_, accepted, run) = COMMANDS
+        .iter()
+        .find(|(command, ..)| *command == name)
+        .ok_or_else(|| format!("unknown command {name:?}\n{USAGE}"))?;
+    if let Some((key, _)) = args.options.iter().find(|(key, _)| !accepted.contains(&key.as_str())) {
+        return Err(format!("unknown option --{key} for '{name}'"));
     }
+    run(&args)
 }
 
 fn main() -> ExitCode {

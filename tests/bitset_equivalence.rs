@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use pslocal::core::{
-    reduce_cf_to_maxis, reduce_cf_to_maxis_with_workspace, BuildStrategy, ConflictGraph,
-    ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
+    reduce_cf_to_maxis, reduce_cf_to_maxis_with_workspace, ConflictGraph, ConflictGraphOptions,
+    PhaseWorkspace, ReductionConfig,
 };
 use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
@@ -45,7 +45,7 @@ fn instance() -> impl Strategy<Value = (Hypergraph, usize)> {
 }
 
 fn kernel_options(literal_ecolor: bool, kernel: KernelStrategy) -> ConflictGraphOptions {
-    ConflictGraphOptions { literal_ecolor, strategy: BuildStrategy::Auto, kernel }
+    ConflictGraphOptions { literal_ecolor, kernel }
 }
 
 proptest! {
@@ -59,12 +59,8 @@ proptest! {
     #[test]
     fn dense_build_matches_csr_reference((h, k) in instance(), literal_bit in 0u8..2) {
         let literal = literal_bit == 1;
-        let reference = ConflictGraph::build_with_options(
-            &h, k, ConflictGraphOptions {
-                literal_ecolor: literal,
-                strategy: BuildStrategy::Reference,
-                kernel: KernelStrategy::Csr,
-            });
+        let reference = ConflictGraph::build_reference(
+            &h, k, kernel_options(literal, KernelStrategy::Csr));
         let dense = ConflictGraph::build_with_options(
             &h, k, kernel_options(literal, KernelStrategy::Bitset));
         let bits = dense.bitset().expect("forced bitset kernel builds bit rows");

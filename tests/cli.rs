@@ -90,6 +90,36 @@ fn reduce_requires_k_and_valid_oracle() {
 }
 
 #[test]
+fn bad_arguments_exit_with_an_error_line_not_a_panic() {
+    // Each case is a shape a generator or the reduction asserts on, or
+    // a misspelled option. The reduce cases get a valid instance, so
+    // only the named argument is wrong.
+    let instance = "p hypergraph 3 1\nh 0 1 2\n";
+    for (args, message) in [
+        (&["gen", "planted", "--n", "10", "--m", "5", "--k", "0"][..], "k must be positive"),
+        (&["gen", "planted", "--n", "3", "--m", "5", "--k", "4"], "need at least k = 4"),
+        (
+            &["gen", "planted", "--n", "8", "--m", "5", "--k", "2", "--epsilon", "3"],
+            "infeasible planted instance",
+        ),
+        (&["trace-report", "--n", "3", "--m", "5", "--k", "4"], "need at least k = 4"),
+        (&["trace-report", "--k", "0"], "k must be positive"),
+        (&["reduce", "--k", "0"], "--k must be at least 1"),
+        (&["gen", "gnp", "--n", "5", "--p", "2"], "--p must lie in [0, 1]"),
+        (&["reduce", "--k", "3", "--orcale", "luby"], "unknown option --orcale for 'reduce'"),
+    ] {
+        let out = run(args, Some(instance));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: ") && l.contains(message)),
+            "{args:?}: want an error line with {message:?}, got {stderr}"
+        );
+    }
+}
+
+#[test]
 fn trace_report_renders_timeline_and_span_tree() {
     let out = run(&["trace-report", "--n", "128", "--seed", "7"], None);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));

@@ -1,16 +1,17 @@
 //! Builder-equivalence property suite for the conflict-graph kernel.
 //!
-//! The output-sensitive kernel (serial and parallel) and the
-//! phase-incremental restriction must produce *exactly* the edge set of
-//! the predicate-driven all-pairs reference — `Graph` derives `Eq` over
+//! Every adjacency kernel (streamed CSR, bit rows, and the `Auto`
+//! choice between them) and the phase-incremental restriction must
+//! produce *exactly* the edge set of the predicate-driven all-pairs
+//! reference — `Graph` derives `Eq` over
 //! its CSR arrays, so the assertions below compare the full
 //! representation (offsets, sorted rows, canonical edge list), not just
 //! edge counts. Both `E_color` readings (proof-faithful and
 //! `literal_ecolor`) are covered.
 
 use proptest::prelude::*;
-use pslocal::core::{BuildStrategy, ConflictGraph, ConflictGraphOptions};
-use pslocal::graph::{HyperedgeId, Hypergraph};
+use pslocal::core::{ConflictGraph, ConflictGraphOptions};
+use pslocal::graph::{HyperedgeId, Hypergraph, KernelStrategy};
 use rand::{Rng, SeedableRng};
 
 /// A random hypergraph: `m` edges of 1–4 distinct vertices over `n ≤ 40`
@@ -37,27 +38,27 @@ fn instance() -> impl Strategy<Value = (Hypergraph, usize)> {
         .prop_map(|(seed, n, m, k)| (random_hypergraph(seed, n, m), k))
 }
 
-fn options(literal_ecolor: bool, strategy: BuildStrategy) -> ConflictGraphOptions {
-    ConflictGraphOptions { literal_ecolor, strategy, ..ConflictGraphOptions::default() }
+fn options(literal_ecolor: bool, kernel: KernelStrategy) -> ConflictGraphOptions {
+    ConflictGraphOptions { literal_ecolor, kernel }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Serial, parallel, and auto kernels all reproduce the all-pairs
+    /// The CSR, bitset, and auto kernels all reproduce the all-pairs
     /// reference graph exactly, in both `E_color` readings.
     #[test]
-    fn all_strategies_match_reference((h, k) in instance(), literal_bit in 0u8..2) {
+    fn all_kernels_match_reference((h, k) in instance(), literal_bit in 0u8..2) {
         let literal = literal_bit == 1;
         let reference =
-            ConflictGraph::build_with_options(&h, k, options(literal, BuildStrategy::Reference));
-        for strategy in [BuildStrategy::Serial, BuildStrategy::Parallel, BuildStrategy::Auto] {
-            let fast = ConflictGraph::build_with_options(&h, k, options(literal, strategy));
+            ConflictGraph::build_reference(&h, k, options(literal, KernelStrategy::Csr));
+        for kernel in [KernelStrategy::Csr, KernelStrategy::Bitset, KernelStrategy::Auto] {
+            let fast = ConflictGraph::build_with_options(&h, k, options(literal, kernel));
             prop_assert_eq!(
                 fast.graph(),
                 reference.graph(),
-                "strategy {:?} diverges from reference (literal_ecolor = {})",
-                strategy,
+                "kernel {:?} diverges from reference (literal_ecolor = {})",
+                kernel,
                 literal
             );
         }
@@ -72,7 +73,7 @@ proptest! {
         literal_bit in 0u8..2,
         subset_seed in 0u64..1000,
     ) {
-        let opts = options(literal_bit == 1, BuildStrategy::Auto);
+        let opts = options(literal_bit == 1, KernelStrategy::Auto);
         let cg = ConflictGraph::build_with_options(&h, k, opts);
         let mut rng = rand::rngs::StdRng::seed_from_u64(subset_seed);
         let keep: Vec<HyperedgeId> =
@@ -107,13 +108,14 @@ proptest! {
     }
 
     /// Family classification agrees between reference and fast builds
-    /// (the per-family counts T1 tabulates are strategy-independent).
+    /// (the per-family counts T1 tabulates are independent of how the
+    /// graph was built).
     #[test]
     fn family_counts_are_strategy_independent((h, k) in instance()) {
         let fast = ConflictGraph::build_with_options(
-            &h, k, options(false, BuildStrategy::Serial));
-        let reference = ConflictGraph::build_with_options(
-            &h, k, options(false, BuildStrategy::Reference));
+            &h, k, options(false, KernelStrategy::Csr));
+        let reference = ConflictGraph::build_reference(
+            &h, k, options(false, KernelStrategy::Csr));
         prop_assert_eq!(fast.family_counts(), reference.family_counts());
     }
 }

@@ -1,8 +1,8 @@
 //! Resume equivalence: a reduction killed at **any** kill point of any
 //! phase and then resumed must produce output byte-identical to the
 //! uninterrupted run — same `PhaseRecord`s, same coloring, same color
-//! count — on both drivers and for serial and component-parallel
-//! execution alike.
+//! count — on both drivers, for serial and component-parallel
+//! execution, and on the CSR and the bit-row adjacency routes alike.
 //!
 //! The kill points (`pslocal::core::recovery::CrashPlan`) bracket every
 //! durability boundary of a phase: mid-oracle, after the set is
@@ -21,7 +21,7 @@ use pslocal::core::{
 use pslocal::graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
 };
-use pslocal::graph::Hypergraph;
+use pslocal::graph::{Hypergraph, KernelStrategy};
 use pslocal::maxis::{
     CrashPoint, CrashSignal, FaultKind, FaultPlan, FaultyOracle, PrecisionOracle,
 };
@@ -70,11 +70,13 @@ fn multi_component(seed: u64, copies: usize, k: usize) -> Hypergraph {
 #[test]
 fn trusting_driver_resumes_identically_from_every_kill_point() {
     let k = 3;
-    for (tag, threads, h) in
-        [("serial", 1usize, planted(40, 40, 18, k)), ("parallel", 4, multi_component(41, 4, k))]
-    {
+    for (tag, threads, kernel, h) in [
+        ("serial", 1usize, KernelStrategy::Auto, planted(40, 40, 18, k)),
+        ("parallel", 4, KernelStrategy::Auto, multi_component(41, 4, k)),
+        ("bitset", 1, KernelStrategy::Bitset, planted(45, 40, 18, k)),
+    ] {
         let oracle = weak_oracle();
-        let config = ReductionConfig::new(k).with_threads(threads);
+        let config = ReductionConfig { kernel, ..ReductionConfig::new(k).with_threads(threads) };
         let base = reduce_cf_to_maxis(&h, &oracle, config).unwrap();
         assert!(base.phases_used >= 2, "{tag}: need a multi-phase run to interrupt");
         let tel = Telemetry::disabled();
@@ -118,13 +120,15 @@ fn trusting_driver_resumes_identically_from_every_kill_point() {
 #[test]
 fn resilient_driver_resumes_identically_from_every_kill_point() {
     let k = 3;
-    for (tag, threads, h) in
-        [("serial", 1usize, planted(42, 40, 18, k)), ("parallel", 4, multi_component(43, 4, k))]
-    {
+    for (tag, threads, kernel, h) in [
+        ("serial", 1usize, KernelStrategy::Auto, planted(42, 40, 18, k)),
+        ("parallel", 4, KernelStrategy::Auto, multi_component(43, 4, k)),
+        ("bitset", 1, KernelStrategy::Bitset, planted(46, 40, 18, k)),
+    ] {
         let oracle = weak_oracle();
         let chain: &[&dyn pslocal::maxis::MaxIsOracle] = &[&oracle];
         let config = ResilientConfig {
-            base: ReductionConfig::new(k).with_threads(threads),
+            base: ReductionConfig { kernel, ..ReductionConfig::new(k).with_threads(threads) },
             ..ResilientConfig::new(k)
         };
         let base = reduce_cf_resilient(&h, chain, config).unwrap();
