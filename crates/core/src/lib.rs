@@ -112,7 +112,7 @@ pub use resilient::{
     stall_budget, FaultEvent, FaultEventKind, PartialOutcome, ResilientConfig, ResilientFailure,
     ResilientOutcome,
 };
-pub use server::{Server, ServerConfig, ShutdownHandle, DEFAULT_MAX_CONNECTIONS};
+pub use server::{Server, ServerConfig, DEFAULT_MAX_CONNECTIONS};
 pub use service::{
     BoxedOracle, QueueFull, RequestOutcome, Service, ServiceConfig, ServiceReport, ServiceRequest,
     ServiceResponse, DEFAULT_QUEUE_CAPACITY,

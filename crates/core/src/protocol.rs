@@ -31,7 +31,9 @@
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
 //! A shape the generator cannot realize (see [`PlantedCfParams::check`])
-//! is a malformed line like any other.
+//! is a malformed line like any other, and so is a line with a key
+//! outside this table or with the same key twice: `serve` answers
+//! `bad_request`, and `batch` exits 1 with `stdin line N: …`.
 //!
 //! # Response schema
 //!
@@ -103,8 +105,23 @@ fn parse_json_string(
     }
 }
 
+/// The request schema's keys, in the module docs' table order.
+const REQUEST_KEYS: [&str; 11] = [
+    "id",
+    "n",
+    "m",
+    "k",
+    "seed",
+    "epsilon",
+    "oracle",
+    "kernel",
+    "oracle_cache",
+    "deadline_ms",
+    "faults",
+];
+
 /// Parses one *flat* JSON object (scalar values only — nested objects
-/// and arrays are rejected).
+/// and arrays are rejected) whose keys are distinct [`REQUEST_KEYS`].
 fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut chars = line.chars().peekable();
     skip_ws(&mut chars);
@@ -119,6 +136,17 @@ fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
         loop {
             skip_ws(&mut chars);
             let key = parse_json_string(&mut chars)?;
+            // Schema first: it caps `fields` at 11, so the duplicate
+            // scan costs a constant per key.
+            if !REQUEST_KEYS.contains(&key.as_str()) {
+                return Err(format!(
+                    "unknown field {key:?} (expected one of {})",
+                    REQUEST_KEYS.join(", ")
+                ));
+            }
+            if fields.iter().any(|(seen, _)| *seen == key) {
+                return Err(format!("duplicate key {key:?}"));
+            }
             skip_ws(&mut chars);
             if chars.next() != Some(':') {
                 return Err(format!("expected ':' after key {key:?}"));

@@ -2,10 +2,13 @@
 //! hand-rolled `std::net` socket layer.
 //!
 //! The workspace is hermetic (no tokio, no mio), so the server is
-//! built from `std` primitives only: one **acceptor** thread polling a
-//! non-blocking [`TcpListener`], and per connection a **reader** thread
-//! plus a **writer** thread around the shared worker pool. The request
-//! lifecycle is
+//! built from `std` primitives and blocking I/O only: one **acceptor**
+//! thread blocked in [`TcpListener::accept`], and per connection a
+//! **reader** thread blocked in `read` plus a **writer** thread around
+//! the shared worker pool. No thread wakes on a timer. The acceptor
+//! owns the connection list and reaps finished handler threads each
+//! time `accept` returns, so a closed connection gives back its threads
+//! and descriptors. The request lifecycle is
 //!
 //! ```text
 //! accept → parse (protocol) → admit (Service) → worker → respond → drain
@@ -27,17 +30,18 @@
 //!   service unchanged; a request that expires while queued or at a
 //!   phase boundary answers `deadline_exceeded` exactly as `pslocal
 //!   batch` would.
-//! * **Timeouts.** Reads poll in short slices so a connection idle
-//!   past [`ServerConfig::read_timeout`] is closed instead of pinning
-//!   its thread; writes carry [`ServerConfig::write_timeout`] so a
-//!   stalled client cannot wedge the writer.
-//! * **Graceful drain.** [`Server::shutdown`] (or a client `SHUTDOWN`
-//!   command, or the CLI's signal handler via [`ShutdownHandle`])
-//!   stops the acceptor, unblocks every reader at its next poll slice,
-//!   lets the worker pool finish **everything already admitted**, and
-//!   delivers each finished response to its connection before the
-//!   socket closes — the writer thread exits only when every response
-//!   channel sender (one per in-flight request) is gone.
+//! * **Timeouts.** A connection idle for 30 s (its socket's read
+//!   timeout) is closed instead of pinning its thread; a write that
+//!   cannot complete within 10 s drops the connection, so a stalled
+//!   client cannot wedge the writer.
+//! * **Graceful drain.** [`Server::shutdown`] flags the drain, wakes
+//!   the acceptor with one loopback connect and each reader by shutting
+//!   down its socket's read half, then lets the worker pool finish
+//!   **everything already admitted**. Each response reaches its
+//!   connection before the socket closes: the writer thread exits only
+//!   when every response channel sender (one per in-flight request) is
+//!   gone. A client `SHUTDOWN` flags the same drain and ends its own
+//!   connection's intake; the owner then calls [`Server::shutdown`].
 //!
 //! # Wire protocol
 //!
@@ -78,21 +82,26 @@ use crate::protocol::{
     bad_request_line, overloaded_line, parse_request, rejected_line, response_line,
 };
 use crate::service::{Service, ServiceConfig, ServiceResponse};
-use crate::sync::lock_unpoisoned;
 use pslocal_telemetry::{names, span, Counter, Sink, Telemetry};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default bound on concurrently served connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
-/// How often blocking points (accept, reads) wake to check the drain
-/// flag — the upper bound on shutdown-notice latency per thread.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// A connection idle (no bytes) this long is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A write that cannot complete within this drops the connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Pause after a failed `accept` (for example, out of descriptors), so
+/// the acceptor does not spin on an error that repeats at once.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Shape of a [`Server`]: the worker pool underneath plus the
 /// socket-layer limits.
@@ -103,25 +112,18 @@ pub struct ServerConfig {
     /// Concurrent-connection cap; sockets beyond it get one typed
     /// `overloaded` line and are closed.
     pub max_connections: usize,
-    /// A connection idle (no bytes) longer than this is closed.
-    pub read_timeout: Duration,
-    /// Per-write socket timeout; a write that cannot complete within
-    /// it drops the connection.
-    pub write_timeout: Duration,
     /// Deadline applied to requests that carry no `deadline_ms` of
     /// their own; `None` = unlimited.
     pub default_deadline: Option<Duration>,
 }
 
 impl Default for ServerConfig {
-    /// Two workers, [`DEFAULT_MAX_CONNECTIONS`] connections, 30 s idle
-    /// reads, 10 s writes, no default deadline.
+    /// Two workers, [`DEFAULT_MAX_CONNECTIONS`] connections, no default
+    /// deadline.
     fn default() -> Self {
         ServerConfig {
             service: ServiceConfig::new(2),
             max_connections: DEFAULT_MAX_CONNECTIONS,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             default_deadline: None,
         }
     }
@@ -140,45 +142,10 @@ impl ServerConfig {
         self
     }
 
-    /// Replaces the idle read timeout.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Replaces the per-write timeout.
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
     /// Sets the deadline applied to requests without their own.
     pub fn with_default_deadline(mut self, deadline: Duration) -> Self {
         self.default_deadline = Some(deadline);
         self
-    }
-}
-
-/// A cloneable handle that requests a graceful drain from outside the
-/// server — the CLI's signal handler path, and anything else that
-/// cannot own the [`Server`] itself.
-#[derive(Debug, Clone)]
-pub struct ShutdownHandle {
-    draining: Arc<AtomicBool>,
-}
-
-impl ShutdownHandle {
-    /// Flags the server as draining: the acceptor stops accepting and
-    /// every reader stops taking requests at its next poll slice.
-    /// Someone must still call [`Server::shutdown`] to join the
-    /// threads and recover the telemetry pipeline.
-    pub fn request_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -210,9 +177,17 @@ impl ShutdownHandle {
 pub struct Server<S: Sink + Send + Sync + 'static> {
     local_addr: SocketAddr,
     draining: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Ends with the connections still live, and whether a handler it
+    /// reaped had panicked.
+    acceptor: JoinHandle<(Vec<Connection>, bool)>,
     service: Arc<Service<S>>,
+}
+
+/// A connection's handler thread, and the acceptor's clone of its
+/// socket, through which a drain wakes the reader.
+struct Connection {
+    handler: JoinHandle<()>,
+    socket: TcpStream,
 }
 
 impl<S: Sink + Send + Sync + 'static> Server<S> {
@@ -229,20 +204,17 @@ impl<S: Sink + Send + Sync + 'static> Server<S> {
         tel: Telemetry<S>,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let service = Arc::new(Service::start(config.service, tel));
         let draining = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let service = Arc::clone(&service);
             let draining = Arc::clone(&draining);
-            let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("pslocal-acceptor".to_string())
-                .spawn(move || acceptor_loop(listener, service, draining, connections, config))?
+                .spawn(move || acceptor_loop(listener, service, draining, config))?
         };
-        Ok(Server { local_addr, draining, acceptor, connections, service })
+        Ok(Server { local_addr, draining, acceptor, service })
     }
 
     /// The bound address (the real port when started on port 0).
@@ -250,13 +222,8 @@ impl<S: Sink + Send + Sync + 'static> Server<S> {
         self.local_addr
     }
 
-    /// A handle that can request a drain from another thread.
-    pub fn handle(&self) -> ShutdownHandle {
-        ShutdownHandle { draining: Arc::clone(&self.draining) }
-    }
-
-    /// Whether a drain has been requested (by [`shutdown`], a
-    /// [`ShutdownHandle`], or a client `SHUTDOWN` command).
+    /// Whether a drain has been requested (by [`shutdown`] or a client
+    /// `SHUTDOWN` command).
     ///
     /// [`shutdown`]: Self::shutdown
     pub fn is_draining(&self) -> bool {
@@ -275,17 +242,31 @@ impl<S: Sink + Send + Sync + 'static> Server<S> {
     /// bug.
     pub fn shutdown(self) -> Telemetry<S> {
         self.draining.store(true, Ordering::SeqCst);
-        // pslocal: allow(panic-path, "documented contract: handlers isolate per-connection I/O errors, so a dead server thread is a bug that must surface at shutdown")
-        self.acceptor.join().expect("acceptor panicked");
-        // The acceptor has exited, so no new handles can appear; the
-        // workers are still alive, so every connection's in-flight
-        // responses complete and its writer drains before the join.
-        loop {
-            let handle = lock_unpoisoned(&self.connections).pop();
-            let Some(handle) = handle else { break };
-            // pslocal: allow(panic-path, "documented contract: handlers isolate per-connection I/O errors, so a dead server thread is a bug that must surface at shutdown")
-            handle.join().expect("connection handler panicked");
+        // Wake the acceptor out of `accept`: it sees the flag and stops.
+        // A wildcard bind is reached on loopback. Should the connect fail
+        // (out of descriptors), the next client's connect wakes it.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
         }
+        let _ = TcpStream::connect(wake);
+        // pslocal: allow(panic-path, "documented contract: handlers isolate per-connection I/O errors, so a dead server thread is a bug that must surface at shutdown")
+        let (live, mut panicked) = self.acceptor.join().expect("acceptor panicked");
+        // No connection can appear now. Wake each reader out of `read`
+        // with end of file; the workers are still alive, so its
+        // in-flight responses complete and its writer drains them
+        // before the join.
+        for conn in &live {
+            let _ = conn.socket.shutdown(Shutdown::Read);
+        }
+        for conn in live {
+            panicked |= conn.handler.join().is_err();
+        }
+        assert!(!panicked, "connection handler panicked");
         let service = Arc::try_unwrap(self.service)
             // pslocal: allow(panic-path, "acceptor and every connection thread joined above, so no Arc clone can remain; a failure here is unreachable by construction")
             .unwrap_or_else(|_| unreachable!("all connection threads joined, no clones remain"));
@@ -295,75 +276,64 @@ impl<S: Sink + Send + Sync + 'static> Server<S> {
     }
 }
 
-/// Accept loop: poll the non-blocking listener, shed connections past
-/// the cap with a typed line, spawn a handler per admitted socket.
+/// Accept loop: block in `accept`, shed connections past the cap with
+/// a typed line, spawn a handler per admitted socket, and reap finished
+/// handlers each time `accept` returns.
 fn acceptor_loop<S: Sink + Send + Sync + 'static>(
     listener: TcpListener,
     service: Arc<Service<S>>,
     draining: Arc<AtomicBool>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
     config: ServerConfig,
-) {
-    // Live = spawned minus finished; the counter is decremented by the
-    // handler's drop guard so a panicking handler still releases its
-    // slot.
-    let live = Arc::new(AtomicUsize::new(0));
+) -> (Vec<Connection>, bool) {
+    let mut live: Vec<Connection> = Vec::new();
+    let mut panicked = false;
     let mut next_conn: u64 = 0;
-    while !draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Accepted sockets must not inherit the listener's
-                // non-blocking mode (platform-dependent).
-                let _ = stream.set_nonblocking(false);
-                if live.load(Ordering::SeqCst) >= config.max_connections.max(1) {
-                    service.telemetry().add(Counter::ConnectionsRefused, 1);
-                    refuse(stream, &service, config);
-                    continue;
-                }
-                service.telemetry().add(Counter::ConnectionsAccepted, 1);
-                live.fetch_add(1, Ordering::SeqCst);
-                let conn_id = next_conn;
-                next_conn += 1;
-                let handle = {
-                    let service = Arc::clone(&service);
-                    let draining = Arc::clone(&draining);
-                    let live = Arc::clone(&live);
-                    std::thread::Builder::new()
-                        .name(format!("pslocal-conn-{conn_id}"))
-                        .spawn(move || connection_loop(stream, service, draining, live, config))
-                        // pslocal: allow(panic-path, "thread spawn fails only on OS resource exhaustion; there is no degraded mode for an accepted socket")
-                        .expect("spawn connection handler")
-                };
-                lock_unpoisoned(&connections).push(handle);
-            }
-            // Nothing pending (or a transient accept error): sleep one
-            // poll slice and re-check the drain flag.
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+    loop {
+        let accepted = listener.accept();
+        // Checked before any counter: the wake connection from
+        // `Server::shutdown` counts as neither accepted nor refused.
+        if draining.load(Ordering::SeqCst) {
+            return (live, panicked);
         }
+        let (finished, running) = live.into_iter().partition(|c| c.handler.is_finished());
+        live = running;
+        for conn in finished {
+            panicked |= conn.handler.join().is_err();
+        }
+        let Ok((stream, _peer)) = accepted else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        if live.len() >= config.max_connections.max(1) {
+            service.telemetry().add(Counter::ConnectionsRefused, 1);
+            refuse(stream, &service, config.max_connections);
+            continue;
+        }
+        let Ok(socket) = stream.try_clone() else { continue };
+        service.telemetry().add(Counter::ConnectionsAccepted, 1);
+        let conn_id = next_conn;
+        next_conn += 1;
+        let handler = {
+            let service = Arc::clone(&service);
+            let draining = Arc::clone(&draining);
+            std::thread::Builder::new()
+                .name(format!("pslocal-conn-{conn_id}"))
+                .spawn(move || connection_loop(stream, service, draining, config))
+                // pslocal: allow(panic-path, "thread spawn fails only on OS resource exhaustion; there is no degraded mode for an accepted socket")
+                .expect("spawn connection handler")
+        };
+        live.push(Connection { handler, socket });
     }
 }
 
 /// Sheds one connection: best-effort typed overload line, then close.
 fn refuse<S: Sink + Send + Sync + 'static>(
     mut stream: TcpStream,
-    service: &Arc<Service<S>>,
-    config: ServerConfig,
+    service: &Service<S>,
+    max_connections: usize,
 ) {
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let line = overloaded_line(config.max_connections);
-    if stream.write_all(line.as_bytes()).and_then(|()| stream.write_all(b"\n")).is_ok() {
-        service.telemetry().add(Counter::BytesOut, line.len() as u64 + 1);
-    }
-}
-
-/// Decrements the live-connection counter when the handler exits, even
-/// by panic.
-struct ConnectionGuard(Arc<AtomicUsize>);
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let _ = write_line(service, &mut stream, overloaded_line(max_connections));
 }
 
 /// One connection: this thread reads and parses lines; a paired writer
@@ -378,13 +348,12 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
     stream: TcpStream,
     service: Arc<Service<S>>,
     draining: Arc<AtomicBool>,
-    live: Arc<AtomicUsize>,
     config: ServerConfig,
 ) {
-    let _guard = ConnectionGuard(live);
     let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else { return };
-    let _ = write_half.set_write_timeout(Some(config.write_timeout));
+    let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
     // Every outbound line — responses AND command replies — flows
     // through one queue into a writer thread that exclusively owns the
     // write half. Each message is written whole before the next is
@@ -402,7 +371,7 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
                         WriterMsg::Response(response) => response_line(&response),
                         WriterMsg::Block(text) => text,
                     };
-                    if write_line(&service, &mut stream, &line).is_err() {
+                    if write_line(&service, &mut stream, line).is_err() {
                         // Client gone: stop writing. Remaining sends
                         // into the channel fail and the reader breaks.
                         break;
@@ -413,19 +382,21 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
             .expect("spawn connection writer")
     };
 
-    let mut reader = LineReader::new(stream, config.read_timeout);
+    // A read error (the idle timeout included) ends the connection, so
+    // the bytes `read_until` can drop on its error path are never
+    // wanted. End of file comes from the client's half-close or from
+    // the drain's `shutdown(Read)`; the flag check also stops a client
+    // that keeps sending, whose bytes Linux still delivers after it.
+    let mut reader = BufReader::new(&stream);
+    let mut buf = Vec::new();
     let mut ordinal: u64 = 0;
-    while let Ok(event) = reader.read_line(&draining) {
-        service.telemetry().add(Counter::BytesIn, reader.take_bytes());
-        let line = match event {
-            ReadEvent::Line(line) => line,
-            // Draining: stop reading; in-flight responses still drain
-            // through the writer below. Idle timeout and EOF likewise
-            // just stop intake.
-            ReadEvent::Eof | ReadEvent::Draining | ReadEvent::IdleTimeout => break,
-        };
-        let line = line.trim();
-        match line {
+    while !draining.load(Ordering::SeqCst) {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => service.telemetry().add(Counter::BytesIn, n as u64),
+        }
+        match String::from_utf8_lossy(&buf).trim() {
             "" => {}
             "PING" => {
                 if writer_tx.send(WriterMsg::Block("PONG".to_string())).is_err() {
@@ -447,7 +418,7 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
             "SHUTDOWN" => {
                 let _ = writer_tx.send(WriterMsg::Block("DRAINING".to_string()));
                 draining.store(true, Ordering::SeqCst);
-                // The next read_line observes the flag and exits.
+                break;
             }
             "QUIT" => break,
             request_line => {
@@ -489,6 +460,9 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
     // exits.
     drop(writer_tx);
     let _ = writer.join();
+    // The acceptor's clone keeps the socket open until it is reaped, so
+    // close it here: the client sees end of file now.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// One unit of outbound work for a connection's writer thread.
@@ -500,101 +474,16 @@ enum WriterMsg {
     Block(String),
 }
 
-/// Writes one line or block (appending `\n`) on the writer thread's
-/// exclusively-owned write half and counts the bytes.
+/// Writes one line or block plus its `\n` in a single `write_all`, so
+/// under `TCP_NODELAY` it never leaves as two segments, and counts the
+/// bytes.
 fn write_line<S: Sink + Send + Sync + 'static>(
-    service: &Arc<Service<S>>,
+    service: &Service<S>,
     stream: &mut TcpStream,
-    line: &str,
+    mut line: String,
 ) -> io::Result<()> {
+    line.push('\n');
     stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    service.telemetry().add(Counter::BytesOut, line.len() as u64 + 1);
+    service.telemetry().add(Counter::BytesOut, line.len() as u64);
     Ok(())
-}
-
-/// What one [`LineReader::read_line`] call produced.
-enum ReadEvent {
-    /// A complete line (without its terminator).
-    Line(String),
-    /// The peer closed (or half-closed) its write side.
-    Eof,
-    /// The server-wide drain flag was observed.
-    Draining,
-    /// No bytes arrived within the configured idle timeout.
-    IdleTimeout,
-}
-
-/// A poll-based line reader over a raw [`TcpStream`].
-///
-/// Deliberately not `BufReader::read_line`: with a socket read timeout
-/// set, `read_line`'s error path can drop bytes that were already
-/// consumed into its buffer, silently corrupting the stream. This
-/// reader owns its buffer across timeouts, so a line split across poll
-/// slices is reassembled intact.
-struct LineReader {
-    stream: TcpStream,
-    idle_timeout: Duration,
-    buf: Vec<u8>,
-    bytes: u64,
-}
-
-impl LineReader {
-    fn new(stream: TcpStream, idle_timeout: Duration) -> Self {
-        // Short read timeout = the poll slice; the real idle timeout
-        // is enforced across slices in `read_line`.
-        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-        LineReader { stream, idle_timeout, buf: Vec::new(), bytes: 0 }
-    }
-
-    /// Bytes read since the last call (for the `bytes_in` counter).
-    fn take_bytes(&mut self) -> u64 {
-        std::mem::take(&mut self.bytes)
-    }
-
-    fn read_line(&mut self, draining: &AtomicBool) -> io::Result<ReadEvent> {
-        let mut idle_since = Instant::now();
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(ReadEvent::Line(String::from_utf8_lossy(&line).into_owned()));
-            }
-            if draining.load(Ordering::SeqCst) {
-                return Ok(ReadEvent::Draining);
-            }
-            if idle_since.elapsed() >= self.idle_timeout {
-                return Ok(ReadEvent::IdleTimeout);
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buf.is_empty() {
-                        return Ok(ReadEvent::Eof);
-                    }
-                    // A final line without a terminator still counts.
-                    let line = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    return Ok(ReadEvent::Line(line));
-                }
-                Ok(n) => {
-                    self.bytes += n as u64;
-                    // read() returned n, so n <= chunk.len(): in bounds.
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    idle_since = Instant::now();
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }

@@ -173,9 +173,12 @@ fn render_node(
     };
     let fill = ((node.duration_ns() as u128 * BAR_WIDTH as u128) / root_ns as u128) as usize;
     let bar: String = "#".repeat(fill.min(BAR_WIDTH));
+    // One total per counter, printed where that counter was first added.
     let mut annotations = String::new();
-    for (c, d) in &node.counters {
-        let _ = write!(annotations, " {}={}", c.name(), d);
+    for (i, (c, _)) in node.counters.iter().enumerate() {
+        if node.counters[..i].iter().all(|(seen, _)| seen != c) {
+            let _ = write!(annotations, " {}={}", c.name(), node.counter(*c));
+        }
     }
     for (h, v) in &node.samples {
         let _ = write!(annotations, " {}:{}", h.name(), v);
@@ -260,6 +263,13 @@ mod tests {
             index: None,
             start_ns: 0,
         });
+        for _ in 0..2 {
+            sink.record(Event::CounterAdd {
+                counter: Counter::Phases,
+                delta: 1,
+                span: Some(SpanId(1)),
+            });
+        }
         sink.record(Event::SpanEnd { id: SpanId(1), end_ns: 1300 });
         sink
     }
@@ -307,6 +317,9 @@ mod tests {
         assert!(text.contains("phase 0"));
         assert!(text.contains("oracle 1"));
         assert!(text.contains("edges_removed=9"));
+        // The root's two `phases` adds print as one total.
+        assert!(text.contains("phases=2"), "counters summed: {text}");
+        assert!(!text.contains("phases=1"), "counters summed: {text}");
         assert!(text.contains("1.3us"), "root duration rendered: {text}");
         // Two phases under one root: phase lines are indented.
         let phase_lines: Vec<&str> = text.lines().filter(|l| l.contains("phase ")).collect();

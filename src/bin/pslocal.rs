@@ -743,8 +743,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
          (SIGINT/SIGTERM or a client SHUTDOWN drains gracefully)"
     );
 
-    let handle = server.handle();
-    while !handle.is_draining() && !signals::requested() {
+    while !server.is_draining() && !signals::requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
 

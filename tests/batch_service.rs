@@ -320,11 +320,14 @@ fn cli_batch_rejects_malformed_lines_with_the_line_number() {
     assert!(String::from_utf8_lossy(&missing_id.stderr).contains("\"id\""));
 
     // Infeasible planted shapes (k = 0, n < k, too few off-color
-    // vertices) are malformed lines too: a clean exit 1, not a panic.
+    // vertices), an unknown key and a duplicate key are malformed lines
+    // too: a clean exit 1, not a panic and not a silent default.
     for shape in [
         r#"{"id":"k0","n":10,"m":5,"k":0}"#,
         r#"{"id":"nk","n":3,"m":5,"k":4}"#,
         r#"{"id":"inf","n":8,"m":5,"k":2,"epsilon":3}"#,
+        r#"{"id":"typo","n":40,"m":20,"k":3,"orcale":"luby"}"#,
+        r#"{"id":"dup","n":40,"m":20,"k":3,"k":0}"#,
     ] {
         let out = run_cli(&["batch"], &format!("{{\"id\":\"ok\"}}\n{shape}\n"));
         assert_eq!(out.status.code(), Some(1), "{shape}");

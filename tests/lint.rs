@@ -34,15 +34,13 @@ fn lock_audit_covers_the_concurrency_surface_and_is_acyclic() {
     let report = &analysis.lock_report;
     assert!(report.cycles.is_empty(), "lock graph has cycles: {:?}", report.cycles);
     let names: BTreeSet<&str> = report.locks.iter().map(|l| l.name.as_str()).collect();
-    for lock in
-        ["state", "available", "results", "connections", "counters", "histograms", "spans", "open"]
-    {
+    for lock in ["state", "available", "results", "counters", "histograms", "spans", "open"] {
         assert!(names.contains(lock), "lock `{lock}` missing from inventory {names:?}");
     }
     // Every mutex node appears in the canonical order exactly once.
     let canonical: BTreeSet<&str> = report.canonical.iter().map(String::as_str).collect();
     assert_eq!(canonical.len(), report.canonical.len(), "canonical order repeats a node");
-    for lock in ["connections", "state", "results", "counters", "histograms", "spans", "open"] {
+    for lock in ["state", "results", "counters", "histograms", "spans", "open"] {
         assert!(canonical.contains(lock), "`{lock}` missing from canonical order");
     }
     // The condvar wait association ties `available` to `state`.

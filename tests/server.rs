@@ -270,6 +270,30 @@ fn spawn_serve(extra: &[&str]) -> (Child, String) {
     (child, addr)
 }
 
+/// Every closed connection must give back its handler and writer
+/// threads: their stacks are memory mappings, so a leak shows as
+/// `/proc/<pid>/maps` growing with each connection.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connections_release_their_threads() {
+    let (child, addr) = spawn_serve(&["--workers", "1"]);
+    let maps = format!("/proc/{}/maps", child.id());
+    let mappings = || std::fs::read_to_string(&maps).expect("maps readable").lines().count();
+    let socket: SocketAddr = addr.parse().expect("announced address parses");
+
+    let before = mappings();
+    for _ in 0..300 {
+        assert_eq!(roundtrip(socket, "PING\n").trim(), "PONG");
+    }
+    let after = mappings();
+
+    let bye = run_cli(&["client", "--addr", &addr, "--shutdown"], "");
+    assert!(bye.status.success());
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(after < before + 100, "300 closed connections grew the maps from {before} to {after}");
+}
+
 #[test]
 fn cli_serve_and_client_round_trip_with_graceful_shutdown() {
     let batch = jsonl_batch();
