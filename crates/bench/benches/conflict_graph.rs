@@ -1,6 +1,7 @@
 //! Criterion bench: conflict graph `G_k` construction (the per-phase
 //! cost driver of the Theorem 1.1 reduction) across instance sizes and
-//! palette sizes.
+//! palette sizes, and the fingerprint a checkpointing run journals per
+//! phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pslocal_core::ConflictGraph;
@@ -38,9 +39,22 @@ fn bench_triple_roundtrip(c: &mut Criterion) {
     });
 }
 
+/// `Graph::fingerprint` of a phase-0 `G_k` of the benchmark of
+/// record's reduce-checkpointed shape (planted n = 2048, m = 1024,
+/// k = 4: about 20k vertices and 490k edges). A graph memoizes its
+/// fingerprint, so each iteration hashes a fresh clone of the
+/// never-fingerprinted graph; the figure includes that clone.
+fn bench_fingerprint(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(2048, 1024, 4));
+    let cg = ConflictGraph::build(&inst.hypergraph, 4);
+    let graph = cg.graph();
+    c.bench_function("graph_fingerprint", |b| b.iter(|| graph.clone().fingerprint()));
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_build, bench_triple_roundtrip
+    targets = bench_build, bench_triple_roundtrip, bench_fingerprint
 }
 criterion_main!(benches);

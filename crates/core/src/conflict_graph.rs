@@ -411,6 +411,11 @@ impl ConflictGraph {
     /// [`Graph::fingerprint`] of the CSR form, computed from the bit
     /// rows in dense mode (same value by construction), so journaling
     /// and oracle memoization never force a CSR materialization.
+    ///
+    /// On the CSR route this is the graph's memoized value: the first
+    /// call hashes `G_k`, and later calls, including an oracle's own
+    /// `Graph::fingerprint` of the same graph (Luby's RNG seed), reuse
+    /// it. The dense route hashes the bit rows on every call.
     pub fn fingerprint(&self) -> u64 {
         match &self.bits {
             Some(bits) => bits.fingerprint(),

@@ -862,6 +862,36 @@ mod tests {
     }
 
     #[test]
+    fn checkpointed_phases_record_one_fingerprint_span_each() {
+        use pslocal_telemetry::{names, MemorySink, SpanRecord};
+        /// The number of `fingerprint` children of each phase span.
+        fn per_phase(spans: &[SpanRecord]) -> Vec<usize> {
+            let fingerprints = |p: &SpanRecord| {
+                let child = |s: &&SpanRecord| s.parent == Some(p.id);
+                spans.iter().filter(child).filter(|s| s.name == names::FINGERPRINT).count()
+            };
+            spans.iter().filter(|s| s.name == names::PHASE).map(fingerprints).collect()
+        }
+        let k = 3;
+        let h = planted(9, 80, 60, k);
+        let oracle = LubyOracle::new(5);
+        let dir = ckpt_dir("fingerprint-span");
+        let tel = Telemetry::new(MemorySink::new());
+        let config = ReductionConfig::new(k);
+        let (out, _) =
+            reduce_cf_to_maxis_resumable(&h, &oracle, config, &Checkpointing::new(&dir), &tel)
+                .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(out.phases_used >= 2, "the instance takes several phases");
+        assert_eq!(per_phase(&tel.into_sink().spans()), vec![1; out.phases_used]);
+        // Without a journal nothing is pinned, so no phase fingerprints.
+        let tel = Telemetry::new(MemorySink::new());
+        let plain = reduce_cf_to_maxis_traced(&h, &oracle, config, &tel).unwrap();
+        assert_eq!(plain.records, out.records);
+        assert_eq!(per_phase(&tel.into_sink().spans()), vec![0; plain.phases_used]);
+    }
+
+    #[test]
     fn checkpointed_run_matches_plain_run_and_resumes_as_noop() {
         let k = 3;
         let h = planted(21, 36, 15, k);

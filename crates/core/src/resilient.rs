@@ -698,8 +698,13 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
         // The journal stores the conflict graph's fingerprint *at phase
         // start* — the graph the set is about to be chosen on. The
         // dense and CSR routes fingerprint to the same value, so the
-        // journal stays kernel-agnostic.
-        let cg_fingerprint = journal.as_ref().map(|_| cg.fingerprint());
+        // journal stays kernel-agnostic. A CSR graph memoizes it, so an
+        // oracle that fingerprints the same graph (Luby's seed) reuses
+        // this pass.
+        let cg_fingerprint = journal.as_ref().map(|_| {
+            let _span = span!(phase_span, names::FINGERPRINT);
+            cg.fingerprint()
+        });
         recovery::maybe_crash(crash, phase, CrashPoint::MidOracle);
 
         let memo = (trust && config.oracle_cache).then(|| cg.fingerprint());

@@ -5,11 +5,12 @@
 //! paper's conflict graph `G_k` is materialized as one. Graphs are
 //! immutable after construction (via [`GraphBuilder`] or the convenience
 //! constructors), which lets every consumer share them freely across
-//! threads.
+//! threads, and lets a graph memoize its [`Graph::fingerprint`].
 
 use crate::{EdgeId, GraphError, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An immutable simple undirected graph.
 ///
@@ -32,13 +33,28 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Graph {
     /// CSR offsets; `offsets.len() == n + 1`.
     offsets: Vec<u32>,
     /// Concatenated sorted neighbor lists; `targets.len() == 2m`.
     targets: Vec<NodeId>,
+    /// [`Graph::fingerprint`] of the two arrays, set on first call. It
+    /// is derived data: equality ignores it, and serialization skips
+    /// it.
+    #[serde(skip)]
+    fingerprint: OnceLock<u64>,
 }
+
+/// Equality compares the CSR arrays only, so a graph that has
+/// memoized its fingerprint equals its never-fingerprinted rebuild.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Creates the empty graph on `n` isolated vertices.
@@ -52,7 +68,7 @@ impl Graph {
     /// assert_eq!(g.edge_count(), 0);
     /// ```
     pub fn empty(n: usize) -> Self {
-        Graph { offsets: vec![0; n + 1], targets: Vec::new() }
+        Graph::from_csr_parts(vec![0; n + 1], Vec::new())
     }
 
     /// Builds a graph on `n` vertices from an edge list.
@@ -294,7 +310,7 @@ impl Graph {
         debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
         debug_assert_eq!(targets.len() % 2, 0);
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        let graph = Graph { offsets, targets };
+        let graph = Graph { offsets, targets, fingerprint: OnceLock::new() };
         debug_assert!(graph.nodes().all(|v| graph.neighbors(v).windows(2).all(|w| w[0] < w[1])));
         debug_assert!(graph.nodes().all(|v| !graph.neighbors(v).contains(&v)));
         graph
@@ -304,6 +320,12 @@ impl Graph {
     /// recycled (see `csr::InducedArena`).
     pub(crate) fn into_csr_parts(self) -> (Vec<u32>, Vec<NodeId>) {
         (self.offsets, self.targets)
+    }
+
+    /// The memo behind [`Graph::fingerprint`] (the stream itself lives
+    /// in [`crate::fingerprint`]).
+    pub(crate) fn fingerprint_memo(&self) -> &OnceLock<u64> {
+        &self.fingerprint
     }
 }
 
@@ -605,6 +627,27 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
         assert!((g.average_degree() - 2.0).abs() < 1e-12);
         assert_eq!(g.max_degree(), 2);
+    }
+
+    #[test]
+    fn fingerprint_memo_is_not_part_of_the_value() {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)];
+        let g = Graph::from_edges(4, edges).unwrap();
+        let fp = g.fingerprint();
+        let rebuilt = Graph::from_edges(4, edges).unwrap();
+        assert!(rebuilt.fingerprint_memo().get().is_none());
+        assert_eq!(g, rebuilt);
+        assert_eq!(rebuilt.fingerprint(), fp);
+        assert_ne!(g, path(4));
+    }
+
+    #[test]
+    fn clone_keeps_the_memoized_fingerprint() {
+        let g = path(6);
+        let fp = g.fingerprint();
+        let c = g.clone();
+        assert_eq!(c.fingerprint_memo().get(), Some(&fp));
+        assert_eq!(c.fingerprint(), fp);
     }
 
     #[test]

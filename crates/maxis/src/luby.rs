@@ -214,6 +214,11 @@ mod tests {
         let a = LubyOracle::new(42).independent_set(&g);
         let b = LubyOracle::new(42).independent_set(&g);
         assert_eq!(a, b);
+        // A checkpointing run fingerprints the phase graph before
+        // the oracle runs; the seed then comes from the memo.
+        let journaled = grid(5, 5);
+        journaled.fingerprint();
+        assert_eq!(LubyOracle::new(42).independent_set(&journaled), a);
     }
 
     /// The property the component-parallel phase executor relies on:

@@ -90,6 +90,10 @@ pub mod names {
     /// One durable phase-journal append (checkpointing drivers; index =
     /// phase number).
     pub const CHECKPOINT_WRITE: &str = "checkpoint-write";
+    /// The conflict-graph fingerprint a checkpointing run journals
+    /// for each phase (child of the phase span; absent without a
+    /// journal).
+    pub const FINGERPRINT: &str = "fingerprint";
     /// Journal replay at the start of a resumable run (recovery layer).
     pub const RECOVERY_REPLAY: &str = "recovery-replay";
     /// One batch-service request, dequeue to completion (index =

@@ -3,10 +3,10 @@
 //! Every adjacency kernel (streamed CSR, bit rows, and the `Auto`
 //! choice between them) and the phase-incremental restriction must
 //! produce *exactly* the edge set of the predicate-driven all-pairs
-//! reference — `Graph` derives `Eq` over
-//! its CSR arrays, so the assertions below compare the full
-//! representation (offsets, sorted rows, canonical edge list), not just
-//! edge counts. Both `E_color` readings (proof-faithful and
+//! reference — `Graph`'s hand-written `Eq` compares its CSR arrays
+//! (not its memoized fingerprint), so the assertions below compare the
+//! full representation (offsets, sorted rows, canonical edge list), not
+//! just edge counts. Both `E_color` readings (proof-faithful and
 //! `literal_ecolor`) are covered.
 
 use proptest::prelude::*;
