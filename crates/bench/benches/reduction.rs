@@ -54,25 +54,29 @@ fn bench_reduction_scaling(c: &mut Criterion) {
 /// Kernel crossover on the dense bench instance (n128/m64/k8 → a
 /// 5136-node conflict graph with avg degree ≈ 206): the full reduction
 /// with the adjacency route pinned to CSR, pinned to bit rows, and
-/// left to `Auto` (which resolves to bit rows here). All three compute
-/// the identical output — the spread is pure kernel cost, and the
-/// `bitset`/`csr` ratio is the dense-route speedup the perf notes
-/// quote.
+/// left to `Auto`. Under greedy, `Auto` resolves to bit rows here, and
+/// the `bitset`/`csr` ratio is the dense-route speedup the perf notes
+/// quote. Luby has no dense kernel, so `Auto` builds CSR for it and
+/// `luby_auto` should time like `luby_csr`. Every case of one oracle
+/// computes the identical output; the spread is pure kernel cost.
 fn bench_reduction_dense_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduction_dense_kernel");
     group.sample_size(10);
     let k = 8usize;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
     let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(128, 64, k));
-    for (name, kernel) in [
-        ("csr", KernelStrategy::Csr),
-        ("bitset", KernelStrategy::Bitset),
-        ("auto", KernelStrategy::Auto),
+    let luby = LubyOracle::new(9);
+    for (name, oracle, kernel) in [
+        ("csr", &GreedyOracle as &dyn MaxIsOracle, KernelStrategy::Csr),
+        ("bitset", &GreedyOracle, KernelStrategy::Bitset),
+        ("auto", &GreedyOracle, KernelStrategy::Auto),
+        ("luby_csr", &luby, KernelStrategy::Csr),
+        ("luby_auto", &luby, KernelStrategy::Auto),
     ] {
         let mut config = ReductionConfig::new(k);
         config.kernel = kernel;
         group.bench_with_input(BenchmarkId::from_parameter(name), &inst.hypergraph, |b, h| {
-            b.iter(|| reduce_cf_to_maxis(h, &GreedyOracle, config).expect("reduction completes"))
+            b.iter(|| reduce_cf_to_maxis(h, oracle, config).expect("reduction completes"))
         });
     }
     group.finish();

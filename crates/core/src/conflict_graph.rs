@@ -91,11 +91,16 @@ pub struct ConflictGraphOptions {
     /// experiment A2 measures exactly how often. The default (`false`)
     /// follows the lemma's proof and requires `u ≠ v`.
     pub literal_ecolor: bool,
-    /// Which adjacency representation the phase pipeline runs on:
-    /// `Auto` (default) takes the dense bit-row route when the density
+    /// Which adjacency representation the graph is built on: `Auto`
+    /// (default) takes the dense bit-row route when the density
     /// heuristic says flat words beat CSR pointer chasing, `Csr` and
-    /// `Bitset` force a route. Every route yields identical phase
-    /// outputs — the bitset equivalence suite proves it.
+    /// `Bitset` force a route. The reduction drivers resolve `Auto` to
+    /// `Csr` before the first build unless the primary oracle reads bit
+    /// rows ([`MaxIsOracle::supports_dense`]), and restriction keeps
+    /// the resolved route. Every route yields identical phase outputs —
+    /// the bitset equivalence suite proves it.
+    ///
+    /// [`MaxIsOracle::supports_dense`]: pslocal_maxis::MaxIsOracle::supports_dense
     pub kernel: KernelStrategy,
 }
 
@@ -132,9 +137,9 @@ impl ConflictGraphOptions {
 #[derive(Debug, Clone)]
 pub struct ConflictGraph {
     /// The CSR form. On the dense route this is **lazily** materialized
-    /// on first [`ConflictGraph::graph`] access — the per-phase hot
-    /// path (dense oracle dispatch, commit, restriction) never needs
-    /// the `u32` adjacency, so pure dense runs skip it entirely.
+    /// on first [`ConflictGraph::graph`] access — the dense greedy
+    /// phase (its λ, oracle, verifier, commit and restriction) never
+    /// needs the `u32` adjacency, so pure dense runs skip it entirely.
     graph: OnceLock<Graph>,
     /// The dense bit-row form; `Some` exactly when the configured
     /// [`KernelStrategy`] resolved to the bitset route.
@@ -169,9 +174,10 @@ impl ConflictGraph {
     }
 
     /// Builds `G_k` under a telemetry pipeline: a `conflict-graph` span
-    /// wraps the construction, the kernel pass gets a child `shard`
-    /// span with a `shard_build_ns` sample, and the finished graph's CSR
-    /// byte footprint is attributed as `csr_bytes`. With a disabled
+    /// wraps the construction, the kernel pass gets a child span named
+    /// after the kernel that ran (`csr` or `bitset`) with a
+    /// `shard_build_ns` sample, and the finished graph's CSR byte
+    /// footprint is attributed as `csr_bytes`. With a disabled
     /// pipeline this is exactly [`ConflictGraph::build_with_options`] —
     /// static dispatch to the null sink erases every emission site.
     ///
@@ -365,10 +371,13 @@ impl ConflictGraph {
     /// The simple graph `G_k` in CSR form.
     ///
     /// On the dense route the CSR is materialized **lazily** on first
-    /// access (the CSR kernel run over the retained hypergraph) and
-    /// cached; the bytes are identical to an eager build, as both
-    /// kernels emit the same graph. The per-phase hot path never calls
-    /// this in dense mode.
+    /// access (the CSR kernel run over the retained hypergraph, under
+    /// no span) and cached; the bytes are identical to an eager build,
+    /// as both kernels emit the same graph. The drivers count this
+    /// second build of `G_k` as `lazy_csr_builds`: on a dense phase
+    /// only the component executor and oracles without a dense kernel
+    /// ask for it, and `Auto` gives a primary of that kind the CSR
+    /// route.
     pub fn graph(&self) -> &Graph {
         self.graph.get_or_init(|| {
             let tel = Telemetry::disabled();
@@ -382,6 +391,13 @@ impl ConflictGraph {
     #[inline]
     pub fn bitset(&self) -> Option<&BitsetGraph> {
         self.bits.as_ref()
+    }
+
+    /// Whether this bitset-resident graph has built its CSR form too,
+    /// through [`graph`](Self::graph). Always `false` on the CSR route,
+    /// where the CSR is the resident form.
+    pub(crate) fn built_lazy_csr(&self) -> bool {
+        self.bits.is_some() && self.graph.get().is_some()
     }
 
     /// The source hypergraph.
@@ -631,7 +647,7 @@ mod kernel {
 
     /// The output-sensitive kernel: slot-index once, then stream every
     /// block's rows in node order straight into the CSR arrays, under a
-    /// `shard` span (child of the build span) that samples the pass's
+    /// `csr` span (child of the build span) that samples the pass's
     /// wall time as `shard_build_ns`. The timing probe is gated on
     /// `S::ENABLED`, so the disabled pipeline never touches the clock.
     ///
@@ -649,7 +665,7 @@ mod kernel {
         base: &[u32],
         parent: &Span<'_, S>,
     ) -> Graph {
-        let shard_span = span!(parent, names::SHARD, 0);
+        let pass_span = span!(parent, names::CSR);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
         let m = h.edge_count();
@@ -683,7 +699,7 @@ mod kernel {
         }
         debug_assert_eq!(targets.len(), total);
         if let Some(t0) = t0 {
-            shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
+            pass_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
         }
         csr::from_raw_parts(offsets, targets)
     }
@@ -815,7 +831,7 @@ mod kernel {
         base: &[u32],
         parent: &Span<'_, S>,
     ) -> BitsetGraph {
-        let shard_span = span!(parent, names::SHARD, 0);
+        let pass_span = span!(parent, names::BITSET);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
         let m = h.edge_count();
@@ -875,7 +891,7 @@ mod kernel {
             }
         }
         if let Some(t0) = t0 {
-            shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
+            pass_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
         }
         BitsetGraph::from_raw_parts(n, rows, offsets)
     }

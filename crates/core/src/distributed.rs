@@ -26,11 +26,11 @@
 //! [`DistributedPhase::stalled_rounds`] — on clean runs the field is 0
 //! and the bill reduces to the paper's.
 
-use crate::conflict_graph::ConflictGraph;
+use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
 use crate::reduction::{commit_phase, ReductionConfig, ReductionError};
 use crate::simulation::simulate_in_hypergraph;
 use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{HyperedgeId, Hypergraph};
+use pslocal_graph::{HyperedgeId, Hypergraph, KernelStrategy};
 use pslocal_maxis::{LubyOracle, MaxIsOracle};
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +107,9 @@ pub fn distributed_reduction_with<O: MaxIsOracle + ?Sized>(
     let mut coloring = Multicoloring::new(h.node_count());
     let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
 
-    let mut cg = ConflictGraph::build(h, k);
+    // Every consumer below reads the CSR form, so build only that.
+    let options = ConflictGraphOptions::with_kernel(KernelStrategy::Csr);
+    let mut cg = ConflictGraph::build_with_options(h, k, options);
     let lambda = oracle.lambda_for(cg.graph()).ok_or(ReductionError::NoLambdaAvailable)?;
     let rho = ReductionConfig::rho(lambda, m);
 

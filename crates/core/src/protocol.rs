@@ -25,10 +25,14 @@
 //! | `seed`        | number | instance + oracle RNG seed (default `0xC0FFEE`)  |
 //! | `epsilon`     | number | planted-instance uniformity slack (default 0.5)  |
 //! | `oracle`      | string | comma-separated fallback chain (default `greedy`)|
-//! | `kernel`      | string | `auto` \| `csr` \| `bitset`                      |
+//! | `kernel`      | string | `auto` (default) \| `csr` \| `bitset`, see below |
 //! | `oracle_cache`| bool   | ignored: the resilient driver has no memo        |
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
+//!
+//! `auto` takes bit rows only on a dense graph and only when the
+//! primary oracle reads them (greedy); otherwise it builds CSR. The
+//! route never changes a response.
 //!
 //! A shape the generator cannot realize (see [`PlantedCfParams::check`])
 //! is a malformed line like any other, and so is a line with a key

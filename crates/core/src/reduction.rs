@@ -156,7 +156,9 @@ pub struct ReductionConfig {
     pub parallelism: ParallelismOptions,
     /// Which adjacency kernel the phase conflict graphs run on:
     /// [`KernelStrategy::Auto`] (the default) takes the word-parallel
-    /// bit-row route when the density heuristic favors it, `Csr` and
+    /// bit-row route only on a dense graph and only when the primary
+    /// oracle reads bit rows ([`MaxIsOracle::supports_dense`]);
+    /// otherwise it builds CSR once, for every phase. `Csr` and
     /// `Bitset` force a route. Every kernel produces byte-identical
     /// phase outputs (the bitset equivalence suite proves it); only the
     /// cost differs.

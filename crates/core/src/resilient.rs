@@ -51,7 +51,9 @@ use crate::reduction::{
 };
 use crate::workspace::{CacheLookup, PhaseWorkspace};
 use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{BitsetScratch, Graph, HyperedgeId, Hypergraph, IndependentSet};
+use pslocal_graph::{
+    BitsetScratch, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy,
+};
 use pslocal_maxis::{ApproxGuarantee, CrashPoint, CrashSignal, MaxIsOracle};
 use pslocal_slocal::LocalityBudget;
 use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Span, Telemetry};
@@ -620,11 +622,19 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
         fail!(ReductionError::RetriesExhausted { phase: 0, attempts: 0 });
     };
 
+    // `Auto` takes bit rows only for a primary that reads them: for any
+    // other, λ and the oracle call would build the same `G_k` a second
+    // time as CSR. Restriction, journal replay and later phases inherit
+    // the resolved route through the options.
+    let kernel = match config.kernel {
+        KernelStrategy::Auto if !primary.supports_dense() => KernelStrategy::Csr,
+        kernel => kernel,
+    };
     // The phase budget needs λ before the first oracle call: the
     // primary's guarantee on the first-phase conflict graph (the
     // largest one — λ for Δ+1-type guarantees only shrinks as edges
     // vanish).
-    let options = ConflictGraphOptions::with_kernel(config.kernel);
+    let options = ConflictGraphOptions::with_kernel(kernel);
     let mut cg = ConflictGraph::build_traced(h, k, options, &root);
     let Some(lambda) = config.lambda_override.or_else(|| lambda_for_phase(&cg, primary)) else {
         fail!(ReductionError::NoLambdaAvailable);
@@ -814,6 +824,9 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
                 }
             }
         };
+        // A bitset-resident graph that also built its CSR (for λ, an
+        // oracle or the component executor) cost a second `G_k` build.
+        phase_span.add(Counter::LazyCsrBuilds, u64::from(cg.built_lazy_csr()));
         recovery::maybe_crash(crash, phase, CrashPoint::AfterOracle);
 
         let commit_span = span!(phase_span, names::COMMIT);

@@ -19,7 +19,9 @@
 //!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
-//! density heuristic says the flat rows pay for themselves.
+//! density heuristic says the flat rows pay for themselves. The
+//! reduction drivers first turn it into `Csr` for an oracle that cannot
+//! read bit rows.
 
 use crate::{Graph, GraphError, NodeId};
 
@@ -28,9 +30,14 @@ use crate::{Graph, GraphError, NodeId};
 /// Threaded through `ConflictGraphOptions` (conflict-graph build and
 /// the per-phase oracle fast path) and usable by any oracle that wants
 /// the same dispatch. `Auto` applies [`KernelStrategy::use_bitset`]'s
-/// density heuristic; the explicit variants force a route (useful for
-/// equivalence tests and ablations — every route produces identical
-/// output, only the constants differ).
+/// density heuristic, so it takes bit rows only on a dense graph. Bit
+/// rows pay only for a consumer that reads them, so the reduction
+/// drivers resolve `Auto` to `Csr` before the first build unless the
+/// primary oracle has a dense kernel (`MaxIsOracle::supports_dense`,
+/// in `pslocal-maxis`); otherwise λ and the oracle would build the same
+/// graph a second time as CSR. The explicit variants force a route
+/// (useful for equivalence tests and ablations — every route produces
+/// identical output, only the constants differ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelStrategy {
     /// Decide per graph from node count and density (the default).

@@ -9,7 +9,7 @@
 //! silently invalidates on-disk journals.
 //!
 //! The stream is defined byte by byte: each `u64` word feeds its eight
-//! little-endian bytes through `h = (h ^ byte) · PRIME`. [`Fnv1a::word`]
+//! little-endian bytes through `h = (h ^ byte) · PRIME`. `Fnv1a::word`
 //! computes exactly that value with fewer dependent multiplies. XOR
 //! with a zero byte is the identity, so the bytes above a word's
 //! highest nonzero byte fold into one multiply by `PRIME^z`: a vertex

@@ -102,8 +102,15 @@ pub trait MaxIsOracle: Sync {
     ///
     /// Defaults to `false`, so wrappers ([`TracedOracle`](crate::TracedOracle),
     /// [`FaultyOracle`](crate::FaultyOracle)) and oracles without a dense
-    /// kernel transparently fall back to the CSR route — the driver
-    /// materializes the CSR form and calls [`independent_set`] as before.
+    /// kernel transparently fall back to the CSR route and are called
+    /// through [`independent_set`].
+    ///
+    /// The reduction drivers also read it to pick the route: under
+    /// `KernelStrategy::Auto`, a primary that returns `false` gets the
+    /// CSR kernel for every phase, so bit rows are built only for a
+    /// primary that reads them. A fallback without a dense kernel that
+    /// runs on a bit-row phase graph makes the driver build the CSR
+    /// form as well, counted as `lazy_csr_builds`.
     ///
     /// [`independent_set`]: Self::independent_set
     fn supports_dense(&self) -> bool {

@@ -69,9 +69,12 @@ pub mod names {
     pub const REDUCTION: &str = "reduction";
     /// Conflict-graph construction kernel.
     pub const CONFLICT_GRAPH: &str = "conflict-graph";
-    /// The construction kernel's single emission pass (index 0), child
-    /// of the conflict-graph span.
-    pub const SHARD: &str = "shard";
+    /// The CSR construction kernel's emission pass, child of the
+    /// conflict-graph span when the graph is built on the CSR route.
+    pub const CSR: &str = "csr";
+    /// The bit-row construction kernel's emission pass, child of the
+    /// conflict-graph span when the graph is built on the bitset route.
+    pub const BITSET: &str = "bitset";
     /// Phase-incremental restriction of the previous conflict graph.
     pub const RESTRICT: &str = "restrict";
     /// One reduction phase (index = phase number).
@@ -351,15 +354,15 @@ mod tests {
             for i in 0..4u64 {
                 let root = &root;
                 s.spawn(move || {
-                    let shard = span!(root, names::SHARD, i);
-                    shard.sample(Histogram::ShardBuildNs, i * 10);
+                    let pass = span!(root, names::CSR, i);
+                    pass.sample(Histogram::ShardBuildNs, i * 10);
                 });
             }
         });
         drop(root);
         let spans = tel.sink().spans();
         assert_eq!(spans.len(), 5);
-        assert_eq!(spans.iter().filter(|s| s.name == names::SHARD).count(), 4);
+        assert_eq!(spans.iter().filter(|s| s.name == names::CSR).count(), 4);
         assert!(tel.sink().open_spans().is_empty());
         let mut samples = tel.sink().samples(Histogram::ShardBuildNs);
         samples.sort_unstable();

@@ -130,6 +130,10 @@ pub enum Counter {
     /// Input lines that did not parse as protocol requests and were
     /// answered with a typed `bad_request` line.
     BadRequests,
+    /// Bitset-resident phase graphs whose CSR form was built as well,
+    /// on demand, during their phase: a second build of the same `G_k`
+    /// (reduction drivers; attributed to the phase span).
+    LazyCsrBuilds,
 }
 
 impl Counter {
@@ -168,6 +172,7 @@ impl Counter {
             Counter::BytesIn => "bytes_in",
             Counter::BytesOut => "bytes_out",
             Counter::BadRequests => "bad_requests",
+            Counter::LazyCsrBuilds => "lazy_csr_builds",
         }
     }
 }
@@ -233,7 +238,7 @@ pub enum Event {
         /// Static span name (see [`crate::names`]).
         name: &'static str,
         /// Optional index distinguishing repeated spans (phase number,
-        /// attempt number, shard number).
+        /// attempt number, component number).
         index: Option<u64>,
         /// Start time, ns since pipeline construction.
         start_ns: u64,
@@ -357,7 +362,7 @@ pub struct SpanRecord {
     pub parent: Option<SpanId>,
     /// Static span name.
     pub name: &'static str,
-    /// Optional repetition index (phase/attempt/shard number).
+    /// Optional repetition index (phase/attempt/component number).
     pub index: Option<u64>,
     /// Start time, ns since pipeline construction.
     pub start_ns: u64,
@@ -752,6 +757,7 @@ mod tests {
         assert_eq!(Counter::BytesIn.name(), "bytes_in");
         assert_eq!(Counter::BytesOut.name(), "bytes_out");
         assert_eq!(Counter::BadRequests.name(), "bad_requests");
+        assert_eq!(Counter::LazyCsrBuilds.name(), "lazy_csr_builds");
         assert_eq!(Histogram::ShardBuildNs.name(), "shard_build_ns");
         assert_eq!(Histogram::RealizedLocality.to_string(), "realized_locality");
         assert_eq!(Histogram::QueueDepth.name(), "queue_depth");

@@ -92,18 +92,21 @@ impl PhaseTimeline {
         Some(timeline)
     }
 
-    /// Renders the per-phase table `trace-report` prints.
+    /// Renders the per-phase table `trace-report` prints. The
+    /// `build+restrict` column holds each phase's restriction, and its
+    /// total adds the phase-0 `conflict-graph` build, which runs under
+    /// the root before phase 0 opens.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<7} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
-            "phase", "total", "restrict", "oracle", "commit", "attempts", "edges-"
+            "{:<7} {:>10} {:>14} {:>10} {:>10} {:>9} {:>7}",
+            "phase", "total", "build+restrict", "oracle", "commit", "attempts", "edges-"
         );
         for p in &self.phases {
             let _ = writeln!(
                 out,
-                "{:<7} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
+                "{:<7} {:>10} {:>14} {:>10} {:>10} {:>9} {:>7}",
                 p.phase,
                 fmt_ns(p.total_ns),
                 fmt_ns(p.restrict_ns),
@@ -115,7 +118,7 @@ impl PhaseTimeline {
         }
         let _ = writeln!(
             out,
-            "{:<7} {:>10} {:>10} {:>10} {:>10}",
+            "{:<7} {:>10} {:>14} {:>10} {:>10}",
             "total",
             fmt_ns(self.total_ns),
             fmt_ns(self.build_ns),
@@ -291,6 +294,12 @@ mod tests {
         let table = tl.render();
         assert!(table.contains("phase"));
         assert!(table.contains("total"));
+        // The column's total is the build plus every restrict, and its
+        // header says so.
+        let header = table.lines().next().unwrap_or_default();
+        assert!(header.contains("build+restrict"), "{table}");
+        let total = table.lines().find(|l| l.starts_with("total")).unwrap_or_default();
+        assert!(total.contains(&fmt_ns(400 + 50)), "{table}");
     }
 
     #[test]

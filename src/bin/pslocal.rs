@@ -89,7 +89,8 @@ PARALLELISM (maxis / reduce):
 
 KERNEL (reduce):
   --kernel K            adjacency kernel for the phase conflict graphs:
-                        auto (default; density heuristic), csr, bitset.
+                        auto (default: bit rows on a dense graph when
+                        the oracle reads them, else csr), csr, bitset.
                         Identical output on every route, only the cost
                         differs
   --oracle-cache        memoize whole-phase oracle answers by conflict-
@@ -883,7 +884,13 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
 ];
 
 fn dispatch() -> Result<(), String> {
-    let args = Args::parse(std::env::args().skip(1))?;
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` anywhere, or `-h` first, means `help`.
+    if raw.iter().any(|a| a == "--help") || raw.first().is_some_and(|a| a == "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let args = Args::parse(raw.into_iter())?;
     let name = args.positional.first().map_or("help", String::as_str);
     let (_, accepted, run) = COMMANDS
         .iter()

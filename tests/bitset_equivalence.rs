@@ -6,18 +6,22 @@
 //! have to reproduce the CSR reference **byte-for-byte** — same
 //! adjacency, same phase records, same coloring. These properties are
 //! what lets `KernelStrategy::Auto` switch routes per graph without
-//! anyone downstream noticing.
+//! anyone downstream noticing. `Auto` takes bit rows only for a primary
+//! oracle that reads them, so each phase graph is built once, on one
+//! route; the traced test at the end pins that.
 
 use proptest::prelude::*;
 use pslocal::core::{
-    reduce_cf_to_maxis, reduce_cf_to_maxis_with_workspace, ConflictGraph, ConflictGraphOptions,
-    PhaseWorkspace, ReductionConfig,
+    reduce_cf_to_maxis, reduce_cf_to_maxis_traced, reduce_cf_to_maxis_with_workspace,
+    ConflictGraph, ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
 };
 use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::{BitsetGraph, BitsetScratch, Hypergraph, KernelStrategy};
-use pslocal::maxis::{GreedyOracle, MaxIsOracle};
-use pslocal::telemetry::Telemetry;
+use pslocal::maxis::{
+    DecompositionOracle, FaultPlan, FaultyOracle, GreedyOracle, LubyOracle, MaxIsOracle,
+};
+use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
 use rand::{Rng, SeedableRng};
 
 /// A random hypergraph: `m` edges of 1–4 distinct vertices over `n ≤ 40`
@@ -46,6 +50,26 @@ fn instance() -> impl Strategy<Value = (Hypergraph, usize)> {
 
 fn kernel_options(literal_ecolor: bool, kernel: KernelStrategy) -> ConflictGraphOptions {
     ConflictGraphOptions { literal_ecolor, kernel }
+}
+
+/// The oracles `reduction_is_kernel_invariant` runs: greedy, the only
+/// one with a dense kernel, and three that read CSR only — Luby, the
+/// decomposition oracle, and greedy behind a fault wrapper that does
+/// not pass its dense kernel through.
+fn oracle(case: u8, seed: u64) -> Box<dyn MaxIsOracle> {
+    match case {
+        0 => Box::new(GreedyOracle),
+        1 => Box::new(LubyOracle::new(seed)),
+        2 => Box::new(DecompositionOracle::default()),
+        _ => Box::new(FaultyOracle::new(GreedyOracle, FaultPlan::none())),
+    }
+}
+
+/// The dense bench instance (`n128/m64/k8`, seed 7), which `Auto`
+/// builds on bit rows.
+fn dense_bench_instance() -> Hypergraph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    planted_cf_instance(&mut rng, PlantedCfParams::new(128, 64, 8)).hypergraph
 }
 
 proptest! {
@@ -91,13 +115,14 @@ proptest! {
 
     /// End-to-end: forcing `Csr`, forcing `Bitset`, and letting `Auto`
     /// decide all produce the identical reduction — records, coloring,
-    /// color count.
+    /// color count — with a dense-capable oracle and with oracles that
+    /// read CSR only.
     #[test]
-    fn reduction_is_kernel_invariant((h, k) in instance()) {
+    fn reduction_is_kernel_invariant((h, k) in instance(), case in 0u8..4, seed in 0u64..1000) {
         let run = |kernel| {
             let mut config = ReductionConfig::new(k);
             config.kernel = kernel;
-            reduce_cf_to_maxis(&h, &GreedyOracle, config).unwrap()
+            reduce_cf_to_maxis(&h, oracle(case, seed).as_ref(), config).unwrap()
         };
         let csr = run(KernelStrategy::Csr);
         let bitset = run(KernelStrategy::Bitset);
@@ -161,12 +186,43 @@ fn auto_crossover_boundaries() {
 /// 2× speedup claim rides on this graph taking the bitset route.
 #[test]
 fn bench_instance_takes_the_dense_route() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(128, 64, 8));
     let cg = ConflictGraph::build_with_options(
-        &inst.hypergraph,
+        &dense_bench_instance(),
         8,
         kernel_options(false, KernelStrategy::Auto),
     );
     assert!(cg.bitset().is_some(), "dense bench instance must resolve to the bitset kernel");
+}
+
+/// On the dense bench instance, `Auto` builds bit rows only for the
+/// primary that reads them: Luby and the decomposition oracle get one
+/// `csr` build, greedy one `bitset` build, and no phase builds its graph
+/// twice. Forcing bit rows under Luby costs a lazy CSR in every phase.
+#[test]
+fn auto_builds_one_representation_per_phase() {
+    let h = dense_bench_instance();
+    let traced = |oracle: &dyn MaxIsOracle, kernel| {
+        let tel = Telemetry::new(MemorySink::new());
+        let config = ReductionConfig { kernel, ..ReductionConfig::new(8) };
+        let out = reduce_cf_to_maxis_traced(&h, oracle, config, &tel).unwrap();
+        (out, tel.into_sink())
+    };
+    let built = |sink: &MemorySink, name| sink.spans().iter().filter(|s| s.name == name).count();
+    let luby = LubyOracle::new(5);
+    let decomposition = DecompositionOracle::default();
+    for (oracle, route) in [
+        (&luby as &dyn MaxIsOracle, names::CSR),
+        (&decomposition, names::CSR),
+        (&GreedyOracle, names::BITSET),
+    ] {
+        let (_, sink) = traced(oracle, KernelStrategy::Auto);
+        let other = if route == names::CSR { names::BITSET } else { names::CSR };
+        assert_eq!(built(&sink, route), 1, "{}: one {route} build", oracle.name());
+        assert_eq!(built(&sink, other), 0, "{}: no {other} build", oracle.name());
+        assert_eq!(sink.counter_total(Counter::LazyCsrBuilds), 0, "{}", oracle.name());
+    }
+    let (out, sink) = traced(&luby, KernelStrategy::Bitset);
+    assert_eq!(sink.counter_total(Counter::LazyCsrBuilds), out.phases_used as u64);
+    let phases = sink.spans().into_iter().filter(|s| s.name == names::PHASE);
+    assert!(phases.map(|p| p.counter(Counter::LazyCsrBuilds)).all(|lazy| lazy == 1));
 }

@@ -27,11 +27,19 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn help_prints_usage_and_succeeds() {
-    let out = run(&["help"], None);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("USAGE"));
-    let bare = run(&[], None);
-    assert!(bare.status.success());
+    for args in [
+        &["help"][..],
+        &[],
+        &["--help"],
+        &["-h"],
+        &["reduce", "--help"],
+        &["reduce", "--k", "3", "--help"],
+        &["serve", "--addr", "--help"],
+    ] {
+        let out = run(args, None);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout(&out).contains("USAGE"), "{args:?}");
+    }
 }
 
 #[test]
