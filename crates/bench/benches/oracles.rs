@@ -1,12 +1,14 @@
 //! Criterion bench: each MaxIS oracle on a fixed conflict graph (the
-//! workload the reduction feeds them) and on a sparse random graph.
+//! workload the reduction feeds them) and on a sparse random graph,
+//! plus the polynomial-time oracles on a phase-0 `G_k` of the
+//! benchmark of record's reduce-checkpointed shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pslocal_core::ConflictGraph;
 use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal_graph::generators::random::gnp;
 use pslocal_graph::Graph;
-use pslocal_maxis::standard_oracles;
+use pslocal_maxis::{standard_oracles, DecompositionOracle, GreedyOracle, LubyOracle, MaxIsOracle};
 use rand::SeedableRng;
 
 fn conflict_instance() -> Graph {
@@ -33,9 +35,32 @@ fn bench_oracles(c: &mut Criterion) {
     bench_on(c, "gnp_sparse", &gnp(&mut rng, 90, 0.06));
 }
 
+/// Planted n = 2048, m = 1024, k = 4 (about 20k vertices and 490k
+/// edges), the shape of every reduce-checkpointed job. The exact and
+/// clique-removal oracles are left out at this size. The decomposition
+/// oracle's largest cluster here (17,474 vertices) runs the greedy in
+/// place on the graph's rows.
+fn bench_reduce_shape(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(2048, 1024, 4));
+    let graph = ConflictGraph::build(&inst.hypergraph, 4).graph().clone();
+    let oracles: [Box<dyn MaxIsOracle>; 3] = [
+        Box::new(GreedyOracle),
+        Box::new(LubyOracle::new(6)),
+        Box::new(DecompositionOracle::default()),
+    ];
+    let mut group = c.benchmark_group("oracles_reduce_shape");
+    for oracle in &oracles {
+        group.bench_with_input(BenchmarkId::from_parameter(oracle.name()), oracle, |b, oracle| {
+            b.iter(|| oracle.independent_set(&graph))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_oracles
+    targets = bench_oracles, bench_reduce_shape
 }
 criterion_main!(benches);

@@ -203,7 +203,7 @@ pub fn connected_components(graph: &Graph) -> (Vec<u32>, usize) {
 }
 
 /// The vertex sets of all connected components, ordered by smallest
-/// member.
+/// member, each in ascending vertex order.
 pub fn component_vertex_sets(graph: &Graph) -> Vec<Vec<NodeId>> {
     let (comp, count) = connected_components(graph);
     let mut sets = vec![Vec::new(); count];

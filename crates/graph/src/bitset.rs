@@ -346,18 +346,19 @@ impl BitsetGraph {
     /// Minimum-degree greedy over the bit rows, **byte-identical** to
     /// the CSR degree-bucket greedy (`pslocal-maxis`' `GreedyOracle`).
     ///
-    /// The CSR greedy pushes a bucket entry per degree decrement; only
-    /// the *final* push per survivor per kill phase can ever be popped
+    /// A greedy that pushed a bucket entry per degree decrement could
+    /// only ever pop the *final* push per survivor per kill phase as
     /// valid (earlier entries are stale by the time the bucket drains,
     /// and the cursor never skips a bucket holding a valid entry), so
-    /// this kernel batches: per chosen vertex it deletes the closed
-    /// neighborhood up front, walks the dying list top-down marking
-    /// each survivor at its *largest* dying neighbor (the `news` sets),
-    /// applies all decrements, then emits exactly one push per touched
-    /// survivor in the CSR kill-loop's final-push order — ascending
-    /// dying neighbor, then ascending survivor. The equivalence suite
-    /// (`tests/bitset_equivalence.rs`) checks the full pick sequence
-    /// against the CSR reference on random and planted instances.
+    /// both kernels batch: per chosen vertex this one deletes the
+    /// closed neighborhood up front, walks the dying list top-down
+    /// marking each survivor at its *largest* dying neighbor (the
+    /// `news` sets), applies all decrements, then emits exactly one
+    /// push per touched survivor in that final-push order — ascending
+    /// dying neighbor, then ascending survivor. `pslocal-maxis`' test
+    /// `greedy::tests::pick_sequences_match_reference_and_dense_kernel`
+    /// checks the full pick sequence against the CSR kernel and a
+    /// push-per-decrement reference on random and planted instances.
     ///
     /// Returns the chosen vertices in pick order.
     pub fn min_degree_greedy(&self, scratch: &mut BitsetScratch) -> Vec<NodeId> {

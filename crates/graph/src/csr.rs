@@ -171,6 +171,12 @@ pub fn induced_sorted(graph: &Graph, keep: &[NodeId]) -> Graph {
 /// repeatedly restricts graphs (the per-phase reduction pipeline) does
 /// no steady-state allocation — each finished graph's buffers are
 /// [`recycle`](InducedArena::recycle)d and reused for the next build.
+///
+/// Between calls the renumbering map reads "not kept" for every vertex,
+/// so a call through a warm arena costs `O(|keep| + Σ_{v ∈ keep}
+/// deg(v))` however large the graph is: many small subgraphs of one
+/// big graph (the decomposition oracle's clusters, a graph's
+/// components) share one arena at the price of their own size.
 #[derive(Debug, Default, Clone)]
 pub struct InducedArena {
     position: Vec<u32>,
@@ -196,18 +202,26 @@ impl InducedArena {
 /// [`induced_sorted`] through caller-owned buffers — identical output,
 /// zero allocation once the arena's pools are warm.
 ///
+/// With a reused arena a call costs `O(|keep| + Σ_{v ∈ keep} deg(v))`:
+/// the renumbering map grows to the largest graph seen, and a call
+/// writes and afterwards resets only the kept entries.
+///
 /// # Panics
 ///
 /// Panics if `keep` is not strictly increasing or contains an
-/// out-of-range vertex.
+/// out-of-range vertex. Both are checked before the arena is written,
+/// so the arena stays valid for the next call.
 pub fn induced_sorted_in(graph: &Graph, keep: &[NodeId], arena: &mut InducedArena) -> Graph {
     assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep set must be strictly increasing");
     let n = graph.node_count();
+    if let Some(&last) = keep.last() {
+        assert!(last.index() < n, "vertex {last} out of range");
+    }
     let position = &mut arena.position;
-    position.clear();
-    position.resize(n, u32::MAX);
+    if position.len() < n {
+        position.resize(n, u32::MAX);
+    }
     for (new, &old) in keep.iter().enumerate() {
-        assert!(old.index() < n, "vertex {old} out of range");
         position[old.index()] = new as u32;
     }
     let mut offsets = std::mem::take(&mut arena.offsets_pool);
@@ -229,6 +243,9 @@ pub fn induced_sorted_in(graph: &Graph, keep: &[NodeId], arena: &mut InducedAren
                 write += 1;
             }
         }
+    }
+    for &old in keep {
+        position[old.index()] = u32::MAX;
     }
     Graph::from_csr_parts(offsets, targets)
 }
@@ -311,5 +328,50 @@ mod tests {
     fn induced_sorted_rejects_unsorted_keep() {
         let g = Graph::empty(4);
         let _ = induced_sorted(&g, &[NodeId::new(2), NodeId::new(1)]);
+    }
+
+    #[test]
+    fn one_arena_serves_every_keep_set_and_graph_size() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let mut arena = InducedArena::new();
+        for trial in 0..24 {
+            // Sizes rise and fall, so the arena meets graphs both
+            // smaller and larger than its map.
+            let g = gnp(&mut rng, [60, 9, 0, 120, 31, 1][trial % 6], 0.15);
+            let keep: Vec<NodeId> = g.nodes().filter(|v| (v.index() * 7 + trial) % 5 < 3).collect();
+            let reused = induced_sorted_in(&g, &keep, &mut arena);
+            assert_eq!(
+                reused,
+                induced_sorted_in(&g, &keep, &mut InducedArena::new()),
+                "trial {trial}"
+            );
+            assert_eq!(reused, g.induced_subgraph(&keep).0, "trial {trial}");
+            if trial % 2 == 0 {
+                arena.recycle(reused);
+            }
+            assert!(arena.position.iter().all(|&p| p == u32::MAX), "trial {trial} left a mapping");
+        }
+    }
+
+    #[test]
+    fn rejected_keep_sets_leave_the_arena_valid() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let g = gnp(&mut rng, 40, 0.2);
+        let keep: Vec<NodeId> = g.nodes().step_by(3).collect();
+        let expected = induced_sorted(&g, &keep);
+        let mut arena = InducedArena::new();
+        let _ = induced_sorted_in(&g, &keep, &mut arena);
+        let bad: [Vec<NodeId>; 3] = [
+            vec![NodeId::new(1), NodeId::new(5), NodeId::new(3)],
+            vec![NodeId::new(2), NodeId::new(2)],
+            vec![NodeId::new(0), NodeId::new(7), NodeId::new(40)],
+        ];
+        for keep_bad in &bad {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                induced_sorted_in(&g, keep_bad, &mut arena)
+            }));
+            assert!(result.is_err(), "{keep_bad:?} must be rejected");
+            assert_eq!(induced_sorted_in(&g, &keep, &mut arena), expected, "after {keep_bad:?}");
+        }
     }
 }

@@ -15,15 +15,23 @@
 //! executable.
 //!
 //! Clusters have weak diameter `O(log n)` but can still contain many
-//! vertices; per-cluster solving uses the exact branch-and-bound below
+//! vertices; per-cluster solving uses the exact branch-and-bound up to
 //! a size threshold and falls back to min-degree greedy above it. The
 //! returned [`DecompositionSolve`] reports whether every cluster was
 //! solved exactly, i.e. whether the `c`-approximation certificate is
 //! intact.
+//!
+//! No cluster costs work in proportion to the whole graph. A cluster
+//! over the threshold is never copied: the greedy runs in place on the
+//! graph's rows, restricted to the cluster's members, with one scratch
+//! for all such clusters. A cluster up to the threshold is copied for
+//! the exact solver through one [`InducedArena`] shared by all of
+//! them, at `O(|cluster| + Σ deg)` per copy.
 
 use crate::exact::ExactOracle;
-use crate::greedy::GreedyOracle;
+use crate::greedy::GreedyScratch;
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
+use pslocal_graph::csr::{self, InducedArena};
 use pslocal_graph::{Graph, IndependentSet, NodeId};
 use pslocal_slocal::decomposition::{carve_decomposition, NetworkDecomposition};
 
@@ -69,6 +77,8 @@ impl DecompositionOracle {
         let cluster_sets = decomposition.cluster_vertex_sets();
         let by_color = decomposition.clusters_by_color();
 
+        let mut arena = InducedArena::new();
+        let mut greedy = GreedyScratch::default();
         let mut best: Vec<NodeId> = Vec::new();
         let mut best_color = 0;
         let mut best_certified = true;
@@ -77,15 +87,17 @@ impl DecompositionOracle {
             let mut union: Vec<NodeId> = Vec::new();
             let mut certified = true;
             for &c in clusters {
+                // Members are ascending, so local vertex `i` is `members[i]`.
                 let members = &cluster_sets[c];
-                let (sub, map) = graph.induced_subgraph(members);
-                let local = if members.len() <= self.exact_threshold {
-                    ExactOracle.independent_set(&sub)
+                if members.len() <= self.exact_threshold {
+                    let sub = csr::induced_sorted_in(graph, members, &mut arena);
+                    let local = ExactOracle.independent_set(&sub);
+                    union.extend(local.iter().map(|v| members[v.index()]));
+                    arena.recycle(sub);
                 } else {
                     certified = false;
-                    GreedyOracle.independent_set(&sub)
-                };
-                union.extend(local.iter().map(|v| map[v.index()]));
+                    greedy.run_members(graph, members, &mut union);
+                }
             }
             class_sizes.push(union.len());
             if union.len() > best.len() || best.is_empty() && union.is_empty() && color == 0 {
@@ -127,9 +139,73 @@ impl MaxIsOracle for DecompositionOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::tests::{per_decrement_picks, planted_conflict_graph};
     use pslocal_graph::generators::classic::{cluster_graph, complete, cycle, grid, path};
     use pslocal_graph::generators::random::{gnp, random_tree};
     use rand::SeedableRng;
+
+    /// The per-cluster loop as it was before clusters were solved in
+    /// place: every cluster copied with `induced_subgraph`, large ones
+    /// solved by the per-decrement greedy. Returns the fields `solve`
+    /// must reproduce: the set, the class sizes, the best color and
+    /// the certificate.
+    fn copy_based_solve(
+        oracle: DecompositionOracle,
+        graph: &Graph,
+    ) -> (IndependentSet, Vec<usize>, usize, bool) {
+        let decomposition = carve_decomposition(graph);
+        let cluster_sets = decomposition.cluster_vertex_sets();
+        let mut best: Vec<NodeId> = Vec::new();
+        let mut best_color = 0;
+        let mut best_certified = true;
+        let mut class_sizes = Vec::new();
+        for (color, clusters) in decomposition.clusters_by_color().iter().enumerate() {
+            let mut union: Vec<NodeId> = Vec::new();
+            let mut certified = true;
+            for &c in clusters {
+                let members = &cluster_sets[c];
+                let (sub, map) = graph.induced_subgraph(members);
+                let local = if members.len() <= oracle.exact_threshold {
+                    ExactOracle.independent_set(&sub).into_vertices()
+                } else {
+                    certified = false;
+                    per_decrement_picks(&sub)
+                };
+                union.extend(local.iter().map(|v| map[v.index()]));
+            }
+            class_sizes.push(union.len());
+            if union.len() > best.len() || best.is_empty() && union.is_empty() && color == 0 {
+                best = union;
+                best_color = color;
+                best_certified = certified;
+            }
+        }
+        (IndependentSet::new(graph, best).unwrap(), class_sizes, best_color, best_certified)
+    }
+
+    #[test]
+    fn solve_matches_the_copy_based_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(6), grid(7, 9)];
+        for trial in 0..8 {
+            graphs.push(gnp(&mut rng, 30 + trial * 23, [0.03, 0.08, 0.2][trial % 3]));
+        }
+        for (seed, n, m, k) in [(1, 12, 6, 1), (2, 24, 10, 3), (3, 32, 12, 4)] {
+            graphs.push(planted_conflict_graph(seed, n, m, k));
+        }
+        for exact_threshold in [0, 4, 48] {
+            let oracle = DecompositionOracle { exact_threshold };
+            for (i, g) in graphs.iter().enumerate() {
+                let solve = oracle.solve(g);
+                let (set, class_sizes, best_color, certified) = copy_based_solve(oracle, g);
+                let case = format!("graph {i}, threshold {exact_threshold}");
+                assert_eq!(solve.independent_set, set, "{case}");
+                assert_eq!(solve.class_sizes, class_sizes, "{case}");
+                assert_eq!(solve.best_color, best_color, "{case}");
+                assert_eq!(solve.certified, certified, "{case}");
+            }
+        }
+    }
 
     fn check(g: &Graph) -> DecompositionSolve {
         let solve = DecompositionOracle::default().solve(g);

@@ -17,7 +17,7 @@
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::algo::component_vertex_sets;
-use pslocal_graph::{Graph, IndependentSet, NodeId};
+use pslocal_graph::{csr, Graph, IndependentSet, NodeId};
 
 /// Exact MaxIS oracle (λ = 1).
 ///
@@ -47,11 +47,14 @@ impl MaxIsOracle for ExactOracle {
     }
 
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
+        // Components are ascending vertex lists, so local vertex `i` of
+        // a copy is `component[i]`; one arena serves every copy.
+        let mut arena = csr::InducedArena::new();
         let mut chosen: Vec<NodeId> = Vec::new();
         for component in component_vertex_sets(graph) {
-            let (sub, map) = graph.induced_subgraph(&component);
-            let local = solve_connected(&sub);
-            chosen.extend(local.into_iter().map(|v| map[v.index()]));
+            let sub = csr::induced_sorted_in(graph, &component, &mut arena);
+            chosen.extend(solve_connected(&sub).into_iter().map(|v| component[v.index()]));
+            arena.recycle(sub);
         }
         // Invariant, not a fallible path: the branch-and-bound solver
         // only branches on vertices compatible with its current set, and

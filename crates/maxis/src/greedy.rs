@@ -7,6 +7,19 @@
 //!   `(Δ+1)`-approximation of `α(G)`;
 //! * it meets the Turán bound `n / (d̄ + 1)` (Wei's theorem), which the
 //!   tests check explicitly.
+//!
+//! The CSR kernel keeps a degree-bucket queue and batches its pushes
+//! exactly as [`BitsetGraph::min_degree_greedy`] does: per chosen
+//! vertex it kills the closed neighborhood, walks the dying neighbors
+//! top-down applying every decrement and filing each touched survivor
+//! under its largest dying neighbor, then pushes each survivor once,
+//! ascending dying neighbor, then ascending survivor. A loop that
+//! pushes on every decrement makes its last push per survivor in that
+//! same order, and only last pushes are ever popped as valid, so the
+//! pick sequence is unchanged; the tests keep that loop as the
+//! reference. The same kernel runs on the subgraph induced by a sorted
+//! member list directly on the parent's rows, which is how the
+//! decomposition oracle solves its large clusters without copying them.
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
@@ -32,59 +45,8 @@ impl MaxIsOracle for GreedyOracle {
     }
 
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
-        let n = graph.node_count();
-        let mut alive = vec![true; n];
-        // One pass over the adjacency builds the degree table and its
-        // maximum together; a histogram over the (cheap, flat) degree
-        // vec then sizes every bucket exactly for the initial fill.
-        let mut degree = Vec::with_capacity(n);
-        let mut maxdeg = 0usize;
-        for v in graph.nodes() {
-            let d = graph.degree(v);
-            maxdeg = maxdeg.max(d);
-            degree.push(d);
-        }
-        let mut counts = vec![0usize; maxdeg + 1];
-        for &d in &degree {
-            counts[d] += 1;
-        }
-        // Degree-bucket queue: `buckets[d]` holds vertices last seen at
-        // degree `d`; an entry is stale once the vertex's degree moved
-        // on (or it died) and is skipped at pop. Each degree decrement
-        // pushes one entry and the min-degree cursor only moves down
-        // when such a push undercuts it, so the whole scan is
-        // O(n + m) — no comparison heap.
-        let mut buckets: Vec<Vec<NodeId>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for v in graph.nodes() {
-            buckets[degree[v.index()]].push(v);
-        }
-        // Maximality guarantees at least the Turán-style `n / (Δ+1)`.
-        let mut chosen = Vec::with_capacity(n.div_ceil(maxdeg + 1));
-        let mut cursor = 0usize;
-        while cursor < buckets.len() {
-            let Some(v) = buckets[cursor].pop() else {
-                cursor += 1;
-                continue;
-            };
-            if !alive[v.index()] || degree[v.index()] != cursor {
-                continue; // stale entry
-            }
-            chosen.push(v);
-            alive[v.index()] = false;
-            for &u in graph.neighbors(v) {
-                if alive[u.index()] {
-                    alive[u.index()] = false;
-                    for &w in graph.neighbors(u) {
-                        if alive[w.index()] {
-                            degree[w.index()] -= 1;
-                            let d = degree[w.index()];
-                            buckets[d].push(w);
-                            cursor = cursor.min(d);
-                        }
-                    }
-                }
-            }
-        }
+        let mut chosen = Vec::new();
+        GreedyScratch::default().run(graph, &mut chosen);
         // Invariant, not a fallible path: a vertex is chosen only while
         // alive, and choosing it kills its whole neighborhood.
         // pslocal: allow(panic-path, "invariant stated above: a chosen vertex kills its whole neighborhood, so the output is independent")
@@ -138,13 +100,276 @@ pub fn wei_bound(graph: &Graph) -> f64 {
     graph.nodes().map(|v| 1.0 / (graph.degree(v) as f64 + 1.0)).sum()
 }
 
+/// The `degree` entry of a vertex outside the residual graph: chosen,
+/// killed, or not a member of the run.
+const DEAD: u32 = u32::MAX;
+
+/// Buffers of the CSR min-degree greedy, reusable across runs on
+/// graphs of any size.
+///
+/// Between runs every `degree` entry is `DEAD` and every bucket is
+/// empty, because a run ends only once each of its vertices is chosen
+/// or killed and its cursor has passed every bucket. So a run on a
+/// member list writes only its members' entries: after the first run
+/// on a graph, a run costs `O(|members| + Σ deg)` over its members'
+/// rows.
+#[derive(Debug, Default)]
+pub(crate) struct GreedyScratch {
+    /// Residual degree, or `DEAD`.
+    degree: Vec<u32>,
+    /// `stamp[w] == epoch`: survivor `w` is filed in this kill phase.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// `buckets[d]` holds vertices last pushed at degree `d`; an entry
+    /// whose vertex has died or moved on is stale and skipped at pop.
+    buckets: Vec<Vec<u32>>,
+    /// The chosen vertex's dying neighbors, ascending.
+    dying: Vec<u32>,
+    /// Touched survivors, each filed once under its largest dying
+    /// neighbor: `fresh[ends[i + 1]..ends[i]]` is `dying[i]`'s file.
+    fresh: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl GreedyScratch {
+    /// Runs the greedy on all of `graph`, appending its picks to
+    /// `chosen` in pick order.
+    pub(crate) fn run(&mut self, graph: &Graph, chosen: &mut Vec<NodeId>) {
+        self.reserve(graph.node_count());
+        for v in graph.nodes() {
+            self.degree[v.index()] = graph.degree(v) as u32;
+        }
+        self.greedy(graph, graph.nodes(), chosen);
+    }
+
+    /// Runs the greedy on the subgraph of `graph` induced by the
+    /// strictly increasing `members`, in place on `graph`'s rows:
+    /// non-members are dead from the start and a member's degree counts
+    /// member neighbors only. Appends the picks to `chosen` in pick
+    /// order, as vertices of `graph`; they are the picks on
+    /// `csr::induced_sorted(graph, members)` mapped back through
+    /// `members`, since that renumbering is monotone.
+    pub(crate) fn run_members(
+        &mut self,
+        graph: &Graph,
+        members: &[NodeId],
+        chosen: &mut Vec<NodeId>,
+    ) {
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must be strictly increasing"
+        );
+        self.reserve(graph.node_count());
+        for &v in members {
+            self.degree[v.index()] = 0;
+        }
+        for &v in members {
+            let inside =
+                graph.neighbors(v).iter().map(|u| u32::from(self.degree[u.index()] != DEAD));
+            self.degree[v.index()] = inside.sum();
+        }
+        self.greedy(graph, members.iter().copied(), chosen);
+    }
+
+    fn reserve(&mut self, n: usize) {
+        if self.degree.len() < n {
+            self.degree.resize(n, DEAD);
+            self.stamp.resize(n, 0);
+        }
+    }
+
+    /// The kernel. `alive` lists the run's vertices in ascending order,
+    /// each with its degree already in `degree`.
+    fn greedy(
+        &mut self,
+        graph: &Graph,
+        alive: impl Iterator<Item = NodeId> + Clone,
+        chosen: &mut Vec<NodeId>,
+    ) {
+        let GreedyScratch { degree, stamp, epoch, buckets, dying, fresh, ends } = self;
+        let (mut count, mut maxdeg, mut maxrow) = (0usize, 0usize, 0usize);
+        for v in alive.clone() {
+            count += 1;
+            maxdeg = maxdeg.max(degree[v.index()] as usize);
+            maxrow = maxrow.max(graph.degree(v));
+        }
+        // `dying` and `fresh` take an unconditional write one slot past
+        // their live length, so each has a spare slot.
+        if dying.len() <= maxrow {
+            dying.resize(maxrow + 1, 0);
+            ends.resize(maxrow + 1, 0);
+        }
+        if fresh.len() <= count {
+            fresh.resize(count + 1, 0);
+        }
+        if buckets.len() <= maxdeg {
+            buckets.resize_with(maxdeg + 1, Vec::new);
+        }
+        for v in alive {
+            buckets[degree[v.index()] as usize].push(v.index() as u32);
+        }
+        // Maximality guarantees at least the Turán-style `n / (Δ+1)`.
+        chosen.reserve(count.div_ceil(maxdeg + 1));
+        // Pushes only ever undercut the cursor, so the scan is O(n + m).
+        let mut cursor = 0usize;
+        while cursor <= maxdeg {
+            let Some(v) = buckets[cursor].pop() else {
+                cursor += 1;
+                continue;
+            };
+            if degree[v as usize] as usize != cursor {
+                continue; // stale entry: `DEAD` never equals a cursor
+            }
+            chosen.push(NodeId::from(v));
+            degree[v as usize] = DEAD;
+            // Kill the alive neighbors; every neighbor is written, and
+            // only alive ones advance the list.
+            let mut dlen = 0;
+            for &u in graph.neighbors(NodeId::from(v)) {
+                dying[dlen] = u.index() as u32;
+                dlen += usize::from(degree[u.index()] != DEAD);
+                degree[u.index()] = DEAD;
+            }
+            *epoch = epoch.wrapping_add(1);
+            if *epoch == 0 {
+                stamp.fill(0);
+                *epoch = 1;
+            }
+            // Top-down: apply every decrement, and file each survivor
+            // at the first (largest) dying neighbor that reaches it.
+            let mut len = 0usize;
+            ends[dlen] = 0;
+            for i in (0..dlen).rev() {
+                for &w in graph.neighbors(NodeId::from(dying[i])) {
+                    let w = w.index();
+                    let live = degree[w] != DEAD;
+                    degree[w] -= u32::from(live);
+                    fresh[len] = w as u32;
+                    len += usize::from(live & (stamp[w] != *epoch));
+                    stamp[w] = *epoch;
+                }
+                ends[i] = len as u32;
+            }
+            // Bottom-up: one push per survivor, ascending dying
+            // neighbor, then ascending survivor.
+            for i in 0..dlen {
+                for &w in &fresh[ends[i + 1] as usize..ends[i] as usize] {
+                    let d = degree[w as usize] as usize;
+                    buckets[d].push(w);
+                    cursor = cursor.min(d);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::exact::ExactOracle;
     use pslocal_graph::generators::classic::{cluster_graph, complete, cycle, path, star};
+    use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_graph::generators::random::{gnp, random_regular};
-    use rand::SeedableRng;
+    use pslocal_graph::{csr, GraphBuilder};
+    use rand::{Rng, SeedableRng};
+
+    /// The CSR greedy as it was before batching, verbatim: one bucket
+    /// push per degree decrement. Returns the picks in pick order.
+    pub(crate) fn per_decrement_picks(graph: &Graph) -> Vec<NodeId> {
+        let n = graph.node_count();
+        let mut alive = vec![true; n];
+        let mut degree = Vec::with_capacity(n);
+        let mut maxdeg = 0usize;
+        for v in graph.nodes() {
+            let d = graph.degree(v);
+            maxdeg = maxdeg.max(d);
+            degree.push(d);
+        }
+        let mut counts = vec![0usize; maxdeg + 1];
+        for &d in &degree {
+            counts[d] += 1;
+        }
+        let mut buckets: Vec<Vec<NodeId>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for v in graph.nodes() {
+            buckets[degree[v.index()]].push(v);
+        }
+        let mut chosen = Vec::with_capacity(n.div_ceil(maxdeg + 1));
+        let mut cursor = 0usize;
+        while cursor < buckets.len() {
+            let Some(v) = buckets[cursor].pop() else {
+                cursor += 1;
+                continue;
+            };
+            if !alive[v.index()] || degree[v.index()] != cursor {
+                continue; // stale entry
+            }
+            chosen.push(v);
+            alive[v.index()] = false;
+            for &u in graph.neighbors(v) {
+                if alive[u.index()] {
+                    alive[u.index()] = false;
+                    for &w in graph.neighbors(u) {
+                        if alive[w.index()] {
+                            degree[w.index()] -= 1;
+                            let d = degree[w.index()];
+                            buckets[d].push(w);
+                            cursor = cursor.min(d);
+                        }
+                    }
+                }
+            }
+        }
+        chosen
+    }
+
+    /// The Section 2 conflict graph `G_k` of a planted instance, built
+    /// from the three family predicates over all triple pairs
+    /// (`E_color` without the literal reading), triples numbered
+    /// hyperedge-major, then member, then color.
+    pub(crate) fn planted_conflict_graph(seed: u64, n: usize, m: usize, k: usize) -> Graph {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let h = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k)).hypergraph;
+        let triples: Vec<_> = h
+            .edge_ids()
+            .flat_map(|e| h.edge(e).iter().flat_map(move |&v| (0..k).map(move |c| (e, v, c))))
+            .collect();
+        let mut builder = GraphBuilder::new(triples.len());
+        for (i, &(e, v, c)) in triples.iter().enumerate() {
+            for (j, &(g, u, d)) in triples.iter().enumerate().skip(i + 1) {
+                let vertex_family = v == u && c != d;
+                let color_family =
+                    c == d && v != u && (h.edge_contains(e, u) || h.edge_contains(g, v));
+                if vertex_family || e == g || color_family {
+                    builder.add_edge(NodeId::new(i), NodeId::new(j));
+                }
+            }
+        }
+        builder.build()
+    }
+
+    fn picks(graph: &Graph) -> Vec<NodeId> {
+        let mut chosen = Vec::new();
+        GreedyScratch::default().run(graph, &mut chosen);
+        chosen
+    }
+
+    /// Random G(n, p) (empty and edgeless ones included) and planted
+    /// `G_k` (k = 1 included) for the equivalence tests.
+    fn test_graphs() -> Vec<Graph> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(1), Graph::empty(7)];
+        for trial in 0..24 {
+            let n = 1 + (trial * 11) % 90;
+            let p = [0.0, 0.04, 0.1, 0.3, 0.7][trial % 5];
+            graphs.push(gnp(&mut rng, n, p));
+        }
+        for (seed, n, m, k) in
+            [(1, 12, 6, 1), (2, 20, 10, 2), (3, 24, 10, 3), (4, 32, 12, 4), (5, 40, 8, 3)]
+        {
+            graphs.push(planted_conflict_graph(seed, n, m, k));
+        }
+        graphs
+    }
 
     fn check(g: &Graph) -> usize {
         let is = GreedyOracle.independent_set(g);
@@ -225,5 +450,42 @@ mod tests {
                 "λ diverged on trial {trial}"
             );
         }
+    }
+
+    #[test]
+    fn pick_sequences_match_reference_and_dense_kernel() {
+        let mut dense_scratch = BitsetScratch::default();
+        for (i, g) in test_graphs().iter().enumerate() {
+            let batched = picks(g);
+            assert_eq!(batched, per_decrement_picks(g), "per-decrement reference, graph {i}");
+            let dense = g.to_bitset().min_degree_greedy(&mut dense_scratch);
+            assert_eq!(batched, dense, "dense kernel, graph {i}");
+        }
+    }
+
+    #[test]
+    fn members_in_place_equal_the_induced_copy() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        // One scratch across every graph and subset, sizes rising and
+        // falling, with the stamp epoch about to wrap.
+        let start = u32::MAX - 40;
+        let mut scratch = GreedyScratch { epoch: start, ..GreedyScratch::default() };
+        for (i, g) in test_graphs().iter().enumerate() {
+            for keep_pct in [0u32, 30, 70, 100] {
+                let members: Vec<NodeId> =
+                    g.nodes().filter(|_| rng.gen_range(0u32..100) < keep_pct).collect();
+                let mut in_place = vec![NodeId::new(9999)]; // appended to, not cleared
+                scratch.run_members(g, &members, &mut in_place);
+                let (sub, map) = g.induced_subgraph(&members);
+                let copied: Vec<NodeId> = picks(&sub).iter().map(|v| map[v.index()]).collect();
+                assert_eq!(in_place[1..], copied[..], "graph {i}, keep {keep_pct}%");
+                assert!(scratch.degree.iter().all(|&d| d == DEAD), "a run left a live degree");
+            }
+        }
+        assert!(scratch.epoch < start, "the epoch never wrapped");
+        // A sorted arena copy gives the same picks as the general one.
+        let g = &test_graphs()[10];
+        let keep: Vec<NodeId> = g.nodes().step_by(2).collect();
+        assert_eq!(picks(&csr::induced_sorted(g, &keep)), picks(&g.induced_subgraph(&keep).0));
     }
 }

@@ -125,10 +125,13 @@ impl MaxIsOracle for LubyOracle {
             // equals the fingerprint of that full induced copy.
             self.solve_connected(graph)
         } else {
+            // One arena for every component: a copy costs its own size.
+            let mut arena = csr::InducedArena::new();
             let mut picked = Vec::new();
             for comp in &components {
-                let sub = csr::induced_sorted(graph, comp);
+                let sub = csr::induced_sorted_in(graph, comp, &mut arena);
                 picked.extend(self.solve_connected(&sub).into_iter().map(|v| comp[v.index()]));
+                arena.recycle(sub);
             }
             picked
         };

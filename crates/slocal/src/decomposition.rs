@@ -26,7 +26,6 @@
 
 use pslocal_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -94,7 +93,8 @@ impl NetworkDecomposition {
         self.cluster_radii.iter().map(|&r| r as usize).max().unwrap_or(0)
     }
 
-    /// Vertex sets per cluster, indexed by cluster id.
+    /// Vertex sets per cluster, indexed by cluster id, each in
+    /// ascending vertex order.
     pub fn cluster_vertex_sets(&self) -> Vec<Vec<NodeId>> {
         let mut sets = vec![Vec::new(); self.cluster_count()];
         for (i, &c) in self.cluster_of.iter().enumerate() {
@@ -225,14 +225,27 @@ pub fn carve_decomposition(graph: &Graph) -> NetworkDecomposition {
 /// given vertex order (the SLOCAL processing order).
 ///
 /// Guarantees (see module docs): at most `⌈log₂ n⌉ + 1` colors, carving
-/// radius at most `⌊log₂ n⌋`.
+/// radius at most `⌊log₂ n⌋`. Each ball grows by breadth-first levels
+/// held as consecutive ranges of one visit list, which every carve
+/// reuses.
 ///
 /// # Panics
 ///
-/// Panics if `order` is not a permutation of the vertex set.
+/// Panics if `order` is not a permutation of the vertex set; this is
+/// checked before carving starts.
 pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> NetworkDecomposition {
     let n = graph.node_count();
+    // `available[v]`: v can still join a cluster of the current color.
+    // Before the first color it serves as the permutation check's
+    // seen-mask.
+    let mut available = vec![false; n];
     assert_eq!(order.len(), n, "order must list every vertex exactly once");
+    for &v in order {
+        assert!(
+            v.index() < n && !std::mem::replace(&mut available[v.index()], true),
+            "order must list every vertex exactly once"
+        );
+    }
 
     const UNCLUSTERED: u32 = u32::MAX;
     let mut cluster_of = vec![UNCLUSTERED; n];
@@ -240,12 +253,10 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
     let mut cluster_centers = Vec::new();
     let mut cluster_radii = Vec::new();
 
-    // `available[v]`: v can still join a cluster of the current color.
-    let mut available = vec![false; n];
-    // BFS scratch.
+    // BFS scratch: `touched` lists the ball in visit order, so BFS
+    // level `r` is a contiguous range of it.
     let mut dist = vec![u32::MAX; n];
     let mut touched: Vec<NodeId> = Vec::new();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
 
     let mut color = 0u32;
     let mut remaining = n;
@@ -263,28 +274,25 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
                 dist[u.index()] = u32::MAX;
             }
             touched.clear();
-            queue.clear();
             dist[v.index()] = 0;
             touched.push(v);
-            queue.push_back(v);
-            // levels[r] = number of vertices at distance exactly r.
-            let mut frontier = vec![v];
-            let mut ball_size = 1usize;
+            // `touched[level..ball]` is the frontier at distance `radius`.
+            let mut level = 0usize;
             let mut radius = 0u32;
             loop {
                 // Expand one more level.
-                let mut next = Vec::new();
-                for &u in &frontier {
-                    for &w in graph.neighbors(u) {
+                let ball = touched.len();
+                for i in level..ball {
+                    for &w in graph.neighbors(touched[i]) {
                         if available[w.index()] && dist[w.index()] == u32::MAX {
                             dist[w.index()] = radius + 1;
                             touched.push(w);
-                            next.push(w);
                         }
                     }
                 }
-                let grown = ball_size + next.len();
-                if next.is_empty() || grown <= 2 * ball_size {
+                // An empty level leaves `grown == ball`, which also stops.
+                let grown = touched.len();
+                if grown <= 2 * ball {
                     // Carve B(v, radius); remove B(v, radius+1) from
                     // availability.
                     let cluster_id = cluster_centers.len() as u32;
@@ -300,9 +308,8 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
                     cluster_radii.push(radius);
                     break;
                 }
-                ball_size = grown;
+                level = ball;
                 radius += 1;
-                frontier = next;
             }
         }
         color += 1;
@@ -438,6 +445,22 @@ mod tests {
             colors: 1,
         };
         assert!(matches!(bad.verify(&g), Err(DecompositionError::MemberTooFar { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "every vertex exactly once")]
+    fn order_with_a_repeated_vertex_is_rejected() {
+        // Vertex 2 never becomes a center: carving this order would
+        // loop forever, so it must be refused up front.
+        let order = [NodeId::new(0), NodeId::new(0), NodeId::new(1)];
+        let _ = carve_decomposition_with_order(&path(3), &order);
+    }
+
+    #[test]
+    #[should_panic(expected = "every vertex exactly once")]
+    fn order_with_an_out_of_range_vertex_is_rejected() {
+        let order = [NodeId::new(0), NodeId::new(3), NodeId::new(1)];
+        let _ = carve_decomposition_with_order(&path(3), &order);
     }
 
     #[test]

@@ -96,8 +96,11 @@ proptest! {
         prop_assert_eq!(dense.graph(), reference.graph());
     }
 
-    /// The dense greedy route picks the identical vertex sequence as
-    /// the CSR route on arbitrary graphs, and reports the same λ.
+    /// The dense greedy route returns the same set as the CSR route on
+    /// arbitrary graphs, and reports the same λ. The pick sequences
+    /// themselves are compared, against a push-per-decrement reference
+    /// too, by `pslocal-maxis`' crate-private
+    /// `greedy::tests::pick_sequences_match_reference_and_dense_kernel`.
     #[test]
     fn dense_greedy_matches_csr_greedy(seed in 0u64..10_000, n in 1usize..60, p_pct in 5u32..60) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
