@@ -28,13 +28,15 @@
 //! ```
 //!
 //! The first record is always the header; every following record is a
-//! phase, indexed sequentially from 0. The whole journal is rewritten
-//! on each append via **write-to-temp → fsync → rename → fsync(dir)**,
-//! so a crash at any instant leaves either the previous journal or the
-//! new one — never a torn file. Corruption that slips through anyway
-//! (bit rot, a truncating copy) is caught by the per-record CRC and
-//! bounds checks: the parser keeps the longest valid prefix and
-//! discards the rest.
+//! phase, indexed sequentially from 0. The journal is **append-only**:
+//! creating it writes the magic and the header once (`sync_all`, then a
+//! best-effort fsync of the directory), and each committed phase
+//! appends one record followed by `sync_data`. A crash mid-append can
+//! only tear the last record, and the reader is the one defence against
+//! that and against everything else (bit rot, a truncating copy): it
+//! keeps the longest prefix of records whose bounds, CRC and decoding
+//! check out, and replay cuts the file back to the prefix it accepts
+//! before the next append.
 //!
 //! # Replay state machine
 //!
@@ -71,7 +73,7 @@ use pslocal_telemetry::{names, span, Counter, Sink, Span};
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// First bytes of every journal file: format name + format version.
@@ -138,7 +140,7 @@ pub fn fingerprint_hypergraph(h: &Hypergraph) -> u64 {
 // hand-rolled, little-endian, length-prefixed)
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Enc(Vec<u8>);
 
 impl Enc {
@@ -158,6 +160,21 @@ impl Enc {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
+}
+
+/// Appends one record to `out` as it sits on disk — payload length,
+/// payload CRC-32, then the payload `encode` writes — and returns `out`.
+fn frame(out: Vec<u8>, encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let start = out.len();
+    let mut e = Enc(out);
+    e.u64(0); // length and CRC, filled in once the payload is known
+    encode(&mut e);
+    let mut out = e.0;
+    let payload = &out[start + 8..];
+    let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + 8].copy_from_slice(&crc);
+    out
 }
 
 /// Bounds-checked little-endian reader; every getter returns `None`
@@ -586,6 +603,10 @@ pub struct PhaseJournal {
     path: PathBuf,
     header: JournalHeader,
     phases: Vec<JournalPhase>,
+    /// File offset just past the header record (`ends[0]`) and past
+    /// each phase record (`ends[i + 1]`); the last entry is the size on
+    /// disk.
+    ends: Vec<u64>,
 }
 
 impl PhaseJournal {
@@ -595,13 +616,22 @@ impl PhaseJournal {
     }
 
     /// Starts a fresh journal in `dir` (creating the directory,
-    /// overwriting any previous journal) and durably persists the
-    /// header record.
+    /// overwriting any previous journal): the magic and the header
+    /// record in one write, `sync_all`, then a best-effort fsync of
+    /// `dir` so the file's name is durable too.
     pub fn create(dir: &Path, header: JournalHeader) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
-        let journal = PhaseJournal { path: Self::file_path(dir), header, phases: Vec::new() };
-        journal.persist()?;
-        Ok(journal)
+        let path = Self::file_path(dir);
+        let bytes = frame(JOURNAL_MAGIC.to_vec(), |e| header.encode(e));
+        let mut file = fs::File::create(&path)?;
+        file.write_all(&bytes)?;
+        file.sync_all()?;
+        // Directory fsync is platform-dependent; failure here does not
+        // un-write the data, so it is best-effort.
+        if let Ok(d) = fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(PhaseJournal { path, header, phases: Vec::new(), ends: vec![bytes.len() as u64] })
     }
 
     /// Opens an existing journal in `dir`, keeping the longest
@@ -639,6 +669,7 @@ impl PhaseJournal {
         let mut pos = JOURNAL_MAGIC.len();
         let mut header: Option<JournalHeader> = None;
         let mut phases: Vec<JournalPhase> = Vec::new();
+        let mut ends: Vec<u64> = Vec::new();
         loop {
             if pos == bytes.len() {
                 break; // clean end
@@ -679,6 +710,7 @@ impl PhaseJournal {
                 _ => break,
             }
             pos += 8 + len;
+            ends.push(pos as u64);
         }
 
         let Some(header) = header else {
@@ -706,7 +738,7 @@ impl PhaseJournal {
             bytes_discarded: (bytes.len() - pos) as u64,
             records_discarded,
         };
-        Ok((Some(PhaseJournal { path, header, phases }), stats))
+        Ok((Some(PhaseJournal { path, header, phases, ends }), stats))
     }
 
     /// The header record.
@@ -724,78 +756,49 @@ impl PhaseJournal {
         &self.path
     }
 
-    /// Appends one phase record and durably persists the journal.
-    /// Returns the journal's new on-disk size in bytes.
+    /// The journal's size on disk in bytes: the end of its last record.
+    pub fn bytes(&self) -> u64 {
+        self.ends[self.phases.len()]
+    }
+
+    /// Appends one phase record: one write of its frame at the end of
+    /// the file, then `sync_data`. Returns the journal's new size in
+    /// bytes. A crash mid-write tears only this record, which the next
+    /// [`open`](Self::open) drops. The file must end where the journal
+    /// does: after an `open` that discarded a tail, cut it first with
+    /// [`truncate_phases`](Self::truncate_phases), as replay does.
     ///
     /// # Errors
     ///
-    /// Any I/O failure of the persist path.
+    /// Any I/O failure, including a journal file that no longer exists:
+    /// an append never re-creates it.
     pub fn append_phase(&mut self, phase: JournalPhase) -> io::Result<u64> {
+        let bytes = frame(Vec::new(), |e| phase.encode(e));
+        let mut file = fs::OpenOptions::new().append(true).open(&self.path)?;
+        file.write_all(&bytes)?;
+        file.sync_data()?;
+        let end = self.bytes() + bytes.len() as u64;
         self.phases.push(phase);
-        self.persist()
+        self.ends.push(end);
+        Ok(end)
     }
 
-    /// Drops every phase record past the first `keep` and durably
-    /// persists the truncated journal (the discard step of replay).
+    /// Cuts the file just past the header and the first `keep` phase
+    /// records (`set_len`, then `sync_all`), dropping everything after
+    /// them: later records and any unparsable tail alike. This is the
+    /// discard step of replay. Returns the new size in bytes.
     ///
     /// # Errors
     ///
-    /// Any I/O failure of the persist path.
+    /// Any I/O failure.
     pub fn truncate_phases(&mut self, keep: usize) -> io::Result<u64> {
+        let keep = keep.min(self.phases.len());
+        let file = fs::OpenOptions::new().write(true).open(&self.path)?;
+        file.set_len(self.ends[keep])?;
+        file.sync_all()?;
         self.phases.truncate(keep);
-        self.persist()
-    }
-
-    fn encoded(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&JOURNAL_MAGIC);
-        let mut frame = |payload: &[u8]| {
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
-        };
-        let mut e = Enc::default();
-        self.header.encode(&mut e);
-        frame(&e.0);
-        for p in &self.phases {
-            let mut e = Enc::default();
-            p.encode(&mut e);
-            frame(&e.0);
-        }
-        out
-    }
-
-    /// Durably writes the whole journal: encode → temp file → fsync →
-    /// atomic rename over the journal → best-effort fsync of the
-    /// directory. A crash at any point leaves either the old journal or
-    /// the new one intact; a torn write can only ever hit the temp
-    /// file. Returns the on-disk size in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure (the temp file is cleaned up best-effort).
-    pub fn persist(&self) -> io::Result<u64> {
-        let bytes = self.encoded();
-        let tmp = self.path.with_extension("psj.tmp");
-        let write = (|| -> io::Result<()> {
-            let mut file = fs::File::create(&tmp)?;
-            io::Write::write_all(&mut file, &bytes)?;
-            file.sync_all()?;
-            fs::rename(&tmp, &self.path)
-        })();
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        // Make the rename itself durable. Directory fsync is
-        // platform-dependent; failure here does not un-write the data,
-        // so it is best-effort.
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(bytes.len() as u64)
+        self.ends.truncate(keep + 1);
+        Ok(self.bytes())
     }
 }
 
@@ -916,7 +919,8 @@ pub struct RecoveryReport {
     pub records_discarded: usize,
     /// Bytes dropped from the journal's structurally invalid tail.
     pub bytes_discarded: u64,
-    /// Journal size on disk after startup.
+    /// The journal's size on disk after the run's last write to it
+    /// (startup's create or cut, then each phase append).
     pub journal_bytes: u64,
 }
 
@@ -1057,8 +1061,9 @@ fn field_mismatch(expected: &JournalHeader, found: &JournalHeader) -> Option<&'s
 ///
 /// See the [module docs](self) for the replay state machine. On any
 /// rejection the in-memory commit of the offending record is rolled
-/// back, the journal is truncated to the good prefix, and the
-/// remaining phases are left for live execution.
+/// back and the remaining phases are left for live execution. Either
+/// way the file is cut to the accepted prefix, so the next append
+/// lands right after it.
 pub(crate) fn open_or_replay<S: Sink>(
     ctx: &ReplayCtx<'_>,
     ckpt: &Checkpointing,
@@ -1070,8 +1075,8 @@ pub(crate) fn open_or_replay<S: Sink>(
     let expected = ctx.expected_header();
     let slots = ctx.chain_names.len();
     let fresh = |journal: PhaseJournal, report: RecoveryReport| Replayed {
+        report: RecoveryReport { journal_bytes: journal.bytes(), ..report },
         journal,
-        report,
         phase: 0,
         records: Vec::new(),
         chain_calls: vec![0; slots],
@@ -1081,27 +1086,20 @@ pub(crate) fn open_or_replay<S: Sink>(
     };
 
     if !ckpt.resume {
-        let journal = PhaseJournal::create(&ckpt.dir, expected)?;
-        let journal_bytes = journal.encoded().len() as u64;
-        return Ok(fresh(journal, RecoveryReport { journal_bytes, ..Default::default() }));
+        return Ok(fresh(PhaseJournal::create(&ckpt.dir, expected)?, RecoveryReport::default()));
     }
 
     let (opened, stats) = PhaseJournal::open(&ckpt.dir)?;
     let Some(mut journal) = opened else {
         // Absent or corrupt beyond the header: start fresh, but account
         // for what was thrown away.
-        let journal = PhaseJournal::create(&ckpt.dir, expected)?;
-        let journal_bytes = journal.encoded().len() as u64;
-        return Ok(fresh(
-            journal,
-            RecoveryReport {
-                resumed: stats.bytes_total > 0,
-                records_discarded: stats.records_discarded,
-                bytes_discarded: stats.bytes_discarded,
-                journal_bytes,
-                ..Default::default()
-            },
-        ));
+        let report = RecoveryReport {
+            resumed: stats.bytes_total > 0,
+            records_discarded: stats.records_discarded,
+            bytes_discarded: stats.bytes_discarded,
+            ..Default::default()
+        };
+        return Ok(fresh(PhaseJournal::create(&ckpt.dir, expected)?, report));
     };
     if let Some(field) = field_mismatch(&expected, journal.header()) {
         return Err(JournalError::HeaderMismatch { field });
@@ -1114,9 +1112,8 @@ pub(crate) fn open_or_replay<S: Sink>(
     let mut retries = 0u64;
     let mut fallbacks = 0u64;
     let mut phase = 0usize;
-    let mut rejected: Option<usize> = None;
 
-    for (idx, jp) in journal.phases().iter().enumerate() {
+    for jp in journal.phases() {
         debug_assert_eq!(jp.phase, phase, "open() guarantees sequential indices");
         let valid = validate_and_commit(
             ctx,
@@ -1128,10 +1125,7 @@ pub(crate) fn open_or_replay<S: Sink>(
             &chain_calls,
             (retries, fallbacks),
         );
-        let Some(committed) = valid else {
-            rejected = Some(idx);
-            break;
-        };
+        let Some(committed) = valid else { break };
         records.push(jp.record.clone());
         fault_log.extend(committed.events);
         chain_calls.clone_from(&jp.chain_calls);
@@ -1144,12 +1138,10 @@ pub(crate) fn open_or_replay<S: Sink>(
         }
     }
 
-    let mut records_discarded = stats.records_discarded;
-    if let Some(idx) = rejected {
-        records_discarded += journal.phases().len() - idx;
-        journal.truncate_phases(idx)?;
-    }
-    let journal_bytes = journal.encoded().len() as u64;
+    // The first rejected record goes together with everything after it,
+    // unparsable tail included.
+    let records_discarded = stats.records_discarded + (journal.phases().len() - phase);
+    let journal_bytes = journal.truncate_phases(phase)?;
     replay_span.close();
 
     Ok(Replayed {
@@ -1399,6 +1391,33 @@ mod tests {
         assert_eq!(opened.phases()[0], phase_rec(0));
         assert_eq!(stats.records_discarded, 1);
         assert_eq!(stats.bytes_discarded, 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_report_the_file_length_and_leave_one_file() {
+        let dir = temp_dir("append");
+        let mut j = PhaseJournal::create(&dir, header(&["greedy"])).unwrap();
+        let on_disk = |j: &PhaseJournal| fs::metadata(j.path()).unwrap().len();
+        assert_eq!(j.bytes(), on_disk(&j));
+        for phase in 0..3 {
+            let bytes = j.append_phase(phase_rec(phase)).unwrap();
+            assert_eq!(bytes, on_disk(&j), "phase {phase}");
+            assert_eq!(j.bytes(), bytes);
+            let files: Vec<_> =
+                fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            assert_eq!(files, [JOURNAL_FILE_NAME], "no temp file beside the journal");
+        }
+        // A cut lands on a record boundary, so nothing is left to discard.
+        let cut = j.truncate_phases(1).unwrap();
+        assert_eq!(cut, on_disk(&j));
+        let (opened, stats) = PhaseJournal::open(&dir).unwrap();
+        assert_eq!(opened.expect("prefix survives").phases(), &[phase_rec(0)]);
+        assert_eq!(stats.bytes_discarded, 0);
+        // An append never re-creates a journal deleted under it.
+        fs::remove_file(j.path()).unwrap();
+        assert!(j.append_phase(phase_rec(1)).is_err());
+        assert!(!j.path().exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -289,12 +289,15 @@ pub fn reduce_cf_resilient(
 /// `retries` / `fallbacks` / `stalled_steps` / `fault_events` counters
 /// mirror the fault log.
 ///
-/// The deadline is checked at every **phase boundary** (before the
-/// phase's oracle work starts), never mid-call: an overdue run fails
-/// with [`ReductionError::DeadlineExceeded`] and the usual salvage — a
-/// whole number of committed, verified phases. A workspace carries no
-/// semantic state, so the next request through the same workspace is
-/// unaffected (pinned by the batch deadline tests).
+/// The deadline is checked once before `G_k` is built and then at
+/// every **phase boundary** (before the phase's oracle work starts),
+/// never mid-call: an overdue run fails with
+/// [`ReductionError::DeadlineExceeded`] and the usual salvage — a
+/// whole number of committed, verified phases. A run whose deadline
+/// passed before it started, zero-edge instances included, fails at
+/// phase 0 with nothing built. A workspace carries no semantic state,
+/// so the next request through the same workspace is unaffected
+/// (pinned by the batch deadline tests).
 ///
 /// # Errors
 ///
@@ -635,6 +638,11 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
     // largest one — λ for Δ+1-type guarantees only shrinks as edges
     // vanish).
     let options = ConflictGraphOptions::with_kernel(kernel);
+    // A run already overdue builds nothing: phase 0 never starts, even
+    // on an instance with no edges, whose phase loop would not run.
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        fail!(ReductionError::DeadlineExceeded { phase: 0 });
+    }
     let mut cg = ConflictGraph::build_traced(h, k, options, &root);
     let Some(lambda) = config.lambda_override.or_else(|| lambda_for_phase(&cg, primary)) else {
         fail!(ReductionError::NoLambdaAvailable);

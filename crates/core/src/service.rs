@@ -487,24 +487,11 @@ fn execute<S: Sink>(
     let queue_wait = submitted.elapsed();
     shared.tel.sample(Histogram::QueueWaitNs, queue_wait.as_nanos() as u64);
     shared.tel.add(Counter::QueueWaitNs, queue_wait.as_nanos() as u64);
-    let deadline = request.deadline.map(|d| submitted + d);
     // A request whose deadline expired while it was still queued is
-    // dead on arrival: skip the driver entirely (no conflict-graph
-    // build for work nobody can use) and report the same outcome the
-    // phase-boundary check would — phase 0 never ran. Without this
-    // fast path a zero-edge instance would slip through the driver's
-    // phase loop and report `ok` after its deadline.
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        shared.tel.add(Counter::DeadlinesExceeded, 1);
-        let latency = submitted.elapsed();
-        shared.tel.sample(Histogram::RequestLatencyNs, latency.as_nanos() as u64);
-        return ServiceResponse {
-            id: request.id,
-            outcome: RequestOutcome::DeadlineExceeded { phase: 0 },
-            queue_wait,
-            latency,
-        };
-    }
+    // dead on arrival: the driver checks the deadline before it builds
+    // `G_k` and answers `DeadlineExceeded { phase: 0 }`, inside this
+    // request's span like every other outcome.
+    let deadline = request.deadline.map(|d| submitted + d);
     let req_span = span!(shared.tel, names::SERVICE_REQUEST, seq);
     let chain: Vec<&dyn MaxIsOracle> =
         request.chain.iter().map(|o| o.as_ref() as &dyn MaxIsOracle).collect();

@@ -5,14 +5,12 @@
 //! every hyperedge block is a clique and the color families connect
 //! blocks wholesale — and there pointer-chasing through `u32` targets
 //! loses to flat bit rows processed 64 vertices per word. This module
-//! provides that dense representation ([`BitsetGraph`]) plus the four
+//! provides that dense representation ([`BitsetGraph`]) plus the three
 //! kernels the reduction hot path needs:
 //!
 //! * [`BitsetGraph::is_independent_set`] — membership mask AND row,
 //! * [`BitsetGraph::delete_closed_neighborhood`] — one masked word
 //!   sweep per deletion,
-//! * [`BitsetGraph::recount_degrees`] — degree recount via
-//!   `count_ones`,
 //! * [`BitsetGraph::min_degree_greedy`] — the minimum-degree greedy
 //!   with **batched bucket pushes**, byte-identical to the CSR greedy's
 //!   pick sequence (see the proof sketch at the function).
@@ -262,18 +260,6 @@ impl BitsetGraph {
         self.row(u)[v.index() / 64] & (1u64 << (v.index() % 64)) != 0
     }
 
-    /// A fresh all-alive mask (`n` low bits set) for the deletion and
-    /// recount kernels.
-    pub fn full_alive_mask(&self) -> Vec<u64> {
-        let mut alive = vec![u64::MAX; self.words];
-        if !self.n.is_multiple_of(64) {
-            if let Some(last) = alive.last_mut() {
-                *last = (1u64 << (self.n % 64)) - 1;
-            }
-        }
-        alive
-    }
-
     /// Word-parallel independence check: returns a conflicting adjacent
     /// pair if one exists, `None` when `vs` is independent.
     ///
@@ -324,23 +310,6 @@ impl BitsetGraph {
             }
         }
         dying.len() - before
-    }
-
-    /// Recounts residual degrees under `alive` via `count_ones`,
-    /// writing `popcount(row(v) ∩ alive)` for every vertex (dead
-    /// vertices included — their rows are recounted like any other).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alive` is not `words` long.
-    pub fn recount_degrees(&self, alive: &[u64], out: &mut Vec<u32>) {
-        assert_eq!(alive.len(), self.words, "alive mask shape mismatch");
-        out.clear();
-        out.reserve(self.n);
-        for v in 0..self.n {
-            let row = &self.rows[v * self.words..(v + 1) * self.words];
-            out.push(row.iter().zip(alive).map(|(&r, &a)| (r & a).count_ones()).sum());
-        }
     }
 
     /// Minimum-degree greedy over the bit rows, **byte-identical** to
@@ -560,17 +529,15 @@ mod tests {
     }
 
     #[test]
-    fn closed_neighborhood_deletion_and_recount() {
+    fn closed_neighborhood_deletion() {
         let g = star(6); // hub 0 plus 5 leaves
         let b = g.to_bitset();
-        let mut alive = b.full_alive_mask();
+        let mut alive = vec![(1u64 << 6) - 1];
         let mut dying = Vec::new();
         let killed = b.delete_closed_neighborhood(NodeId::new(0), &mut alive, &mut dying);
         assert_eq!(killed, g.node_count() - 1);
+        assert_eq!(dying, [1, 2, 3, 4, 5]);
         assert_eq!(alive, vec![0u64]);
-        let mut deg = Vec::new();
-        b.recount_degrees(&alive, &mut deg);
-        assert!(deg.iter().all(|&d| d == 0));
     }
 
     #[test]

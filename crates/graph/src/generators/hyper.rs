@@ -58,17 +58,23 @@ impl PlantedCfParams {
     }
 
     /// Checks that [`planted_cf_instance`] can realize the parameters:
-    /// `k` is at least 1, `n ≥ k`, and there are enough off-color
-    /// vertices, i.e. `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for
-    /// `k ≥ 2` holds whenever `n ≥ 4k`.
+    /// `k` is at least 1, `ε` is finite and not negative
+    /// ([`max_edge_size`](Self::max_edge_size) would silently treat a
+    /// negative or NaN one as 0), `n ≥ k`, and there are enough
+    /// off-color vertices, i.e.
+    /// `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for `k ≥ 2` holds
+    /// whenever `n ≥ 4k`.
     ///
     /// # Errors
     ///
     /// A description of the first violated condition.
     pub fn check(&self) -> Result<(), String> {
-        let PlantedCfParams { n, k, .. } = *self;
+        let PlantedCfParams { n, k, epsilon, .. } = *self;
         if k == 0 {
             return Err("palette size k must be positive".to_string());
+        }
+        if !(epsilon.is_finite() && epsilon >= 0.0) {
+            return Err(format!("epsilon must be finite and non-negative, got {epsilon}"));
         }
         if n < k {
             return Err(format!("need at least k = {k} vertices, got {n}"));

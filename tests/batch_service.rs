@@ -6,8 +6,8 @@
 //! its worker's long-lived workspace for the next request.
 
 use pslocal::core::{
-    reduce_cf_resilient, BoxedOracle, RequestOutcome, ResilientConfig, Service, ServiceConfig,
-    ServiceRequest,
+    reduce_cf_resilient, reduce_cf_resilient_with_workspace, BoxedOracle, PhaseWorkspace,
+    ReductionError, RequestOutcome, ResilientConfig, Service, ServiceConfig, ServiceRequest,
 };
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::{Graph, Hypergraph, IndependentSet};
@@ -18,7 +18,7 @@ use pslocal::telemetry::Telemetry;
 use rand::SeedableRng;
 use std::io::Write as _;
 use std::process::{Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One request recipe, replayable into fresh (stateful) oracle chains.
 struct Spec {
@@ -236,6 +236,29 @@ fn request_expiring_in_the_queue_drains_as_deadline_exceeded() {
     assert!(matches!(served.outcome, RequestOutcome::Ok { .. }), "blocker ran to completion");
 }
 
+#[test]
+#[allow(clippy::result_large_err)] // `ResilientFailure` carries the salvaged partial outcome
+fn expired_deadline_on_a_zero_edge_instance_is_exceeded_at_phase_0() {
+    // With no edges the phase loop never runs, so only the check before
+    // the `G_k` build can see the deadline.
+    let h = Hypergraph::from_edges(6, Vec::<Vec<usize>>::new()).unwrap();
+    let run = |deadline| {
+        reduce_cf_resilient_with_workspace(
+            &h,
+            &[&GreedyOracle],
+            ResilientConfig::new(3),
+            &Telemetry::disabled(),
+            &mut PhaseWorkspace::new(),
+            Some(deadline),
+        )
+    };
+    let expired = run(Instant::now()).expect_err("an overdue run must not answer ok");
+    assert_eq!(expired.error, ReductionError::DeadlineExceeded { phase: 0 });
+    assert!(expired.partial.records.is_empty());
+    let on_time = run(Instant::now() + Duration::from_secs(60)).expect("nothing to do, in time");
+    assert_eq!(on_time.reduction.phases_used, 0);
+}
+
 // ---------------------------------------------------------------------
 // CLI-level equivalence: the `pslocal batch` subcommand end to end.
 // ---------------------------------------------------------------------
@@ -309,6 +332,39 @@ fn cli_batch_reports_deadline_and_rejection_outcomes() {
 }
 
 #[test]
+fn cli_batch_gives_every_response_one_service_request_span() {
+    // A request dead on arrival goes through the driver like any other,
+    // so it is traced like any other.
+    let dir = std::env::temp_dir().join(format!("pslocal-batch-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.jsonl");
+    let out = run_cli(
+        &["batch", "--workers", "1", "--metrics-out", metrics.to_str().unwrap()],
+        concat!(
+            r#"{"id":"doomed","n":64,"m":32,"k":4,"deadline_ms":0}"#,
+            "\n",
+            r#"{"id":"healthy","n":64,"m":32,"k":4}"#,
+        ),
+    );
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let lines = sorted_result_lines(&out);
+    assert_eq!(lines.len(), 2);
+    assert_eq!(lines[0], r#"{"id":"doomed","outcome":"deadline_exceeded","phase":0}"#);
+    let jsonl = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let _ = std::fs::remove_dir_all(&dir);
+    // One span per response, told apart by the request's sequence index.
+    let mut indices: Vec<&str> = jsonl
+        .lines()
+        .filter(|l| l.contains(r#""event":"span_start""#))
+        .filter(|l| l.contains(r#""name":"service-request""#))
+        .filter_map(|l| l.split(r#""index":"#).nth(1)?.split(',').next())
+        .collect();
+    indices.sort();
+    assert_eq!(indices, ["0", "1"], "metrics: {jsonl}");
+    assert_eq!(jsonl.matches(r#""counter":"requests_deadline_exceeded""#).count(), 1);
+}
+
+#[test]
 fn cli_batch_rejects_malformed_lines_with_the_line_number() {
     let out = run_cli(&["batch"], "{\"id\":\"ok-line\"}\n{\"id\":42}\n");
     assert!(!out.status.success());
@@ -320,12 +376,16 @@ fn cli_batch_rejects_malformed_lines_with_the_line_number() {
     assert!(String::from_utf8_lossy(&missing_id.stderr).contains("\"id\""));
 
     // Infeasible planted shapes (k = 0, n < k, too few off-color
-    // vertices), an unknown key and a duplicate key are malformed lines
-    // too: a clean exit 1, not a panic and not a silent default.
+    // vertices, an ε that is negative or not finite), an unknown key
+    // and a duplicate key are malformed lines too: a clean exit 1, not
+    // a panic and not a silent default.
     for shape in [
         r#"{"id":"k0","n":10,"m":5,"k":0}"#,
         r#"{"id":"nk","n":3,"m":5,"k":4}"#,
         r#"{"id":"inf","n":8,"m":5,"k":2,"epsilon":3}"#,
+        r#"{"id":"e","n":10,"m":5,"k":2,"epsilon":-1}"#,
+        r#"{"id":"e","n":10,"m":5,"k":2,"epsilon":NaN}"#,
+        r#"{"id":"e","n":10,"m":5,"k":2,"epsilon":inf}"#,
         r#"{"id":"typo","n":40,"m":20,"k":3,"orcale":"luby"}"#,
         r#"{"id":"dup","n":40,"m":20,"k":3,"k":0}"#,
     ] {

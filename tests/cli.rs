@@ -110,6 +110,18 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
             &["gen", "planted", "--n", "8", "--m", "5", "--k", "2", "--epsilon", "3"],
             "infeasible planted instance",
         ),
+        (
+            &["gen", "planted", "--n", "10", "--m", "5", "--k", "2", "--epsilon", "-1"],
+            "epsilon must be finite and non-negative, got -1",
+        ),
+        (
+            &["gen", "planted", "--n", "10", "--m", "5", "--k", "2", "--epsilon", "nan"],
+            "epsilon must be finite and non-negative, got NaN",
+        ),
+        (
+            &["gen", "planted", "--n", "10", "--m", "5", "--k", "2", "--epsilon", "inf"],
+            "epsilon must be finite and non-negative, got inf",
+        ),
         (&["trace-report", "--n", "3", "--m", "5", "--k", "4"], "need at least k = 4"),
         (&["trace-report", "--k", "0"], "k must be positive"),
         (&["reduce", "--k", "0"], "--k must be at least 1"),

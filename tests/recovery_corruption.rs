@@ -71,7 +71,8 @@ fn fixture() -> &'static Fixture {
 
 /// Writes `journal` into a fresh checkpoint dir and resumes from it.
 /// The resume itself must succeed — corruption is tolerated, never an
-/// error — and produce the baseline outcome.
+/// error — and produce the baseline outcome. It must also leave the
+/// journal an uninterrupted run writes, and report that journal's size.
 fn resume_from(tag: &str, journal: &[u8]) {
     let fx = fixture();
     let dir = ckpt_dir(tag);
@@ -93,7 +94,10 @@ fn resume_from(tag: &str, journal: &[u8]) {
     assert_eq!(out.records, fx.baseline.records, "corruption must never change the output");
     assert_eq!(out.coloring, fx.baseline.coloring);
     assert_eq!(out.total_colors, fx.baseline.total_colors);
+    let on_disk = std::fs::read(PhaseJournal::file_path(&dir)).expect("journal exists");
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(on_disk == fx.pristine, "the resumed journal must equal the uninterrupted one");
+    assert_eq!(report.journal_bytes, on_disk.len() as u64);
 }
 
 proptest! {
@@ -129,6 +133,15 @@ proptest! {
             bytes[p] = fill;
         }
         resume_from("scribble", &bytes);
+    }
+
+    #[test]
+    fn garbage_after_a_complete_journal_is_cut(seed in 0u64..5000, len in 1usize..=64) {
+        let fx = fixture();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut bytes = fx.pristine.clone();
+        bytes.extend((0..len).map(|_| rand::Rng::gen_range(&mut rng, 0..=255u8)));
+        resume_from("tail", &bytes);
     }
 
     #[test]

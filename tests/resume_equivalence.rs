@@ -9,14 +9,16 @@
 //! acquired but before commit, before the journal append, and after
 //! it. Crashing *after* the append and re-running the phase is the
 //! idempotence case; crashing *before* loses the phase and re-derives
-//! it.
+//! it. Either way the resumed run leaves the journal byte for byte as
+//! an uninterrupted checkpointed run writes it.
 
 // `ResilientFailure` deliberately carries the salvaged partial outcome.
 #![allow(clippy::result_large_err)]
 
 use pslocal::core::{
     reduce_cf_resilient, reduce_cf_resilient_resumable, reduce_cf_to_maxis,
-    reduce_cf_to_maxis_resumable, Checkpointing, CrashPlan, ReductionConfig, ResilientConfig,
+    reduce_cf_to_maxis_resumable, Checkpointing, CrashPlan, PhaseJournal, ReductionConfig,
+    ResilientConfig,
 };
 use pslocal::graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
@@ -28,7 +30,7 @@ use pslocal::maxis::{
 use pslocal::telemetry::Telemetry;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fresh, collision-free checkpoint directory per crash scenario.
@@ -41,6 +43,13 @@ fn ckpt_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Reads the journal a run left in `dir`, then removes `dir`.
+fn take_journal(dir: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(PhaseJournal::file_path(dir)).expect("journal exists");
+    let _ = std::fs::remove_dir_all(dir);
+    bytes
 }
 
 const KILL_POINTS: [CrashPoint; 4] = [
@@ -80,6 +89,10 @@ fn trusting_driver_resumes_identically_from_every_kill_point() {
         let base = reduce_cf_to_maxis(&h, &oracle, config).unwrap();
         assert!(base.phases_used >= 2, "{tag}: need a multi-phase run to interrupt");
         let tel = Telemetry::disabled();
+        let clean_dir = ckpt_dir(tag);
+        reduce_cf_to_maxis_resumable(&h, &oracle, config, &Checkpointing::new(&clean_dir), &tel)
+            .unwrap();
+        let clean_journal = take_journal(&clean_dir);
         for phase in 0..base.phases_used {
             for point in KILL_POINTS {
                 let dir = ckpt_dir(tag);
@@ -111,7 +124,10 @@ fn trusting_driver_resumes_identically_from_every_kill_point() {
                 assert_eq!(out.records, base.records, "{tag}: phase {phase} {point}");
                 assert_eq!(out.coloring, base.coloring, "{tag}: phase {phase} {point}");
                 assert_eq!(out.total_colors, base.total_colors);
-                let _ = std::fs::remove_dir_all(&dir);
+                assert!(
+                    take_journal(&dir) == clean_journal,
+                    "{tag}: phase {phase} {point}: the resumed journal differs from a clean one"
+                );
             }
         }
     }
@@ -134,6 +150,10 @@ fn resilient_driver_resumes_identically_from_every_kill_point() {
         let base = reduce_cf_resilient(&h, chain, config).unwrap();
         assert!(base.reduction.phases_used >= 2, "{tag}: need phases to interrupt");
         let tel = Telemetry::disabled();
+        let clean_dir = ckpt_dir(tag);
+        reduce_cf_resilient_resumable(&h, chain, config, &Checkpointing::new(&clean_dir), &tel)
+            .unwrap();
+        let clean_journal = take_journal(&clean_dir);
         for phase in 0..base.reduction.phases_used {
             for point in KILL_POINTS {
                 let dir = ckpt_dir(tag);
@@ -163,7 +183,10 @@ fn resilient_driver_resumes_identically_from_every_kill_point() {
                     "{tag} {phase} {point}"
                 );
                 assert_eq!(out.fault_log, base.fault_log, "{tag} {phase} {point}");
-                let _ = std::fs::remove_dir_all(&dir);
+                assert!(
+                    take_journal(&dir) == clean_journal,
+                    "{tag}: phase {phase} {point}: the resumed journal differs from a clean one"
+                );
             }
         }
     }
@@ -195,6 +218,13 @@ fn a_crash_inside_the_oracle_itself_kills_the_run_and_resumes_cleanly() {
     assert!(base.reduction.phases_used >= 2);
     assert_eq!(base.retries, 1, "the scripted panic must fire");
     let tel = Telemetry::disabled();
+    let clean_journal = {
+        let flaky = FaultyOracle::new(weak_oracle(), plan());
+        let dir = ckpt_dir("oracle-crash-clean");
+        reduce_cf_resilient_resumable(&h, &[&flaky], config, &Checkpointing::new(&dir), &tel)
+            .unwrap();
+        take_journal(&dir)
+    };
     // Now the same schedule, but the 4th call (phase 2's attempt) is a
     // process crash instead of a survivable fault.
     let crashing_plan = FaultPlan::scripted(vec![
@@ -233,5 +263,5 @@ fn a_crash_inside_the_oracle_itself_kills_the_run_and_resumes_cleanly() {
     assert_eq!(out.reduction.coloring, base.reduction.coloring);
     assert_eq!(out.retries, base.retries);
     assert_eq!(out.fault_log, base.fault_log);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(take_journal(&dir) == clean_journal, "the resumed journal differs from a clean one");
 }
