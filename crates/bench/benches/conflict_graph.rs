@@ -4,8 +4,9 @@
 //! phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pslocal_core::ConflictGraph;
+use pslocal_core::{ConflictGraph, ConflictGraphOptions};
 use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
+use pslocal_graph::KernelStrategy;
 use rand::SeedableRng;
 
 fn bench_build(c: &mut Criterion) {
@@ -19,6 +20,17 @@ fn bench_build(c: &mut Criterion) {
             |b, h| b.iter(|| ConflictGraph::build(h, k)),
         );
     }
+    // The benchmark of record's reduce-checkpointed shape (the instance
+    // `graph_fingerprint` builds), pinned to the CSR kernel that its
+    // phases take: about 20k vertices and 490k edges.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(2048, 1024, 4));
+    let csr = ConflictGraphOptions::with_kernel(KernelStrategy::Csr);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("n2048_m1024_k4_csr"),
+        &inst.hypergraph,
+        |b, h| b.iter(|| ConflictGraph::build_with_options(h, 4, csr)),
+    );
     group.finish();
 }
 

@@ -42,7 +42,9 @@
 //! wedge positions otherwise). Rows come out sorted, in node order, so
 //! one pass writes the CSR directly: total work `O(|E(G_k)| + W)`
 //! with `W = Σ_v deg(v)²` the wedge count, and nothing is ever sorted,
-//! deduplicated, or post-processed. [`ConflictGraph::build_reference`]
+//! deduplicated, or post-processed. The `k` rows of one `(e, v)` slot
+//! differ only in their color, so each slot is merged once and its `k`
+//! rows are derived from that merge. [`ConflictGraph::build_reference`]
 //! keeps the predicate-driven all-pairs builder alive as the
 //! machine-checkable specification the equivalence property tests
 //! compare every kernel against.
@@ -159,7 +161,9 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
+    /// overflows the `u32` node ids or CSR offsets (more than `u32::MAX`
+    /// nodes or row entries).
     pub fn build(h: &Hypergraph, k: usize) -> Self {
         Self::build_with_options(h, k, ConflictGraphOptions::default())
     }
@@ -168,7 +172,9 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
+    /// overflows the `u32` node ids or CSR offsets (more than `u32::MAX`
+    /// nodes or row entries).
     pub fn build_with_options(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
         Self::build_traced(h, k, options, &Telemetry::disabled())
     }
@@ -183,7 +189,9 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
+    /// overflows the `u32` node ids or CSR offsets (more than `u32::MAX`
+    /// nodes or row entries).
     pub fn build_traced<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -228,7 +236,8 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
+    /// has more than `u32::MAX` nodes.
     pub fn build_reference(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
         assert!(k >= 1, "palette size k must be positive");
         let base = block_bases(h, k);
@@ -544,11 +553,22 @@ impl ConflictGraph {
 
 /// The triple-block bases of `G_k(h)`: `base[e]` is the first triple
 /// node of hyperedge `e`, and `base[m]` the node count.
+///
+/// # Panics
+///
+/// Panics with `conflict graph too large` if the node count `k·Σ|e|`
+/// does not fit the `u32` node ids.
 fn block_bases(h: &Hypergraph, k: usize) -> Vec<u32> {
     let m = h.edge_count();
     let mut base = vec![0u32; m + 1];
+    let mut end = 0usize;
     for e in 0..m {
-        base[e + 1] = base[e] + (h.edge_size(HyperedgeId::new(e)) * k) as u32;
+        end = end.saturating_add(h.edge_size(HyperedgeId::new(e)).saturating_mul(k));
+        assert!(
+            end <= u32::MAX as usize,
+            "conflict graph too large: k·Σ|e| = {end} triple nodes overflow the u32 node ids"
+        );
+        base[e + 1] = end as u32;
     }
     base
 }
@@ -569,13 +589,20 @@ fn block_bases(h: &Hypergraph, k: usize) -> Vec<u32> {
 ///   ascending sweep over `g`'s positions;
 /// * `g ∌ v` — exactly the members of `e ∩ g` contribute color `c`
 ///   (`E_color` via `u ∈ e`), read off a per-hyperedge *wedge list*
-///   (the `(g, pos)` slots of `e`'s members, sorted once per `e`).
+///   (the color-0 nodes of `e`'s members in other blocks, ascending;
+///   all `m` lists are built once per kernel run into one flat array).
 ///
 /// Blocks are visited in ascending `g` by merging the (sorted) slot
 /// list of `v` with the (sorted) wedge list of `e`, so each row comes
 /// out sorted and rows are emitted in node order — one pass writes the
 /// finished CSR. Total work is `O(|E(G_k)| + W)` where
 /// `W = Σ_v deg(v)²` is the wedge count.
+///
+/// The `k` rows of one `(e, v)` slot differ only in the row's color
+/// `c`, so both kernels merge once per slot and derive its `k` rows
+/// from that one merge: the CSR kernel stamps them from a reused row
+/// buffer ([`RowStamper`]), the bitset kernel shifts a color-0 bit
+/// template (`fill_slot_template`).
 mod kernel {
     use super::ConflictGraphOptions;
     use pslocal_graph::bitset::{set_bit_range, BitsetGraph};
@@ -645,19 +672,99 @@ mod kernel {
         }
     }
 
-    /// The output-sensitive kernel: slot-index once, then stream every
-    /// block's rows in node order straight into the CSR arrays, under a
-    /// `csr` span (child of the build span) that samples the pass's
-    /// wall time as `shard_build_ns`. The timing probe is gated on
-    /// `S::ENABLED`, so the disabled pipeline never touches the clock.
+    /// Every hyperedge's *wedge list* in one flat array, built once per
+    /// kernel run and read by every pass. For hyperedge `e`, `of(e)`
+    /// holds the color-0 node `base[g] + pos·k` of every slot
+    /// `(g, pos)` of `e`'s members with `g ≠ e`, ascending — so the
+    /// entries group by block, in block order.
     ///
-    /// For each hyperedge `e` the *wedge list* — the `(g, pos-in-g)`
-    /// slots of `e`'s members with `g ≠ e`, sorted — is built once, and
-    /// every row of `e`'s block merges it with the slot list of the
-    /// row's vertex, emitting each neighbor block's closed-form pattern
-    /// in ascending order (see the module docs). Rows come out sorted
-    /// and in node order, so the arrays *are* the finished CSR —
-    /// nothing is ever sorted, deduplicated, or post-processed.
+    /// A singleton edge's list stays empty: its wedges all come from its
+    /// one member `v`, and every block they reach contains `v`, so the
+    /// merge would skip them all. Every other wedge is a row entry of
+    /// `G_k`: the row of each other member `v ∈ e` at any color lists the
+    /// wedge's node at that color, as a wedge hit or inside the sweep of
+    /// a block containing `v`. So the lists never hold more entries than
+    /// `G_k` has row entries, and they are counted and checked before
+    /// they are allocated.
+    struct WedgeLists {
+        offsets: Vec<usize>,
+        targets: Vec<u32>,
+    }
+
+    impl WedgeLists {
+        /// # Panics
+        ///
+        /// Panics with `conflict graph too large` if the lists hold more
+        /// than `u32::MAX` entries, since `G_k` then has more row
+        /// entries than its `u32` offsets hold.
+        fn build(h: &Hypergraph, idx: &SlotIndex, base: &[u32], k: u32) -> Self {
+            let m = h.edge_count();
+            let len: usize = h
+                .edge_ids()
+                .filter(|&e| h.edge_size(e) > 1)
+                .flat_map(|e| h.edge(e))
+                .map(|u| idx.slots(u.index()).0.len() - 1)
+                .sum();
+            assert!(
+                len <= u32::MAX as usize,
+                "conflict graph too large: {len} wedges, each a row entry, overflow the u32 CSR offsets"
+            );
+            let mut targets = Vec::with_capacity(len);
+            let mut offsets = Vec::with_capacity(m + 1);
+            offsets.push(0);
+            for e in 0..m {
+                let start = targets.len();
+                let members = h.edge(HyperedgeId::new(e));
+                if members.len() > 1 {
+                    for &u in members {
+                        let (g_edges, g_pos) = idx.slots(u.index());
+                        for (&g, &p) in g_edges.iter().zip(g_pos) {
+                            if g as usize != e {
+                                targets.push(base[g as usize] + p * k);
+                            }
+                        }
+                    }
+                }
+                targets[start..].sort_unstable();
+                offsets.push(targets.len());
+            }
+            debug_assert_eq!(targets.len(), len);
+            WedgeLists { offsets, targets }
+        }
+
+        /// Hyperedge `e`'s wedge list.
+        #[inline]
+        fn of(&self, e: usize) -> &[u32] {
+            &self.targets[self.offsets[e]..self.offsets[e + 1]]
+        }
+    }
+
+    /// The number of entries of the ascending `wedges` below `bound`.
+    #[inline]
+    fn count_below(wedges: &[u32], bound: u32) -> usize {
+        wedges.iter().take_while(|&&t| t < bound).count()
+    }
+
+    /// The output-sensitive kernel: slot-index and wedge-list once, then
+    /// stream every block's rows in node order straight into the CSR
+    /// arrays, under a `csr` span (child of the build span) that samples
+    /// the pass's wall time as `shard_build_ns`. The timing probe is
+    /// gated on `S::ENABLED`, so the disabled pipeline never touches the
+    /// clock.
+    ///
+    /// An exact count pass comes first: one [`row_len`] per `(e, v)`
+    /// slot, since the slot's `k` rows share one length. It sizes the
+    /// target array exactly, and it refuses a graph whose row entries
+    /// overflow the `u32` offsets before anything that size is
+    /// allocated. The emission pass then merges each slot once into a
+    /// [`RowStamper`] and stamps the slot's `k` rows from it. Rows come
+    /// out sorted and in node order, so the arrays *are* the finished
+    /// CSR — nothing is ever sorted, deduplicated, or post-processed.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `conflict graph too large` if `G_k` has more than
+    /// `u32::MAX` row entries (twice its edge count).
     pub(super) fn build_csr<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -668,33 +775,29 @@ mod kernel {
         let pass_span = span!(parent, names::CSR);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
+        let kw = k as u32;
+        let wedges = WedgeLists::build(h, &idx, base, kw);
         let m = h.edge_count();
         let literal = options.literal_ecolor;
-        let mut wedges: Vec<(u32, u32)> = Vec::new();
-        // Exact-capacity count pass: one mini-merge per (e, v) — every
-        // block's contribution to a row is closed-form, and the k rows
-        // of a (e, v) slot all have the same length — so `targets`
-        // never reallocates during emission.
         let mut total = 0usize;
         for e in 0..m {
-            build_wedges(h, &idx, e, &mut wedges);
             for &v in h.edge(HyperedgeId::new(e)) {
-                total += k * row_len(e, k, literal, base, idx.slots(v.index()).0, &wedges);
+                total += k * row_len(e, k, literal, base, idx.slots(v.index()).0, wedges.of(e));
             }
         }
+        assert!(
+            total <= u32::MAX as usize,
+            "conflict graph too large: {total} row entries overflow the u32 CSR offsets"
+        );
         let mut offsets: Vec<u32> = Vec::with_capacity(base[m] as usize + 1);
         offsets.push(0);
         let mut targets: Vec<NodeId> = Vec::with_capacity(total);
-        let kw = k as u32;
+        let mut stamper = RowStamper::default();
         for e in 0..m {
-            build_wedges(h, &idx, e, &mut wedges);
             for (pv, &v) in h.edge(HyperedgeId::new(e)).iter().enumerate() {
-                let vslots = idx.slots(v.index());
-                for c in 0..kw {
-                    let a = base[e] + pv as u32 * kw + c;
-                    emit_row(a, e, c, kw, literal, base, vslots, &wedges, &mut targets);
-                    offsets.push(targets.len() as u32);
-                }
+                let slot = idx.slots(v.index());
+                stamper.merge(e, pv as u32, kw, literal, base, slot, wedges.of(e));
+                stamper.stamp(kw, &mut targets, &mut offsets);
             }
         }
         debug_assert_eq!(targets.len(), total);
@@ -704,120 +807,155 @@ mod kernel {
         csr::from_raw_parts(offsets, targets)
     }
 
-    /// Collects hyperedge `e`'s wedge list: the `(g, pos-in-g)` slots of
-    /// its members with `g ≠ e`, sorted (so entries group by `g`, with
-    /// positions ascending within each group).
-    fn build_wedges(h: &Hypergraph, idx: &SlotIndex, e: usize, wedges: &mut Vec<(u32, u32)>) {
-        wedges.clear();
-        for &u in h.edge(HyperedgeId::new(e)) {
-            let (g_edges, g_pos) = idx.slots(u.index());
-            for (s, &g) in g_edges.iter().enumerate() {
-                if g as usize != e {
-                    wedges.push((g, g_pos[s]));
-                }
-            }
-        }
-        wedges.sort_unstable();
-    }
-
     /// The length of each of the `k` rows of slot `(e, v)` — the same
-    /// closed-form merge as [`emit_row`], summing block contributions
-    /// instead of writing them.
+    /// closed-form merge as [`RowStamper::merge`], summing block
+    /// contributions instead of writing them.
     fn row_len(
         e: usize,
         k: usize,
         literal: bool,
         base: &[u32],
         vg: &[u32],
-        wedges: &[(u32, u32)],
+        wedges: &[u32],
     ) -> usize {
-        let mut len = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < vg.len() || j < wedges.len() {
-            let gi = if i < vg.len() { vg[i] } else { u32::MAX };
-            let gj = if j < wedges.len() { wedges[j].0 } else { u32::MAX };
-            if gi <= gj {
-                while j < wedges.len() && wedges[j].0 == gi {
-                    j += 1;
-                }
-                let g = gi as usize;
-                let block = (base[g + 1] - base[g]) as usize;
-                len += if g == e { block - 1 } else { block / k + k - 2 + literal as usize };
-                i += 1;
-            } else {
-                while j < wedges.len() && wedges[j].0 == gj {
-                    len += 1;
-                    j += 1;
-                }
-            }
+        let mut len = wedges.len();
+        let mut j = 0usize;
+        for &g in vg {
+            let g = g as usize;
+            let (gbase, gend) = (base[g], base[g + 1]);
+            j += count_below(&wedges[j..], gbase);
+            // Wedges into a block containing `v` are subsumed by its
+            // member sweep.
+            let inside = count_below(&wedges[j..], gend);
+            j += inside;
+            len -= inside;
+            let block = (gend - gbase) as usize;
+            len += if g == e { block - 1 } else { block / k + k - 2 + literal as usize };
         }
         len
     }
 
-    /// Writes the sorted neighbor row of triple node `a = (e, ·, c)` to
-    /// `targets`. Every emission arm is an exact-length `extend` over a
-    /// range or slice in pure `u32` arithmetic, so the row streams out
-    /// without per-element capacity or range checks.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_row(
-        a: u32,
-        e: usize,
-        c: u32,
-        k: u32,
-        literal: bool,
-        base: &[u32],
-        (vg, vp): (&[u32], &[u32]),
-        wedges: &[(u32, u32)],
-        targets: &mut Vec<NodeId>,
-    ) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < vg.len() || j < wedges.len() {
-            let gi = if i < vg.len() { vg[i] } else { u32::MAX };
-            let gj = if j < wedges.len() { wedges[j].0 } else { u32::MAX };
-            if gi <= gj {
-                // A block containing the row's vertex (possibly e
-                // itself). Its wedge entries, if any, are subsumed:
-                // v ∈ g satisfies the E_color predicate for *every*
-                // member of g.
-                while j < wedges.len() && wedges[j].0 == gi {
-                    j += 1;
-                }
-                let g = gi as usize;
-                let gbase = base[g];
+    /// The `k` sorted neighbor rows of one `(e, v)` slot, stamped from a
+    /// single merge.
+    ///
+    /// Moving the row's color from `c − 1` to `c` changes it in a fixed
+    /// way. Every sweep and wedge target `gbase + pu·k + c` goes up by
+    /// one. The *fixed ranges* — the `E_edge` clique of `e` and `v`'s
+    /// own slot in every other block containing it — keep their
+    /// targets, but each has a *hole* that moves right by one: the
+    /// row's own node in the clique, and the row's color in an own slot
+    /// (none under `literal_ecolor`, which keeps all `k` colors). The
+    /// entry just past a hole therefore goes down by one. So
+    /// [`merge`](Self::merge) writes the color-0 row, and each further
+    /// row is the previous one plus a 0/1 step per entry, minus one at
+    /// `hole + c − 1` per hole. The buffer is one row long, so it stays
+    /// in L1, and each row leaves it in one `extend_from_slice`.
+    #[derive(Default)]
+    struct RowStamper {
+        /// The row being stamped: color 0 after `merge`, color `c`
+        /// after the `c`-th advance.
+        row: Vec<NodeId>,
+        /// Per entry, its change from one color to the next: 1 for a
+        /// sweep or wedge target, 0 inside a fixed range.
+        step: Vec<u32>,
+        /// Per fixed range with a hole, the row index just past the
+        /// hole at color 0.
+        holes: Vec<usize>,
+    }
+
+    impl RowStamper {
+        /// Merges the sorted slot list of `v` (at position `pv` in `e`)
+        /// with `e`'s wedge list into the color-0 row of slot `(e, v)`,
+        /// emitting each neighbor block's closed-form pattern in
+        /// ascending order (see the module docs).
+        #[allow(clippy::too_many_arguments)]
+        fn merge(
+            &mut self,
+            e: usize,
+            pv: u32,
+            k: u32,
+            literal: bool,
+            base: &[u32],
+            (vg, vp): (&[u32], &[u32]),
+            wedges: &[u32],
+        ) {
+            self.row.clear();
+            self.step.clear();
+            self.holes.clear();
+            let mut j = 0usize;
+            for (&g, &pos) in vg.iter().zip(vp) {
+                let g = g as usize;
+                let (gbase, gend) = (base[g], base[g + 1]);
+                // Wedges below block g lie in blocks not containing the
+                // row's vertex: only the members of e ∩ g' conflict
+                // there, at the row's own color.
+                let below = j + count_below(&wedges[j..], gbase);
+                self.moving(wedges[j..below].iter().copied());
+                // Wedges into g are subsumed: v ∈ g satisfies the
+                // E_color predicate for *every* member of g.
+                j = below + count_below(&wedges[below..], gend);
                 if g == e {
-                    targets.extend((gbase..a).map(NodeId::from));
-                    targets.extend((a + 1..base[g + 1]).map(NodeId::from));
+                    self.fixed_with_hole(gbase, gbase + pv * k, gend);
                 } else {
-                    let pos = vp[i];
                     let slot = gbase + pos * k;
-                    targets.extend((0..pos).map(|pu| NodeId::from(gbase + pu * k + c)));
+                    self.moving((0..pos).map(|pu| gbase + pu * k));
                     if literal {
-                        targets.extend((slot..slot + k).map(NodeId::from));
+                        self.fixed(slot, slot + k);
                     } else {
-                        targets.extend((slot..slot + c).map(NodeId::from));
-                        targets.extend((slot + c + 1..slot + k).map(NodeId::from));
+                        self.fixed_with_hole(slot, slot, slot + k);
                     }
-                    let size = (base[g + 1] - gbase) / k;
-                    targets.extend((pos + 1..size).map(|pu| NodeId::from(gbase + pu * k + c)));
+                    self.moving((pos + 1..(gend - gbase) / k).map(|pu| gbase + pu * k));
                 }
-                i += 1;
-            } else {
-                // A block not containing the row's vertex: only the
-                // members of e ∩ g conflict, at the row's own color.
-                let gbase = base[gj as usize];
-                let run = j;
-                while j < wedges.len() && wedges[j].0 == gj {
-                    j += 1;
+            }
+            self.moving(wedges[j..].iter().copied());
+        }
+
+        /// Appends targets that move with the row's color.
+        fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>) {
+            self.step.resize(self.step.len() + targets.len(), 1);
+            self.row.extend(targets.map(NodeId::from));
+        }
+
+        /// Appends the fixed range `lo..hi`.
+        fn fixed(&mut self, lo: u32, hi: u32) {
+            self.step.resize(self.step.len() + (hi - lo) as usize, 0);
+            self.row.extend((lo..hi).map(NodeId::from));
+        }
+
+        /// Appends the fixed range `lo..hi` less its color-0 hole `hole`.
+        fn fixed_with_hole(&mut self, lo: u32, hole: u32, hi: u32) {
+            self.fixed(lo, hole);
+            self.holes.push(self.row.len());
+            self.fixed(hole + 1, hi);
+        }
+
+        /// Writes the slot's `k` rows to `targets`, color 0 first, and
+        /// each row's end to `offsets`.
+        fn stamp(&mut self, k: u32, targets: &mut Vec<NodeId>, offsets: &mut Vec<u32>) {
+            for c in 0..k {
+                if c > 0 {
+                    self.advance(c);
                 }
-                targets
-                    .extend(wedges[run..j].iter().map(|&(_, pu)| NodeId::from(gbase + pu * k + c)));
+                targets.extend_from_slice(&self.row);
+                offsets.push(targets.len() as u32);
+            }
+        }
+
+        /// Moves the row from color `c − 1` to color `c`.
+        fn advance(&mut self, c: u32) {
+            for (t, &s) in self.row.iter_mut().zip(&self.step) {
+                *t = NodeId::from(t.raw() + s);
+            }
+            for &hole in &self.holes {
+                let t = &mut self.row[hole + c as usize - 1];
+                *t = NodeId::from(t.raw() - 1);
             }
         }
     }
 
     /// The dense-kernel twin of the streamed CSR build: the same
-    /// closed-form per-block merge as [`emit_row`], but each row is
-    /// written as a **bit row**. Contiguous neighbor ranges — the
+    /// closed-form per-block merge as [`RowStamper::merge`], but each
+    /// row is written as a **bit row**. Contiguous neighbor ranges — the
     /// `E_edge` clique halves and the `E_vertex` color slot runs —
     /// become masked word fills ([`set_bit_range`]); the position
     /// sweeps and wedge hits set single bits. The resulting
@@ -834,13 +972,13 @@ mod kernel {
         let pass_span = span!(parent, names::BITSET);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
+        let wedge_lists = WedgeLists::build(h, &idx, base, k as u32);
         let m = h.edge_count();
         let n = base[m] as usize;
         let words = n.div_ceil(64);
         let mut rows = vec![0u64; n * words];
         let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
         offsets.push(0);
-        let mut wedges: Vec<(u32, u32)> = Vec::new();
         // Color-0 template of the current (e, v) slot plus the slot
         // bases of the other blocks containing `v` — shared by all k
         // rows of the slot (see `fill_slot_template`).
@@ -848,13 +986,13 @@ mod kernel {
         let mut self_slots: Vec<u32> = Vec::new();
         let kw = k as u32;
         for e in 0..m {
-            build_wedges(h, &idx, e, &mut wedges);
+            let wedges = wedge_lists.of(e);
             let members = h.edge(HyperedgeId::new(e));
             for (pv, &v) in members.iter().enumerate() {
                 let vslots = idx.slots(v.index());
                 // All k rows of a (e, v) slot share one length.
-                let len = row_len(e, k, options.literal_ecolor, base, vslots.0, &wedges) as u32;
-                fill_slot_template(e, kw, base, vslots, &wedges, &mut template, &mut self_slots);
+                let len = row_len(e, k, options.literal_ecolor, base, vslots.0, wedges) as u32;
+                fill_slot_template(e, kw, base, vslots, wedges, &mut template, &mut self_slots);
                 for c in 0..kw {
                     let a = base[e] + pv as u32 * kw + c;
                     let row = &mut rows[a as usize * words..(a as usize + 1) * words];
@@ -896,20 +1034,22 @@ mod kernel {
         BitsetGraph::from_raw_parts(n, rows, offsets)
     }
 
-    /// [`emit_row`]'s sweep and wedge arms at **color 0**, written once
-    /// per `(e, v)` slot: bit `gbase + pu·k` for every other member of
-    /// every other block containing `v`, and for every wedge position.
-    /// Adding `c` to each target is a left shift of the whole buffer,
-    /// so the k rows of a slot share this single merge — `build_bitset`
-    /// ORs `template << c` into row `c` and finishes with the masked
-    /// fills for the `E_edge` clique and `v`'s own slots (whose shapes
-    /// depend on `a` and `c`, collected here in `self_slots`).
+    /// The moving targets of [`RowStamper::merge`] — its sweep and
+    /// wedge arms — at **color 0**, as bits, written once per `(e, v)`
+    /// slot: bit `gbase + pu·k` for every other member of every other
+    /// block containing `v`, and every wedge target outside those
+    /// blocks. Adding `c` to each target is a left shift of the whole
+    /// buffer, so the k rows of a slot share this single merge —
+    /// `build_bitset` ORs `template << c` into row `c` and finishes with
+    /// the masked fills for the `E_edge` clique and `v`'s own slots
+    /// (whose shapes depend on `a` and `c`, collected here in
+    /// `self_slots`).
     fn fill_slot_template(
         e: usize,
         k: u32,
         base: &[u32],
         (vg, vp): (&[u32], &[u32]),
-        wedges: &[(u32, u32)],
+        wedges: &[u32],
         template: &mut [u64],
         self_slots: &mut Vec<u32>,
     ) {
@@ -919,37 +1059,29 @@ mod kernel {
         }
         template.fill(0);
         self_slots.clear();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < vg.len() || j < wedges.len() {
-            let gi = if i < vg.len() { vg[i] } else { u32::MAX };
-            let gj = if j < wedges.len() { wedges[j].0 } else { u32::MAX };
-            if gi <= gj {
-                // Wedges into a block containing `v` are subsumed by
-                // the member sweep below.
-                while j < wedges.len() && wedges[j].0 == gi {
-                    j += 1;
+        let mut j = 0usize;
+        for (&g, &pos) in vg.iter().zip(vp) {
+            let g = g as usize;
+            let (gbase, gend) = (base[g], base[g + 1]);
+            // Wedges below block `g` lie in blocks without `v`; wedges
+            // into `g` are subsumed by the member sweep below.
+            let below = j + count_below(&wedges[j..], gbase);
+            for &t in &wedges[j..below] {
+                set(template, t);
+            }
+            j = below + count_below(&wedges[below..], gend);
+            if g != e {
+                self_slots.push(gbase + pos * k);
+                for pu in 0..pos {
+                    set(template, gbase + pu * k);
                 }
-                let g = gi as usize;
-                let gbase = base[g];
-                if g != e {
-                    let pos = vp[i];
-                    self_slots.push(gbase + pos * k);
-                    for pu in 0..pos {
-                        set(template, gbase + pu * k);
-                    }
-                    let size = (base[g + 1] - gbase) / k;
-                    for pu in pos + 1..size {
-                        set(template, gbase + pu * k);
-                    }
-                }
-                i += 1;
-            } else {
-                let gbase = base[gj as usize];
-                while j < wedges.len() && wedges[j].0 == gj {
-                    set(template, gbase + wedges[j].1 * k);
-                    j += 1;
+                for pu in pos + 1..(gend - gbase) / k {
+                    set(template, gbase + pu * k);
                 }
             }
+        }
+        for &t in &wedges[j..] {
+            set(template, t);
         }
     }
 }
@@ -1100,6 +1232,78 @@ mod tests {
             let t = cg.triple_of(NodeId::new(i));
             assert_eq!(cg.node_for(t.edge, t.vertex, t.color), Some(NodeId::new(i)));
         }
+    }
+
+    #[test]
+    fn csr_kernel_matches_reference_on_hand_made_hypergraphs() {
+        // In the first shape, vertex 0 comes first in each of its three
+        // edges and vertex 6 last in each of its five, so a row's own
+        // slot sits at either end of the clique and of every sweep.
+        // Edge 6 is a singleton, and edge 7 meets every other edge, so
+        // its rows merge wedges from every block. The last shape
+        // repeats an edge, so every wedge into it is subsumed.
+        let shapes: [&[&[usize]]; 3] = [
+            &[
+                &[0, 1, 2],
+                &[0, 3],
+                &[0, 4, 5, 6],
+                &[1, 6],
+                &[2, 3, 6],
+                &[4, 6],
+                &[7],
+                &[1, 2, 3, 4, 5, 6, 7],
+            ],
+            &[&[0, 1, 2]],
+            &[&[0, 1], &[0, 1], &[1, 2]],
+        ];
+        for edges in shapes {
+            let h = Hypergraph::from_edges(8, edges.iter().map(|e| e.to_vec())).unwrap();
+            // k = 1 stamps no advance; the others advance 1, 2 and 4
+            // times per slot.
+            for k in [1, 2, 3, 5] {
+                for literal_ecolor in [false, true] {
+                    let opts = ConflictGraphOptions { literal_ecolor, kernel: KernelStrategy::Csr };
+                    let fast = ConflictGraph::build_with_options(&h, k, opts);
+                    let reference = ConflictGraph::build_reference(&h, k, opts);
+                    assert_eq!(
+                        fast.graph(),
+                        reference.graph(),
+                        "k = {k}, literal_ecolor = {literal_ecolor}, edges {edges:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict graph too large")]
+    fn too_many_row_entries_are_refused_before_allocation() {
+        // One hyperedge of 4096 vertices at k = 64: 262,144 nodes in
+        // one E_edge clique, so 68,719,214,592 row entries — far past
+        // the u32 offsets. The count pass refuses it in microseconds,
+        // before the target array is allocated.
+        let h = Hypergraph::from_edges(4096, [(0..4096).collect::<Vec<usize>>()]).unwrap();
+        let csr = ConflictGraphOptions::with_kernel(KernelStrategy::Csr);
+        let _ = ConflictGraph::build_with_options(&h, 64, csr);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict graph too large")]
+    fn too_many_wedges_are_refused_before_allocation() {
+        // A star of 65,537 two-vertex edges around vertex 0: each edge's
+        // wedge list holds the hub's 65,536 other slots, 4.3·10^9
+        // entries in all, and each is a row entry of its leaf's row. The
+        // lists are refused from their count, before 17 GB is allocated.
+        let h = Hypergraph::from_edges(65_538, (1..65_538).map(|leaf| vec![0, leaf])).unwrap();
+        let _ = ConflictGraph::build(&h, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict graph too large")]
+    fn too_many_nodes_are_refused() {
+        // k·Σ|e| = 65,536 · 65,537 = 4,295,032,832 > u32::MAX.
+        let h = Hypergraph::from_edges(65_537, [(0..65_537).collect::<Vec<usize>>()]).unwrap();
+        let _ = ConflictGraph::build(&h, 65_536);
     }
 
     #[test]

@@ -917,7 +917,8 @@ pub struct RecoveryReport {
     /// Records rejected — structurally at open plus semantically at
     /// replay — and therefore recomputed.
     pub records_discarded: usize,
-    /// Bytes dropped from the journal's structurally invalid tail.
+    /// Bytes cut from the journal at startup: the structurally invalid
+    /// tail, plus every record from the first one replay rejected.
     pub bytes_discarded: u64,
     /// The journal's size on disk after the run's last write to it
     /// (startup's create or cut, then each phase append).
@@ -1150,7 +1151,7 @@ pub(crate) fn open_or_replay<S: Sink>(
             resumed: true,
             phases_recovered: phase,
             records_discarded,
-            bytes_discarded: stats.bytes_discarded,
+            bytes_discarded: stats.bytes_total - journal_bytes,
             journal_bytes,
         },
         phase,
@@ -1567,6 +1568,56 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k)).hypergraph
+    }
+
+    #[test]
+    fn replay_reports_every_byte_it_cuts() {
+        // Phase 1's record keeps a valid CRC but names the wrong graph
+        // (one byte of its fingerprint flipped, the frame re-encoded),
+        // so open() accepts it and replay rejects it. Its bytes and
+        // everything after them are cut, and count as discarded.
+        use crate::reduction::{reduce_cf_to_maxis_resumable, ReductionConfig};
+        use pslocal_telemetry::Telemetry;
+        let k = 3;
+        let h = planted(22, 40, 18, k);
+        let oracle = pslocal_maxis::PrecisionOracle::new(4.0);
+        let run = |ckpt: &Checkpointing| {
+            reduce_cf_to_maxis_resumable(
+                &h,
+                &oracle,
+                ReductionConfig::new(k),
+                ckpt,
+                &Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        let dir = temp_dir("replay-cut");
+        let (clean, _) = run(&Checkpointing::new(&dir));
+        assert!(clean.phases_used >= 2, "need a phase 1 to corrupt");
+        let pristine = fs::read(PhaseJournal::file_path(&dir)).unwrap();
+        let (opened, _) = PhaseJournal::open(&dir).unwrap();
+        let opened = opened.expect("clean journal parses");
+        let mut j = PhaseJournal::create(&dir, opened.header().clone()).unwrap();
+        let mut ends = Vec::new();
+        for p in opened.phases() {
+            let mut p = p.clone();
+            if p.phase == 1 {
+                p.cg_fingerprint ^= 0xFF << 8;
+            }
+            ends.push(j.append_phase(p).unwrap());
+        }
+        let before = fs::metadata(j.path()).unwrap().len();
+        assert_eq!(before, pristine.len() as u64, "one byte flipped, none added");
+        let (resumed, report) = run(&Checkpointing::new(&dir).resuming());
+        assert_eq!(resumed.records, clean.records);
+        assert_eq!(report.phases_recovered, 1);
+        assert_eq!(report.records_discarded, opened.phases().len() - 1);
+        // Replay cut the file to the end of phase 0; the resumed run then
+        // appended phases 1.. again.
+        assert_eq!(report.bytes_discarded, before - ends[0]);
+        assert_eq!(fs::read(j.path()).unwrap(), pristine);
+        assert_eq!(report.journal_bytes, before);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// `(crc32, length)` of the journal a finished checkpointed run left.

@@ -293,6 +293,33 @@ fn sorted_result_lines(out: &Output) -> Vec<String> {
 }
 
 #[test]
+fn cli_batch_fails_an_oversized_conflict_graph_and_answers_the_rest() {
+    // The middle request's one hyperedge has at least 1024 vertices at
+    // k = 1024: over 10^12 row entries, past the u32 CSR offsets. The
+    // kernel refuses it before allocating, so only that request fails;
+    // an allocation that size used to abort the process with no line
+    // for any of the three.
+    let batch = [
+        r#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#,
+        r#"{"id":"huge","n":4096,"m":1,"k":1024}"#,
+        r#"{"id":"b","n":48,"m":20,"k":3,"seed":2}"#,
+    ]
+    .join("\n");
+    let out = run_cli(&["batch", "--workers", "1"], &batch);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("conflict graph too large"), "stderr: {stderr}");
+    let lines = sorted_result_lines(&out);
+    assert_eq!(lines.len(), 3, "one result line per request: {lines:?}");
+    assert!(lines[0].starts_with(r#"{"id":"a","outcome":"ok""#), "{lines:?}");
+    assert!(lines[1].starts_with(r#"{"id":"b","outcome":"ok""#), "{lines:?}");
+    assert_eq!(
+        lines[2],
+        r#"{"id":"huge","outcome":"failed","error":"panic outside the oracle boundary"}"#
+    );
+}
+
+#[test]
 fn cli_batch_is_byte_identical_across_worker_counts() {
     let batch = jsonl_batch();
     let baseline = run_cli(&["batch", "--workers", "1"], &batch);

@@ -14,13 +14,13 @@ use pslocal::core::{ConflictGraph, ConflictGraphOptions};
 use pslocal::graph::{HyperedgeId, Hypergraph, KernelStrategy};
 use rand::{Rng, SeedableRng};
 
-/// A random hypergraph: `m` edges of 1–4 distinct vertices over `n ≤ 40`
+/// A random hypergraph: `m` edges of 1–6 distinct vertices over `n ≤ 40`
 /// vertices (sizes and members seeded, so failures replay exactly).
 fn random_hypergraph(seed: u64, n: usize, m: usize) -> Hypergraph {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
-        let size = rng.gen_range(1..=4usize.min(n));
+        let size = rng.gen_range(1..=6usize.min(n));
         let mut members: Vec<usize> = Vec::new();
         while members.len() < size {
             let v = rng.gen_range(0..n);
@@ -33,8 +33,11 @@ fn random_hypergraph(seed: u64, n: usize, m: usize) -> Hypergraph {
     Hypergraph::from_edges(n, edges).expect("generated edges are valid")
 }
 
+/// A random hypergraph with a palette of up to 8 colors, the widest
+/// the benchmark's serve-dense requests use: the CSR kernel stamps
+/// `k − 1` rows from each merge, so every step of that walk is covered.
 fn instance() -> impl Strategy<Value = (Hypergraph, usize)> {
-    (0u64..10_000, 2usize..=40, 1usize..=12, 1usize..=5)
+    (0u64..10_000, 2usize..=40, 1usize..=12, 1usize..=8)
         .prop_map(|(seed, n, m, k)| (random_hypergraph(seed, n, m), k))
 }
 
