@@ -2,6 +2,8 @@
 //! and the ball-carving network decomposition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pslocal_core::ConflictGraph;
+use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal_graph::generators::random::gnp;
 use pslocal_graph::Graph;
 use pslocal_slocal::{
@@ -37,6 +39,11 @@ fn bench_greedy_coloring(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ball carving on G(n, p) graphs of average degree 8, and on the
+/// phase-0 `G_k` that `oracles_reduce_shape` solves (planted n = 2048,
+/// m = 1024, k = 4, seed 1: about 20k vertices and 490k edges), the
+/// carve the decomposition oracle runs on every reduce-checkpointed
+/// decomposition phase.
 fn bench_decomposition(c: &mut Criterion) {
     let mut group = c.benchmark_group("slocal_ball_carving");
     for (n, g) in graphs() {
@@ -44,6 +51,12 @@ fn bench_decomposition(c: &mut Criterion) {
             b.iter(|| carve_decomposition(g))
         });
     }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(2048, 1024, 4));
+    let cg = ConflictGraph::build(&inst.hypergraph, 4);
+    group.bench_with_input(BenchmarkId::from_parameter("reduce_shape"), cg.graph(), |b, g| {
+        b.iter(|| carve_decomposition(g))
+    });
     group.finish();
 }
 

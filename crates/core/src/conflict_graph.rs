@@ -174,7 +174,8 @@ impl ConflictGraph {
     ///
     /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
     /// overflows the `u32` node ids or CSR offsets (more than `u32::MAX`
-    /// nodes or row entries).
+    /// nodes or row entries), or if a forced bit-row route meets more
+    /// than [`BITSET_MAX_NODES`](pslocal_graph::bitset::BITSET_MAX_NODES) nodes.
     pub fn build_with_options(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
         Self::build_traced(h, k, options, &Telemetry::disabled())
     }
@@ -191,7 +192,10 @@ impl ConflictGraph {
     ///
     /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
     /// overflows the `u32` node ids or CSR offsets (more than `u32::MAX`
-    /// nodes or row entries).
+    /// nodes or row entries), or if a forced bit-row route meets more
+    /// than [`BITSET_MAX_NODES`](pslocal_graph::bitset::BITSET_MAX_NODES)
+    /// nodes. Each check runs before the arrays it guards are
+    /// allocated, and `Auto` never takes bit rows past that bound.
     pub fn build_traced<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -605,7 +609,7 @@ fn block_bases(h: &Hypergraph, k: usize) -> Vec<u32> {
 /// template (`fill_slot_template`).
 mod kernel {
     use super::ConflictGraphOptions;
-    use pslocal_graph::bitset::{set_bit_range, BitsetGraph};
+    use pslocal_graph::bitset::{set_bit_range, BitsetGraph, BITSET_MAX_NODES};
     use pslocal_graph::{csr, Graph, HyperedgeId, Hypergraph, NodeId};
     use pslocal_telemetry::{names, span, Histogram, Sink, Span};
     use std::time::Instant;
@@ -962,6 +966,15 @@ mod kernel {
     /// [`BitsetGraph`] is exactly `to_bitset()` of the CSR that
     /// [`build_csr`] emits (checked by the bitset equivalence suite, and
     /// in debug builds by `from_raw_parts`'s popcount re-check).
+    ///
+    /// # Panics
+    ///
+    /// Panics with `conflict graph too large` if `G_k` has more than
+    /// [`BITSET_MAX_NODES`] nodes, before anything is allocated: the
+    /// rows take `n·⌈n/64⌉` words. `Auto` never routes such a graph
+    /// here, so only a forced `Bitset` can reach the check. Under the
+    /// bound the half-edge count is below `n²` = 2³⁰, so the `u32` row
+    /// offsets cannot overflow.
     pub(super) fn build_bitset<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -969,12 +982,17 @@ mod kernel {
         base: &[u32],
         parent: &Span<'_, S>,
     ) -> BitsetGraph {
+        let m = h.edge_count();
+        let n = base[m] as usize;
+        assert!(
+            n <= BITSET_MAX_NODES,
+            "conflict graph too large: {n} nodes exceed the {BITSET_MAX_NODES}-node bound \
+             of the bit rows"
+        );
         let pass_span = span!(parent, names::BITSET);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
         let wedge_lists = WedgeLists::build(h, &idx, base, k as u32);
-        let m = h.edge_count();
-        let n = base[m] as usize;
         let words = n.div_ceil(64);
         let mut rows = vec![0u64; n * words];
         let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
@@ -1296,6 +1314,17 @@ mod tests {
         // lists are refused from their count, before 17 GB is allocated.
         let h = Hypergraph::from_edges(65_538, (1..65_538).map(|leaf| vec![0, leaf])).unwrap();
         let _ = ConflictGraph::build(&h, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict graph too large")]
+    fn too_many_nodes_for_bit_rows_are_refused_before_allocation() {
+        // One hyperedge of 4096 vertices at k = 1024: 4,194,304 nodes,
+        // whose bit rows would take 2.2 TB. Auto would take CSR here;
+        // a forced Bitset is refused from the node count alone.
+        let h = Hypergraph::from_edges(4096, [(0..4096).collect::<Vec<usize>>()]).unwrap();
+        let bitset = ConflictGraphOptions::with_kernel(KernelStrategy::Bitset);
+        let _ = ConflictGraph::build_with_options(&h, 1024, bitset);
     }
 
     #[test]

@@ -43,7 +43,10 @@ pub enum KernelStrategy {
     Auto,
     /// Always take the CSR (sparse) route.
     Csr,
-    /// Always take the bitset (dense) route.
+    /// Always take the bitset (dense) route. Bit rows cost `n²/8`
+    /// bytes, so a build on this route refuses a graph over
+    /// [`BITSET_MAX_NODES`] nodes rather than allocate them (the `G_k`
+    /// build in `pslocal-core` panics with `conflict graph too large`).
     Bitset,
 }
 

@@ -21,12 +21,20 @@
 //! solved exactly, i.e. whether the `c`-approximation certificate is
 //! intact.
 //!
-//! No cluster costs work in proportion to the whole graph. A cluster
-//! over the threshold is never copied: the greedy runs in place on the
-//! graph's rows, restricted to the cluster's members, with one scratch
-//! for all such clusters. A cluster up to the threshold is copied for
-//! the exact solver through one [`InducedArena`] shared by all of
-//! them, at `O(|cluster| + Σ deg)` per copy.
+//! No cluster costs work in proportion to the whole graph unless it
+//! holds most of it. A cluster over the threshold is never copied: the
+//! greedy runs in place on the graph's rows, restricted to the
+//! cluster's members, with one scratch for all such clusters; it counts
+//! the members' degrees over the non-members' rows when those are
+//! fewer. A cluster up to the threshold is copied for the exact solver
+//! through one [`InducedArena`] shared by all of them, at
+//! `O(|cluster| + Σ deg)` per copy.
+//!
+//! A class's union has at most as many vertices as the class, and only
+//! a strictly larger union replaces the best one. So the oracle path,
+//! [`MaxIsOracle::independent_set`], skips every class with no more
+//! vertices than the best union so far; [`DecompositionOracle::solve`]
+//! still solves every class, because it reports each class's size.
 
 use crate::exact::ExactOracle;
 use crate::greedy::GreedyScratch;
@@ -70,20 +78,43 @@ pub struct DecompositionSolve {
 
 impl DecompositionOracle {
     /// Runs the oracle, returning the full per-class breakdown that
-    /// experiment T7 tabulates.
+    /// experiment T7 tabulates. Every color class is solved, so
+    /// `class_sizes` holds each class's union size; the chosen set is
+    /// the one [`MaxIsOracle::independent_set`] returns.
     pub fn solve(&self, graph: &Graph) -> DecompositionSolve {
         let decomposition = carve_decomposition(graph);
-        let colors = decomposition.color_count().max(1);
-        let cluster_sets = decomposition.cluster_vertex_sets();
-        let by_color = decomposition.clusters_by_color();
+        let mut class_sizes = Vec::with_capacity(decomposition.color_count());
+        let (independent_set, best_color, certified) =
+            self.best_class(graph, &decomposition, Some(&mut class_sizes));
+        DecompositionSolve { independent_set, decomposition, best_color, class_sizes, certified }
+    }
 
+    /// Sweeps the color classes in order and keeps the first largest
+    /// union, returning it with its color and certificate. Each class's
+    /// union size is pushed to `class_sizes` if one is given. Without
+    /// one, a class is solved only if it has more vertices than the
+    /// best union so far: its union cannot be larger than the class,
+    /// and only a strictly larger union replaces the best, so a
+    /// dominated class could never win.
+    fn best_class(
+        &self,
+        graph: &Graph,
+        decomposition: &NetworkDecomposition,
+        mut class_sizes: Option<&mut Vec<usize>>,
+    ) -> (IndependentSet, usize, bool) {
+        let cluster_sets = decomposition.cluster_vertex_sets();
         let mut arena = InducedArena::new();
         let mut greedy = GreedyScratch::default();
         let mut best: Vec<NodeId> = Vec::new();
         let mut best_color = 0;
         let mut best_certified = true;
-        let mut class_sizes = Vec::with_capacity(colors);
-        for (color, clusters) in by_color.iter().enumerate() {
+        for (color, clusters) in decomposition.clusters_by_color().iter().enumerate() {
+            if class_sizes.is_none() {
+                let vertices: usize = clusters.iter().map(|&c| cluster_sets[c].len()).sum();
+                if vertices <= best.len() {
+                    continue;
+                }
+            }
             let mut union: Vec<NodeId> = Vec::new();
             let mut certified = true;
             for &c in clusters {
@@ -99,7 +130,9 @@ impl DecompositionOracle {
                     greedy.run_members(graph, members, &mut union);
                 }
             }
-            class_sizes.push(union.len());
+            if let Some(sizes) = class_sizes.as_deref_mut() {
+                sizes.push(union.len());
+            }
             if union.len() > best.len() || best.is_empty() && union.is_empty() && color == 0 {
                 best = union;
                 best_color = color;
@@ -112,13 +145,7 @@ impl DecompositionOracle {
         let independent_set = IndependentSet::new(graph, best)
             // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
             .expect("same-color clusters are non-adjacent, so the union is independent");
-        DecompositionSolve {
-            independent_set,
-            decomposition,
-            best_color,
-            class_sizes,
-            certified: best_certified,
-        }
+        (independent_set, best_color, best_certified)
     }
 }
 
@@ -127,8 +154,10 @@ impl MaxIsOracle for DecompositionOracle {
         "decomposition"
     }
 
+    /// The best class union, as [`DecompositionOracle::solve`] chooses
+    /// it, without solving the classes that cannot win.
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
-        self.solve(graph).independent_set
+        self.best_class(graph, &carve_decomposition(graph), None).0
     }
 
     fn guarantee(&self) -> ApproxGuarantee {
@@ -200,10 +229,47 @@ mod tests {
                 let (set, class_sizes, best_color, certified) = copy_based_solve(oracle, g);
                 let case = format!("graph {i}, threshold {exact_threshold}");
                 assert_eq!(solve.independent_set, set, "{case}");
+                assert_eq!(oracle.independent_set(g), set, "{case}: oracle path");
                 assert_eq!(solve.class_sizes, class_sizes, "{case}");
                 assert_eq!(solve.best_color, best_color, "{case}");
                 assert_eq!(solve.certified, certified, "{case}");
             }
+        }
+    }
+
+    /// A 5-clique whose vertices each carry a pendant leaf. The carve
+    /// from vertex 0 clusters the clique with 0's leaf (α = 2) as color
+    /// 0 and blocks the other four leaves, which become four isolated
+    /// color-1 clusters, so the later class wins.
+    fn clique_with_leaves() -> Graph {
+        let mut edges: Vec<(usize, usize)> = (0..5).map(|i| (i, i + 5)).collect();
+        edges.extend((0..5).flat_map(|i| (i + 1..5).map(move |j| (i, j))));
+        Graph::from_edges(10, edges).unwrap()
+    }
+
+    #[test]
+    fn oracle_path_skips_only_classes_that_cannot_win() {
+        // Whether some class after the first has no more vertices than
+        // the best union before it, so that the oracle path skips it.
+        let has_dominated_class = |solve: &DecompositionSolve| {
+            let sets = solve.decomposition.cluster_vertex_sets();
+            let by_color = solve.decomposition.clusters_by_color();
+            let vertices: Vec<usize> =
+                by_color.iter().map(|cs| cs.iter().map(|&c| sets[c].len()).sum()).collect();
+            (1..vertices.len())
+                .any(|j| vertices[j] <= solve.class_sizes[..j].iter().copied().max().unwrap())
+        };
+        for exact_threshold in [0, 4, 48] {
+            let oracle = DecompositionOracle { exact_threshold };
+            let wins = clique_with_leaves();
+            let solve = oracle.solve(&wins);
+            assert_eq!((solve.best_color, solve.class_sizes.clone()), (1, vec![2, 4]));
+            assert_eq!(oracle.independent_set(&wins), solve.independent_set);
+
+            let skips = grid(7, 9);
+            let solve = oracle.solve(&skips);
+            assert!(has_dominated_class(&solve), "no class is skipped: {:?}", solve.class_sizes);
+            assert_eq!(oracle.independent_set(&skips), solve.independent_set);
         }
     }
 

@@ -149,6 +149,13 @@ impl GreedyScratch {
     /// order, as vertices of `graph`; they are the picks on
     /// `csr::induced_sorted(graph, members)` mapped back through
     /// `members`, since that renumbering is monotone.
+    ///
+    /// Member degrees are counted over the rows of the side that holds
+    /// fewer row entries, which the CSR offsets give without reading a
+    /// row: the members' rows when they hold at most half of the
+    /// graph's, else the non-members'. The decomposition's largest
+    /// cluster often holds most of the graph, and then only the few
+    /// non-members' rows are read.
     pub(crate) fn run_members(
         &mut self,
         graph: &Graph,
@@ -160,14 +167,9 @@ impl GreedyScratch {
             "members must be strictly increasing"
         );
         self.reserve(graph.node_count());
-        for &v in members {
-            self.degree[v.index()] = 0;
-        }
-        for &v in members {
-            let inside =
-                graph.neighbors(v).iter().map(|u| u32::from(self.degree[u.index()] != DEAD));
-            self.degree[v.index()] = inside.sum();
-        }
+        let member_entries: usize = members.iter().map(|&v| graph.degree(v)).sum();
+        let from_outside = 2 * member_entries > graph.degree_sum();
+        count_member_degrees(&mut self.degree, graph, members, from_outside);
         self.greedy(graph, members.iter().copied(), chosen);
     }
 
@@ -259,6 +261,37 @@ impl GreedyScratch {
                     cursor = cursor.min(d);
                 }
             }
+        }
+    }
+}
+
+/// Sets each member's `degree` entry to its number of member
+/// neighbors. Every entry is `DEAD` on entry, and non-members' entries
+/// stay `DEAD`. Without `from_outside`, each member counts its member
+/// neighbors over its own row. With it, each member starts at its full
+/// degree and each non-member's row takes one off every member it
+/// lists, so only non-members' rows are read.
+fn count_member_degrees(degree: &mut [u32], graph: &Graph, members: &[NodeId], from_outside: bool) {
+    if from_outside {
+        for &v in members {
+            degree[v.index()] = graph.degree(v) as u32;
+        }
+        for u in graph.nodes() {
+            if degree[u.index()] != DEAD {
+                continue;
+            }
+            for &w in graph.neighbors(u) {
+                let w = w.index();
+                degree[w] -= u32::from(degree[w] != DEAD);
+            }
+        }
+    } else {
+        for &v in members {
+            degree[v.index()] = 0;
+        }
+        for &v in members {
+            let inside = graph.neighbors(v).iter().map(|u| u32::from(degree[u.index()] != DEAD));
+            degree[v.index()] = inside.sum();
         }
     }
 }
@@ -471,7 +504,9 @@ pub(crate) mod tests {
         let start = u32::MAX - 40;
         let mut scratch = GreedyScratch { epoch: start, ..GreedyScratch::default() };
         for (i, g) in test_graphs().iter().enumerate() {
-            for keep_pct in [0u32, 30, 70, 100] {
+            // 95% is the decomposition's shape: one cluster holding
+            // nearly the whole graph, its degrees counted from outside.
+            for keep_pct in [0u32, 30, 70, 95, 100] {
                 let members: Vec<NodeId> =
                     g.nodes().filter(|_| rng.gen_range(0u32..100) < keep_pct).collect();
                 let mut in_place = vec![NodeId::new(9999)]; // appended to, not cleared
@@ -487,5 +522,35 @@ pub(crate) mod tests {
         let g = &test_graphs()[10];
         let keep: Vec<NodeId> = g.nodes().step_by(2).collect();
         assert_eq!(picks(&csr::induced_sorted(g, &keep)), picks(&g.induced_subgraph(&keep).0));
+    }
+
+    #[test]
+    fn member_degrees_are_equal_counted_from_either_side() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        let mut sides = [0usize; 2];
+        for (i, g) in test_graphs().iter().enumerate() {
+            for keep_pct in [5u32, 50, 95] {
+                let members: Vec<NodeId> =
+                    g.nodes().filter(|_| rng.gen_range(0u32..100) < keep_pct).collect();
+                let entries: usize = members.iter().map(|&v| g.degree(v)).sum();
+                sides[usize::from(2 * entries > g.degree_sum())] += 1;
+                let count = |from_outside| {
+                    let mut degree = vec![DEAD; g.node_count()];
+                    count_member_degrees(&mut degree, g, &members, from_outside);
+                    degree
+                };
+                let inside = count(false);
+                assert_eq!(count(true), inside, "graph {i}, keep {keep_pct}%");
+                for v in g.nodes() {
+                    let expected = match members.binary_search(&v) {
+                        Ok(_) => g.neighbors(v).iter().filter(|u| members.contains(u)).count(),
+                        Err(_) => DEAD as usize,
+                    };
+                    assert_eq!(inside[v.index()] as usize, expected, "graph {i}, vertex {v:?}");
+                }
+            }
+        }
+        // Both sides were the smaller one for some member list.
+        assert!(sides.iter().all(|&cases| cases > 0), "{sides:?}");
     }
 }

@@ -227,7 +227,12 @@ pub fn carve_decomposition(graph: &Graph) -> NetworkDecomposition {
 /// Guarantees (see module docs): at most `⌈log₂ n⌉ + 1` colors, carving
 /// radius at most `⌊log₂ n⌋`. Each ball grows by breadth-first levels
 /// held as consecutive ranges of one visit list, which every carve
-/// reuses.
+/// reuses. One array holds both availability and BFS distance: a
+/// vertex is `FREE` (available, not yet visited), `BLOCKED`
+/// (clustered, or removed with an earlier ball of this color), or its
+/// distance from the current center. So a visit reads one array, and
+/// committing a ball marks it and its shell `BLOCKED`, which also
+/// leaves nothing to reset before the next carve.
 ///
 /// # Panics
 ///
@@ -235,19 +240,19 @@ pub fn carve_decomposition(graph: &Graph) -> NetworkDecomposition {
 /// checked before carving starts.
 pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> NetworkDecomposition {
     let n = graph.node_count();
-    // `available[v]`: v can still join a cluster of the current color.
-    // Before the first color it serves as the permutation check's
-    // seen-mask.
-    let mut available = vec![false; n];
+    let mut seen = vec![false; n];
     assert_eq!(order.len(), n, "order must list every vertex exactly once");
     for &v in order {
         assert!(
-            v.index() < n && !std::mem::replace(&mut available[v.index()], true),
+            v.index() < n && !std::mem::replace(&mut seen[v.index()], true),
             "order must list every vertex exactly once"
         );
     }
 
     const UNCLUSTERED: u32 = u32::MAX;
+    // Distances stay at most `⌊log₂ n⌋ + 1`, far below both sentinels.
+    const FREE: u32 = u32::MAX;
+    const BLOCKED: u32 = u32::MAX - 1;
     let mut cluster_of = vec![UNCLUSTERED; n];
     let mut cluster_colors = Vec::new();
     let mut cluster_centers = Vec::new();
@@ -255,24 +260,21 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
 
     // BFS scratch: `touched` lists the ball in visit order, so BFS
     // level `r` is a contiguous range of it.
-    let mut dist = vec![u32::MAX; n];
+    let mut dist = vec![FREE; n];
     let mut touched: Vec<NodeId> = Vec::new();
 
     let mut color = 0u32;
     let mut remaining = n;
     while remaining > 0 {
-        for v in 0..n {
-            available[v] = cluster_of[v] == UNCLUSTERED;
+        for (d, &c) in dist.iter_mut().zip(&cluster_of) {
+            *d = if c == UNCLUSTERED { FREE } else { BLOCKED };
         }
         for &v in order {
-            if !available[v.index()] || cluster_of[v.index()] != UNCLUSTERED {
+            if dist[v.index()] != FREE {
                 continue;
             }
             // BFS in the available subgraph from v, level by level,
             // growing the radius while the ball more than doubles.
-            for &u in &touched {
-                dist[u.index()] = u32::MAX;
-            }
             touched.clear();
             dist[v.index()] = 0;
             touched.push(v);
@@ -284,7 +286,7 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
                 let ball = touched.len();
                 for i in level..ball {
                     for &w in graph.neighbors(touched[i]) {
-                        if available[w.index()] && dist[w.index()] == u32::MAX {
+                        if dist[w.index()] == FREE {
                             dist[w.index()] = radius + 1;
                             touched.push(w);
                         }
@@ -301,7 +303,7 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
                             cluster_of[u.index()] = cluster_id;
                             remaining -= 1;
                         }
-                        available[u.index()] = false;
+                        dist[u.index()] = BLOCKED;
                     }
                     cluster_centers.push(v);
                     cluster_colors.push(color);
@@ -328,8 +330,128 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
 mod tests {
     use super::*;
     use pslocal_graph::generators::classic::{complete, cycle, grid, path, star};
+    use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_graph::generators::random::{gnp, random_tree};
+    use pslocal_graph::GraphBuilder;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
+
+    /// The carve as it was before availability moved into `dist`,
+    /// verbatim: a second array tells availability, and each carve
+    /// first resets the previous ball's distances.
+    fn two_array_carve(graph: &Graph, order: &[NodeId]) -> NetworkDecomposition {
+        let n = graph.node_count();
+        // `available[v]`: v can still join a cluster of the current color.
+        // Before the first color it serves as the permutation check's
+        // seen-mask.
+        let mut available = vec![false; n];
+        assert_eq!(order.len(), n, "order must list every vertex exactly once");
+        for &v in order {
+            assert!(
+                v.index() < n && !std::mem::replace(&mut available[v.index()], true),
+                "order must list every vertex exactly once"
+            );
+        }
+
+        const UNCLUSTERED: u32 = u32::MAX;
+        let mut cluster_of = vec![UNCLUSTERED; n];
+        let mut cluster_colors = Vec::new();
+        let mut cluster_centers = Vec::new();
+        let mut cluster_radii = Vec::new();
+
+        // BFS scratch: `touched` lists the ball in visit order, so BFS
+        // level `r` is a contiguous range of it.
+        let mut dist = vec![u32::MAX; n];
+        let mut touched: Vec<NodeId> = Vec::new();
+
+        let mut color = 0u32;
+        let mut remaining = n;
+        while remaining > 0 {
+            for v in 0..n {
+                available[v] = cluster_of[v] == UNCLUSTERED;
+            }
+            for &v in order {
+                if !available[v.index()] || cluster_of[v.index()] != UNCLUSTERED {
+                    continue;
+                }
+                // BFS in the available subgraph from v, level by level,
+                // growing the radius while the ball more than doubles.
+                for &u in &touched {
+                    dist[u.index()] = u32::MAX;
+                }
+                touched.clear();
+                dist[v.index()] = 0;
+                touched.push(v);
+                // `touched[level..ball]` is the frontier at distance `radius`.
+                let mut level = 0usize;
+                let mut radius = 0u32;
+                loop {
+                    // Expand one more level.
+                    let ball = touched.len();
+                    for i in level..ball {
+                        for &w in graph.neighbors(touched[i]) {
+                            if available[w.index()] && dist[w.index()] == u32::MAX {
+                                dist[w.index()] = radius + 1;
+                                touched.push(w);
+                            }
+                        }
+                    }
+                    // An empty level leaves `grown == ball`, which also stops.
+                    let grown = touched.len();
+                    if grown <= 2 * ball {
+                        // Carve B(v, radius); remove B(v, radius+1) from
+                        // availability.
+                        let cluster_id = cluster_centers.len() as u32;
+                        for &u in &touched {
+                            if dist[u.index()] <= radius {
+                                cluster_of[u.index()] = cluster_id;
+                                remaining -= 1;
+                            }
+                            available[u.index()] = false;
+                        }
+                        cluster_centers.push(v);
+                        cluster_colors.push(color);
+                        cluster_radii.push(radius);
+                        break;
+                    }
+                    level = ball;
+                    radius += 1;
+                }
+            }
+            color += 1;
+        }
+
+        NetworkDecomposition {
+            cluster_of,
+            cluster_colors,
+            cluster_centers,
+            cluster_radii,
+            colors: color as usize,
+        }
+    }
+
+    /// The conflict graph `G_k` of a planted instance from the three
+    /// family predicates of Section 2 (`E_color` requires `u ≠ v`),
+    /// triples numbered hyperedge-major, then member, then color.
+    fn planted_conflict_graph(seed: u64, n: usize, m: usize, k: usize) -> Graph {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let h = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k)).hypergraph;
+        let triples: Vec<_> = h
+            .edge_ids()
+            .flat_map(|e| h.edge(e).iter().flat_map(move |&v| (0..k).map(move |c| (e, v, c))))
+            .collect();
+        let mut builder = GraphBuilder::new(triples.len());
+        for (i, &(e, v, c)) in triples.iter().enumerate() {
+            for (j, &(g, u, d)) in triples.iter().enumerate().skip(i + 1) {
+                let color_family =
+                    c == d && v != u && (h.edge_contains(e, u) || h.edge_contains(g, v));
+                if v == u && c != d || e == g || color_family {
+                    builder.add_edge(NodeId::new(i), NodeId::new(j));
+                }
+            }
+        }
+        builder.build()
+    }
 
     fn log2_ceil(n: usize) -> usize {
         (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize
@@ -350,6 +472,32 @@ mod tests {
             d.max_radius()
         );
         d
+    }
+
+    #[test]
+    fn one_array_carve_matches_the_two_array_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(5), grid(7, 9), grid(1, 40), star(12)];
+        for trial in 0..12 {
+            let n = 20 + trial * 17;
+            graphs.push(gnp(&mut rng, n, [0.02, 0.06, 0.15, 0.4][trial % 4]));
+            graphs.push(random_tree(&mut rng, n));
+        }
+        for (seed, n, m, k) in [(1, 12, 6, 1), (2, 20, 10, 2), (3, 24, 10, 3), (4, 32, 12, 4)] {
+            graphs.push(planted_conflict_graph(seed, n, m, k));
+        }
+        for (i, g) in graphs.iter().enumerate() {
+            let identity: Vec<NodeId> = g.nodes().collect();
+            let reversed: Vec<NodeId> = g.nodes().rev().collect();
+            let mut shuffled = identity.clone();
+            shuffled.shuffle(&mut rng);
+            for (name, order) in
+                [("identity", identity), ("reversed", reversed), ("shuffled", shuffled)]
+            {
+                let carved = carve_decomposition_with_order(g, &order);
+                assert_eq!(carved, two_array_carve(g, &order), "graph {i}, {name} order");
+            }
+        }
     }
 
     #[test]

@@ -258,16 +258,21 @@ impl TraceOpts {
         self.trace || self.metrics_out.is_some()
     }
 
-    /// Renders and/or persists what `sink` captured.
-    fn emit(&self, sink: &MemorySink) -> Result<(), String> {
+    /// Renders what `sink` captured to `stdout` and/or persists it.
+    fn emit(&self, sink: &MemorySink, stdout: &mut impl std::io::Write) -> Result<(), String> {
         if self.trace {
-            print!("{}", render_tree(&sink.spans()));
+            write!(stdout, "{}", render_tree(&sink.spans())).map_err(stdout_error)?;
         }
         if let Some(path) = &self.metrics_out {
             append_events_jsonl(path, sink)?;
         }
         Ok(())
     }
+}
+
+/// The error line for a failed write to stdout, such as a closed pipe.
+fn stdout_error(e: std::io::Error) -> String {
+    format!("cannot write stdout: {e}")
 }
 
 /// Appends `sink`'s events to `path` as JSON Lines.
@@ -336,25 +341,31 @@ fn cmd_maxis(args: &Args) -> Result<(), String> {
     let par = threads_opt(args)?;
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let g = read_graph(&read_stdin()?).map_err(|e| e.to_string())?;
+    // One buffer for all of stdout, flushed once.
+    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
     let set = if opts.wanted() {
         let tel = Telemetry::new(MemorySink::new());
         let traced = TracedOracle::new(oracle.as_ref(), &tel);
         let set = parallel_independent_set(&g, &traced, par);
-        opts.emit(tel.sink())?;
+        opts.emit(tel.sink(), &mut stdout)?;
         set
     } else {
         parallel_independent_set(&g, oracle.as_ref(), par)
     };
-    println!(
-        "c oracle = {}, |I| = {}, guarantee = {}",
-        oracle.name(),
-        set.len(),
-        oracle.guarantee()
-    );
-    for v in set.iter() {
-        println!("i {v}");
-    }
-    Ok(())
+    let mut write = || -> std::io::Result<()> {
+        writeln!(
+            stdout,
+            "c oracle = {}, |I| = {}, guarantee = {}",
+            oracle.name(),
+            set.len(),
+            oracle.guarantee()
+        )?;
+        for v in set.iter() {
+            writeln!(stdout, "i {v}")?;
+        }
+        stdout.flush()
+    };
+    write().map_err(stdout_error)
 }
 
 /// Parses `--checkpoint-dir` / `--resume` / `--crash-at` into a
@@ -422,10 +433,12 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let ckpt = checkpoint_opt(args)?;
     let h = read_hypergraph(&read_stdin()?).map_err(|e| e.to_string())?;
+    // One buffer for all of stdout, flushed once.
+    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
     let out = if opts.wanted() {
         let tel = Telemetry::new(MemorySink::new());
         let out = run_reduce(&h, oracle.as_ref(), config, ckpt.as_ref(), &tel)?;
-        opts.emit(tel.sink())?;
+        opts.emit(tel.sink(), &mut stdout)?;
         out
     } else {
         run_reduce(&h, oracle.as_ref(), config, ckpt.as_ref(), &Telemetry::disabled())?
@@ -433,27 +446,32 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
     if !checker::is_conflict_free(&h, &out.coloring) {
         return Err("internal error: reduction returned a non-conflict-free coloring".to_string());
     }
-    println!(
-        "c oracle = {}, lambda = {:.2}, rho = {}, phases = {}, colors = {}",
-        oracle.name(),
-        out.lambda,
-        out.rho,
-        out.phases_used,
-        out.total_colors
-    );
-    for r in &out.records {
-        println!(
-            "c phase {} edges {} -> {} (|I| = {})",
-            r.phase, r.edges_before, r.edges_after, r.independent_set_size
-        );
-    }
-    for v in 0..h.node_count() {
-        let node = pslocal::graph::NodeId::new(v);
-        let colors: Vec<String> =
-            out.coloring.colors_of(node).iter().map(|c| c.to_string()).collect();
-        println!("v {v} {}", colors.join(" "));
-    }
-    Ok(())
+    let mut write = || -> std::io::Result<()> {
+        writeln!(
+            stdout,
+            "c oracle = {}, lambda = {:.2}, rho = {}, phases = {}, colors = {}",
+            oracle.name(),
+            out.lambda,
+            out.rho,
+            out.phases_used,
+            out.total_colors
+        )?;
+        for r in &out.records {
+            writeln!(
+                stdout,
+                "c phase {} edges {} -> {} (|I| = {})",
+                r.phase, r.edges_before, r.edges_after, r.independent_set_size
+            )?;
+        }
+        for v in 0..h.node_count() {
+            let node = pslocal::graph::NodeId::new(v);
+            let colors: Vec<String> =
+                out.coloring.colors_of(node).iter().map(|c| c.to_string()).collect();
+            writeln!(stdout, "v {v} {}", colors.join(" "))?;
+        }
+        stdout.flush()
+    };
+    write().map_err(stdout_error)
 }
 
 /// Nearest-rank percentile over an ascending sample vector.
@@ -530,7 +548,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     let (responses, rejected) = if opts.wanted() {
         let (responses, rejected, tel) =
             run_batch(requests, config, Telemetry::new(MemorySink::new()));
-        opts.emit(tel.sink())?;
+        opts.emit(tel.sink(), &mut std::io::stdout())?;
         (responses, rejected)
     } else {
         let (responses, rejected, _) = run_batch(requests, config, Telemetry::disabled());

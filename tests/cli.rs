@@ -140,6 +140,34 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
 }
 
 #[test]
+fn writing_into_a_closed_pipe_is_an_error_line_not_a_panic() {
+    // `reduce ... | head -1` closes the pipe after one line. Here the
+    // read end is closed before the child has its input, so its first
+    // write to stdout fails.
+    let hypergraph = "p hypergraph 3 1\nh 0 1 2\n";
+    let graph = "p graph 3 2\ne 0 1\ne 1 2\n";
+    for (args, input) in [(&["reduce", "--k", "3"][..], hypergraph), (&["maxis"], graph)] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pslocal"))
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        drop(child.stdout.take());
+        child.stdin.take().unwrap().write_all(input.as_bytes()).expect("stdin written");
+        let out = child.wait_with_output().expect("binary finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: ") && l.contains("cannot write stdout")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn trace_report_renders_timeline_and_span_tree() {
     let out = run(&["trace-report", "--n", "128", "--seed", "7"], None);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
