@@ -112,10 +112,12 @@ pub use resilient::{
     stall_budget, FaultEvent, FaultEventKind, PartialOutcome, ResilientConfig, ResilientFailure,
     ResilientOutcome,
 };
-pub use server::{Server, ServerConfig, DEFAULT_MAX_CONNECTIONS};
+pub use server::{
+    serve_lines, LinesReport, Server, ServerConfig, DEFAULT_MAX_CONNECTIONS, MAX_LINE_BYTES,
+};
 pub use service::{
-    BoxedOracle, QueueFull, RequestOutcome, Service, ServiceConfig, ServiceReport, ServiceRequest,
-    ServiceResponse, DEFAULT_QUEUE_CAPACITY,
+    Admission, BoxedOracle, QueueFull, RequestOutcome, Service, ServiceConfig, ServiceReport,
+    ServiceRequest, ServiceResponse, DEFAULT_QUEUE_CAPACITY,
 };
 pub use simulation::{host_of, simulate_in_hypergraph, SimulationReport};
 pub use workspace::PhaseWorkspace;

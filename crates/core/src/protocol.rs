@@ -1,13 +1,13 @@
 //! The JSONL request/response wire protocol shared by every serving
 //! front end.
 //!
-//! PR 8's `pslocal batch` subcommand introduced a flat-JSON request
-//! schema (one object per line on stdin) and a deterministic result
-//! schema (one object per line on stdout). The TCP server
-//! ([`crate::server`]) speaks exactly the same lines over persistent
-//! connections, and the equivalence suites diff the two byte-for-byte
-//! — so the codec lives here, once, instead of being copied between
-//! front ends.
+//! A flat-JSON request schema (one object per line in) and a
+//! deterministic result schema (one object per line out). `pslocal
+//! batch` speaks it over stdin and stdout, `pslocal serve` over
+//! persistent TCP connections, and the equivalence suites diff the two
+//! byte-for-byte — so the codec lives here, once, and the line rules
+//! live in one loop, [`serve_lines`](crate::server::serve_lines), that
+//! both front ends run.
 //!
 //! The vendored `serde` stub has no deserializer, so the parser is
 //! hand-rolled. The request schema is deliberately **flat**: scalar
@@ -34,10 +34,18 @@
 //! primary oracle reads them (greedy); otherwise it builds CSR. The
 //! route never changes a response.
 //!
-//! A shape the generator cannot realize (see [`PlantedCfParams::check`])
-//! is a malformed line like any other, and so is a line with a key
-//! outside this table or with the same key twice: `serve` answers
-//! `bad_request`, and `batch` exits 1 with `stdin line N: …`.
+//! # Line rules
+//!
+//! One rule set for both front ends. Lines are trimmed, and blank
+//! lines and lines starting with `#` are skipped. A line that does not
+//! parse is answered `{"outcome":"bad_request","error":..}` and the
+//! stream carries on. So is a shape the generator cannot realize (see
+//! [`PlantedCfParams::check`]), a line with a key outside this table or
+//! with the same key twice, a line longer than
+//! [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES), and a line whose
+//! instance generation panics. `batch` waits for queue room rather than
+//! reject its own input; after answering every line it exits 1 if a
+//! line was bad, naming the first as `stdin line N: …`.
 //!
 //! # Response schema
 //!
@@ -52,10 +60,11 @@
 //! {"id":..,"outcome":"failed","error":..}
 //! ```
 //!
-//! The server adds two typed lines of its own, both load-shedding
-//! signals (the protocol's 503s): `{"outcome":"overloaded",...}` when
-//! the connection cap refuses a socket, and
-//! `{"outcome":"bad_request",...}` for an unparseable line.
+//! `rejected` is `serve`'s load shedding when the admission queue is
+//! full; `batch` never sheds. The server adds one typed line of its
+//! own: `{"outcome":"overloaded",...}` when the connection cap refuses
+//! a socket. A bad line gets `{"outcome":"bad_request",...}` from
+//! either front end.
 
 use crate::reduction::ReductionConfig;
 use crate::resilient::ResilientConfig;
@@ -302,9 +311,14 @@ pub fn kernel_by_name(name: &str) -> Result<KernelStrategy, String> {
 ///
 /// A human-readable description of the first malformed field, or of
 /// a planted shape the generator cannot realize
-/// ([`PlantedCfParams::check`]). The caller decides whether that
-/// aborts the batch (`pslocal batch`) or becomes a `bad_request`
-/// response line (the server).
+/// ([`PlantedCfParams::check`]). [`serve_lines`](crate::server::serve_lines)
+/// answers it with a `bad_request` line on both front ends.
+///
+/// # Panics
+///
+/// Generation runs here, so a shape that passes the check but cannot
+/// be allocated (`n` near `u64::MAX`) panics; `serve_lines` catches
+/// that and answers `bad_request` too.
 pub fn parse_request(
     line: &str,
     default_deadline: Option<Duration>,
@@ -388,9 +402,9 @@ pub fn rejected_line(id: &str) -> String {
     format!("{{\"id\":\"{}\",\"outcome\":\"rejected\"}}", json_escape(id))
 }
 
-/// The typed error line for an input line that does not parse as a
-/// request. Only the server emits this (the batch front end aborts
-/// with a line number instead, since its input is a finite file).
+/// The typed error line for an input line that is not a runnable
+/// request: malformed, over-long, or unbuildable. Both front ends emit
+/// it, and the stream carries on.
 pub fn bad_request_line(error: &str) -> String {
     format!("{{\"outcome\":\"bad_request\",\"error\":\"{}\"}}", json_escape(error))
 }

@@ -1,14 +1,22 @@
-//! The TCP serving front end: the [`Service`] worker pool behind a
-//! hand-rolled `std::net` socket layer.
+//! The protocol's intake loop, [`serve_lines`], and the TCP front end
+//! built on it: the [`Service`] worker pool behind a hand-rolled
+//! `std::net` socket layer.
+//!
+//! [`serve_lines`] is the one place the line rules live, for every
+//! transport: `pslocal serve` runs it on each connection, and `pslocal
+//! batch` runs it once over stdin and stdout. It reads a line, answers
+//! a command or submits a request, and hands every outbound line to
+//! one writer thread. The two front ends differ only in the
+//! [`Admission`] they pass: `serve` sheds load, `batch` waits for room.
 //!
 //! The workspace is hermetic (no tokio, no mio), so the server is
 //! built from `std` primitives and blocking I/O only: one **acceptor**
 //! thread blocked in [`TcpListener::accept`], and per connection a
-//! **reader** thread blocked in `read` plus a **writer** thread around
-//! the shared worker pool. No thread wakes on a timer. The acceptor
-//! owns the connection list and reaps finished handler threads each
-//! time `accept` returns, so a closed connection gives back its threads
-//! and descriptors. The request lifecycle is
+//! **reader** thread blocked in `read` plus the loop's **writer**
+//! thread around the shared worker pool. No thread wakes on a timer.
+//! The acceptor owns the connection list and reaps finished handler
+//! threads each time `accept` returns, so a closed connection gives
+//! back its threads and descriptors. The request lifecycle is
 //!
 //! ```text
 //! accept → parse (protocol) → admit (Service) → worker → respond → drain
@@ -21,6 +29,11 @@
 //!   `{"outcome":"overloaded",...}` line and closed — load shedding at
 //!   the accept boundary ([`Counter::ConnectionsRefused`]), never
 //!   unbounded buffering.
+//! * **Bad lines.** A line that does not parse, is longer than
+//!   [`MAX_LINE_BYTES`], or whose instance generation panics gets one
+//!   `{"outcome":"bad_request",...}` line, and the connection keeps
+//!   serving. An over-long line is skipped up to its newline without
+//!   being stored, so no line grows a buffer past the bound.
 //! * **Admission backpressure.** A request the bounded queue refuses
 //!   ([`QueueFull`](crate::QueueFull)) becomes a
 //!   `{"outcome":"rejected"}` line on the same connection; the server
@@ -49,8 +62,8 @@
 //! ([`crate::protocol`]), so sorted response streams are
 //! byte-comparable between the two front ends (pinned by the
 //! equivalence suite). Responses arrive in completion order, each
-//! carrying its request `id`. Four plain-text commands ride on the
-//! same line stream:
+//! carrying its request `id`. Blank lines and `#` lines are skipped.
+//! Four plain-text commands ride on the same line stream:
 //!
 //! | command    | reply                                             |
 //! |------------|---------------------------------------------------|
@@ -71,20 +84,23 @@
 //! # Observability
 //!
 //! Each request gets a `server-request` span
-//! ([`names::SERVER_REQUEST`], covering parse + admission; execution
-//! is the service's `service-request` span), and the server feeds
-//! [`Counter::ConnectionsAccepted`]/[`Counter::ConnectionsRefused`],
+//! ([`names::SERVER_REQUEST`], covering parse + admission, indexed by
+//! its ordinal in the stream; execution is the service's
+//! `service-request` span), and the loop feeds
 //! [`Counter::BytesIn`]/[`Counter::BytesOut`] and
-//! [`Counter::BadRequests`] through the same pipeline the service and
-//! reduction layers record into — one sink sees the whole path.
+//! [`Counter::BadRequests`], the server
+//! [`Counter::ConnectionsAccepted`]/[`Counter::ConnectionsRefused`],
+//! through the same pipeline the service and reduction layers record
+//! into — one sink sees the whole path.
 
 use crate::protocol::{
     bad_request_line, overloaded_line, parse_request, rejected_line, response_line,
 };
-use crate::service::{Service, ServiceConfig, ServiceResponse};
+use crate::service::{Admission, Service, ServiceConfig};
 use pslocal_telemetry::{names, span, Counter, Sink, Telemetry};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -336,14 +352,8 @@ fn refuse<S: Sink + Send + Sync + 'static>(
     let _ = write_line(service, &mut stream, overloaded_line(max_connections));
 }
 
-/// One connection: this thread reads and parses lines; a paired writer
-/// thread exclusively owns the write half and delivers every outbound
-/// line — responses and command replies alike — from one queue. The
-/// reader holds one queue sender and every in-flight request's
-/// delivery closure holds a clone, so the writer's channel disconnects
-/// — and the connection closes — only after every admitted request's
-/// response has been written: the zero-lost-responses drain property,
-/// by construction.
+/// One connection: its socket options, then [`serve_lines`] over the
+/// socket with typed load shedding.
 fn connection_loop<S: Sink + Send + Sync + 'static>(
     stream: TcpStream,
     service: Arc<Service<S>>,
@@ -354,136 +364,183 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else { return };
     let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
-    // Every outbound line — responses AND command replies — flows
-    // through one queue into a writer thread that exclusively owns the
-    // write half. Each message is written whole before the next is
-    // dequeued, so a multi-line STATS block can never interleave with
-    // in-flight result lines; there is no lock to order against.
-    let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
-    let writer = {
-        let service = Arc::clone(&service);
-        std::thread::Builder::new()
-            .name("pslocal-conn-writer".to_string())
-            .spawn(move || {
-                let mut stream = write_half;
-                while let Ok(msg) = writer_rx.recv() {
-                    let line = match msg {
-                        WriterMsg::Response(response) => response_line(&response),
-                        WriterMsg::Block(text) => text,
-                    };
-                    if write_line(&service, &mut stream, line).is_err() {
-                        // Client gone: stop writing. Remaining sends
-                        // into the channel fail and the reader breaks.
-                        break;
-                    }
-                }
-            })
-            // pslocal: allow(panic-path, "thread spawn fails only on OS resource exhaustion; the acceptor cannot serve this socket without its writer")
-            .expect("spawn connection writer")
-    };
-
-    // A read error (the idle timeout included) ends the connection, so
-    // the bytes `read_until` can drop on its error path are never
-    // wanted. End of file comes from the client's half-close or from
-    // the drain's `shutdown(Read)`; the flag check also stops a client
-    // that keeps sending, whose bytes Linux still delivers after it.
-    let mut reader = BufReader::new(&stream);
-    let mut buf = Vec::new();
-    let mut ordinal: u64 = 0;
-    while !draining.load(Ordering::SeqCst) {
-        buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => service.telemetry().add(Counter::BytesIn, n as u64),
-        }
-        match String::from_utf8_lossy(&buf).trim() {
-            "" => {}
-            "PING" => {
-                if writer_tx.send(WriterMsg::Block("PONG".to_string())).is_err() {
-                    break;
-                }
-            }
-            "STATS" => {
-                let snapshot = service
-                    .telemetry()
-                    .sink()
-                    .stats_snapshot()
-                    .unwrap_or_else(|| "no aggregating sink configured\n".to_string());
-                // One Block = one contiguous write: the whole snapshot
-                // plus its OK terminator, atomic w.r.t. result lines.
-                if writer_tx.send(WriterMsg::Block(format!("{snapshot}OK"))).is_err() {
-                    break;
-                }
-            }
-            "SHUTDOWN" => {
-                let _ = writer_tx.send(WriterMsg::Block("DRAINING".to_string()));
-                draining.store(true, Ordering::SeqCst);
-                break;
-            }
-            "QUIT" => break,
-            request_line => {
-                let tel = service.telemetry();
-                let req_span = span!(tel, names::SERVER_REQUEST, ordinal);
-                ordinal += 1;
-                match parse_request(request_line, config.default_deadline) {
-                    Err(error) => {
-                        service.telemetry().add(Counter::BadRequests, 1);
-                        req_span.close();
-                        if writer_tx.send(WriterMsg::Block(bad_request_line(&error))).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(request) => {
-                        let deliver_tx = writer_tx.clone();
-                        let submitted = service.submit_with(request, move |response| {
-                            let _ = deliver_tx.send(WriterMsg::Response(response));
-                        });
-                        match submitted {
-                            Ok(()) => req_span.close(),
-                            Err(full) => {
-                                // Typed load shedding: the request is
-                                // answered and dropped, never buffered.
-                                req_span.close();
-                                let line = rejected_line(&full.request.id);
-                                if writer_tx.send(WriterMsg::Block(line)).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Drop our sender: once the in-flight requests' clones are gone
-    // too (their responses delivered), the writer disconnects and
-    // exits.
-    drop(writer_tx);
-    let _ = writer.join();
+    // End of file comes from the client's half-close or from the
+    // drain's `shutdown(Read)`; a read error, the idle timeout
+    // included, ends the connection too.
+    let input = BufReader::new(&stream);
+    serve_lines(&service, input, write_half, Admission::Shed, config.default_deadline, &draining);
     // The acceptor's clone keeps the socket open until it is reaped, so
     // close it here: the client sees end of file now.
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One unit of outbound work for a connection's writer thread.
-enum WriterMsg {
-    /// A completed request, rendered to its result line by the writer.
-    Response(ServiceResponse),
-    /// A pre-rendered command reply — possibly multi-line (`STATS`),
-    /// written contiguously as one block.
-    Block(String),
+/// Longest request line [`serve_lines`] keeps, in bytes. A request is a
+/// flat object of at most 11 scalars, so this is far above any valid
+/// line; a longer one is answered `bad_request` and skipped.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// What [`serve_lines`] reports once its input ends.
+#[derive(Debug)]
+pub struct LinesReport {
+    /// The first line answered `bad_request`: its 1-based line number
+    /// (blank and `#` lines count) and the error it was answered with.
+    pub first_bad: Option<(u64, String)>,
+    /// The error that stopped the writer, if a write or flush failed.
+    pub write_error: Option<io::Error>,
+}
+
+/// The protocol's one intake loop, for every transport: `serve` runs it
+/// per connection, `batch` once over stdin and stdout.
+///
+/// Lines are trimmed; blank and `#` lines are skipped, and the commands
+/// of the [module docs](self) are answered. Any other line is a
+/// request, parsed (generation included) and submitted under
+/// `admission`; its result line is written when a worker finishes it.
+/// A line that does not parse, is longer than [`MAX_LINE_BYTES`] or
+/// whose generation panics is answered `bad_request`. One writer
+/// thread that owns `output` writes and flushes every outbound line.
+///
+/// The loop reads until end of input, a read error, `QUIT`, `SHUTDOWN`
+/// (which sets `draining`), a set `draining` flag or a failed write,
+/// and returns once every admitted request's line is written or the
+/// writer has stopped.
+pub fn serve_lines<S: Sink + Send + Sync + 'static>(
+    service: &Service<S>,
+    mut input: impl BufRead,
+    mut output: impl Write + Send,
+    admission: Admission,
+    default_deadline: Option<Duration>,
+    draining: &AtomicBool,
+) -> LinesReport {
+    // The loop holds one sender and each admitted request's delivery
+    // closure a clone, so the writer's channel disconnects only after
+    // every result line has been sent: no response is lost at the end.
+    let (tx, rx) = mpsc::channel::<String>();
+    std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name("pslocal-conn-writer".to_string())
+            .spawn_scoped(scope, move || {
+                rx.iter().try_for_each(|line| write_line(service, &mut output, line))
+            })
+            // pslocal: allow(panic-path, "thread spawn fails only on OS resource exhaustion; the stream cannot be answered without its writer")
+            .expect("spawn connection writer");
+        let tel = service.telemetry();
+        let mut first_bad = None;
+        let mut buf = Vec::new();
+        let (mut line_no, mut ordinal) = (0u64, 0u64);
+        // The flag check also stops a client that keeps sending after a
+        // drain's `shutdown(Read)`, whose bytes Linux still delivers.
+        while !draining.load(Ordering::SeqCst) && !writer.is_finished() {
+            let within_bound = match read_bounded_line(&mut input, &mut buf) {
+                Ok((0, _)) | Err(_) => break,
+                Ok((n, within_bound)) => {
+                    tel.add(Counter::BytesIn, n as u64);
+                    within_bound
+                }
+            };
+            line_no += 1;
+            let text = String::from_utf8_lossy(&buf);
+            let reply = match within_bound.then(|| text.trim()) {
+                Some("") => continue,
+                Some(comment) if comment.starts_with('#') => continue,
+                Some("PING") => "PONG".to_string(),
+                Some("STATS") => {
+                    let snapshot = tel
+                        .sink()
+                        .stats_snapshot()
+                        .unwrap_or_else(|| "no aggregating sink configured\n".to_string());
+                    format!("{snapshot}OK")
+                }
+                Some("SHUTDOWN") => {
+                    let _ = tx.send("DRAINING".to_string());
+                    draining.store(true, Ordering::SeqCst);
+                    break;
+                }
+                Some("QUIT") => break,
+                request_line => {
+                    let _span = span!(tel, names::SERVER_REQUEST, ordinal);
+                    ordinal += 1;
+                    let parsed = match request_line {
+                        None => Err(format!("request line longer than {MAX_LINE_BYTES} bytes")),
+                        Some(line) => catch_unwind(|| parse_request(line, default_deadline))
+                            .unwrap_or_else(|_| Err("request generation panicked".to_string())),
+                    };
+                    match parsed {
+                        Err(error) => {
+                            tel.add(Counter::BadRequests, 1);
+                            let line = bad_request_line(&error);
+                            first_bad.get_or_insert((line_no, error));
+                            line
+                        }
+                        Ok(request) => {
+                            let deliver = tx.clone();
+                            let submitted = service.submit_with(request, admission, move |r| {
+                                let _ = deliver.send(response_line(&r));
+                            });
+                            match submitted {
+                                Ok(()) => continue,
+                                // Shed: answered and dropped, never buffered.
+                                Err(full) => rejected_line(&full.request.id),
+                            }
+                        }
+                    }
+                }
+            };
+            if tx.send(reply).is_err() {
+                break;
+            }
+        }
+        drop(tx);
+        let write_error = match writer.join() {
+            Ok(result) => result.err(),
+            Err(_) => Some(io::Error::other("the writer thread panicked")),
+        };
+        LinesReport { first_bad, write_error }
+    })
+}
+
+/// Reads one line of `input` into `buf`, without its `\n`, keeping at
+/// most [`MAX_LINE_BYTES`] of it: the rest of a longer line is consumed
+/// but not stored. Returns the bytes consumed (0 at end of input) and
+/// whether the line was within the bound.
+fn read_bounded_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<(usize, bool)> {
+    buf.clear();
+    let (mut consumed, mut within_bound) = (0, true);
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok((consumed, within_bound));
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = newline.unwrap_or(chunk.len());
+        let keep = body.min(MAX_LINE_BYTES - buf.len());
+        within_bound &= keep == body;
+        // `keep <= body <= chunk.len()`, and `buf` never exceeds the bound.
+        buf.extend_from_slice(&chunk[..keep]);
+        let used = body + usize::from(newline.is_some());
+        input.consume(used);
+        consumed += used;
+        if newline.is_some() {
+            return Ok((consumed, within_bound));
+        }
+    }
 }
 
 /// Writes one line or block plus its `\n` in a single `write_all`, so
-/// under `TCP_NODELAY` it never leaves as two segments, and counts the
-/// bytes.
+/// under `TCP_NODELAY` it never leaves as two segments, flushes it, and
+/// counts the bytes.
 fn write_line<S: Sink + Send + Sync + 'static>(
     service: &Service<S>,
-    stream: &mut TcpStream,
+    output: &mut impl Write,
     mut line: String,
 ) -> io::Result<()> {
     line.push('\n');
-    stream.write_all(line.as_bytes())?;
+    output.write_all(line.as_bytes())?;
+    output.flush()?;
     service.telemetry().add(Counter::BytesOut, line.len() as u64);
     Ok(())
 }

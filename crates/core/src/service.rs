@@ -7,10 +7,11 @@
 //! execution engine that turns the reproduction into something that
 //! can serve a stream of instances:
 //!
-//! * **Bounded admission with explicit backpressure.**
-//!   [`Service::submit`] either enqueues or rejects with a typed
-//!   [`QueueFull`] (returning the request to the caller); the queue
-//!   never grows past [`ServiceConfig::queue_capacity`].
+//! * **Bounded admission with explicit backpressure.** A submission
+//!   finds the queue full and either is rejected with a typed
+//!   [`QueueFull`] (returning the request to the caller) or waits for
+//!   a worker to dequeue, per its [`Admission`]; the queue never grows
+//!   past [`ServiceConfig::queue_capacity`].
 //! * **Fixed worker pool, long-lived workspaces.** Each worker thread
 //!   owns one [`PhaseWorkspace`] for its whole life, so steady-state
 //!   requests reuse the CSR arena, keep-list, bitset scratch, and
@@ -67,7 +68,7 @@ pub struct ServiceConfig {
     /// [`PhaseWorkspace`].
     pub workers: usize,
     /// Admission-queue bound (clamped to ≥ 1): submissions beyond it
-    /// are rejected with [`QueueFull`].
+    /// are rejected with [`QueueFull`] or wait, per their [`Admission`].
     pub queue_capacity: usize,
 }
 
@@ -130,6 +131,18 @@ impl fmt::Debug for ServiceRequest {
             .field("deadline", &self.deadline)
             .finish()
     }
+}
+
+/// What a submission does when the admission queue is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Reject at once with [`QueueFull`]: typed load shedding, for a
+    /// front end whose clients can retry (`pslocal serve`).
+    Shed,
+    /// Wait until a worker dequeues, so the queue bounds how many
+    /// requests the submitter holds in flight (`pslocal batch`). A
+    /// draining service still rejects.
+    Wait,
 }
 
 /// Typed backpressure: the admission queue was at capacity (or the
@@ -229,8 +242,8 @@ enum Reply {
     /// The service-wide completion channel ([`Service::recv`]).
     Pool,
     /// A caller-supplied delivery callback ([`Service::submit_with`])
-    /// — the TCP server hands each connection a closure that enqueues
-    /// the response onto that connection's writer queue.
+    /// — `serve_lines` hands each request a closure that sends its
+    /// result line to the stream's writer.
     Direct(Box<dyn FnOnce(ServiceResponse) + Send>),
 }
 
@@ -253,7 +266,10 @@ struct QueueState {
 
 struct Shared<S: Sink> {
     state: Mutex<QueueState>,
+    /// Signalled on enqueue and at shutdown: wakes an idle worker.
     available: Condvar,
+    /// Signalled on dequeue: wakes a submitter that waits for room.
+    room: Condvar,
     capacity: usize,
     tel: Telemetry<S>,
 }
@@ -300,6 +316,7 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { queue: VecDeque::new(), accepting: true, next_seq: 0 }),
             available: Condvar::new(),
+            room: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             tel,
         });
@@ -320,8 +337,8 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
 
     /// Admits `request` into the bounded queue, or rejects it with
     /// [`QueueFull`] when the queue is at capacity or the service is
-    /// draining. Never blocks on a full queue — backpressure is the
-    /// caller's to handle.
+    /// draining ([`Admission::Shed`]). Never blocks on a full queue —
+    /// backpressure is the caller's to handle.
     ///
     /// # Errors
     ///
@@ -331,14 +348,15 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
     // resilient entry points).
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, request: ServiceRequest) -> Result<(), QueueFull> {
-        self.submit_inner(request, Reply::Pool)
+        self.submit_inner(request, Admission::Shed, Reply::Pool)
     }
 
-    /// [`submit`](Self::submit), but the response is handed to
-    /// `deliver` instead of the service-wide [`recv`](Self::recv)
-    /// channel. This is how a multiplexing front end (the TCP server)
-    /// routes each completion back to the connection that submitted
-    /// it: one delivery target per connection, shared worker pool.
+    /// [`submit`](Self::submit) under `admission`, with the response
+    /// handed to `deliver` instead of the service-wide
+    /// [`recv`](Self::recv) channel. This is how a front end
+    /// ([`serve_lines`](crate::server::serve_lines)) routes each
+    /// completion back to the stream that submitted it: one delivery
+    /// target per stream, shared worker pool.
     ///
     /// `deliver` runs on the worker thread that finished the request,
     /// so it must be cheap and non-blocking — enqueue onto a channel,
@@ -350,14 +368,16 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
     ///
     /// # Errors
     ///
-    /// [`QueueFull`], carrying the request back to the caller.
+    /// [`QueueFull`], carrying the request back to the caller: under
+    /// [`Admission::Wait`] only while the service drains.
     #[allow(clippy::result_large_err)]
     pub fn submit_with(
         &self,
         request: ServiceRequest,
+        admission: Admission,
         deliver: impl FnOnce(ServiceResponse) + Send + 'static,
     ) -> Result<(), QueueFull> {
-        self.submit_inner(request, Reply::Direct(Box::new(deliver)))
+        self.submit_inner(request, admission, Reply::Direct(Box::new(deliver)))
     }
 
     /// [`submit_with`](Self::submit_with) delivering into a plain
@@ -372,7 +392,7 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
         request: ServiceRequest,
         reply: mpsc::Sender<ServiceResponse>,
     ) -> Result<(), QueueFull> {
-        self.submit_with(request, move |response| {
+        self.submit_with(request, Admission::Shed, move |response| {
             let _ = reply.send(response);
         })
     }
@@ -385,9 +405,20 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
     }
 
     #[allow(clippy::result_large_err)]
-    fn submit_inner(&self, request: ServiceRequest, reply: Reply) -> Result<(), QueueFull> {
+    fn submit_inner(
+        &self,
+        request: ServiceRequest,
+        admission: Admission,
+        reply: Reply,
+    ) -> Result<(), QueueFull> {
         let depth = {
             let mut st = lock_unpoisoned(&self.shared.state);
+            while admission == Admission::Wait
+                && st.accepting
+                && st.queue.len() >= self.shared.capacity
+            {
+                st = self.shared.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
             if !st.accepting || st.queue.len() >= self.shared.capacity {
                 drop(st);
                 self.shared.tel.add(Counter::RequestsRejected, 1);
@@ -408,11 +439,6 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
     /// Returns `None` only after every worker has exited (post-drain).
     pub fn recv(&self) -> Option<ServiceResponse> {
         lock_unpoisoned(&self.results).recv().ok()
-    }
-
-    /// Non-blocking [`recv`](Self::recv).
-    pub fn try_recv(&self) -> Option<ServiceResponse> {
-        lock_unpoisoned(&self.results).try_recv().ok()
     }
 
     /// Graceful drain: stops admission (subsequent [`submit`]s are
@@ -460,6 +486,7 @@ fn worker_loop<S: Sink + Send + Sync>(shared: Arc<Shared<S>>, tx: mpsc::Sender<S
             }
         };
         let Some(job) = job else { return };
+        shared.room.notify_one();
         let Queued { request, submitted, seq, reply } = job;
         let response = execute(&shared, request, submitted, seq, &mut ws);
         shared.tel.add(Counter::RequestsCompleted, 1);
@@ -628,6 +655,46 @@ mod tests {
     }
 
     #[test]
+    fn waiting_admission_holds_the_submitter_until_a_worker_dequeues() {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let oracle = GateOracle { entered: Mutex::new(entered_tx), gate: Arc::clone(&gate) };
+        let service = Service::start(
+            ServiceConfig::new(1).with_queue_capacity(1),
+            Telemetry::new(MemorySink::new()),
+        );
+        let slow =
+            ServiceRequest::new("r0", planted(1), vec![Box::new(oracle)], ResilientConfig::new(3));
+        service.submit(slow).unwrap();
+        entered_rx.recv().unwrap();
+        service.submit(request("r1", 2)).unwrap();
+        // The queue is full and its one worker parked: a waiting
+        // submission must neither be rejected nor return.
+        let (done_tx, done_rx) = mpsc::channel();
+        let (reply_tx, reply_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let admitted = service
+                    .submit_with(request("r2", 3), Admission::Wait, move |r| {
+                        let _ = reply_tx.send(r);
+                    })
+                    .is_ok();
+                done_tx.send(admitted).unwrap();
+            });
+            assert!(done_rx.recv_timeout(Duration::from_millis(100)).is_err(), "returned early");
+            let (open, cv) = &*gate;
+            *open.lock().unwrap() = true;
+            cv.notify_all();
+            assert!(done_rx.recv().unwrap(), "admitted once the worker dequeued");
+        });
+        assert_eq!(reply_rx.recv().unwrap().outcome.label(), "ok");
+        let report = service.shutdown();
+        let sink = report.telemetry.sink();
+        assert_eq!(sink.counter_total(Counter::RequestsAdmitted), 3);
+        assert_eq!(sink.counter_total(Counter::RequestsRejected), 0);
+    }
+
+    #[test]
     fn shutdown_drains_everything_already_queued() {
         let service = Service::start(ServiceConfig::new(2), Telemetry::disabled());
         for i in 0..6 {
@@ -646,6 +713,8 @@ mod tests {
         service.shared.state.lock().unwrap().accepting = false;
         let err = service.submit(request("late", 9)).expect_err("draining rejects");
         assert_eq!(err.request.id, "late");
+        let waiting = service.submit_with(request("later", 9), Admission::Wait, |_| {});
+        assert_eq!(waiting.expect_err("draining rejects a waiting submission").request.id, "later");
         service.shared.state.lock().unwrap().accepting = true;
         service.shutdown();
     }

@@ -15,14 +15,12 @@
 //! deterministically (see `pslocal_core::components`).
 
 use pslocal::cfcolor::checker;
-use pslocal::core::protocol::{
-    self, boxed_oracle_by_name, kernel_by_name, parse_request, rejected_line, response_line,
-};
+use pslocal::core::protocol::{boxed_oracle_by_name, kernel_by_name};
 use pslocal::core::{
     inspect_journal, parallel_independent_set, reduce_cf_to_maxis_resumable,
-    reduce_cf_to_maxis_traced, Checkpointing, CrashPlan, ParallelismOptions, ReductionConfig,
-    ReductionOutcome, Server, ServerConfig, Service, ServiceConfig, ServiceRequest,
-    ServiceResponse, DEFAULT_MAX_CONNECTIONS, DEFAULT_QUEUE_CAPACITY,
+    reduce_cf_to_maxis_traced, serve_lines, Admission, Checkpointing, CrashPlan,
+    ParallelismOptions, ReductionConfig, ReductionOutcome, Server, ServerConfig, Service,
+    ServiceConfig, DEFAULT_MAX_CONNECTIONS, DEFAULT_QUEUE_CAPACITY,
 };
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::generators::random::gnp;
@@ -30,12 +28,13 @@ use pslocal::graph::io::{read_graph, read_hypergraph, write_graph, write_hypergr
 use pslocal::graph::{GraphStats, HypergraphStats, KernelStrategy};
 use pslocal::maxis::{MaxIsOracle, TracedOracle};
 use pslocal::telemetry::{
-    event_to_json, render_tree, AggregateSink, Counter, JsonlSink, MemorySink, PhaseTimeline,
-    Telemetry,
+    event_to_json, render_tree, AggregateSink, Counter, Histogram, JsonlSink, MemorySink,
+    PhaseTimeline, Telemetry,
 };
 use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -53,8 +52,8 @@ USAGE:
                                  span tree + per-phase timeline)
   pslocal batch [--workers W] [--queue Q] [--deadline-ms D]
                                 (JSONL requests on stdin, one JSONL
-                                 result line per request on stdout,
-                                 completion order)
+                                 line per request on stdout, completion
+                                 order; the serve protocol over stdio)
   pslocal serve --addr HOST:PORT [--workers W] [--queue-depth Q]
                 [--max-conns C] [--deadline-ms D] [--metrics-out FILE]
                                 (the batch protocol over TCP; prints
@@ -106,15 +105,21 @@ BATCH (batched multi-instance serving):
   has no memo), \"deadline_ms\" (per-request override), \"faults\"
   (comma script injected into the primary oracle: - | panic |
   invalid-set | empty-set | under-deliver | stall:N).
+  Blank lines and lines starting with # are skipped, and the SERVE
+  commands are answered too.
   stdout: one JSON line per request in completion order —
     {\"id\":..,\"outcome\":\"ok\",\"phases\":P,\"set_size\":S,\"colors\":C}
     {\"id\":..,\"outcome\":\"deadline_exceeded\",\"phase\":P}
-    {\"id\":..,\"outcome\":\"rejected\"}          (admission queue full)
     {\"id\":..,\"outcome\":\"failed\",\"error\":..}
+    {\"outcome\":\"bad_request\",\"error\":..}    (malformed, over 64 KiB,
+                                             or unbuildable line)
+  After answering every line, batch exits 1 if a line was bad and
+  names the first one on stderr (stdin line N: ...).
   --workers W           worker threads, each owning one long-lived
                         phase workspace (default 2)
-  --queue Q             admission-queue bound (default 64); submissions
-                        past it are rejected, never buffered unbounded
+  --queue Q             admission-queue bound (default 64): how many
+                        requests batch holds in flight. A full queue
+                        makes batch wait, so there are no rejected lines
   --deadline-ms D       default per-request deadline, measured from
                         submission, enforced at phase boundaries
 
@@ -123,7 +128,6 @@ SERVE (the batch protocol over persistent TCP connections):
   byte-match `pslocal batch` on the same requests. Extra typed lines:
     {\"id\":..,\"outcome\":\"rejected\"}    admission queue full (shed, not run)
     {\"outcome\":\"overloaded\",..}       connection cap reached, socket closed
-    {\"outcome\":\"bad_request\",..}      unparseable request line
   Plain-text commands on the same stream: PING -> PONG, STATS -> live
   metrics + OK, SHUTDOWN -> DRAINING + graceful server-wide drain,
   QUIT -> close this connection.
@@ -290,7 +294,7 @@ fn append_events_jsonl(path: &str, sink: &MemorySink) -> Result<(), String> {
     w.flush().map_err(write_err)
 }
 
-fn cmd_gen(args: &Args) -> Result<(), String> {
+fn cmd_gen(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     match args.positional.get(1).map(String::as_str) {
@@ -302,11 +306,12 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
             let params = PlantedCfParams { n, m, k, epsilon };
             params.check()?;
             let inst = planted_cf_instance(&mut rng, params);
-            println!(
-                "c planted conflict-free instance: k = {k}, epsilon = {epsilon}, seed = {seed}"
-            );
-            print!("{}", write_hypergraph(&inst.hypergraph));
-            Ok(())
+            write!(
+                stdout,
+                "c planted conflict-free instance: k = {k}, epsilon = {epsilon}, seed = {seed}\n{}",
+                write_hypergraph(&inst.hypergraph)
+            )
+            .map_err(stdout_error)
         }
         Some("gnp") => {
             let n = args.required("n")?;
@@ -315,57 +320,54 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
                 return Err(format!("--p must lie in [0, 1], got {p}"));
             }
             let g = gnp(&mut rng, n, p);
-            println!("c G({n}, {p}) seed = {seed}");
-            print!("{}", write_graph(&g));
-            Ok(())
+            write!(stdout, "c G({n}, {p}) seed = {seed}\n{}", write_graph(&g)).map_err(stdout_error)
         }
         other => Err(format!("unknown generator {other:?}; try 'planted' or 'gnp'")),
     }
 }
 
-fn cmd_stats() -> Result<(), String> {
+fn cmd_stats(stdout: &mut Stdout) -> Result<(), String> {
     let text = read_stdin()?;
     if let Ok(g) = read_graph(&text) {
-        println!("graph: {}", GraphStats::of(&g));
-        return Ok(());
+        return writeln!(stdout, "graph: {}", GraphStats::of(&g)).map_err(stdout_error);
     }
     let h = read_hypergraph(&text).map_err(|e| format!("not a graph nor a hypergraph: {e}"))?;
-    println!("hypergraph: {}", HypergraphStats::of(&h));
-    println!("almost-uniform(0.5): {}", h.is_almost_uniform(0.5));
-    Ok(())
+    writeln!(
+        stdout,
+        "hypergraph: {}\nalmost-uniform(0.5): {}",
+        HypergraphStats::of(&h),
+        h.is_almost_uniform(0.5)
+    )
+    .map_err(stdout_error)
 }
 
-fn cmd_maxis(args: &Args) -> Result<(), String> {
+fn cmd_maxis(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
     let opts = TraceOpts::from(args);
     let par = threads_opt(args)?;
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let g = read_graph(&read_stdin()?).map_err(|e| e.to_string())?;
-    // One buffer for all of stdout, flushed once.
-    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
     let set = if opts.wanted() {
         let tel = Telemetry::new(MemorySink::new());
         let traced = TracedOracle::new(oracle.as_ref(), &tel);
         let set = parallel_independent_set(&g, &traced, par);
-        opts.emit(tel.sink(), &mut stdout)?;
+        opts.emit(tel.sink(), stdout)?;
         set
     } else {
         parallel_independent_set(&g, oracle.as_ref(), par)
     };
-    let mut write = || -> std::io::Result<()> {
-        writeln!(
-            stdout,
-            "c oracle = {}, |I| = {}, guarantee = {}",
-            oracle.name(),
-            set.len(),
-            oracle.guarantee()
-        )?;
-        for v in set.iter() {
-            writeln!(stdout, "i {v}")?;
-        }
-        stdout.flush()
-    };
-    write().map_err(stdout_error)
+    writeln!(
+        stdout,
+        "c oracle = {}, |I| = {}, guarantee = {}",
+        oracle.name(),
+        set.len(),
+        oracle.guarantee()
+    )
+    .map_err(stdout_error)?;
+    for v in set.iter() {
+        writeln!(stdout, "i {v}").map_err(stdout_error)?;
+    }
+    Ok(())
 }
 
 /// Parses `--checkpoint-dir` / `--resume` / `--crash-at` into a
@@ -417,7 +419,7 @@ fn run_reduce<S: pslocal::telemetry::Sink>(
     }
 }
 
-fn cmd_reduce(args: &Args) -> Result<(), String> {
+fn cmd_reduce(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
     let k = match args.required::<usize>("k")? {
         0 => return Err("--k must be at least 1".to_string()),
@@ -433,12 +435,10 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let ckpt = checkpoint_opt(args)?;
     let h = read_hypergraph(&read_stdin()?).map_err(|e| e.to_string())?;
-    // One buffer for all of stdout, flushed once.
-    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
     let out = if opts.wanted() {
         let tel = Telemetry::new(MemorySink::new());
         let out = run_reduce(&h, oracle.as_ref(), config, ckpt.as_ref(), &tel)?;
-        opts.emit(tel.sink(), &mut stdout)?;
+        opts.emit(tel.sink(), stdout)?;
         out
     } else {
         run_reduce(&h, oracle.as_ref(), config, ckpt.as_ref(), &Telemetry::disabled())?
@@ -446,77 +446,38 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
     if !checker::is_conflict_free(&h, &out.coloring) {
         return Err("internal error: reduction returned a non-conflict-free coloring".to_string());
     }
-    let mut write = || -> std::io::Result<()> {
+    writeln!(
+        stdout,
+        "c oracle = {}, lambda = {:.2}, rho = {}, phases = {}, colors = {}",
+        oracle.name(),
+        out.lambda,
+        out.rho,
+        out.phases_used,
+        out.total_colors
+    )
+    .map_err(stdout_error)?;
+    for r in &out.records {
         writeln!(
             stdout,
-            "c oracle = {}, lambda = {:.2}, rho = {}, phases = {}, colors = {}",
-            oracle.name(),
-            out.lambda,
-            out.rho,
-            out.phases_used,
-            out.total_colors
-        )?;
-        for r in &out.records {
-            writeln!(
-                stdout,
-                "c phase {} edges {} -> {} (|I| = {})",
-                r.phase, r.edges_before, r.edges_after, r.independent_set_size
-            )?;
-        }
-        for v in 0..h.node_count() {
-            let node = pslocal::graph::NodeId::new(v);
-            let colors: Vec<String> =
-                out.coloring.colors_of(node).iter().map(|c| c.to_string()).collect();
-            writeln!(stdout, "v {v} {}", colors.join(" "))?;
-        }
-        stdout.flush()
-    };
-    write().map_err(stdout_error)
-}
-
-/// Nearest-rank percentile over an ascending sample vector.
-fn percentile_ns(sorted: &[u128], p: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
+            "c phase {} edges {} -> {} (|I| = {})",
+            r.phase, r.edges_before, r.edges_after, r.independent_set_size
+        )
+        .map_err(stdout_error)?;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Drives one batch through the service: submit everything (emitting
-/// `rejected` lines on backpressure), stream result lines in
-/// completion order, drain, and hand the telemetry pipeline back.
-fn run_batch<S: pslocal::telemetry::Sink + Send + Sync + 'static>(
-    requests: Vec<ServiceRequest>,
-    config: ServiceConfig,
-    tel: Telemetry<S>,
-) -> (Vec<ServiceResponse>, usize, Telemetry<S>) {
-    let service = Service::start(config, tel);
-    let mut responses = Vec::new();
-    let mut rejected = 0usize;
-    for request in requests {
-        // Keep streaming completions while submitting, so stdout stays
-        // live on long batches.
-        while let Some(response) = service.try_recv() {
-            println!("{}", response_line(&response));
-            responses.push(response);
-        }
-        if let Err(full) = service.submit(request) {
-            println!("{}", rejected_line(&full.request.id));
-            rejected += 1;
-        }
+    for v in 0..h.node_count() {
+        let node = pslocal::graph::NodeId::new(v);
+        let colors: Vec<String> =
+            out.coloring.colors_of(node).iter().map(|c| c.to_string()).collect();
+        writeln!(stdout, "v {v} {}", colors.join(" ")).map_err(stdout_error)?;
     }
-    let report = service.shutdown();
-    for response in report.drained {
-        println!("{}", response_line(&response));
-        responses.push(response);
-    }
-    (responses, rejected, report.telemetry)
+    Ok(())
 }
 
 /// `pslocal batch` — the batched multi-instance serving front end (see
-/// the BATCH section of the usage text for the JSONL schemas).
-fn cmd_batch(args: &Args) -> Result<(), String> {
+/// the BATCH section of the usage text for the JSONL schemas): the
+/// server's line loop over stdin and stdout, waiting for queue room
+/// instead of shedding its own input.
+fn cmd_batch(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let workers = match args.parsed::<usize>("workers")?.unwrap_or(2) {
         0 => return Err("--workers must be at least 1".to_string()),
         w => w,
@@ -525,79 +486,84 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         0 => return Err("--queue must be at least 1".to_string()),
         q => q,
     };
-    let default_deadline_ms = args.parsed::<u64>("deadline-ms")?;
+    let default_deadline = args.parsed::<u64>("deadline-ms")?.map(Duration::from_millis);
     let opts = TraceOpts::from(args);
 
-    let mut requests = Vec::new();
-    for (index, line) in read_stdin()?.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let request = parse_request(line, default_deadline_ms.map(Duration::from_millis))
-            .map_err(|e| format!("stdin line {}: {e}", index + 1))?;
-        requests.push(request);
-    }
-    if requests.is_empty() {
-        return Err("no batch requests on stdin (one JSON object per line)".to_string());
-    }
-    let total = requests.len();
-    let config = ServiceConfig::new(workers).with_queue_capacity(queue);
-
+    // The aggregate feeds the summary below, as it feeds `serve`'s
+    // drain summary; the memory sink is kept only for --trace and
+    // --metrics-out.
+    let stats = AggregateSink::default();
+    let tel = Telemetry::new((stats.clone(), opts.wanted().then(MemorySink::new)));
+    let service = Service::start(ServiceConfig::new(workers).with_queue_capacity(queue), tel);
     let started = Instant::now();
-    let (responses, rejected) = if opts.wanted() {
-        let (responses, rejected, tel) =
-            run_batch(requests, config, Telemetry::new(MemorySink::new()));
-        opts.emit(tel.sink(), &mut std::io::stdout())?;
-        (responses, rejected)
-    } else {
-        let (responses, rejected, _) = run_batch(requests, config, Telemetry::disabled());
-        (responses, rejected)
-    };
-    let wall = started.elapsed();
-
-    let count = |label: &str| responses.iter().filter(|r| r.outcome.label() == label).count();
-    let mut latencies: Vec<u128> = responses.iter().map(|r| r.latency.as_nanos()).collect();
-    latencies.sort_unstable();
-    eprintln!(
-        "batch: {total} requests -> {} ok, {} deadline_exceeded, {} failed, {rejected} rejected \
-         in {}ms ({workers} workers, queue {queue}; latency p50 = {}us, p99 = {}us)",
-        count(protocol::OUTCOME_OK),
-        count(protocol::OUTCOME_DEADLINE_EXCEEDED),
-        count(protocol::OUTCOME_FAILED),
-        wall.as_millis(),
-        percentile_ns(&latencies, 50.0) / 1000,
-        percentile_ns(&latencies, 99.0) / 1000,
+    let report = serve_lines(
+        &service,
+        std::io::stdin().lock(),
+        &mut *stdout,
+        Admission::Wait,
+        default_deadline,
+        &AtomicBool::new(false),
     );
-    Ok(())
+    let tel = service.shutdown().telemetry;
+    let wall = started.elapsed();
+    if let Some(e) = report.write_error {
+        return Err(stdout_error(e));
+    }
+    if let (_, Some(memory)) = tel.sink() {
+        opts.emit(memory, stdout)?;
+    }
+
+    let [completed, deadline_exceeded, failed, bad] = [
+        Counter::RequestsCompleted,
+        Counter::DeadlinesExceeded,
+        Counter::RequestsFailed,
+        Counter::BadRequests,
+    ]
+    .map(|c| stats.counter(c.name()));
+    let (p50, p99) =
+        stats.histogram(Histogram::RequestLatencyNs.name()).map_or((0, 0), |h| (h.p50, h.p99));
+    eprintln!(
+        "batch: {} requests -> {} ok, {deadline_exceeded} deadline_exceeded, {failed} failed, \
+         {bad} bad_request in {}ms ({workers} workers, queue {queue}; latency p50 = {}us, \
+         p99 = {}us)",
+        completed + bad,
+        completed - deadline_exceeded - failed,
+        wall.as_millis(),
+        p50 / 1000,
+        p99 / 1000,
+    );
+    report.first_bad.map_or(Ok(()), |(line, error)| Err(format!("stdin line {line}: {error}")))
 }
 
 /// Decodes a phase journal without re-running anything: header, open
 /// stats (bytes kept vs. discarded) and one line per surviving phase.
-fn cmd_checkpoint_inspect(args: &Args) -> Result<(), String> {
+fn cmd_checkpoint_inspect(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let dir = args.get("checkpoint-dir").ok_or("checkpoint-inspect needs --checkpoint-dir DIR")?;
     let insp = inspect_journal(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     let head = &insp.header;
-    println!(
-        "journal: driver = {}, k = {}, lambda = {:.4}, rho = {}, budget = {}, threads = {}",
+    writeln!(
+        stdout,
+        "journal: driver = {}, k = {}, lambda = {:.4}, rho = {}, budget = {}, threads = {}\n\
+         instance fingerprint: {:#018x}\n\
+         oracle chain: {}\n\
+         phases: {} ({} bytes on disk, {} bytes / {} records discarded as corrupt)",
         head.driver.name(),
         head.k,
         f64::from_bits(head.lambda_bits),
         head.rho,
         head.budget,
         head.threads,
-    );
-    println!("instance fingerprint: {:#018x}", head.instance_fingerprint);
-    println!("oracle chain: {}", head.oracle_names.join(" -> "));
-    println!(
-        "phases: {} ({} bytes on disk, {} bytes / {} records discarded as corrupt)",
+        head.instance_fingerprint,
+        head.oracle_names.join(" -> "),
         insp.phases.len(),
         insp.stats.bytes_total,
         insp.stats.bytes_discarded,
         insp.stats.records_discarded,
-    );
+    )
+    .map_err(stdout_error)?;
     for p in &insp.phases {
-        println!(
+        writeln!(
+            stdout,
             "  phase {}: edges {} -> {}, |I| = {}, quota = {}, {}, calls = {:?}, \
              retries = {}, fallbacks = {}, events = {}",
             p.phase,
@@ -610,15 +576,17 @@ fn cmd_checkpoint_inspect(args: &Args) -> Result<(), String> {
             p.retries,
             p.fallbacks,
             p.events.len(),
-        );
+        )
+        .map_err(stdout_error)?;
         for e in &p.events {
-            println!("    event: attempt {} [{}]: {}", e.attempt, e.oracle, e.kind);
+            writeln!(stdout, "    event: attempt {} [{}]: {}", e.attempt, e.oracle, e.kind)
+                .map_err(stdout_error)?;
         }
     }
     Ok(())
 }
 
-fn cmd_trace_report(args: &Args) -> Result<(), String> {
+fn cmd_trace_report(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
     let n: usize = args.parsed("n")?.unwrap_or(128);
     let m: usize = args.parsed("m")?.unwrap_or(n / 2);
@@ -639,18 +607,23 @@ fn cmd_trace_report(args: &Args) -> Result<(), String> {
     }
     let sink = tel.into_sink();
 
-    println!("trace-report: planted n={n} m={m} k={k} oracle={} seed={:#x}", oracle.name(), seed);
-    println!(
-        "reduction: lambda = {:.2}, rho = {}, phases = {}, colors = {}, {}",
-        out.lambda, out.rho, out.phases_used, out.total_colors, out.locality
-    );
     let spans = sink.spans();
     let timeline = PhaseTimeline::from_spans(&spans)
         .ok_or("no reduction span recorded (telemetry pipeline broken?)")?;
-    println!();
-    print!("{}", timeline.render());
-    println!();
-    print!("{}", render_tree(&spans));
+    write!(
+        stdout,
+        "trace-report: planted n={n} m={m} k={k} oracle={} seed={seed:#x}\n\
+         reduction: lambda = {:.2}, rho = {}, phases = {}, colors = {}, {}\n\n{}\n{}",
+        oracle.name(),
+        out.lambda,
+        out.rho,
+        out.phases_used,
+        out.total_colors,
+        out.locality,
+        timeline.render(),
+        render_tree(&spans)
+    )
+    .map_err(stdout_error)?;
     if let Some(path) = &opts.metrics_out {
         append_events_jsonl(path, &sink)?;
         eprintln!("appended telemetry events to {path}");
@@ -712,7 +685,7 @@ mod signals {
 /// of the usage text). Runs until SIGINT/SIGTERM or a client `SHUTDOWN`
 /// command, then drains every admitted request and prints a final
 /// stats snapshot to stderr.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7171").to_string();
     let workers = match args.parsed::<usize>("workers")?.unwrap_or(2) {
         0 => return Err("--workers must be at least 1".to_string()),
@@ -755,8 +728,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     // Port 0 binds an ephemeral port — print the *resolved* address so
     // scripts (and the CI smoke test) can discover it.
-    println!("listening on {}", server.local_addr());
-    std::io::stdout().flush().map_err(|e| format!("cannot flush stdout: {e}"))?;
+    writeln!(stdout, "listening on {}", server.local_addr())
+        .and_then(|()| stdout.flush())
+        .map_err(stdout_error)?;
     eprintln!(
         "serve: {workers} workers, queue {queue}, max {max_conns} connections \
          (SIGINT/SIGTERM or a client SHUTDOWN drains gracefully)"
@@ -794,8 +768,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// `pslocal client` — a line-oriented helper for talking to a running
 /// `pslocal serve`: sends stdin (or one `--stats` / `--shutdown` /
 /// `--ping` command), half-closes the write side, and streams every
-/// response line to stdout until the server is done.
-fn cmd_client(args: &Args) -> Result<(), String> {
+/// response line to stdout, as it arrives, until the server is done.
+fn cmd_client(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7171");
     let payload = if args.flag("stats") {
         "STATS\n".to_string()
@@ -819,54 +793,64 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     stream
         .shutdown(std::net::Shutdown::Write)
         .map_err(|e| format!("cannot half-close {addr}: {e}"))?;
-    let mut stdout = std::io::stdout();
-    std::io::copy(&mut stream, &mut stdout).map_err(|e| format!("cannot read from {addr}: {e}"))?;
-    stdout.flush().map_err(|e| format!("cannot flush stdout: {e}"))?;
-    Ok(())
+    let mut chunk = [0u8; 8192];
+    loop {
+        let n = stream.read(&mut chunk).map_err(|e| format!("cannot read from {addr}: {e}"))?;
+        if n == 0 {
+            return Ok(());
+        }
+        // `read` returned at most `chunk.len()` bytes.
+        stdout.write_all(&chunk[..n]).and_then(|()| stdout.flush()).map_err(stdout_error)?;
+    }
 }
 
 /// `pslocal lint`: run the static-analysis passes over the workspace
 /// tree and report findings (text or JSON). With `--deny`, any
 /// surviving finding fails the command — the CI gate.
-fn cmd_lint(args: &Args) -> Result<(), String> {
+fn cmd_lint(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let root = args.get("root").unwrap_or(".");
     let analysis = pslocal_analysis::analyze(std::path::Path::new(root))
         .map_err(|e| format!("cannot analyze {root}: {e}"))?;
-    if args.flag("lock-order") {
-        print!("{}", analysis.lock_report.render());
+    let report = if args.flag("lock-order") {
+        analysis.lock_report.render()
     } else if args.flag("json") {
-        print!(
-            "{}",
-            pslocal_analysis::render_json(
-                &analysis.findings,
-                analysis.files_scanned,
-                analysis.suppressed,
-            )
-        );
+        pslocal_analysis::render_json(
+            &analysis.findings,
+            analysis.files_scanned,
+            analysis.suppressed,
+        )
     } else {
-        print!("{}", pslocal_analysis::render_text(&analysis.findings, args.flag("fix-hints")));
-        println!(
-            "{} finding(s), {} suppressed, {} files scanned",
+        format!(
+            "{}{} finding(s), {} suppressed, {} files scanned\n",
+            pslocal_analysis::render_text(&analysis.findings, args.flag("fix-hints")),
             analysis.findings.len(),
             analysis.suppressed,
             analysis.files_scanned
-        );
-    }
+        )
+    };
+    stdout.write_all(report.as_bytes()).map_err(stdout_error)?;
     if args.flag("deny") && !analysis.findings.is_empty() {
         return Err(format!("lint: {} finding(s) with --deny", analysis.findings.len()));
     }
     Ok(())
 }
 
+/// The one writer every command's stdout goes through. It holds no
+/// stdout lock between writes, and `dispatch` flushes it once after
+/// the command returns; a command that must show a line at once
+/// (`serve`'s address, `batch` results, `client` replies) flushes
+/// itself.
+type Stdout = std::io::BufWriter<std::io::Stdout>;
+
 /// A subcommand's entry point.
-type Command = fn(&Args) -> Result<(), String>;
+type Command = fn(&Args, &mut Stdout) -> Result<(), String>;
 
 /// Every subcommand with the options it accepts — exactly those USAGE
 /// lists. `dispatch` rejects any other `--key` before the command runs,
 /// so a misspelled option fails instead of silently taking a default.
 const COMMANDS: &[(&str, &[&str], Command)] = &[
     ("gen", &["n", "m", "k", "epsilon", "p", "seed"], cmd_gen),
-    ("stats", &[], |_| cmd_stats()),
+    ("stats", &[], |_, stdout| cmd_stats(stdout)),
     ("maxis", &["oracle", "threads", "seed", "trace", "metrics-out"], cmd_maxis),
     (
         "reduce",
@@ -895,18 +879,23 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
     ("client", &["addr", "stats", "shutdown", "ping"], cmd_client),
     ("checkpoint-inspect", &["checkpoint-dir"], cmd_checkpoint_inspect),
     ("lint", &["root", "deny", "json", "fix-hints", "lock-order"], cmd_lint),
-    ("help", &[], |_| {
-        println!("{USAGE}");
-        Ok(())
-    }),
+    ("help", &[], |_, stdout| writeln!(stdout, "{USAGE}").map_err(stdout_error)),
 ];
 
 fn dispatch() -> Result<(), String> {
+    let mut stdout = Stdout::new(std::io::stdout());
+    let result = run_command(&mut stdout);
+    // Flushed on failure too: what a command wrote before it failed
+    // still goes out.
+    let flushed = stdout.flush().map_err(stdout_error);
+    result.and(flushed)
+}
+
+fn run_command(stdout: &mut Stdout) -> Result<(), String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // `--help` anywhere, or `-h` first, means `help`.
     if raw.iter().any(|a| a == "--help") || raw.first().is_some_and(|a| a == "-h") {
-        println!("{USAGE}");
-        return Ok(());
+        return writeln!(stdout, "{USAGE}").map_err(stdout_error);
     }
     let args = Args::parse(raw.into_iter())?;
     let name = args.positional.first().map_or("help", String::as_str);
@@ -917,7 +906,7 @@ fn dispatch() -> Result<(), String> {
     if let Some((key, _)) = args.options.iter().find(|(key, _)| !accepted.contains(&key.as_str())) {
         return Err(format!("unknown option --{key} for '{name}'"));
     }
-    run(&args)
+    run(&args, stdout)
 }
 
 fn main() -> ExitCode {

@@ -353,15 +353,91 @@ fn cli_batch_reports_deadline_and_rejection_outcomes() {
         [r#"{"id":"doomed","outcome":"deadline_exceeded","phase":0}"#]
     );
 
-    // A queue of 1 behind a single worker must reject (not buffer) the
-    // overflow; exactly one line per request either way.
+    // A queue of 1 behind a single worker holds at most one request in
+    // flight: batch waits for room instead of rejecting its own input,
+    // so every request runs.
     let batch = jsonl_batch();
     let out = run_cli(&["batch", "--workers", "1", "--queue", "1"], &batch);
     assert!(out.status.success());
     let lines = sorted_result_lines(&out);
     assert_eq!(lines.len(), 6, "one result line per request: {lines:?}");
+    assert!(lines.iter().all(|l| l.contains("\"outcome\":\"ok\"")), "lines: {lines:?}");
     let summary = String::from_utf8_lossy(&out.stderr);
     assert!(summary.contains("6 requests"), "stderr: {summary}");
+}
+
+#[test]
+fn cli_batch_waits_for_queue_room_instead_of_rejecting() {
+    let batch: Vec<String> =
+        (0..300).map(|i| format!(r#"{{"id":"r{i}","n":128,"m":64,"k":4}}"#)).collect();
+    let out = run_cli(&["batch"], &batch.join("\n"));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let lines = sorted_result_lines(&out);
+    assert_eq!(lines.len(), 300);
+    let ok = lines.iter().filter(|l| l.contains("\"outcome\":\"ok\"")).count();
+    assert_eq!(ok, 300, "default flags answer every clean line ok");
+}
+
+/// Peak RSS of `pslocal batch` once it has answered every line of
+/// `lines` while its stdin is still open, in kB. Answering before end
+/// of input is part of the check: a batch that reads all of its input
+/// first never answers within the timeout.
+#[cfg(target_os = "linux")]
+fn batch_peak_rss_kb(lines: &[String]) -> u64 {
+    use std::io::{BufRead as _, BufReader};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pslocal"))
+        .arg("batch")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdin = child.stdin.take().unwrap();
+    let payload = lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+    // Hands stdin back, still open, once everything is written.
+    let feeder = std::thread::spawn(move || {
+        stdin.write_all(payload.as_bytes()).expect("stdin written");
+        stdin
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stdout = child.stdout.take().unwrap();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines() {
+            if tx.send(line.expect("stdout readable")).is_err() {
+                break;
+            }
+        }
+    });
+    for _ in lines {
+        let line = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("batch answers while its stdin is still open");
+        assert!(line.contains("\"outcome\":\"deadline_exceeded\""), "{line}");
+    }
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
+    let peak = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/<pid>/status");
+    drop(feeder.join().expect("feeder thread"));
+    assert!(child.wait().expect("batch exits").success());
+    peak
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn cli_batch_memory_does_not_grow_with_its_input() {
+    // Each line generates an n = 2048 instance of about 60 KB. A zero
+    // deadline answers it without building `G_k`, so the test measures
+    // what intake holds: a batch that parses all of its input before it
+    // runs any grows by about 30 MB from 50 lines to 500.
+    let lines: Vec<String> = (0..500)
+        .map(|i| format!(r#"{{"id":"r{i}","n":2048,"m":1024,"k":4,"seed":{i},"deadline_ms":0}}"#))
+        .collect();
+    let short = batch_peak_rss_kb(&lines[..50]);
+    let long = batch_peak_rss_kb(&lines);
+    assert!(long < short + 4096, "peak RSS {short} kB for 50 lines, {long} kB for 500");
 }
 
 #[test]
@@ -395,6 +471,50 @@ fn cli_batch_gives_every_response_one_service_request_span() {
     indices.sort();
     assert_eq!(indices, ["0", "1"], "metrics: {jsonl}");
     assert_eq!(jsonl.matches(r#""counter":"requests_deadline_exceeded""#).count(), 1);
+}
+
+#[test]
+fn cli_batch_answers_a_bad_line_and_exits_1_after_the_rest() {
+    let batch = [
+        r#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#,
+        r#"{"id":"k0","n":10,"m":5,"k":0}"#,
+        r#"{"id":"b","n":48,"m":20,"k":3,"seed":2}"#,
+    ]
+    .join("\n");
+    let out = run_cli(&["batch"], &batch);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("error: stdin line 2: palette size k must be positive"), "{stderr}");
+    let lines = sorted_result_lines(&out);
+    assert_eq!(lines.len(), 3, "one answer per line: {lines:?}");
+    assert!(lines[0].starts_with(r#"{"id":"a","outcome":"ok""#), "{lines:?}");
+    assert!(lines[1].starts_with(r#"{"id":"b","outcome":"ok""#), "{lines:?}");
+    assert_eq!(lines[2], r#"{"outcome":"bad_request","error":"palette size k must be positive"}"#);
+}
+
+#[test]
+fn cli_batch_answers_unbuildable_and_over_long_lines_with_bad_request() {
+    // A shape that passes the planted-parameter check but whose
+    // generation panics (capacity overflow), and a line far over the
+    // bound: each gets one bad_request, and the lines around it run.
+    let over_long = format!(r#"{{"id":"{}","n":24,"m":10,"k":3}}"#, "x".repeat(1 << 20));
+    for bad in [r#"{"id":"x","n":18446744073709551615}"#, over_long.as_str()] {
+        let batch = [
+            r#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#,
+            bad,
+            r#"{"id":"b","n":48,"m":20,"k":3,"seed":2}"#,
+        ]
+        .join("\n");
+        let out = run_cli(&["batch"], &batch);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(stderr.contains("error: stdin line 2: "), "{stderr}");
+        let lines = sorted_result_lines(&out);
+        assert_eq!(lines.len(), 3, "one answer per line: {lines:?}");
+        assert!(lines[0].starts_with(r#"{"id":"a","outcome":"ok""#), "{lines:?}");
+        assert!(lines[1].starts_with(r#"{"id":"b","outcome":"ok""#), "{lines:?}");
+        assert!(lines[2].starts_with(r#"{"outcome":"bad_request""#), "{lines:?}");
+    }
 }
 
 #[test]

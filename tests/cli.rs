@@ -143,10 +143,19 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
 fn writing_into_a_closed_pipe_is_an_error_line_not_a_panic() {
     // `reduce ... | head -1` closes the pipe after one line. Here the
     // read end is closed before the child has its input, so its first
-    // write to stdout fails.
+    // write to stdout fails. The `gen` output is larger than a pipe
+    // buffer, as in `pslocal gen planted ... | head -1`.
     let hypergraph = "p hypergraph 3 1\nh 0 1 2\n";
     let graph = "p graph 3 2\ne 0 1\ne 1 2\n";
-    for (args, input) in [(&["reduce", "--k", "3"][..], hypergraph), (&["maxis"], graph)] {
+    let request = "{\"id\":\"a\",\"n\":24,\"m\":10,\"k\":3}\n";
+    let gen = ["gen", "planted", "--n", "40000", "--m", "20000", "--k", "4"];
+    for (args, input) in [
+        (&["reduce", "--k", "3"][..], hypergraph),
+        (&["maxis"], graph),
+        (&["stats"], graph),
+        (&["batch"], request),
+        (&gen, ""),
+    ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_pslocal"))
             .args(args)
             .stdin(Stdio::piped())

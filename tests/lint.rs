@@ -34,7 +34,8 @@ fn lock_audit_covers_the_concurrency_surface_and_is_acyclic() {
     let report = &analysis.lock_report;
     assert!(report.cycles.is_empty(), "lock graph has cycles: {:?}", report.cycles);
     let names: BTreeSet<&str> = report.locks.iter().map(|l| l.name.as_str()).collect();
-    for lock in ["state", "available", "results", "counters", "histograms", "spans", "open"] {
+    for lock in ["state", "available", "room", "results", "counters", "histograms", "spans", "open"]
+    {
         assert!(names.contains(lock), "lock `{lock}` missing from inventory {names:?}");
     }
     // Every mutex node appears in the canonical order exactly once.
@@ -43,12 +44,15 @@ fn lock_audit_covers_the_concurrency_surface_and_is_acyclic() {
     for lock in ["state", "results", "counters", "histograms", "spans", "open"] {
         assert!(canonical.contains(lock), "`{lock}` missing from canonical order");
     }
-    // The condvar wait association ties `available` to `state`.
-    assert!(
-        report.waits.iter().any(|w| w.condvar == "available" && w.mutex == "state"),
-        "missing available/state wait association: {:?}",
-        report.waits
-    );
+    // The condvar wait associations tie `available` (idle workers) and
+    // `room` (waiting submitters) to `state`.
+    for condvar in ["available", "room"] {
+        assert!(
+            report.waits.iter().any(|w| w.condvar == condvar && w.mutex == "state"),
+            "missing {condvar}/state wait association: {:?}",
+            report.waits
+        );
+    }
 }
 
 #[test]

@@ -6,11 +6,14 @@
 //! lines; and a mid-load drain must deliver a response for every
 //! admitted request before any socket closes.
 
-use pslocal::core::{Server, ServerConfig, ServiceConfig};
+use proptest::prelude::*;
+use pslocal::core::{serve_lines, Admission, Server, ServerConfig, Service, ServiceConfig};
 use pslocal::telemetry::{AggregateSink, Telemetry};
+use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 /// A mixed JSONL batch: dense and sparse instances, fault-injected
@@ -43,14 +46,125 @@ fn sorted_lines(text: &str) -> Vec<String> {
 }
 
 /// Sends `payload` to the server, half-closes, and returns everything
-/// the server wrote back before closing the connection.
+/// the server wrote back before closing the connection. A connection
+/// that stays open fails the read after a minute instead of hanging.
 fn roundtrip(addr: SocketAddr, payload: &str) -> String {
     let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
     conn.write_all(payload.as_bytes()).expect("send");
     conn.shutdown(Shutdown::Write).expect("half-close");
     let mut out = String::new();
-    conn.read_to_string(&mut out).expect("read responses");
+    conn.read_to_string(&mut out).expect("read responses before the timeout");
     out
+}
+
+/// A request line whose generation panics (capacity overflow) although
+/// its shape passes the planted-parameter check.
+const UNBUILDABLE: &str = r#"{"id":"x","n":18446744073709551615}"#;
+
+/// A request line of about `bytes` bytes that would be valid if it were
+/// not over the line bound.
+fn over_long_line(bytes: usize) -> String {
+    format!(r#"{{"id":"{}","n":24,"m":10,"k":3}}"#, "y".repeat(bytes))
+}
+
+/// One seeded mix of lines through [`serve_lines`], against a
+/// one-worker service with a queue of 1.
+fn check_serve_lines(seed: u64, admission: Admission) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let over_long = over_long_line(70 * 1024);
+    let lines = rng.gen_range(1..24usize);
+    let quit_at = rng.gen_bool(0.3).then(|| rng.gen_range(0..lines));
+    let (mut input, mut requests, mut pings, mut first_bad) = (String::new(), 0, 0, None);
+    for i in 0..lines {
+        if quit_at == Some(i) {
+            input.push_str("QUIT\n");
+        }
+        let answered = quit_at.is_none_or(|q| i < q);
+        let line_no = i as u64 + 1 + u64::from(quit_at.is_some_and(|q| q <= i));
+        // `Some(bad)` for a request line, `None` for a skipped line or PING.
+        let (line, bad) = match rng.gen_range(0..9u32) {
+            0..=2 => (format!(r#"{{"id":"v{i}","n":24,"m":10,"k":3,"seed":{i}}}"#), Some(false)),
+            3 => (r#"{"id":"m","n":"#.to_string(), Some(true)),
+            4 => (r#"{"id":"u","orcale":"luby"}"#.to_string(), Some(true)),
+            5 => (r#"{"id":"z","k":0}"#.to_string(), Some(true)),
+            6 => (if rng.gen_bool(0.5) { "  ".to_string() } else { format!("# note {i}") }, None),
+            7 => ("PING".to_string(), None),
+            _ if rng.gen_bool(0.5) => (over_long.clone(), Some(true)),
+            _ => (UNBUILDABLE.to_string(), Some(true)),
+        };
+        input.push_str(&line);
+        input.push('\n');
+        if !answered {
+            continue;
+        }
+        match bad {
+            Some(bad) => {
+                requests += 1;
+                if bad && first_bad.is_none() {
+                    first_bad = Some(line_no);
+                }
+            }
+            None => pings += usize::from(line == "PING"),
+        }
+    }
+    let service =
+        Service::start(ServiceConfig::new(1).with_queue_capacity(1), Telemetry::disabled());
+    let mut output = Vec::new();
+    let report = serve_lines(
+        &service,
+        input.as_bytes(),
+        &mut output,
+        admission,
+        None,
+        &AtomicBool::new(false),
+    );
+    assert!(service.shutdown().drained.is_empty());
+    assert!(report.write_error.is_none());
+    let output = String::from_utf8(output).expect("UTF-8 output");
+    let responses = output.lines().filter(|l| l.starts_with('{')).count();
+    let pongs = output.lines().filter(|l| *l == "PONG").count();
+    assert_eq!(responses + pongs, output.lines().count(), "{output}");
+    assert_eq!(responses, requests, "one response line per request line:\n{input}");
+    assert_eq!(pongs, pings, "one PONG per PING:\n{input}");
+    assert_eq!(report.first_bad.map(|(line, _)| line), first_bad, "{input}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Seeded mixes of valid requests, malformed JSON, unknown keys,
+    /// `k: 0`, blank and `#` lines, `PING`, over-long lines and a line
+    /// whose generation panics, under both admissions.
+    #[test]
+    fn serve_lines_answers_every_request_line_once(seed in 0u64..1_000_000, wait in 0usize..2) {
+        check_serve_lines(seed, [Admission::Shed, Admission::Wait][wait]);
+    }
+}
+
+#[test]
+fn unbuildable_and_over_long_lines_get_bad_request_and_the_connection_serves_on() {
+    // The unbuildable line used to panic the connection's reader: no
+    // answer for it or the next line, an open socket, and a panic at
+    // `Server::shutdown`. The over-long line used to be buffered whole.
+    let stats = AggregateSink::default();
+    let server =
+        Server::start("127.0.0.1:0", ServerConfig::default(), Telemetry::new(stats.clone()))
+            .expect("starts");
+    for bad in [UNBUILDABLE.to_string(), over_long_line(1 << 20)] {
+        let payload = format!(
+            "{}\n{bad}\n{}\n",
+            r#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#,
+            r#"{"id":"b","n":48,"m":20,"k":3,"seed":2}"#
+        );
+        let lines = sorted_lines(&roundtrip(server.local_addr(), &payload));
+        assert_eq!(lines.len(), 3, "one answer per line: {lines:?}");
+        assert!(lines[0].starts_with(r#"{"id":"a","outcome":"ok""#), "{lines:?}");
+        assert!(lines[1].starts_with(r#"{"id":"b","outcome":"ok""#), "{lines:?}");
+        assert!(lines[2].starts_with(r#"{"outcome":"bad_request""#), "{lines:?}");
+    }
+    server.shutdown();
+    assert_eq!(stats.counter("bad_requests"), 2);
 }
 
 #[test]
@@ -292,6 +406,47 @@ fn finished_connections_release_their_threads() {
     let out = child.wait_with_output().expect("serve exits");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(after < before + 100, "300 closed connections grew the maps from {before} to {after}");
+}
+
+/// Peak resident set of process `pid`, in kB.
+#[cfg(target_os = "linux")]
+fn vm_hwm_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status readable");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/<pid>/status")
+}
+
+/// A 64 MiB line is skipped, not stored: one `bad_request`, the next
+/// request is answered, and the server's peak RSS barely moves.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_over_long_line_does_not_grow_the_server() {
+    let (child, addr) = spawn_serve(&["--workers", "1"]);
+    let before = vm_hwm_kb(child.id());
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let mebibyte = vec![b'x'; 1 << 20];
+    for _ in 0..64 {
+        conn.write_all(&mebibyte).expect("send");
+    }
+    conn.write_all(b"\n{\"id\":\"next\",\"n\":24,\"m\":10,\"k\":3}\n").expect("send");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut out = String::new();
+    conn.read_to_string(&mut out).expect("read responses before the timeout");
+    let after = vm_hwm_kb(child.id());
+
+    let bye = run_cli(&["client", "--addr", &addr, "--shutdown"], "");
+    assert!(bye.status.success());
+    let exit = child.wait_with_output().expect("serve exits");
+    assert!(exit.status.success(), "stderr: {}", String::from_utf8_lossy(&exit.stderr));
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert!(lines[0].starts_with(r#"{"outcome":"bad_request","error":"request line longer"#));
+    assert!(lines[1].starts_with(r#"{"id":"next","outcome":"ok""#), "{out}");
+    assert!(after < before + 8192, "VmHWM {before} kB before the line, {after} kB after");
 }
 
 #[test]
