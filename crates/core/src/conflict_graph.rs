@@ -54,6 +54,8 @@ use pslocal_graph::{
 };
 use pslocal_telemetry::{names, Counter, Instrument, Sink, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::error::Error;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// A triple `(e, v, c)`: hyperedge, member vertex, 0-based color index.
@@ -177,7 +179,7 @@ impl ConflictGraph {
     /// nodes or row entries), or if a forced bit-row route meets more
     /// than [`BITSET_MAX_NODES`](pslocal_graph::bitset::BITSET_MAX_NODES) nodes.
     pub fn build_with_options(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
-        Self::build_traced(h, k, options, &Telemetry::disabled())
+        or_panic(Self::build_traced(h, k, options, &Telemetry::disabled()))
     }
 
     /// Builds `G_k` under a telemetry pipeline: a `conflict-graph` span
@@ -188,32 +190,36 @@ impl ConflictGraph {
     /// pipeline this is exactly [`ConflictGraph::build_with_options`] —
     /// static dispatch to the null sink erases every emission site.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `k == 0`, or with `conflict graph too large` if `G_k`
-    /// overflows the `u32` node ids or CSR offsets (more than `u32::MAX`
-    /// nodes or row entries), or if a forced bit-row route meets more
-    /// than [`BITSET_MAX_NODES`](pslocal_graph::bitset::BITSET_MAX_NODES)
+    /// [`TooLarge`] if `G_k` overflows the `u32` node ids or CSR
+    /// offsets (more than `u32::MAX` nodes or row entries), or if a
+    /// forced bit-row route meets more than
+    /// [`BITSET_MAX_NODES`](pslocal_graph::bitset::BITSET_MAX_NODES)
     /// nodes. Each check runs before the arrays it guards are
     /// allocated, and `Auto` never takes bit rows past that bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
     pub fn build_traced<S: Sink>(
         h: &Hypergraph,
         k: usize,
         options: ConflictGraphOptions,
         parent: &impl Instrument<S>,
-    ) -> Self {
+    ) -> Result<Self, TooLarge> {
         assert!(k >= 1, "palette size k must be positive");
         let span = parent.span(names::CONFLICT_GRAPH);
-        let base = block_bases(h, k);
+        let base = block_bases(h, k)?;
         let node_count = base[h.edge_count()] as usize;
         // The kernel resolution runs on a cheap edge estimate — the
         // exact count exists only after the build.
         let dense = options.kernel.use_bitset(node_count, kernel::estimated_edges(h, k));
         let (edge_count, graph, bits) = if dense {
-            let bits = kernel::build_bitset(h, k, options, &base, &span);
+            let bits = kernel::build_bitset(h, k, options, &base, &span)?;
             (bits.edge_count(), OnceLock::new(), Some(bits))
         } else {
-            let graph = kernel::build_csr(h, k, options, &base, &span);
+            let graph = kernel::build_csr(h, k, options, &base, &span)?;
             (graph.edge_count(), OnceLock::from(graph), None)
         };
         let cg = ConflictGraph {
@@ -227,7 +233,7 @@ impl ConflictGraph {
             base,
         };
         span.add(Counter::CsrBytes, cg.csr_bytes());
-        cg
+        Ok(cg)
     }
 
     /// Builds `G_k` with the predicate-driven all-pairs reference: every
@@ -244,7 +250,7 @@ impl ConflictGraph {
     /// has more than `u32::MAX` nodes.
     pub fn build_reference(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
         assert!(k >= 1, "palette size k must be positive");
-        let base = block_bases(h, k);
+        let base = or_panic(block_bases(h, k));
         let node_count = base[h.edge_count()] as usize;
         let mut triples = Vec::with_capacity(node_count);
         for e in h.edge_ids() {
@@ -395,7 +401,9 @@ impl ConflictGraph {
         self.graph.get_or_init(|| {
             let tel = Telemetry::disabled();
             let span = tel.span(names::CONFLICT_GRAPH);
-            kernel::build_csr(&self.hypergraph, self.k, self.options, &self.base, &span)
+            // Only bit rows build their CSR lazily, and they hold at most
+            // `BITSET_MAX_NODES` nodes: fewer than 2^30 row entries.
+            or_panic(kernel::build_csr(&self.hypergraph, self.k, self.options, &self.base, &span))
         })
     }
 
@@ -555,26 +563,45 @@ impl ConflictGraph {
     }
 }
 
+/// Why [`ConflictGraph::build_traced`] refused a `G_k`: what would
+/// overflow, found before the arrays it sizes were allocated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TooLarge(String);
+
+impl fmt::Display for TooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "conflict graph too large: {}", self.0)
+    }
+}
+
+impl Error for TooLarge {}
+
+/// The panic of the builders that document one instead of returning
+/// [`TooLarge`]; the phase loop calls `build_traced` and gets the error.
+fn or_panic<T>(built: Result<T, TooLarge>) -> T {
+    // pslocal: allow(panic-path, "documented contract: the untraced and reference builders panic on a graph too large to build, and a lazy CSR cannot be (bit rows hold at most 2^15 nodes)")
+    built.unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The triple-block bases of `G_k(h)`: `base[e]` is the first triple
 /// node of hyperedge `e`, and `base[m]` the node count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with `conflict graph too large` if the node count `k·Σ|e|`
-/// does not fit the `u32` node ids.
-fn block_bases(h: &Hypergraph, k: usize) -> Vec<u32> {
+/// [`TooLarge`] if the node count `k·Σ|e|` does not fit the `u32` node
+/// ids.
+fn block_bases(h: &Hypergraph, k: usize) -> Result<Vec<u32>, TooLarge> {
     let m = h.edge_count();
     let mut base = vec![0u32; m + 1];
     let mut end = 0usize;
     for e in 0..m {
         end = end.saturating_add(h.edge_size(HyperedgeId::new(e)).saturating_mul(k));
-        assert!(
-            end <= u32::MAX as usize,
-            "conflict graph too large: k·Σ|e| = {end} triple nodes overflow the u32 node ids"
-        );
+        if end > u32::MAX as usize {
+            return Err(TooLarge(format!("k·Σ|e| = {end} triple nodes overflow the u32 node ids")));
+        }
         base[e + 1] = end as u32;
     }
-    base
+    Ok(base)
 }
 
 /// The construction kernels behind [`ConflictGraph::build_with_options`].
@@ -608,7 +635,7 @@ fn block_bases(h: &Hypergraph, k: usize) -> Vec<u32> {
 /// buffer ([`RowStamper`]), the bitset kernel shifts a color-0 bit
 /// template (`fill_slot_template`).
 mod kernel {
-    use super::ConflictGraphOptions;
+    use super::{ConflictGraphOptions, TooLarge};
     use pslocal_graph::bitset::{set_bit_range, BitsetGraph, BITSET_MAX_NODES};
     use pslocal_graph::{csr, Graph, HyperedgeId, Hypergraph, NodeId};
     use pslocal_telemetry::{names, span, Histogram, Sink, Span};
@@ -696,12 +723,12 @@ mod kernel {
     }
 
     impl WedgeLists {
-        /// # Panics
+        /// # Errors
         ///
-        /// Panics with `conflict graph too large` if the lists hold more
-        /// than `u32::MAX` entries, since `G_k` then has more row
-        /// entries than its `u32` offsets hold.
-        fn build(h: &Hypergraph, idx: &SlotIndex, base: &[u32], k: u32) -> Self {
+        /// [`TooLarge`] if the lists hold more than `u32::MAX` entries,
+        /// since `G_k` then has more row entries than its `u32` offsets
+        /// hold.
+        fn build(h: &Hypergraph, idx: &SlotIndex, base: &[u32], k: u32) -> Result<Self, TooLarge> {
             let m = h.edge_count();
             let len: usize = h
                 .edge_ids()
@@ -709,10 +736,11 @@ mod kernel {
                 .flat_map(|e| h.edge(e))
                 .map(|u| idx.slots(u.index()).0.len() - 1)
                 .sum();
-            assert!(
-                len <= u32::MAX as usize,
-                "conflict graph too large: {len} wedges, each a row entry, overflow the u32 CSR offsets"
-            );
+            if len > u32::MAX as usize {
+                return Err(TooLarge(format!(
+                    "{len} wedges, each a row entry, overflow the u32 CSR offsets"
+                )));
+            }
             let mut targets = Vec::with_capacity(len);
             let mut offsets = Vec::with_capacity(m + 1);
             offsets.push(0);
@@ -733,7 +761,7 @@ mod kernel {
                 offsets.push(targets.len());
             }
             debug_assert_eq!(targets.len(), len);
-            WedgeLists { offsets, targets }
+            Ok(WedgeLists { offsets, targets })
         }
 
         /// Hyperedge `e`'s wedge list.
@@ -765,22 +793,22 @@ mod kernel {
     /// out sorted and in node order, so the arrays *are* the finished
     /// CSR — nothing is ever sorted, deduplicated, or post-processed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with `conflict graph too large` if `G_k` has more than
-    /// `u32::MAX` row entries (twice its edge count).
+    /// [`TooLarge`] if `G_k` has more than `u32::MAX` row entries
+    /// (twice its edge count).
     pub(super) fn build_csr<S: Sink>(
         h: &Hypergraph,
         k: usize,
         options: ConflictGraphOptions,
         base: &[u32],
         parent: &Span<'_, S>,
-    ) -> Graph {
+    ) -> Result<Graph, TooLarge> {
         let pass_span = span!(parent, names::CSR);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
         let kw = k as u32;
-        let wedges = WedgeLists::build(h, &idx, base, kw);
+        let wedges = WedgeLists::build(h, &idx, base, kw)?;
         let m = h.edge_count();
         let literal = options.literal_ecolor;
         let mut total = 0usize;
@@ -789,10 +817,9 @@ mod kernel {
                 total += k * row_len(e, k, literal, base, idx.slots(v.index()).0, wedges.of(e));
             }
         }
-        assert!(
-            total <= u32::MAX as usize,
-            "conflict graph too large: {total} row entries overflow the u32 CSR offsets"
-        );
+        if total > u32::MAX as usize {
+            return Err(TooLarge(format!("{total} row entries overflow the u32 CSR offsets")));
+        }
         let mut offsets: Vec<u32> = Vec::with_capacity(base[m] as usize + 1);
         offsets.push(0);
         let mut targets: Vec<NodeId> = Vec::with_capacity(total);
@@ -808,7 +835,7 @@ mod kernel {
         if let Some(t0) = t0 {
             pass_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
         }
-        csr::from_raw_parts(offsets, targets)
+        Ok(csr::from_raw_parts(offsets, targets))
     }
 
     /// The length of each of the `k` rows of slot `(e, v)` — the same
@@ -967,32 +994,31 @@ mod kernel {
     /// [`build_csr`] emits (checked by the bitset equivalence suite, and
     /// in debug builds by `from_raw_parts`'s popcount re-check).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with `conflict graph too large` if `G_k` has more than
-    /// [`BITSET_MAX_NODES`] nodes, before anything is allocated: the
-    /// rows take `n·⌈n/64⌉` words. `Auto` never routes such a graph
-    /// here, so only a forced `Bitset` can reach the check. Under the
-    /// bound the half-edge count is below `n²` = 2³⁰, so the `u32` row
-    /// offsets cannot overflow.
+    /// [`TooLarge`] if `G_k` has more than [`BITSET_MAX_NODES`] nodes,
+    /// before anything is allocated: the rows take `n·⌈n/64⌉` words.
+    /// `Auto` never routes such a graph here, so only a forced `Bitset`
+    /// can reach the check. Under the bound the half-edge count is
+    /// below `n²` = 2³⁰, so the `u32` row offsets cannot overflow.
     pub(super) fn build_bitset<S: Sink>(
         h: &Hypergraph,
         k: usize,
         options: ConflictGraphOptions,
         base: &[u32],
         parent: &Span<'_, S>,
-    ) -> BitsetGraph {
+    ) -> Result<BitsetGraph, TooLarge> {
         let m = h.edge_count();
         let n = base[m] as usize;
-        assert!(
-            n <= BITSET_MAX_NODES,
-            "conflict graph too large: {n} nodes exceed the {BITSET_MAX_NODES}-node bound \
-             of the bit rows"
-        );
+        if n > BITSET_MAX_NODES {
+            return Err(TooLarge(format!(
+                "{n} nodes exceed the {BITSET_MAX_NODES}-node bound of the bit rows"
+            )));
+        }
         let pass_span = span!(parent, names::BITSET);
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
-        let wedge_lists = WedgeLists::build(h, &idx, base, k as u32);
+        let wedge_lists = WedgeLists::build(h, &idx, base, k as u32)?;
         let words = n.div_ceil(64);
         let mut rows = vec![0u64; n * words];
         let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
@@ -1049,7 +1075,7 @@ mod kernel {
         if let Some(t0) = t0 {
             pass_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
         }
-        BitsetGraph::from_raw_parts(n, rows, offsets)
+        Ok(BitsetGraph::from_raw_parts(n, rows, offsets))
     }
 
     /// The moving targets of [`RowStamper::merge`] — its sweep and

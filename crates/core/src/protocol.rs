@@ -26,7 +26,6 @@
 //! | `epsilon`     | number | planted-instance uniformity slack (default 0.5)  |
 //! | `oracle`      | string | comma-separated fallback chain (default `greedy`)|
 //! | `kernel`      | string | `auto` (default) \| `csr` \| `bitset`, see below |
-//! | `oracle_cache`| bool   | ignored: the resilient driver has no memo        |
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
@@ -119,19 +118,8 @@ fn parse_json_string(
 }
 
 /// The request schema's keys, in the module docs' table order.
-const REQUEST_KEYS: [&str; 11] = [
-    "id",
-    "n",
-    "m",
-    "k",
-    "seed",
-    "epsilon",
-    "oracle",
-    "kernel",
-    "oracle_cache",
-    "deadline_ms",
-    "faults",
-];
+const REQUEST_KEYS: [&str; 10] =
+    ["id", "n", "m", "k", "seed", "epsilon", "oracle", "kernel", "deadline_ms", "faults"];
 
 /// Parses one *flat* JSON object (scalar values only — nested objects
 /// and arrays are rejected) whose keys are distinct [`REQUEST_KEYS`].
@@ -149,7 +137,7 @@ fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
         loop {
             skip_ws(&mut chars);
             let key = parse_json_string(&mut chars)?;
-            // Schema first: it caps `fields` at 11, so the duplicate
+            // Schema first: it caps `fields` at 10, so the duplicate
             // scan costs a constant per key.
             if !REQUEST_KEYS.contains(&key.as_str()) {
                 return Err(format!(
@@ -224,15 +212,6 @@ impl RequestFields {
                 .map(Some)
                 .map_err(|_| format!("cannot parse field {key:?} value {raw:?}")),
             Some(JsonValue::Str(_)) => Err(format!("field {key:?} must be a JSON number")),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.find(key) {
-            None => Ok(false),
-            Some(JsonValue::Raw(raw)) if raw == "true" => Ok(true),
-            Some(JsonValue::Raw(raw)) if raw == "false" => Ok(false),
-            _ => Err(format!("field {key:?} must be true or false")),
         }
     }
 }
@@ -349,7 +328,6 @@ pub fn parse_request(
 
     let mut base = ReductionConfig::new(k);
     base.kernel = kernel_by_name(fields.str("kernel")?.unwrap_or("auto"))?;
-    base.oracle_cache = fields.bool("oracle_cache")?;
     let config = ResilientConfig { base, ..ResilientConfig::new(k) };
 
     let mut request = ServiceRequest::new(id, inst.hypergraph, chain, config);
@@ -425,14 +403,16 @@ mod tests {
     #[test]
     fn parses_a_full_request_line() {
         let req = parse_request(
-            r#"{"id":"r0","n":48,"m":20,"k":3,"seed":7,"oracle":"greedy,exact","kernel":"csr","oracle_cache":true,"deadline_ms":250}"#,
+            r#"{"id":"r0","n":48,"m":20,"k":3,"seed":7,"oracle":"greedy,exact","kernel":"csr","deadline_ms":250}"#,
             None,
         )
         .expect("parses");
         assert_eq!(req.id, "r0");
         assert_eq!(req.chain.len(), 2);
         assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-        assert!(req.config.base.oracle_cache);
+        // The resilient driver has no memo, so the old key is refused.
+        let refused = parse_request(r#"{"id":"r1","oracle_cache":true}"#, None).unwrap_err();
+        assert!(refused.starts_with("unknown field \"oracle_cache\""), "{refused}");
     }
 
     #[test]

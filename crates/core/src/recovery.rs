@@ -23,9 +23,16 @@
 //!            crc    u32 LE — CRC-32 (IEEE) of the payload
 //!            payload:
 //!              tag  u8 — 0 = header record, 1 = phase record
-//!              ...  tag-specific fields (see [`JournalHeader`],
+//!              ...  the record's fields (see [`JournalHeader`],
 //!                   [`JournalPhase`])
 //! ```
+//!
+//! A record's layout is its `wire_record!` field list in this module:
+//! the listed fields in order, each in its type's one encoding —
+//! integers little-endian, `usize` as `u64`, `bool` as one byte,
+//! strings and vectors behind a `u32` length, options behind a 0/1 tag.
+//! Encoder and decoder are both derived from that list, so they cannot
+//! disagree.
 //!
 //! The first record is always the header; every following record is a
 //! phase, indexed sequentially from 0. The journal is **append-only**:
@@ -61,7 +68,9 @@
 //! everything after it** (the in-memory commit is rolled back and the
 //! journal truncated to the good prefix), and the driver resumes
 //! normal execution from there. A corrupt journal can therefore cost
-//! recomputation, never correctness.
+//! recomputation, never correctness. The kept prefix is the driver's
+//! state: its length is the next phase, and its last record holds the
+//! cumulative oracle-call positions, retries and fallbacks.
 
 use crate::conflict_graph::ConflictGraph;
 use crate::reduction::{commit_phase, decay_allowed, PhaseRecord};
@@ -86,6 +95,10 @@ pub const JOURNAL_FILE_NAME: &str = "journal.psj";
 /// a bit flip in the `len` field must not make the parser swallow the
 /// rest of the file (or attempt a absurd allocation) as one "record".
 const MAX_RECORD_LEN: usize = 1 << 26;
+
+/// Most oracles a header may name, and most chain slots a phase may
+/// count calls for.
+const MAX_CHAIN: usize = 1024;
 
 const TAG_HEADER: u8 = 0;
 const TAG_PHASE: u8 = 1;
@@ -136,40 +149,121 @@ pub fn fingerprint_hypergraph(h: &Hypergraph) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Byte codec (the vendored serde is derive-only: all encoding is
-// hand-rolled, little-endian, length-prefixed)
+// Byte codec: one encoding per type, one field list per record (the
+// vendored serde is derive-only, so the codec is written here)
 // ---------------------------------------------------------------------
 
-#[derive(Debug)]
-struct Enc(Vec<u8>);
+/// One type's journal encoding. `take` reads a value off the front of
+/// `d` and fails, never panics, past its end or on bytes no `put`
+/// writes.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(d: &mut &[u8]) -> Option<Self>;
+}
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
+/// Splits the first `n` bytes off `d`, or `None` past its end.
+fn split<'a>(d: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = d.split_at_checked(n)?;
+    *d = tail;
+    Some(head)
+}
+
+macro_rules! wire_le {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(d: &mut &[u8]) -> Option<Self> {
+                Some(Self::from_le_bytes(split(d, size_of::<Self>())?.try_into().ok()?))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u32, u64);
+
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
     }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn size(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        usize::try_from(u64::take(d)?).ok()
     }
 }
 
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        [false, true].get(usize::from(u8::take(d)?)).copied()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        let len = u32::take(d)? as usize;
+        String::from_utf8(split(d, len)?.to_vec()).ok()
+    }
+}
+
+/// Items are pushed as they decode, never reserved from the count, so
+/// a damaged count fails at the end of the payload instead of
+/// allocating what it claims.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|item| item.put(out));
+    }
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        let mut items = Vec::new();
+        for _ in 0..u32::take(d)? {
+            items.push(T::take(d)?);
+        }
+        Some(items)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        Some(if bool::take(d)? { Some(T::take(d)?) } else { None })
+    }
+}
+
+/// Implements [`Wire`] for a record as its listed fields in order: the
+/// list is the record's byte layout.
+macro_rules! wire_record {
+    ($record:ident { $($field:ident),+ $(,)? }) => {
+        impl Wire for $record {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn take(d: &mut &[u8]) -> Option<Self> {
+                Some($record { $($field: Wire::take(d)?),+ })
+            }
+        }
+    };
+}
+
 /// Appends one record to `out` as it sits on disk — payload length,
-/// payload CRC-32, then the payload `encode` writes — and returns `out`.
-fn frame(out: Vec<u8>, encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
+/// payload CRC-32, then the payload: `tag` and `record` — and returns
+/// `out`.
+fn frame(mut out: Vec<u8>, tag: u8, record: &impl Wire) -> Vec<u8> {
     let start = out.len();
-    let mut e = Enc(out);
-    e.u64(0); // length and CRC, filled in once the payload is known
-    encode(&mut e);
-    let mut out = e.0;
+    out.extend_from_slice(&[0; 8]); // length and CRC, filled in below
+    tag.put(&mut out);
+    record.put(&mut out);
     let payload = &out[start + 8..];
     let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
     out[start..start + 4].copy_from_slice(&len);
@@ -177,49 +271,10 @@ fn frame(out: Vec<u8>, encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked little-endian reader; every getter returns `None`
-/// past the end, so a truncated payload can never read out of bounds.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn size(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
+/// Decodes all of `d` as one record; trailing bytes fail it too.
+fn decode<R: Wire>(mut d: &[u8]) -> Option<R> {
+    let record = R::take(&mut d)?;
+    d.is_empty().then_some(record)
 }
 
 // ---------------------------------------------------------------------
@@ -246,20 +301,15 @@ impl DriverKind {
             DriverKind::Resilient => "resilient",
         }
     }
+}
 
-    fn code(self) -> u8 {
-        match self {
-            DriverKind::Trusting => 0,
-            DriverKind::Resilient => 1,
-        }
+/// One byte: the variant's index in declaration order.
+impl Wire for DriverKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
     }
-
-    fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => DriverKind::Trusting,
-            1 => DriverKind::Resilient,
-            _ => return None,
-        })
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        [DriverKind::Trusting, DriverKind::Resilient].get(usize::from(u8::take(d)?)).copied()
     }
 }
 
@@ -301,51 +351,18 @@ impl JournalHeader {
     pub fn lambda(&self) -> f64 {
         f64::from_bits(self.lambda_bits)
     }
-
-    fn encode(&self, e: &mut Enc) {
-        e.u8(TAG_HEADER);
-        e.u8(self.driver.code());
-        e.size(self.k);
-        e.u64(self.lambda_bits);
-        e.size(self.rho);
-        e.size(self.budget);
-        e.size(self.threads);
-        e.u64(self.instance_fingerprint);
-        e.u32(self.oracle_names.len() as u32);
-        for name in &self.oracle_names {
-            e.str(name);
-        }
-    }
-
-    /// Decodes the payload *after* the tag byte.
-    fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        let driver = DriverKind::from_code(d.u8()?)?;
-        let k = d.size()?;
-        let lambda_bits = d.u64()?;
-        let rho = d.size()?;
-        let budget = d.size()?;
-        let threads = d.size()?;
-        let instance_fingerprint = d.u64()?;
-        let count = d.u32()? as usize;
-        if count > 1024 {
-            return None;
-        }
-        let mut oracle_names = Vec::with_capacity(count);
-        for _ in 0..count {
-            oracle_names.push(d.str()?);
-        }
-        Some(JournalHeader {
-            driver,
-            k,
-            lambda_bits,
-            rho,
-            budget,
-            threads,
-            instance_fingerprint,
-            oracle_names,
-        })
-    }
 }
+
+wire_record!(JournalHeader {
+    driver,
+    k,
+    lambda_bits,
+    rho,
+    budget,
+    threads,
+    instance_fingerprint,
+    oracle_names,
+});
 
 /// A [`FaultEvent`] as stored on disk: identical fields, except the
 /// oracle name is owned. Interning back to the `&'static str` the live
@@ -390,63 +407,39 @@ impl StoredFaultEvent {
             kind: self.kind,
         })
     }
+}
 
-    fn encode(&self, e: &mut Enc) {
-        e.size(self.phase);
-        e.size(self.attempt);
-        e.str(&self.oracle);
-        match self.component {
-            None => e.u8(0),
-            Some(c) => {
-                e.u8(1);
-                e.size(c);
-            }
-        }
-        let (tag, a, b) = match self.kind {
-            FaultEventKind::OraclePanicked => (0u8, 0u64, 0u64),
-            FaultEventKind::OracleInvalidOutput => (1, 0, 0),
-            FaultEventKind::OracleUnderDelivered { delivered, required } => {
-                (2, delivered as u64, required as u64)
-            }
-            FaultEventKind::OracleStalled { steps, tolerance } => {
-                (3, steps as u64, tolerance as u64)
-            }
-            FaultEventKind::FallbackEngaged => (4, 0, 0),
-            FaultEventKind::RetriesExhausted { attempts } => (5, attempts as u64, 0),
+wire_record!(StoredFaultEvent { phase, attempt, oracle, component, kind });
+
+/// A code byte and two `usize` operands, zero where the kind has none
+/// (and ignored on decoding there).
+impl Wire for FaultEventKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        use FaultEventKind::*;
+        let (code, a, b): (u8, usize, usize) = match *self {
+            OraclePanicked => (0, 0, 0),
+            OracleInvalidOutput => (1, 0, 0),
+            OracleUnderDelivered { delivered, required } => (2, delivered, required),
+            OracleStalled { steps, tolerance } => (3, steps, tolerance),
+            FallbackEngaged => (4, 0, 0),
+            RetriesExhausted { attempts } => (5, attempts, 0),
         };
-        e.u8(tag);
-        e.u64(a);
-        e.u64(b);
+        code.put(out);
+        a.put(out);
+        b.put(out);
     }
-
-    fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        let phase = d.size()?;
-        let attempt = d.size()?;
-        let oracle = d.str()?;
-        let component = match d.u8()? {
-            0 => None,
-            1 => Some(d.size()?),
+    fn take(d: &mut &[u8]) -> Option<Self> {
+        use FaultEventKind::*;
+        let (code, a, b) = (u8::take(d)?, usize::take(d)?, usize::take(d)?);
+        Some(match code {
+            0 => OraclePanicked,
+            1 => OracleInvalidOutput,
+            2 => OracleUnderDelivered { delivered: a, required: b },
+            3 => OracleStalled { steps: a, tolerance: b },
+            4 => FallbackEngaged,
+            5 => RetriesExhausted { attempts: a },
             _ => return None,
-        };
-        let tag = d.u8()?;
-        let a = d.u64()?;
-        let b = d.u64()?;
-        let kind = match tag {
-            0 => FaultEventKind::OraclePanicked,
-            1 => FaultEventKind::OracleInvalidOutput,
-            2 => FaultEventKind::OracleUnderDelivered {
-                delivered: usize::try_from(a).ok()?,
-                required: usize::try_from(b).ok()?,
-            },
-            3 => FaultEventKind::OracleStalled {
-                steps: usize::try_from(a).ok()?,
-                tolerance: usize::try_from(b).ok()?,
-            },
-            4 => FaultEventKind::FallbackEngaged,
-            5 => FaultEventKind::RetriesExhausted { attempts: usize::try_from(a).ok()? },
-            _ => return None,
-        };
-        Some(StoredFaultEvent { phase, attempt, oracle, component, kind })
+        })
     }
 }
 
@@ -487,95 +480,28 @@ pub struct JournalPhase {
     pub events: Vec<StoredFaultEvent>,
 }
 
-impl JournalPhase {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(TAG_PHASE);
-        e.size(self.phase);
-        e.u64(self.cg_fingerprint);
-        e.u32(self.set.len() as u32);
-        for &v in &self.set {
-            e.u64(v);
-        }
-        e.size(self.record.phase);
-        e.size(self.record.edges_before);
-        e.size(self.record.conflict_nodes);
-        e.size(self.record.conflict_edges);
-        e.size(self.record.independent_set_size);
-        e.size(self.record.edges_removed);
-        e.size(self.record.edges_after);
-        e.size(self.quota_required);
-        e.u8(self.primary as u8);
-        e.u32(self.chain_calls.len() as u32);
-        for &c in &self.chain_calls {
-            e.u64(c);
-        }
-        e.u64(self.retries);
-        e.u64(self.fallbacks);
-        e.u32(self.events.len() as u32);
-        for ev in &self.events {
-            ev.encode(e);
-        }
-    }
+wire_record!(JournalPhase {
+    phase,
+    cg_fingerprint,
+    set,
+    record,
+    quota_required,
+    primary,
+    chain_calls,
+    retries,
+    fallbacks,
+    events,
+});
 
-    /// Decodes the payload *after* the tag byte.
-    fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        let phase = d.size()?;
-        let cg_fingerprint = d.u64()?;
-        let set_len = d.u32()? as usize;
-        if set_len > MAX_RECORD_LEN / 8 {
-            return None;
-        }
-        let mut set = Vec::with_capacity(set_len);
-        for _ in 0..set_len {
-            set.push(d.u64()?);
-        }
-        let record = PhaseRecord {
-            phase: d.size()?,
-            edges_before: d.size()?,
-            conflict_nodes: d.size()?,
-            conflict_edges: d.size()?,
-            independent_set_size: d.size()?,
-            edges_removed: d.size()?,
-            edges_after: d.size()?,
-        };
-        let quota_required = d.size()?;
-        let primary = match d.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let calls_len = d.u32()? as usize;
-        if calls_len > 1024 {
-            return None;
-        }
-        let mut chain_calls = Vec::with_capacity(calls_len);
-        for _ in 0..calls_len {
-            chain_calls.push(d.u64()?);
-        }
-        let retries = d.u64()?;
-        let fallbacks = d.u64()?;
-        let events_len = d.u32()? as usize;
-        if events_len > MAX_RECORD_LEN / 16 {
-            return None;
-        }
-        let mut events = Vec::with_capacity(events_len);
-        for _ in 0..events_len {
-            events.push(StoredFaultEvent::decode(d)?);
-        }
-        Some(JournalPhase {
-            phase,
-            cg_fingerprint,
-            set,
-            record,
-            quota_required,
-            primary,
-            chain_calls,
-            retries,
-            fallbacks,
-            events,
-        })
-    }
-}
+wire_record!(PhaseRecord {
+    phase,
+    edges_before,
+    conflict_nodes,
+    conflict_edges,
+    independent_set_size,
+    edges_removed,
+    edges_after,
+});
 
 // ---------------------------------------------------------------------
 // The journal file
@@ -622,7 +548,7 @@ impl PhaseJournal {
     pub fn create(dir: &Path, header: JournalHeader) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = Self::file_path(dir);
-        let bytes = frame(JOURNAL_MAGIC.to_vec(), |e| header.encode(e));
+        let bytes = frame(JOURNAL_MAGIC.to_vec(), TAG_HEADER, &header);
         let mut file = fs::File::create(&path)?;
         file.write_all(&bytes)?;
         file.sync_all()?;
@@ -688,25 +614,19 @@ impl PhaseJournal {
             if crc32(payload) != crc {
                 break;
             }
-            let mut d = Dec::new(payload);
-            let Some(tag) = d.u8() else { break };
-            match (tag, header.is_some()) {
-                (TAG_HEADER, false) => {
-                    let Some(h) = JournalHeader::decode(&mut d) else { break };
-                    if !d.done() {
-                        break;
+            match (payload[0], header.is_some()) {
+                (TAG_HEADER, false) => match decode::<JournalHeader>(&payload[1..]) {
+                    Some(h) if h.oracle_names.len() <= MAX_CHAIN => header = Some(h),
+                    _ => break,
+                },
+                // Sequential from 0 — an out-of-order record and
+                // everything after it is unusable.
+                (TAG_PHASE, true) => match decode::<JournalPhase>(&payload[1..]) {
+                    Some(p) if p.phase == phases.len() && p.chain_calls.len() <= MAX_CHAIN => {
+                        phases.push(p)
                     }
-                    header = Some(h);
-                }
-                (TAG_PHASE, true) => {
-                    let Some(p) = JournalPhase::decode(&mut d) else { break };
-                    // Sequential from 0 — an out-of-order record and
-                    // everything after it is unusable.
-                    if !d.done() || p.phase != phases.len() {
-                        break;
-                    }
-                    phases.push(p);
-                }
+                    _ => break,
+                },
                 _ => break,
             }
             pos += 8 + len;
@@ -773,7 +693,7 @@ impl PhaseJournal {
     /// Any I/O failure, including a journal file that no longer exists:
     /// an append never re-creates it.
     pub fn append_phase(&mut self, phase: JournalPhase) -> io::Result<u64> {
-        let bytes = frame(Vec::new(), |e| phase.encode(e));
+        let bytes = frame(Vec::new(), TAG_PHASE, &phase);
         let mut file = fs::OpenOptions::new().append(true).open(&self.path)?;
         file.write_all(&bytes)?;
         file.sync_data()?;
@@ -984,12 +904,9 @@ impl From<io::Error> for JournalError {
 /// the driver computed before its phase loop.
 pub(crate) struct ReplayCtx<'a> {
     pub h: &'a Hypergraph,
-    pub driver: DriverKind,
-    pub k: usize,
-    pub lambda: f64,
-    pub rho: usize,
-    pub budget: usize,
-    pub threads: usize,
+    /// The header this run writes; a journal is resumed only under an
+    /// equal one.
+    pub header: JournalHeader,
     /// Decay re-check applies to primary-accepted phases (certified
     /// oracle, no λ override) — exactly when the original run enforced
     /// it.
@@ -997,196 +914,110 @@ pub(crate) struct ReplayCtx<'a> {
     pub chain_names: Vec<&'static str>,
 }
 
-impl ReplayCtx<'_> {
-    fn expected_header(&self) -> JournalHeader {
-        JournalHeader {
-            driver: self.driver,
-            k: self.k,
-            lambda_bits: self.lambda.to_bits(),
-            rho: self.rho,
-            budget: self.budget,
-            threads: self.threads,
-            instance_fingerprint: fingerprint_hypergraph(self.h),
-            oracle_names: self.chain_names.iter().map(|n| n.to_string()).collect(),
-        }
-    }
-}
-
-/// Replayed driver state: the journal (truncated to its validated
-/// prefix), the startup report, and every accumulator the driver must
-/// continue from.
-pub(crate) struct Replayed {
-    pub journal: PhaseJournal,
-    pub report: RecoveryReport,
-    /// Next phase to execute.
-    pub phase: usize,
-    pub records: Vec<PhaseRecord>,
-    /// Cumulative oracle calls per chain slot (resume positions).
-    pub chain_calls: Vec<u64>,
-    pub retries: u64,
-    pub fallbacks: u64,
-    pub fault_log: Vec<FaultEvent>,
-}
-
 fn field_mismatch(expected: &JournalHeader, found: &JournalHeader) -> Option<&'static str> {
-    if found.driver != expected.driver {
-        return Some("driver");
-    }
-    if found.instance_fingerprint != expected.instance_fingerprint {
-        return Some("instance_fingerprint");
-    }
-    if found.k != expected.k {
-        return Some("k");
-    }
-    if found.lambda_bits != expected.lambda_bits {
-        return Some("lambda");
-    }
-    if found.rho != expected.rho {
-        return Some("rho");
-    }
-    if found.budget != expected.budget {
-        return Some("budget");
-    }
-    if found.threads != expected.threads {
-        return Some("threads");
-    }
-    if found.oracle_names != expected.oracle_names {
-        return Some("oracle_names");
-    }
-    None
+    [
+        ("driver", found.driver == expected.driver),
+        ("instance_fingerprint", found.instance_fingerprint == expected.instance_fingerprint),
+        ("k", found.k == expected.k),
+        ("lambda", found.lambda_bits == expected.lambda_bits),
+        ("rho", found.rho == expected.rho),
+        ("budget", found.budget == expected.budget),
+        ("threads", found.threads == expected.threads),
+        ("oracle_names", found.oracle_names == expected.oracle_names),
+    ]
+    .into_iter()
+    .find_map(|(field, same)| (!same).then_some(field))
 }
 
 /// Opens (or freshly creates) the journal in `ckpt.dir` and replays
 /// its validated prefix into the driver's live state (`cg`,
 /// `coloring`, `residual` are advanced past every accepted phase).
 ///
-/// See the [module docs](self) for the replay state machine. On any
-/// rejection the in-memory commit of the offending record is rolled
-/// back and the remaining phases are left for live execution. Either
-/// way the file is cut to the accepted prefix, so the next append
-/// lands right after it.
+/// Returns the journal cut to that prefix, which is the rest of the
+/// driver's state (see the [module docs](self)), the startup report,
+/// and the prefix's fault events interned against the live chain. On
+/// any rejection the in-memory commit of the offending record is
+/// rolled back and the remaining phases are left for live execution.
+/// Either way the file is cut to the accepted prefix, so the next
+/// append lands right after it.
 pub(crate) fn open_or_replay<S: Sink>(
-    ctx: &ReplayCtx<'_>,
+    ctx: ReplayCtx<'_>,
     ckpt: &Checkpointing,
     cg: &mut ConflictGraph,
     coloring: &mut Multicoloring,
     residual: &mut Vec<HyperedgeId>,
     parent: &Span<'_, S>,
-) -> Result<Replayed, JournalError> {
-    let expected = ctx.expected_header();
-    let slots = ctx.chain_names.len();
-    let fresh = |journal: PhaseJournal, report: RecoveryReport| Replayed {
-        report: RecoveryReport { journal_bytes: journal.bytes(), ..report },
-        journal,
-        phase: 0,
-        records: Vec::new(),
-        chain_calls: vec![0; slots],
-        retries: 0,
-        fallbacks: 0,
-        fault_log: Vec::new(),
-    };
-
-    if !ckpt.resume {
-        return Ok(fresh(PhaseJournal::create(&ckpt.dir, expected)?, RecoveryReport::default()));
-    }
-
-    let (opened, stats) = PhaseJournal::open(&ckpt.dir)?;
+) -> Result<(PhaseJournal, RecoveryReport, Vec<FaultEvent>), JournalError> {
+    let (opened, stats) =
+        if ckpt.resume { PhaseJournal::open(&ckpt.dir)? } else { (None, OpenStats::default()) };
     let Some(mut journal) = opened else {
-        // Absent or corrupt beyond the header: start fresh, but account
-        // for what was thrown away.
+        // Not resuming, absent, or corrupt beyond the header: start
+        // fresh, but account for what was thrown away.
+        let journal = PhaseJournal::create(&ckpt.dir, ctx.header)?;
         let report = RecoveryReport {
             resumed: stats.bytes_total > 0,
             records_discarded: stats.records_discarded,
             bytes_discarded: stats.bytes_discarded,
-            ..Default::default()
+            journal_bytes: journal.bytes(),
+            ..RecoveryReport::default()
         };
-        return Ok(fresh(PhaseJournal::create(&ckpt.dir, expected)?, report));
+        return Ok((journal, report, Vec::new()));
     };
-    if let Some(field) = field_mismatch(&expected, journal.header()) {
+    if let Some(field) = field_mismatch(&ctx.header, journal.header()) {
         return Err(JournalError::HeaderMismatch { field });
     }
 
     let replay_span = span!(parent, names::RECOVERY_REPLAY);
-    let mut records: Vec<PhaseRecord> = Vec::new();
     let mut fault_log: Vec<FaultEvent> = Vec::new();
-    let mut chain_calls: Vec<u64> = vec![0; slots];
-    let mut retries = 0u64;
-    let mut fallbacks = 0u64;
-    let mut phase = 0usize;
-
-    for jp in journal.phases() {
-        debug_assert_eq!(jp.phase, phase, "open() guarantees sequential indices");
-        let valid = validate_and_commit(
-            ctx,
-            jp,
-            phase,
-            cg,
-            coloring,
-            residual,
-            &chain_calls,
-            (retries, fallbacks),
-        );
-        let Some(committed) = valid else { break };
-        records.push(jp.record.clone());
-        fault_log.extend(committed.events);
-        chain_calls.clone_from(&jp.chain_calls);
-        retries = jp.retries;
-        fallbacks = jp.fallbacks;
-        phase += 1;
+    let mut accepted = 0usize;
+    for (i, jp) in journal.phases().iter().enumerate() {
+        let prev = journal.phases()[..i].last();
+        let Some((keep_pos, events)) = validate_and_commit(&ctx, jp, prev, cg, coloring, residual)
+        else {
+            break;
+        };
+        fault_log.extend(events);
+        accepted += 1;
         replay_span.add(Counter::PhasesRecovered, 1);
-        if !residual.is_empty() && phase < ctx.budget {
-            *cg = cg.restrict_to_edges(&committed.keep_pos);
+        if !residual.is_empty() && accepted < ctx.header.budget {
+            *cg = cg.restrict_to_edges(&keep_pos);
         }
     }
 
     // The first rejected record goes together with everything after it,
     // unparsable tail included.
-    let records_discarded = stats.records_discarded + (journal.phases().len() - phase);
-    let journal_bytes = journal.truncate_phases(phase)?;
+    let records_discarded = stats.records_discarded + (journal.phases().len() - accepted);
+    let journal_bytes = journal.truncate_phases(accepted)?;
     replay_span.close();
-
-    Ok(Replayed {
-        journal,
-        report: RecoveryReport {
-            resumed: true,
-            phases_recovered: phase,
-            records_discarded,
-            bytes_discarded: stats.bytes_total - journal_bytes,
-            journal_bytes,
-        },
-        phase,
-        records,
-        chain_calls,
-        retries,
-        fallbacks,
-        fault_log,
-    })
+    let report = RecoveryReport {
+        resumed: true,
+        phases_recovered: accepted,
+        records_discarded,
+        bytes_discarded: stats.bytes_total - journal_bytes,
+        journal_bytes,
+    };
+    Ok((journal, report, fault_log))
 }
 
-struct CommittedReplay {
-    keep_pos: Vec<HyperedgeId>,
-    events: Vec<FaultEvent>,
-}
-
-/// One record through replay steps 2–5 (see module docs). `None` =
-/// rejected; the in-memory state is exactly as before the call.
-#[allow(clippy::too_many_arguments)]
+/// One record through replay steps 2–5 (see module docs), after the
+/// accepted record `prev` before it. Returns the survivors' positions
+/// and the interned events; `None` = rejected, and the in-memory state
+/// is exactly as before the call.
 fn validate_and_commit(
     ctx: &ReplayCtx<'_>,
     jp: &JournalPhase,
-    phase: usize,
+    prev: Option<&JournalPhase>,
     cg: &mut ConflictGraph,
     coloring: &mut Multicoloring,
     residual: &mut Vec<HyperedgeId>,
-    prev_calls: &[u64],
-    prev_counts: (u64, u64),
-) -> Option<CommittedReplay> {
-    // Counters may only grow, and the chain shape is fixed.
-    if jp.chain_calls.len() != prev_calls.len()
-        || jp.chain_calls.iter().zip(prev_calls).any(|(now, before)| now < before)
-        || jp.retries < prev_counts.0
-        || jp.fallbacks < prev_counts.1
-    {
+) -> Option<(Vec<HyperedgeId>, Vec<FaultEvent>)> {
+    // The chain shape is fixed, and the counters may only grow.
+    let shrank = |p: &JournalPhase| {
+        jp.chain_calls.iter().zip(&p.chain_calls).any(|(now, before)| now < before)
+            || jp.retries < p.retries
+            || jp.fallbacks < p.fallbacks
+    };
+    if jp.chain_calls.len() != ctx.chain_names.len() || prev.is_some_and(shrank) {
         return None;
     }
     // Fingerprint: the set must have been chosen on *this* graph.
@@ -1208,74 +1039,51 @@ fn validate_and_commit(
         return None;
     }
     // Events must intern against the live chain.
-    let mut events = Vec::with_capacity(jp.events.len());
-    for ev in &jp.events {
-        events.push(ev.intern(&ctx.chain_names)?);
-    }
+    let events: Vec<FaultEvent> =
+        jp.events.iter().map(|ev| ev.intern(&ctx.chain_names)).collect::<Option<_>>()?;
     // Re-commit and compare: the stored record must be *exactly* what
     // committing this set produces. Snapshot first so a lying record
     // can be rolled back.
     let coloring_snapshot = coloring.clone();
     let residual_snapshot = residual.clone();
-    let edges_before = residual.len();
-    let commit = commit_phase(ctx.h, cg, &set, ctx.k, phase, coloring, residual);
-    let reproduced = PhaseRecord {
-        phase,
-        edges_before,
-        conflict_nodes: cg.node_count(),
-        conflict_edges: cg.edge_count(),
-        independent_set_size: set.len(),
-        edges_removed: edges_before - commit.edges_after,
-        edges_after: commit.edges_after,
-    };
+    let commit = commit_phase(ctx.h, cg, &set, ctx.header.k, jp.phase, coloring, residual);
+    let PhaseRecord { edges_before, edges_after, .. } = commit.record;
     let decay_ok = !(ctx.enforce_decay && jp.primary)
-        || commit.edges_after <= decay_allowed(edges_before, ctx.lambda);
-    if reproduced != jp.record || !decay_ok {
+        || edges_after <= decay_allowed(edges_before, ctx.header.lambda());
+    if commit.record != jp.record || !decay_ok {
         *coloring = coloring_snapshot;
         *residual = residual_snapshot;
         return None;
     }
-    Some(CommittedReplay { keep_pos: commit.keep_pos, events })
+    Some((commit.keep_pos, events))
 }
 
 // ---------------------------------------------------------------------
 // Inspection (CLI `checkpoint-inspect`)
 // ---------------------------------------------------------------------
 
-/// A human-oriented summary of a checkpoint directory, produced without
-/// any live run configuration (structural validation only).
-#[derive(Debug, Clone)]
-pub struct JournalInspection {
-    /// The validated header.
-    pub header: JournalHeader,
-    /// Structural open stats.
-    pub stats: OpenStats,
-    /// Per-phase summaries of the valid prefix.
-    pub phases: Vec<JournalPhase>,
-}
-
-/// Inspects the journal in `dir` without replaying it.
+/// Opens the journal in `dir` without replaying it, needing no live run
+/// configuration: its structurally valid prefix and the open stats.
 ///
 /// # Errors
 ///
 /// [`JournalError::Io`] if the file cannot be read or holds no
 /// structurally valid header (an absent file reports as I/O: there is
 /// nothing to inspect).
-pub fn inspect_journal(dir: &Path) -> Result<JournalInspection, JournalError> {
+pub fn inspect_journal(dir: &Path) -> Result<(PhaseJournal, OpenStats), JournalError> {
     let (opened, stats) = PhaseJournal::open(dir)?;
-    let Some(journal) = opened else {
-        let message = if stats.bytes_total == 0 {
-            format!("no journal found at {}", PhaseJournal::file_path(dir).display())
+    let path = PhaseJournal::file_path(dir);
+    opened.map(|journal| (journal, stats)).ok_or_else(|| JournalError::Io {
+        message: if stats.bytes_total == 0 {
+            format!("no journal found at {}", path.display())
         } else {
             format!(
                 "journal at {} is corrupt before the header ({} bytes unusable)",
-                PhaseJournal::file_path(dir).display(),
+                path.display(),
                 stats.bytes_total
             )
-        };
-        return Err(JournalError::Io { message });
-    };
-    Ok(JournalInspection { header: journal.header.clone(), stats, phases: journal.phases })
+        },
+    })
 }
 
 #[cfg(test)]
@@ -1354,6 +1162,141 @@ mod tests {
         assert_eq!(opened.phases(), &[phase_rec(0), phase_rec(1)]);
         assert_eq!(stats.bytes_discarded, 0);
         assert_eq!(stats.records_discarded, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A seeded random journal: every `FaultEventKind` in every phase,
+    /// `component` both `None` and `Some`, vectors empty, short or long,
+    /// and oracle names with multi-byte UTF-8.
+    fn random_journal(seed: u64) -> (JournalHeader, Vec<JournalPhase>) {
+        use rand::{Rng, SeedableRng};
+        const NAMES: [&str; 4] = ["greedy", "λ-exact", "décomposition", "オラクル🦀"];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let len = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..4u32) {
+            0 => 0,
+            3 => rng.gen_range(60..120),
+            _ => rng.gen_range(1..6),
+        };
+        let slots = len(&mut rng);
+        let header = JournalHeader {
+            driver: if rng.gen_bool(0.5) { DriverKind::Trusting } else { DriverKind::Resilient },
+            k: rng.gen(),
+            lambda_bits: rng.gen(),
+            rho: rng.gen(),
+            budget: rng.gen(),
+            threads: rng.gen(),
+            instance_fingerprint: rng.gen(),
+            oracle_names: (0..slots).map(|i| NAMES[i % NAMES.len()].repeat(i % 3)).collect(),
+        };
+        let phases = (0..rng.gen_range(0..4usize))
+            .map(|phase| {
+                let kinds = [
+                    FaultEventKind::OraclePanicked,
+                    FaultEventKind::OracleInvalidOutput,
+                    FaultEventKind::OracleUnderDelivered { delivered: rng.gen(), required: 7 },
+                    FaultEventKind::OracleStalled { steps: rng.gen(), tolerance: rng.gen() },
+                    FaultEventKind::FallbackEngaged,
+                    FaultEventKind::RetriesExhausted { attempts: rng.gen() },
+                ];
+                let events = kinds
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, kind)| StoredFaultEvent {
+                        phase,
+                        attempt: rng.gen(),
+                        oracle: NAMES[i % NAMES.len()].to_string(),
+                        component: (i % 2 == 1).then(|| rng.gen()),
+                        kind,
+                    })
+                    .collect();
+                JournalPhase {
+                    phase,
+                    cg_fingerprint: rng.gen(),
+                    set: (0..len(&mut rng)).map(|_| rng.gen()).collect(),
+                    record: PhaseRecord {
+                        phase: rng.gen(),
+                        edges_before: rng.gen(),
+                        conflict_nodes: rng.gen(),
+                        conflict_edges: rng.gen(),
+                        independent_set_size: rng.gen(),
+                        edges_removed: rng.gen(),
+                        edges_after: rng.gen(),
+                    },
+                    quota_required: rng.gen(),
+                    primary: rng.gen_bool(0.5),
+                    chain_calls: (0..slots).map(|_| rng.gen()).collect(),
+                    retries: rng.gen(),
+                    fallbacks: rng.gen(),
+                    events,
+                }
+            })
+            .collect();
+        (header, phases)
+    }
+
+    /// Every strict prefix of `record`'s encoding fails to decode, and
+    /// the whole encoding decodes back to `record`.
+    fn assert_prefix_free<R: Wire + PartialEq + fmt::Debug>(record: &R) {
+        let mut bytes = Vec::new();
+        record.put(&mut bytes);
+        assert_eq!(decode::<R>(&bytes).as_ref(), Some(record));
+        for cut in 0..bytes.len() {
+            assert!(decode::<R>(&bytes[..cut]).is_none(), "a {cut}-byte prefix decoded");
+        }
+    }
+
+    #[test]
+    fn codec_round_trips_seeded_random_records() {
+        let dir = temp_dir("codec");
+        for seed in 0..24 {
+            let (header, phases) = random_journal(seed);
+            let mut bytes = frame(JOURNAL_MAGIC.to_vec(), TAG_HEADER, &header);
+            for p in &phases {
+                bytes = frame(bytes, TAG_PHASE, p);
+            }
+            // `frame` is exactly what `create` and `append_phase` write.
+            let mut j = PhaseJournal::create(&dir, header.clone()).unwrap();
+            for p in &phases {
+                j.append_phase(p.clone()).unwrap();
+            }
+            assert_eq!(fs::read(j.path()).unwrap(), bytes, "seed {seed}");
+            let (opened, stats) = PhaseJournal::open(&dir).unwrap();
+            let opened = opened.expect("journal parses");
+            assert_eq!(opened.header(), &header, "seed {seed}");
+            assert_eq!(opened.phases(), &phases[..], "seed {seed}");
+            assert_eq!(
+                stats,
+                OpenStats { bytes_total: bytes.len() as u64, ..OpenStats::default() }
+            );
+            assert_prefix_free(&header);
+            phases.iter().for_each(assert_prefix_free);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_count_past_the_payload_is_refused_without_allocating_it() {
+        // A CRC-valid phase record whose set claims u32::MAX items (32
+        // GiB of u64s): decoding stops where the payload does.
+        let dir = temp_dir("count");
+        let j = PhaseJournal::create(&dir, header(&["greedy", "exact"])).unwrap();
+        let mut payload = vec![TAG_PHASE];
+        phase_rec(0).put(&mut payload);
+        // tag, `phase` and `cg_fingerprint` come first: 17 bytes.
+        payload[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = fs::read(j.path()).unwrap();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        fs::write(j.path(), &bytes).unwrap();
+        let (opened, stats) = PhaseJournal::open(&dir).unwrap();
+        assert!(opened.expect("header survives").phases().is_empty());
+        assert_eq!(stats.records_discarded, 1);
+        assert_eq!(stats.bytes_discarded, 8 + payload.len() as u64);
+        let claims_all = [u32::MAX.to_le_bytes().as_slice(), &[7; 12]].concat();
+        assert!(decode::<Vec<u64>>(&claims_all).is_none());
+        assert!(decode::<Vec<String>>(&claims_all).is_none());
+        assert!(decode::<Vec<StoredFaultEvent>>(&claims_all).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1557,9 +1500,9 @@ mod tests {
         assert!(err.to_string().contains("no journal"));
         let mut j = PhaseJournal::create(&dir, header(&["greedy"])).unwrap();
         j.append_phase(phase_rec(0)).unwrap();
-        let insp = inspect_journal(&dir).unwrap();
-        assert_eq!(insp.header.k, 3);
-        assert_eq!(insp.phases.len(), 1);
+        let (journal, _) = inspect_journal(&dir).unwrap();
+        assert_eq!(journal.header().k, 3);
+        assert_eq!(journal.phases().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

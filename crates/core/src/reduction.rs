@@ -21,7 +21,7 @@
 //! Lemma 2.1 quota and commit, the phase budget, and the records.
 
 use crate::components::ParallelismOptions;
-use crate::conflict_graph::ConflictGraph;
+use crate::conflict_graph::{ConflictGraph, TooLarge};
 use crate::correspondence;
 use crate::recovery::{Checkpointing, RecoveryReport};
 use crate::resilient::{run_phases, Acquire};
@@ -94,10 +94,11 @@ pub(crate) fn decay_allowed(edges_before: usize, lambda: f64) -> usize {
 /// palette, and drop the edges it made happy. `keep_pos` holds the
 /// survivors' positions *within the incoming residual* — their
 /// hyperedge ids inside `cg`'s hypergraph, which is what the
-/// incremental conflict-graph restriction consumes.
+/// incremental conflict-graph restriction consumes — and `record` the
+/// phase's [`PhaseRecord`].
 pub(crate) struct PhaseCommit {
     pub keep_pos: Vec<HyperedgeId>,
-    pub edges_after: usize,
+    pub record: PhaseRecord,
 }
 
 /// The single shared implementation of the phase commit. The phase
@@ -113,6 +114,7 @@ pub(crate) fn commit_phase(
     coloring: &mut Multicoloring,
     residual: &mut Vec<HyperedgeId>,
 ) -> PhaseCommit {
+    let edges_before = residual.len();
     // Lemma 2.1 b): decode the partial coloring f_{I_i}, under a fresh
     // palette per phase.
     let decoded = correspondence::lemma_2_1b(cg, set);
@@ -130,7 +132,16 @@ pub(crate) fn commit_phase(
         }
     }
     *residual = survivors;
-    PhaseCommit { keep_pos, edges_after: residual.len() }
+    let record = PhaseRecord {
+        phase,
+        edges_before,
+        conflict_nodes: cg.node_count(),
+        conflict_edges: cg.edge_count(),
+        independent_set_size: set.len(),
+        edges_removed: edges_before - residual.len(),
+        edges_after: residual.len(),
+    };
+    PhaseCommit { keep_pos, record }
 }
 
 /// Configuration of the reduction.
@@ -305,6 +316,9 @@ pub enum ReductionError {
         /// The underlying journal error, stringified.
         message: String,
     },
+    /// `G_k` would overflow its `u32` node ids or CSR offsets, or the
+    /// node bound of forced bit rows; refused before allocating.
+    ConflictGraphTooLarge(TooLarge),
 }
 
 impl fmt::Display for ReductionError {
@@ -331,6 +345,7 @@ impl fmt::Display for ReductionError {
             ReductionError::CheckpointFailed { message } => {
                 write!(f, "checkpointing failed: {message}")
             }
+            ReductionError::ConflictGraphTooLarge(e) => e.fmt(f),
         }
     }
 }

@@ -43,7 +43,8 @@
 use crate::components::{ComponentExecutor, ParallelismOptions};
 use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
 use crate::recovery::{
-    self, Checkpointing, DriverKind, JournalPhase, PhaseJournal, RecoveryReport, StoredFaultEvent,
+    self, fingerprint_hypergraph, Checkpointing, DriverKind, JournalHeader, JournalPhase,
+    PhaseJournal, RecoveryReport, StoredFaultEvent,
 };
 use crate::reduction::{
     commit_phase, decay_allowed, lemma_2_1_quota, oracle_locality, PhaseRecord, ReductionConfig,
@@ -643,7 +644,10 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
     if deadline.is_some_and(|d| Instant::now() >= d) {
         fail!(ReductionError::DeadlineExceeded { phase: 0 });
     }
-    let mut cg = ConflictGraph::build_traced(h, k, options, &root);
+    let mut cg = match ConflictGraph::build_traced(h, k, options, &root) {
+        Ok(cg) => cg,
+        Err(e) => fail!(ReductionError::ConflictGraphTooLarge(e)),
+    };
     let Some(lambda) = config.lambda_override.or_else(|| lambda_for_phase(&cg, primary)) else {
         fail!(ReductionError::NoLambdaAvailable);
     };
@@ -666,39 +670,39 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
     let crash = checkpoint.and_then(|c| c.crash.as_ref());
 
     if let Some(ckpt) = checkpoint {
-        let ctx = recovery::ReplayCtx {
-            h,
+        let chain_names: Vec<&'static str> = chain.iter().map(|o| o.name()).collect();
+        let header = JournalHeader {
             driver: if trust { DriverKind::Trusting } else { DriverKind::Resilient },
             k,
-            lambda,
+            lambda_bits: lambda.to_bits(),
             rho,
             budget,
             threads: config.parallelism.threads,
-            enforce_decay,
-            chain_names: chain.iter().map(|o| o.name()).collect(),
+            instance_fingerprint: fingerprint_hypergraph(h),
+            oracle_names: chain_names.iter().map(|n| n.to_string()).collect(),
         };
-        let replayed = match recovery::open_or_replay(
-            &ctx,
-            ckpt,
-            &mut cg,
-            &mut coloring,
-            &mut residual,
-            &root,
-        ) {
-            Ok(replayed) => replayed,
-            Err(e) => fail!(ReductionError::CheckpointFailed { message: e.to_string() }),
-        };
-        phase = replayed.phase;
-        records = replayed.records;
-        chain_calls = replayed.chain_calls;
-        retries = replayed.retries as usize;
-        fallbacks_engaged = replayed.fallbacks as usize;
+        let ctx = recovery::ReplayCtx { h, header, enforce_decay, chain_names };
+        let (j, startup, replayed_log) =
+            match recovery::open_or_replay(ctx, ckpt, &mut cg, &mut coloring, &mut residual, &root)
+            {
+                Ok(replayed) => replayed,
+                Err(e) => fail!(ReductionError::CheckpointFailed { message: e.to_string() }),
+            };
+        // The accepted prefix is the state to continue from; its last
+        // record holds the running totals.
+        phase = j.phases().len();
+        records = j.phases().iter().map(|p| p.record.clone()).collect();
+        if let Some(last) = j.phases().last() {
+            chain_calls.clone_from(&last.chain_calls);
+            retries = last.retries as usize;
+            fallbacks_engaged = last.fallbacks as usize;
+        }
         // Replayed events re-enter the log (and the mirror counter, so
         // `fault_events == fault_log.len()` still holds on resume).
-        root.add(Counter::FaultEvents, replayed.fault_log.len() as u64);
-        fault_log = replayed.fault_log;
-        report = replayed.report;
-        journal = Some(replayed.journal);
+        root.add(Counter::FaultEvents, replayed_log.len() as u64);
+        fault_log = replayed_log;
+        report = startup;
+        journal = Some(j);
         for (oracle, &calls) in chain.iter().zip(&chain_calls) {
             oracle.resume_at(calls as usize);
         }
@@ -839,22 +843,12 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
 
         let commit_span = span!(phase_span, names::COMMIT);
         let commit = commit_phase(h, &cg, &set, k, phase, &mut coloring, &mut residual);
-        let edges_after = commit.edges_after;
-        commit_span.add(Counter::HappyEdges, (edges_before - edges_after) as u64);
+        let PhaseRecord { edges_removed, edges_after, .. } = commit.record;
+        commit_span.add(Counter::HappyEdges, edges_removed as u64);
         commit_span.close();
-        phase_span.add(Counter::EdgesRemoved, (edges_before - edges_after) as u64);
+        phase_span.add(Counter::EdgesRemoved, edges_removed as u64);
         root.add(Counter::Phases, 1);
-
-        let record = PhaseRecord {
-            phase,
-            edges_before,
-            conflict_nodes: cg.node_count(),
-            conflict_edges: cg.edge_count(),
-            independent_set_size: set.len(),
-            edges_removed: edges_before - edges_after,
-            edges_after,
-        };
-        records.push(record.clone());
+        records.push(commit.record.clone());
 
         if accepted_primary && enforce_decay && edges_after > decay_allowed(edges_before, lambda) {
             fail!(ReductionError::DecayViolated {
@@ -872,7 +866,7 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
                 phase,
                 cg_fingerprint,
                 set: set.vertices().iter().map(|v| v.index() as u64).collect(),
-                record,
+                record: commit.record,
                 quota_required,
                 primary: accepted_primary,
                 chain_calls: chain_calls.clone(),

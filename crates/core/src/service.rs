@@ -237,22 +237,13 @@ pub struct ServiceReport<S: Sink> {
     pub telemetry: Telemetry<S>,
 }
 
-/// Where one request's response is delivered.
-enum Reply {
-    /// The service-wide completion channel ([`Service::recv`]).
-    Pool,
-    /// A caller-supplied delivery callback ([`Service::submit_with`])
-    /// — `serve_lines` hands each request a closure that sends its
-    /// result line to the stream's writer.
-    Direct(Box<dyn FnOnce(ServiceResponse) + Send>),
-}
-
-/// One queued request plus its admission bookkeeping.
+/// One queued request plus its admission bookkeeping and the callback
+/// its response is delivered to.
 struct Queued {
     request: ServiceRequest,
     submitted: Instant,
     seq: u64,
-    reply: Reply,
+    deliver: Box<dyn FnOnce(ServiceResponse) + Send>,
 }
 
 /// Queue state guarded by one mutex: the deque, the admission flag
@@ -303,10 +294,11 @@ struct Shared<S: Sink> {
 pub struct Service<S: Sink + Send + Sync + 'static> {
     shared: Arc<Shared<S>>,
     workers: Vec<JoinHandle<()>>,
-    // Mutex-wrapped so `Service` is `Sync` and a front end can share
-    // it behind an `Arc` (the TCP server's connection threads submit
-    // through one pool). Completion consumption stays single-reader
-    // in practice.
+    /// The completion channel behind [`submit`](Self::submit) and
+    /// [`recv`](Self::recv). The receiver is Mutex-wrapped so `Service`
+    /// is `Sync` and a front end can share it behind an `Arc` (the TCP
+    /// server's connection threads submit through one pool).
+    results_tx: mpsc::Sender<ServiceResponse>,
     results: Mutex<mpsc::Receiver<ServiceResponse>>,
 }
 
@@ -320,19 +312,18 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
             capacity: config.queue_capacity.max(1),
             tel,
         });
-        let (tx, results) = mpsc::channel();
+        let (results_tx, results) = mpsc::channel();
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let tx = tx.clone();
                 std::thread::Builder::new()
                     .name(format!("pslocal-service-{i}"))
-                    .spawn(move || worker_loop(shared, tx))
+                    .spawn(move || worker_loop(shared))
                     // pslocal: allow(panic-path, "thread spawn fails only on OS resource exhaustion at startup; there is no degraded mode to fall back to")
                     .expect("spawn service worker")
             })
             .collect();
-        Service { shared, workers, results: Mutex::new(results) }
+        Service { shared, workers, results_tx, results: Mutex::new(results) }
     }
 
     /// Admits `request` into the bounded queue, or rejects it with
@@ -348,7 +339,7 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
     // resilient entry points).
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, request: ServiceRequest) -> Result<(), QueueFull> {
-        self.submit_inner(request, Admission::Shed, Reply::Pool)
+        self.submit_routed(request, self.results_tx.clone())
     }
 
     /// [`submit`](Self::submit) under `admission`, with the response
@@ -377,7 +368,29 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
         admission: Admission,
         deliver: impl FnOnce(ServiceResponse) + Send + 'static,
     ) -> Result<(), QueueFull> {
-        self.submit_inner(request, admission, Reply::Direct(Box::new(deliver)))
+        let depth = {
+            let mut st = lock_unpoisoned(&self.shared.state);
+            while admission == Admission::Wait
+                && st.accepting
+                && st.queue.len() >= self.shared.capacity
+            {
+                st = self.shared.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            if !st.accepting || st.queue.len() >= self.shared.capacity {
+                drop(st);
+                self.shared.tel.add(Counter::RequestsRejected, 1);
+                return Err(QueueFull { capacity: self.shared.capacity, request });
+            }
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            let deliver = Box::new(deliver);
+            st.queue.push_back(Queued { request, submitted: Instant::now(), seq, deliver });
+            st.queue.len()
+        };
+        self.shared.tel.add(Counter::RequestsAdmitted, 1);
+        self.shared.tel.sample(Histogram::QueueDepth, depth as u64);
+        self.shared.available.notify_one();
+        Ok(())
     }
 
     /// [`submit_with`](Self::submit_with) delivering into a plain
@@ -404,39 +417,10 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
         &self.shared.tel
     }
 
-    #[allow(clippy::result_large_err)]
-    fn submit_inner(
-        &self,
-        request: ServiceRequest,
-        admission: Admission,
-        reply: Reply,
-    ) -> Result<(), QueueFull> {
-        let depth = {
-            let mut st = lock_unpoisoned(&self.shared.state);
-            while admission == Admission::Wait
-                && st.accepting
-                && st.queue.len() >= self.shared.capacity
-            {
-                st = self.shared.room.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            if !st.accepting || st.queue.len() >= self.shared.capacity {
-                drop(st);
-                self.shared.tel.add(Counter::RequestsRejected, 1);
-                return Err(QueueFull { capacity: self.shared.capacity, request });
-            }
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.queue.push_back(Queued { request, submitted: Instant::now(), seq, reply });
-            st.queue.len()
-        };
-        self.shared.tel.add(Counter::RequestsAdmitted, 1);
-        self.shared.tel.sample(Histogram::QueueDepth, depth as u64);
-        self.shared.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next completed response, in completion order.
-    /// Returns `None` only after every worker has exited (post-drain).
+    /// Blocks for the next response of a [`submit`](Self::submit)ted
+    /// request, in completion order. The service holds the channel's
+    /// sender, so this waits as long as the service lives: call it at
+    /// most once per request submitted.
     pub fn recv(&self) -> Option<ServiceResponse> {
         lock_unpoisoned(&self.results).recv().ok()
     }
@@ -470,7 +454,7 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
 
 /// Worker body: own one workspace for life, drain the queue, exit when
 /// the queue is empty and the service stopped accepting.
-fn worker_loop<S: Sink + Send + Sync>(shared: Arc<Shared<S>>, tx: mpsc::Sender<ServiceResponse>) {
+fn worker_loop<S: Sink + Send + Sync>(shared: Arc<Shared<S>>) {
     let mut ws = PhaseWorkspace::new();
     loop {
         let job = {
@@ -487,18 +471,10 @@ fn worker_loop<S: Sink + Send + Sync>(shared: Arc<Shared<S>>, tx: mpsc::Sender<S
         };
         let Some(job) = job else { return };
         shared.room.notify_one();
-        let Queued { request, submitted, seq, reply } = job;
+        let Queued { request, submitted, seq, deliver } = job;
         let response = execute(&shared, request, submitted, seq, &mut ws);
         shared.tel.add(Counter::RequestsCompleted, 1);
-        // A dropped receiver (service handle gone, or a routed
-        // connection that hung up) is not an error for the drain: keep
-        // consuming so shutdown still joins cleanly.
-        match reply {
-            Reply::Direct(deliver) => deliver(response),
-            Reply::Pool => {
-                let _ = tx.send(response);
-            }
-        }
+        deliver(response);
     }
 }
 

@@ -75,7 +75,9 @@ CHECKPOINTING (reduce):
   --checkpoint-dir DIR  durably journal every committed phase into DIR
   --resume              replay DIR's journal (corruption-tolerant) and
                         continue from the last good phase; the outcome
-                        is byte-identical to an uninterrupted run
+                        is byte-identical to an uninterrupted run. Repeat
+                        the interrupted run's options, --seed included:
+                        the journal does not record the oracle's seed
   --crash-at P:POINT    abort the process at an injected kill point
                         (phase P at mid-oracle | after-oracle |
                          before-journal | after-journal) — for
@@ -101,10 +103,9 @@ BATCH (batched multi-instance serving):
   required), \"n\"/\"m\"/\"k\"/\"seed\"/\"epsilon\" (planted instance;
   defaults 128 / n/2 / 4 / 0xC0FFEE / 0.5), \"oracle\" (comma-separated
   fallback chain, default greedy), \"kernel\" (auto|csr|bitset),
-  \"oracle_cache\" (bool; accepted and ignored: the resilient driver
-  has no memo), \"deadline_ms\" (per-request override), \"faults\"
-  (comma script injected into the primary oracle: - | panic |
-  invalid-set | empty-set | under-deliver | stall:N).
+  \"deadline_ms\" (per-request override), \"faults\" (comma script
+  injected into the primary oracle: - | panic | invalid-set |
+  empty-set | under-deliver | stall:N). Any other key is a bad line.
   Blank lines and lines starting with # are skipped, and the SERVE
   commands are answered too.
   stdout: one JSON line per request in completion order —
@@ -539,8 +540,8 @@ fn cmd_batch(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
 /// stats (bytes kept vs. discarded) and one line per surviving phase.
 fn cmd_checkpoint_inspect(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let dir = args.get("checkpoint-dir").ok_or("checkpoint-inspect needs --checkpoint-dir DIR")?;
-    let insp = inspect_journal(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
-    let head = &insp.header;
+    let (journal, stats) = inspect_journal(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+    let head = journal.header();
     writeln!(
         stdout,
         "journal: driver = {}, k = {}, lambda = {:.4}, rho = {}, budget = {}, threads = {}\n\
@@ -555,13 +556,13 @@ fn cmd_checkpoint_inspect(args: &Args, stdout: &mut Stdout) -> Result<(), String
         head.threads,
         head.instance_fingerprint,
         head.oracle_names.join(" -> "),
-        insp.phases.len(),
-        insp.stats.bytes_total,
-        insp.stats.bytes_discarded,
-        insp.stats.records_discarded,
+        journal.phases().len(),
+        stats.bytes_total,
+        stats.bytes_discarded,
+        stats.records_discarded,
     )
     .map_err(stdout_error)?;
-    for p in &insp.phases {
+    for p in journal.phases() {
         writeln!(
             stdout,
             "  phase {}: edges {} -> {}, |I| = {}, quota = {}, {}, calls = {:?}, \

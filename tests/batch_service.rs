@@ -280,7 +280,7 @@ fn jsonl_batch() -> String {
         r#"{"id":"sparse-0","n":192,"m":96,"k":4,"seed":12}"#,
         r#"{"id":"faulty-mixed","n":80,"m":40,"k":4,"seed":14,"faults":"empty-set,invalid-set"}"#,
         r#"{"id":"chained","n":72,"m":36,"k":3,"seed":15,"oracle":"greedy,exact"}"#,
-        r#"{"id":"kernel-pinned","n":64,"m":32,"k":4,"seed":16,"kernel":"bitset","oracle_cache":true}"#,
+        r#"{"id":"kernel-pinned","n":64,"m":32,"k":4,"seed":16,"kernel":"bitset"}"#,
     ]
     .join("\n")
 }
@@ -298,11 +298,17 @@ fn cli_batch_fails_an_oversized_conflict_graph_and_answers_the_rest() {
     // k = 1024: over 10^12 row entries, past the u32 CSR offsets, and
     // over a million nodes, past the bit-row bound when bit rows are
     // forced. Either kernel refuses it before allocating, so only that
-    // request fails; an allocation that size used to abort the process
-    // with no line for any of the three.
-    for huge in [
-        r#"{"id":"huge","n":4096,"m":1,"k":1024}"#,
-        r#"{"id":"huge","n":4096,"m":1,"k":1024,"kernel":"bitset"}"#,
+    // request fails, with the reason and no panic; an allocation that
+    // size used to abort the process with no line for any of the three.
+    for (huge, reason) in [
+        (
+            r#"{"id":"huge","n":4096,"m":1,"k":1024}"#,
+            "1550481948672 row entries overflow the u32 CSR offsets",
+        ),
+        (
+            r#"{"id":"huge","n":4096,"m":1,"k":1024,"kernel":"bitset"}"#,
+            "1245184 nodes exceed the 32768-node bound of the bit rows",
+        ),
     ] {
         let batch = [
             r#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#,
@@ -313,14 +319,16 @@ fn cli_batch_fails_an_oversized_conflict_graph_and_answers_the_rest() {
         let out = run_cli(&["batch", "--workers", "1"], &batch);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{huge}: {stderr}");
-        assert!(stderr.contains("conflict graph too large"), "{huge}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{huge}: {stderr}");
         let lines = sorted_result_lines(&out);
         assert_eq!(lines.len(), 3, "one result line per request: {lines:?}");
         assert!(lines[0].starts_with(r#"{"id":"a","outcome":"ok""#), "{lines:?}");
         assert!(lines[1].starts_with(r#"{"id":"b","outcome":"ok""#), "{lines:?}");
         assert_eq!(
             lines[2],
-            r#"{"id":"huge","outcome":"failed","error":"panic outside the oracle boundary"}"#
+            format!(
+                r#"{{"id":"huge","outcome":"failed","error":"conflict graph too large: {reason}"}}"#
+            )
         );
     }
 }

@@ -140,6 +140,38 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
 }
 
 #[test]
+fn an_oversized_conflict_graph_is_an_error_line_not_a_panic() {
+    // One hyperedge of 4096 vertices at k = 1024: over 10^13 row
+    // entries, past the u32 CSR offsets, and 4,194,304 nodes, past the
+    // bit-row bound. Both are refused before anything that size is
+    // allocated, and the reduction reports why.
+    let members: Vec<String> = (0..4096).map(|v| v.to_string()).collect();
+    let one_edge = format!("p hypergraph 4096 1\nh {}\n", members.join(" "));
+    let csr = "row entries overflow the u32 CSR offsets";
+    for (args, stdin, reason) in [
+        (&["reduce", "--k", "1024"][..], Some(one_edge.as_str()), csr),
+        (
+            &["reduce", "--k", "1024", "--kernel", "bitset"],
+            Some(one_edge.as_str()),
+            "4194304 nodes exceed the 32768-node bound of the bit rows",
+        ),
+        (&["trace-report", "--n", "4096", "--m", "1", "--k", "1024"], None, csr),
+    ] {
+        let out = run(args, stdin);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error: reduction failed: conflict graph too large: ")
+                    && l.contains(reason)),
+            "{args:?}: want the refusal naming {reason:?}, got {stderr}"
+        );
+    }
+}
+
+#[test]
 fn writing_into_a_closed_pipe_is_an_error_line_not_a_panic() {
     // `reduce ... | head -1` closes the pipe after one line. Here the
     // read end is closed before the child has its input, so its first

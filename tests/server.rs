@@ -26,7 +26,7 @@ fn jsonl_batch() -> String {
         r#"{"id":"sparse-0","n":192,"m":96,"k":4,"seed":12}"#,
         r#"{"id":"faulty-mixed","n":80,"m":40,"k":4,"seed":14,"faults":"empty-set,invalid-set"}"#,
         r#"{"id":"chained","n":72,"m":36,"k":3,"seed":15,"oracle":"greedy,exact"}"#,
-        r#"{"id":"kernel-pinned","n":64,"m":32,"k":4,"seed":16,"kernel":"bitset","oracle_cache":true}"#,
+        r#"{"id":"kernel-pinned","n":64,"m":32,"k":4,"seed":16,"kernel":"bitset"}"#,
     ]
     .join("\n")
 }
