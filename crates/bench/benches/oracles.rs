@@ -1,13 +1,14 @@
 //! Criterion bench: each MaxIS oracle on a fixed conflict graph (the
 //! workload the reduction feeds them) and on a sparse random graph,
 //! plus the polynomial-time oracles on a phase-0 `G_k` of the
-//! benchmark of record's reduce-checkpointed shape.
+//! benchmark of record's reduce-checkpointed shape, and the greedy's
+//! dense kernel on the bit rows of its serve-dense shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pslocal_core::ConflictGraph;
 use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal_graph::generators::random::gnp;
-use pslocal_graph::Graph;
+use pslocal_graph::{BitsetScratch, Graph};
 use pslocal_maxis::{standard_oracles, DecompositionOracle, GreedyOracle, LubyOracle, MaxIsOracle};
 use rand::SeedableRng;
 
@@ -58,9 +59,27 @@ fn bench_reduce_shape(c: &mut Criterion) {
     group.finish();
 }
 
+/// Planted n = 144, m = 72, k = 8 (about 5,700 vertices), the middle
+/// shape of the benchmark of record's serve-dense pool, on the bit rows
+/// `Auto` builds for it: the greedy's dense kernel, as the drivers call
+/// it, with a scratch held across calls.
+fn bench_dense_shape(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(144, 72, 8));
+    let cg = ConflictGraph::build(&inst.hypergraph, 8);
+    let bits = cg.bitset().expect("Auto builds the serve-dense shape on bit rows");
+    let mut scratch = BitsetScratch::default();
+    let mut group = c.benchmark_group("oracles_dense_shape");
+    group.sample_size(100);
+    group.bench_function(BenchmarkId::from_parameter(GreedyOracle.name()), |b| {
+        b.iter(|| GreedyOracle.independent_set_dense(bits, &mut scratch))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_oracles, bench_reduce_shape
+    targets = bench_oracles, bench_reduce_shape, bench_dense_shape
 }
 criterion_main!(benches);

@@ -630,13 +630,14 @@ fn block_bases(h: &Hypergraph, k: usize) -> Result<Vec<u32>, TooLarge> {
 /// `W = Σ_v deg(v)²` is the wedge count.
 ///
 /// The `k` rows of one `(e, v)` slot differ only in the row's color
-/// `c`, so both kernels merge once per slot and derive its `k` rows
-/// from that one merge: the CSR kernel stamps them from a reused row
-/// buffer ([`RowStamper`]), the bitset kernel shifts a color-0 bit
-/// template (`fill_slot_template`).
+/// `c`, so both kernels merge once per slot (`merge_slot`) and derive
+/// its `k` rows from that one merge: the CSR kernel stamps them from a
+/// reused row buffer (`RowStamper`), the bitset kernel stores them as
+/// one group of bit rows, a color-0 template plus fixed ranges, that
+/// readers shift (`SlotBits`).
 mod kernel {
     use super::{ConflictGraphOptions, TooLarge};
-    use pslocal_graph::bitset::{set_bit_range, BitsetGraph, BITSET_MAX_NODES};
+    use pslocal_graph::bitset::{BitsetGraph, FixedRange, BITSET_MAX_NODES};
     use pslocal_graph::{csr, Graph, HyperedgeId, Hypergraph, NodeId};
     use pslocal_telemetry::{names, span, Histogram, Sink, Span};
     use std::time::Instant;
@@ -788,10 +789,11 @@ mod kernel {
     /// slot, since the slot's `k` rows share one length. It sizes the
     /// target array exactly, and it refuses a graph whose row entries
     /// overflow the `u32` offsets before anything that size is
-    /// allocated. The emission pass then merges each slot once into a
-    /// [`RowStamper`] and stamps the slot's `k` rows from it. Rows come
-    /// out sorted and in node order, so the arrays *are* the finished
-    /// CSR — nothing is ever sorted, deduplicated, or post-processed.
+    /// allocated. The emission pass then merges each slot once
+    /// ([`merge_slot`]) into a [`RowStamper`] and stamps the slot's `k`
+    /// rows from it. Rows come out sorted and in node order, so the
+    /// arrays *are* the finished CSR — nothing is ever sorted,
+    /// deduplicated, or post-processed.
     ///
     /// # Errors
     ///
@@ -827,7 +829,7 @@ mod kernel {
         for e in 0..m {
             for (pv, &v) in h.edge(HyperedgeId::new(e)).iter().enumerate() {
                 let slot = idx.slots(v.index());
-                stamper.merge(e, pv as u32, kw, literal, base, slot, wedges.of(e));
+                merge_slot(e, pv as u32, kw, literal, base, slot, wedges.of(e), &mut stamper);
                 stamper.stamp(kw, &mut targets, &mut offsets);
             }
         }
@@ -839,8 +841,8 @@ mod kernel {
     }
 
     /// The length of each of the `k` rows of slot `(e, v)` — the same
-    /// closed-form merge as [`RowStamper::merge`], summing block
-    /// contributions instead of writing them.
+    /// closed-form merge as [`merge_slot`], summing block contributions
+    /// instead of writing them.
     fn row_len(
         e: usize,
         k: usize,
@@ -866,24 +868,75 @@ mod kernel {
         len
     }
 
-    /// The `k` sorted neighbor rows of one `(e, v)` slot, stamped from a
-    /// single merge.
+    /// Where [`merge_slot`] writes the color-0 row of one `(e, v)` slot,
+    /// entry by entry in ascending order.
     ///
     /// Moving the row's color from `c − 1` to `c` changes it in a fixed
     /// way. Every sweep and wedge target `gbase + pu·k + c` goes up by
-    /// one. The *fixed ranges* — the `E_edge` clique of `e` and `v`'s
-    /// own slot in every other block containing it — keep their
-    /// targets, but each has a *hole* that moves right by one: the
-    /// row's own node in the clique, and the row's color in an own slot
-    /// (none under `literal_ecolor`, which keeps all `k` colors). The
-    /// entry just past a hole therefore goes down by one. So
-    /// [`merge`](Self::merge) writes the color-0 row, and each further
+    /// one: these are the *moving* targets. The *fixed ranges* — the
+    /// `E_edge` clique of `e` and `v`'s own slot in every other block
+    /// containing it — keep their targets, but each has a *hole* that
+    /// moves right by one: the row's own node in the clique, and the
+    /// row's color in an own slot (none under `literal_ecolor`, which
+    /// keeps all `k` colors). So one merge describes all `k` rows of the
+    /// slot: [`RowStamper`] stamps them as CSR rows, [`SlotBits`] keeps
+    /// them as one group of bit rows.
+    trait SlotRow {
+        /// Appends targets that move with the row's color.
+        fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>);
+
+        /// Appends the fixed range `lo..hi`, less `hole` at color 0.
+        fn fixed(&mut self, lo: u32, hi: u32, hole: Option<u32>);
+    }
+
+    /// Merges the sorted slot list of `v` (at position `pv` in `e`) with
+    /// `e`'s wedge list into the color-0 row of slot `(e, v)`, emitting
+    /// each neighbor block's closed-form pattern in ascending order (see
+    /// the module docs).
+    #[allow(clippy::too_many_arguments)]
+    fn merge_slot(
+        e: usize,
+        pv: u32,
+        k: u32,
+        literal: bool,
+        base: &[u32],
+        (vg, vp): (&[u32], &[u32]),
+        wedges: &[u32],
+        out: &mut impl SlotRow,
+    ) {
+        let mut j = 0usize;
+        for (&g, &pos) in vg.iter().zip(vp) {
+            let g = g as usize;
+            let (gbase, gend) = (base[g], base[g + 1]);
+            // Wedges below block g lie in blocks not containing the
+            // row's vertex: only the members of e ∩ g' conflict there,
+            // at the row's own color.
+            let below = j + count_below(&wedges[j..], gbase);
+            out.moving(wedges[j..below].iter().copied());
+            // Wedges into g are subsumed: v ∈ g satisfies the E_color
+            // predicate for *every* member of g.
+            j = below + count_below(&wedges[below..], gend);
+            if g == e {
+                out.fixed(gbase, gend, Some(gbase + pv * k));
+            } else {
+                let slot = gbase + pos * k;
+                out.moving((0..pos).map(|pu| gbase + pu * k));
+                out.fixed(slot, slot + k, (!literal).then_some(slot));
+                out.moving((pos + 1..(gend - gbase) / k).map(|pu| gbase + pu * k));
+            }
+        }
+        out.moving(wedges[j..].iter().copied());
+    }
+
+    /// The `k` sorted neighbor rows of one `(e, v)` slot, stamped from a
+    /// single [`merge_slot`]: it holds the color-0 row, and each further
     /// row is the previous one plus a 0/1 step per entry, minus one at
-    /// `hole + c − 1` per hole. The buffer is one row long, so it stays
-    /// in L1, and each row leaves it in one `extend_from_slice`.
+    /// `hole + c − 1` per hole (the entry just past a hole goes down by
+    /// one). The buffer is one row long, so it stays in L1, and each row
+    /// leaves it in one `extend_from_slice`.
     #[derive(Default)]
     struct RowStamper {
-        /// The row being stamped: color 0 after `merge`, color `c`
+        /// The row being stamped: color 0 after the merge, color `c`
         /// after the `c`-th advance.
         row: Vec<NodeId>,
         /// Per entry, its change from one color to the next: 1 for a
@@ -894,74 +947,28 @@ mod kernel {
         holes: Vec<usize>,
     }
 
-    impl RowStamper {
-        /// Merges the sorted slot list of `v` (at position `pv` in `e`)
-        /// with `e`'s wedge list into the color-0 row of slot `(e, v)`,
-        /// emitting each neighbor block's closed-form pattern in
-        /// ascending order (see the module docs).
-        #[allow(clippy::too_many_arguments)]
-        fn merge(
-            &mut self,
-            e: usize,
-            pv: u32,
-            k: u32,
-            literal: bool,
-            base: &[u32],
-            (vg, vp): (&[u32], &[u32]),
-            wedges: &[u32],
-        ) {
-            self.row.clear();
-            self.step.clear();
-            self.holes.clear();
-            let mut j = 0usize;
-            for (&g, &pos) in vg.iter().zip(vp) {
-                let g = g as usize;
-                let (gbase, gend) = (base[g], base[g + 1]);
-                // Wedges below block g lie in blocks not containing the
-                // row's vertex: only the members of e ∩ g' conflict
-                // there, at the row's own color.
-                let below = j + count_below(&wedges[j..], gbase);
-                self.moving(wedges[j..below].iter().copied());
-                // Wedges into g are subsumed: v ∈ g satisfies the
-                // E_color predicate for *every* member of g.
-                j = below + count_below(&wedges[below..], gend);
-                if g == e {
-                    self.fixed_with_hole(gbase, gbase + pv * k, gend);
-                } else {
-                    let slot = gbase + pos * k;
-                    self.moving((0..pos).map(|pu| gbase + pu * k));
-                    if literal {
-                        self.fixed(slot, slot + k);
-                    } else {
-                        self.fixed_with_hole(slot, slot, slot + k);
-                    }
-                    self.moving((pos + 1..(gend - gbase) / k).map(|pu| gbase + pu * k));
-                }
-            }
-            self.moving(wedges[j..].iter().copied());
-        }
-
-        /// Appends targets that move with the row's color.
+    impl SlotRow for RowStamper {
         fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>) {
             self.step.resize(self.step.len() + targets.len(), 1);
             self.row.extend(targets.map(NodeId::from));
         }
 
-        /// Appends the fixed range `lo..hi`.
-        fn fixed(&mut self, lo: u32, hi: u32) {
-            self.step.resize(self.step.len() + (hi - lo) as usize, 0);
-            self.row.extend((lo..hi).map(NodeId::from));
-        }
-
-        /// Appends the fixed range `lo..hi` less its color-0 hole `hole`.
-        fn fixed_with_hole(&mut self, lo: u32, hole: u32, hi: u32) {
-            self.fixed(lo, hole);
+        fn fixed(&mut self, lo: u32, hi: u32, hole: Option<u32>) {
+            let Some(hole) = hole else {
+                self.step.resize(self.step.len() + (hi - lo) as usize, 0);
+                self.row.extend((lo..hi).map(NodeId::from));
+                return;
+            };
+            self.fixed(lo, hole, None);
             self.holes.push(self.row.len());
-            self.fixed(hole + 1, hi);
+            self.fixed(hole + 1, hi, None);
         }
+    }
 
+    impl RowStamper {
         /// Writes the slot's `k` rows to `targets`, color 0 first, and
-        /// each row's end to `offsets`.
+        /// each row's end to `offsets`, then empties the stamper for the
+        /// next slot.
         fn stamp(&mut self, k: u32, targets: &mut Vec<NodeId>, offsets: &mut Vec<u32>) {
             for c in 0..k {
                 if c > 0 {
@@ -970,6 +977,9 @@ mod kernel {
                 targets.extend_from_slice(&self.row);
                 offsets.push(targets.len() as u32);
             }
+            self.row.clear();
+            self.step.clear();
+            self.holes.clear();
         }
 
         /// Moves the row from color `c − 1` to color `c`.
@@ -984,23 +994,48 @@ mod kernel {
         }
     }
 
+    /// One slot's group of bit rows, as [`BitsetGraph::from_groups`]
+    /// stores it: the moving targets as bits of a color-0 template,
+    /// which row `c` reads shifted left by `c`, and the fixed ranges as
+    /// they are. `len` sums the entries, the length of each of the
+    /// slot's `k` rows.
+    struct SlotBits<'a> {
+        template: &'a mut [u64],
+        ranges: &'a mut Vec<FixedRange>,
+        len: u32,
+    }
+
+    impl SlotRow for SlotBits<'_> {
+        fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>) {
+            self.len += targets.len() as u32;
+            for t in targets {
+                self.template[(t / 64) as usize] |= 1u64 << (t % 64);
+            }
+        }
+
+        fn fixed(&mut self, lo: u32, hi: u32, hole: Option<u32>) {
+            self.len += hi - lo - u32::from(hole.is_some());
+            self.ranges.push(FixedRange::new(lo, hi, hole));
+        }
+    }
+
     /// The dense-kernel twin of the streamed CSR build: the same
-    /// closed-form per-block merge as [`RowStamper::merge`], but each
-    /// row is written as a **bit row**. Contiguous neighbor ranges — the
-    /// `E_edge` clique halves and the `E_vertex` color slot runs —
-    /// become masked word fills ([`set_bit_range`]); the position
-    /// sweeps and wedge hits set single bits. The resulting
-    /// [`BitsetGraph`] is exactly `to_bitset()` of the CSR that
-    /// [`build_csr`] emits (checked by the bitset equivalence suite, and
-    /// in debug builds by `from_raw_parts`'s popcount re-check).
+    /// [`merge_slot`] per `(e, v)` slot, kept as one group of `k` bit
+    /// rows ([`SlotBits`]) instead of being stamped. The group holds the
+    /// slot's moving targets as a color-0 template and its fixed ranges,
+    /// so the rows take `⌈n/64⌉` words per slot, not per node, and no
+    /// row is written until a consumer shifts it out
+    /// ([`BitsetGraph::row`]). The result equals `to_bitset()` of the
+    /// CSR that [`build_csr`] emits (checked by the bitset equivalence
+    /// suite, and in debug builds by `from_groups`' popcount re-check).
     ///
     /// # Errors
     ///
     /// [`TooLarge`] if `G_k` has more than [`BITSET_MAX_NODES`] nodes,
-    /// before anything is allocated: the rows take `n·⌈n/64⌉` words.
-    /// `Auto` never routes such a graph here, so only a forced `Bitset`
-    /// can reach the check. Under the bound the half-edge count is
-    /// below `n²` = 2³⁰, so the `u32` row offsets cannot overflow.
+    /// before anything is allocated. `Auto` never routes such a graph
+    /// here, so only a forced `Bitset` can reach the check. Under the
+    /// bound the half-edge count is below `n²` = 2³⁰, so the `u32` row
+    /// offsets cannot overflow.
     pub(super) fn build_bitset<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -1019,114 +1054,37 @@ mod kernel {
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
         let wedge_lists = WedgeLists::build(h, &idx, base, k as u32)?;
-        let words = n.div_ceil(64);
-        let mut rows = vec![0u64; n * words];
+        let (words, slots) = (n.div_ceil(64), n / k);
+        let mut templates = vec![0u64; slots * words];
+        let mut ranges = Vec::new();
+        let mut range_offsets: Vec<u32> = Vec::with_capacity(slots + 1);
+        range_offsets.push(0);
         let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
         offsets.push(0);
-        // Color-0 template of the current (e, v) slot plus the slot
-        // bases of the other blocks containing `v` — shared by all k
-        // rows of the slot (see `fill_slot_template`).
-        let mut template = vec![0u64; words];
-        let mut self_slots: Vec<u32> = Vec::new();
-        let kw = k as u32;
+        let mut half_edges = 0u32;
+        let (kw, literal) = (k as u32, options.literal_ecolor);
         for e in 0..m {
             let wedges = wedge_lists.of(e);
-            let members = h.edge(HyperedgeId::new(e));
-            for (pv, &v) in members.iter().enumerate() {
+            for (pv, &v) in h.edge(HyperedgeId::new(e)).iter().enumerate() {
+                // Slot (e, v) holds nodes base[e] + pv·k + c: group
+                // base[e] / k + pv.
+                let slot = base[e] as usize / k + pv;
+                let template = &mut templates[slot * words..(slot + 1) * words];
+                let mut bits = SlotBits { template, ranges: &mut ranges, len: 0 };
                 let vslots = idx.slots(v.index());
-                // All k rows of a (e, v) slot share one length.
-                let len = row_len(e, k, options.literal_ecolor, base, vslots.0, wedges) as u32;
-                fill_slot_template(e, kw, base, vslots, wedges, &mut template, &mut self_slots);
-                for c in 0..kw {
-                    let a = base[e] + pv as u32 * kw + c;
-                    let row = &mut rows[a as usize * words..(a as usize + 1) * words];
-                    // Sweep and wedge targets: the template shifted from
-                    // color 0 to color c, word by word.
-                    if c == 0 {
-                        for (rw, &tw) in row.iter_mut().zip(&template) {
-                            *rw |= tw;
-                        }
-                    } else {
-                        let mut carry = 0u64;
-                        for (rw, &tw) in row.iter_mut().zip(&template) {
-                            *rw |= (tw << c) | carry;
-                            carry = tw >> (64 - c);
-                        }
-                    }
-                    // E_edge: the block clique minus `a` itself.
-                    set_bit_range(row, base[e], a);
-                    set_bit_range(row, a + 1, base[e + 1]);
-                    // E_vertex: v's own slot in every other block
-                    // containing it — all other colors, plus color c
-                    // itself under the literal reading.
-                    for &slot in &self_slots {
-                        if options.literal_ecolor {
-                            set_bit_range(row, slot, slot + kw);
-                        } else {
-                            set_bit_range(row, slot, slot + c);
-                            set_bit_range(row, slot + c + 1, slot + kw);
-                        }
-                    }
-                    let prev = *offsets.last().expect("seeded with 0"); // pslocal: allow(panic-path, "offsets is pushed 0 before the loop, so last() always exists")
-                    offsets.push(prev + len);
+                merge_slot(e, pv as u32, kw, literal, base, vslots, wedges, &mut bits);
+                let len = bits.len;
+                range_offsets.push(ranges.len() as u32);
+                for _ in 0..k {
+                    half_edges += len;
+                    offsets.push(half_edges);
                 }
             }
         }
         if let Some(t0) = t0 {
             pass_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
         }
-        Ok(BitsetGraph::from_raw_parts(n, rows, offsets))
-    }
-
-    /// The moving targets of [`RowStamper::merge`] — its sweep and
-    /// wedge arms — at **color 0**, as bits, written once per `(e, v)`
-    /// slot: bit `gbase + pu·k` for every other member of every other
-    /// block containing `v`, and every wedge target outside those
-    /// blocks. Adding `c` to each target is a left shift of the whole
-    /// buffer, so the k rows of a slot share this single merge —
-    /// `build_bitset` ORs `template << c` into row `c` and finishes with
-    /// the masked fills for the `E_edge` clique and `v`'s own slots
-    /// (whose shapes depend on `a` and `c`, collected here in
-    /// `self_slots`).
-    fn fill_slot_template(
-        e: usize,
-        k: u32,
-        base: &[u32],
-        (vg, vp): (&[u32], &[u32]),
-        wedges: &[u32],
-        template: &mut [u64],
-        self_slots: &mut Vec<u32>,
-    ) {
-        #[inline]
-        fn set(row: &mut [u64], b: u32) {
-            row[(b / 64) as usize] |= 1u64 << (b % 64);
-        }
-        template.fill(0);
-        self_slots.clear();
-        let mut j = 0usize;
-        for (&g, &pos) in vg.iter().zip(vp) {
-            let g = g as usize;
-            let (gbase, gend) = (base[g], base[g + 1]);
-            // Wedges below block `g` lie in blocks without `v`; wedges
-            // into `g` are subsumed by the member sweep below.
-            let below = j + count_below(&wedges[j..], gbase);
-            for &t in &wedges[j..below] {
-                set(template, t);
-            }
-            j = below + count_below(&wedges[below..], gend);
-            if g != e {
-                self_slots.push(gbase + pos * k);
-                for pu in 0..pos {
-                    set(template, gbase + pu * k);
-                }
-                for pu in pos + 1..(gend - gbase) / k {
-                    set(template, gbase + pu * k);
-                }
-            }
-        }
-        for &t in &wedges[j..] {
-            set(template, t);
-        }
+        Ok(BitsetGraph::from_groups(n, k, templates, ranges, range_offsets, offsets))
     }
 }
 
@@ -1315,6 +1273,23 @@ mod tests {
                         "k = {k}, literal_ecolor = {literal_ecolor}, edges {edges:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bit_rows_match_csr_for_palettes_wider_than_a_word() {
+        // A slot's rows are read by shifting its template up to k − 1
+        // bits: past 64, whole words as well as bits.
+        let h =
+            Hypergraph::from_edges(5, [vec![0, 1, 2], vec![1, 3], vec![2, 3, 4], vec![4]]).unwrap();
+        for k in [63, 64, 65, 70, 130] {
+            for literal_ecolor in [false, true] {
+                let opts = |kernel| ConflictGraphOptions { literal_ecolor, kernel };
+                let dense = ConflictGraph::build_with_options(&h, k, opts(KernelStrategy::Bitset));
+                let csr = ConflictGraph::build_with_options(&h, k, opts(KernelStrategy::Csr));
+                let bits = dense.bitset().expect("forced bitset kernel builds bit rows");
+                assert_eq!(bits, &csr.graph().to_bitset(), "k = {k}, literal {literal_ecolor}");
             }
         }
     }

@@ -57,7 +57,7 @@ use pslocal_graph::{
 };
 use pslocal_maxis::{ApproxGuarantee, CrashPoint, CrashSignal, MaxIsOracle};
 use pslocal_slocal::LocalityBudget;
-use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Span, Telemetry};
+use pslocal_telemetry::{names, span, Counter, Histogram, Instrument, Sink, Span, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -280,9 +280,11 @@ pub fn reduce_cf_resilient(
 
 /// [`reduce_cf_resilient`] under a telemetry pipeline, lending a
 /// caller-owned [`PhaseWorkspace`] and honoring an optional wall-clock
-/// `deadline` — the batch service's entry point (`crate::service`),
-/// whose workers hold one long-lived workspace each and cancel overdue
-/// requests cooperatively.
+/// `deadline` — the entry point for a caller serving requests, whose
+/// workers hold one long-lived workspace each and cancel overdue
+/// requests cooperatively. (The batch service, `crate::service`, runs
+/// the same phase loop with each request's `service-request` span as
+/// the parent of its `reduction` span.)
 ///
 /// The span tree is the trusting driver's — `reduction` / `phase` /
 /// `oracle` / `commit` / `restrict` — except each phase carries one
@@ -363,7 +365,7 @@ pub(crate) enum Acquire {
 }
 
 impl ResilientConfig {
-    fn acquire(&self) -> Acquire {
+    pub(crate) fn acquire(&self) -> Acquire {
         Acquire::Validate { max_retries: self.max_retries, stall_tolerance: self.stall_tolerance }
     }
 }
@@ -576,7 +578,9 @@ fn walk_chain<O: MaxIsOracle + ?Sized, S: Sink>(
 /// and the budget `ρ`, then per phase obtain an independent set as
 /// `acquire` says, commit it through the shared
 /// [`commit_phase`](crate::reduction::commit_phase), journal it, and
-/// restrict `G_k` to the surviving hyperedges.
+/// restrict `G_k` to the surviving hyperedges. Its `reduction` span
+/// opens under `parent`: the pipeline's root for the public entry
+/// points, the request's span in the batch service.
 ///
 /// The set comes from one [`walk_chain`] on the whole phase graph or,
 /// with `threads > 1` and a disconnected graph, one walk per component
@@ -591,12 +595,12 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
     chain: &[&O],
     config: ReductionConfig,
     acquire: Acquire,
-    tel: &Telemetry<S>,
+    parent: &impl Instrument<S>,
     checkpoint: Option<&Checkpointing>,
     ws: &mut PhaseWorkspace,
     deadline: Option<Instant>,
 ) -> Result<(ResilientOutcome, RecoveryReport), ResilientFailure> {
-    let root = span!(tel, names::REDUCTION);
+    let root = span!(parent, names::REDUCTION);
     let m = h.edge_count();
     let k = config.k;
     let mut coloring = Multicoloring::new(h.node_count());

@@ -19,8 +19,8 @@
 //!   now pooled per worker).
 //! * **Per-request deadlines, cooperative cancellation.** A request's
 //!   deadline is measured from *submission*; the resilient driver
-//!   checks it at every phase boundary
-//!   ([`reduce_cf_resilient_with_workspace`]) and an overdue run stops
+//!   checks it at every phase boundary (as
+//!   [`reduce_cf_resilient_with_workspace`] does) and an overdue run stops
 //!   with [`RequestOutcome::DeadlineExceeded`] after a whole number of
 //!   committed phases. A workspace carries no semantic state, so the
 //!   worker's next request is unaffected.
@@ -36,12 +36,15 @@
 //! suite). Telemetry flows through the service's shared
 //! [`Telemetry`] pipeline: queue-depth and queue-wait samples on
 //! admission/dequeue, one `service-request` span per request (indexed
-//! by admission sequence number), and per-request latency histograms,
-//! all through the existing [`Sink`] machinery.
+//! by admission sequence number) with the request's `reduction` span
+//! tree under it, and per-request latency histograms, all through the
+//! existing [`Sink`] machinery.
+//!
+//! [`reduce_cf_resilient_with_workspace`]: crate::reduce_cf_resilient_with_workspace
 
 use crate::protocol::{OUTCOME_DEADLINE_EXCEEDED, OUTCOME_FAILED, OUTCOME_OK};
 use crate::reduction::ReductionError;
-use crate::resilient::{reduce_cf_resilient_with_workspace, ResilientConfig};
+use crate::resilient::{run_phases, ResilientConfig};
 use crate::sync::lock_unpoisoned;
 use crate::workspace::PhaseWorkspace;
 use pslocal_graph::Hypergraph;
@@ -502,21 +505,16 @@ fn execute<S: Sink>(
     // catch covers driver bugs so one poisoned request cannot take its
     // worker (and eventually the pool) down with it. Injected process
     // crashes stay fatal, as everywhere else.
+    let config = request.config;
     let result = catch_unwind(AssertUnwindSafe(
         #[allow(clippy::result_large_err)]
         || {
-            reduce_cf_resilient_with_workspace(
-                &request.hypergraph,
-                &chain,
-                request.config,
-                &shared.tel,
-                ws,
-                deadline,
-            )
+            let (h, acquire) = (&request.hypergraph, config.acquire());
+            run_phases(h, &chain, config.base, acquire, &req_span, None, ws, deadline)
         },
     ));
     let outcome = match result {
-        Ok(Ok(out)) => RequestOutcome::Ok {
+        Ok(Ok((out, _))) => RequestOutcome::Ok {
             phases: out.reduction.phases_used,
             set_size: out.reduction.records.iter().map(|r| r.independent_set_size).sum(),
             colors: out.reduction.total_colors,

@@ -4,7 +4,7 @@
 //! conflict graphs `G_k` of the Theorem 1.1 reduction are *dense* —
 //! every hyperedge block is a clique and the color families connect
 //! blocks wholesale — and there pointer-chasing through `u32` targets
-//! loses to flat bit rows processed 64 vertices per word. This module
+//! loses to bit rows processed 64 vertices per word. This module
 //! provides that dense representation ([`BitsetGraph`]) plus the three
 //! kernels the reduction hot path needs:
 //!
@@ -15,9 +15,15 @@
 //!   with **batched bucket pushes**, byte-identical to the CSR greedy's
 //!   pick sequence (see the proof sketch at the function).
 //!
+//! A `G_k` row is never stored as such: the `k` rows of one `(e, v)`
+//! slot share one template that each row reads shifted by its color,
+//! plus a few [`FixedRange`]s, so the rows take `⌈n/64⌉` words per slot
+//! rather than per node. Every kernel reads a row through
+//! [`BitsetGraph::row`], which shifts it into a reused buffer.
+//!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
-//! density heuristic says the flat rows pay for themselves. The
+//! density heuristic says word scans pay for themselves. The
 //! reduction drivers first turn it into `Csr` for an oracle that cannot
 //! read bit rows.
 
@@ -43,16 +49,18 @@ pub enum KernelStrategy {
     Auto,
     /// Always take the CSR (sparse) route.
     Csr,
-    /// Always take the bitset (dense) route. Bit rows cost `n²/8`
-    /// bytes, so a build on this route refuses a graph over
-    /// [`BITSET_MAX_NODES`] nodes rather than allocate them (the `G_k`
-    /// build in `pslocal-core` panics with `conflict graph too large`).
+    /// Always take the bitset (dense) route. Flat bit rows cost `n²/8`
+    /// bytes and a `G_k`'s slot templates `n²/8k`, and each row read
+    /// scans `⌈n/64⌉` words, so a build on this route refuses a graph
+    /// over [`BITSET_MAX_NODES`] nodes (the `G_k` build in
+    /// `pslocal-core` panics with `conflict graph too large`).
     Bitset,
 }
 
 /// `Auto` resolves to the bitset route only below this node count —
-/// bit rows cost `n²/8` bytes, and past ~32k nodes (128 MiB) the
-/// quadratic footprint stops fitting anything cache-like.
+/// past ~32k nodes the quadratic footprint stops fitting anything
+/// cache-like: `n²/8` bytes of flat rows (128 MiB), `n²/8k` of a
+/// `G_k`'s slot templates, and `n/8` bytes scanned per row read.
 pub const BITSET_MAX_NODES: usize = 1 << 15;
 
 /// `Auto` requires at least this average (undirected) degree — below
@@ -73,7 +81,7 @@ impl KernelStrategy {
     /// `edges` undirected edges: `true` means take the bitset route.
     ///
     /// The heuristic behind `Auto`: bit rows win when the graph is
-    /// small enough for `n²/8` bytes of rows to stay cache-resident
+    /// small enough for its quadratic rows to stay cache-resident
     /// ([`BITSET_MAX_NODES`]) *and* dense enough that scanning a row's
     /// `⌈n/64⌉` words beats walking the CSR neighbor list — which
     /// needs both a floor on the average degree
@@ -124,9 +132,64 @@ pub fn set_bit_range(words: &mut [u64], lo: u32, hi: u32) {
     }
 }
 
-/// Dense adjacency: row `v` is `words` consecutive `u64`s in which bit
-/// `u` is set iff `{u, v}` is an edge. Degrees are kept as a CSR-style
+/// A contiguous run of neighbors that every row of one group holds,
+/// less an optional *hole*: the group's first row leaves out bit
+/// `hole`, and row `c` of the group leaves out `hole + c`. In `G_k` the
+/// `E_edge` clique of a slot's hyperedge is such a range, with its hole
+/// at the slot's own node, and so is the slot's vertex in every other
+/// block containing it, with its hole at the row's own color.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FixedRange {
+    lo: u32,
+    hi: u32,
+    /// The hole in the group's first row, or `NO_HOLE`.
+    hole: u32,
+}
+
+/// The `hole` of a [`FixedRange`] without one: a sentinel rather than
+/// an `Option`, so a range takes 12 bytes, not 16.
+const NO_HOLE: u32 = u32::MAX;
+
+impl FixedRange {
+    /// The range `lo..hi` (half-open), less `hole` in the group's first
+    /// row. A hole must stay inside the range in every row of its
+    /// group, which [`BitsetGraph::from_groups`] checks, and must not be
+    /// a neighbor of its row: no template bit or other range may cover
+    /// it.
+    pub fn new(lo: u32, hi: u32, hole: Option<u32>) -> Self {
+        FixedRange { lo, hi, hole: hole.unwrap_or(NO_HOLE) }
+    }
+
+    /// ORs the range into `row`, the group's row `c`, then clears its
+    /// hole (no other source sets that bit).
+    #[inline]
+    fn set(self, row: &mut [u64], c: u32) {
+        set_bit_range(row, self.lo, self.hi);
+        if self.hole != NO_HOLE {
+            let b = self.hole + c;
+            row[(b / 64) as usize] &= !(1u64 << (b % 64));
+        }
+    }
+
+    /// Whether the group's row `c` holds bit `b` through this range.
+    fn contains(self, b: u32, c: u32) -> bool {
+        (self.lo..self.hi).contains(&b) && (self.hole == NO_HOLE || self.hole + c != b)
+    }
+}
+
+/// Dense adjacency: the row of `v` is `⌈n/64⌉` words in which bit `u`
+/// is set iff `{u, v}` is an edge. Degrees are kept as a CSR-style
 /// prefix array so consumers can read them without popcounting.
+///
+/// Rows are stored in groups of `g` consecutive nodes that share one
+/// template: row `i·g + c` is template `i` shifted left by `c` bits,
+/// OR'd with group `i`'s [`FixedRange`]s. The `k` triples of one
+/// `(e, v)` slot of `G_k` differ only in their color, so its build
+/// stores one group per slot, `k` times smaller than flat rows;
+/// [`from_graph`](Self::from_graph) makes groups of one node with no
+/// ranges, where the template is the row. [`row`](Self::row) is the
+/// one accessor every kernel reads through: it shifts a row into a
+/// caller's buffer, or lends a template in place when it is the row.
 ///
 /// # Examples
 ///
@@ -141,11 +204,18 @@ pub fn set_bit_range(words: &mut [u64], lo: u32, hi: u32) {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BitsetGraph {
     n: usize,
     words: usize,
-    rows: Vec<u64>,
+    /// Nodes per group; `n` is a multiple of it.
+    group: usize,
+    /// One `words`-word template per group.
+    templates: Vec<u64>,
+    /// Every group's fixed ranges, in group order.
+    ranges: Vec<FixedRange>,
+    /// `range_offsets[i]..range_offsets[i + 1]` are group `i`'s ranges.
+    range_offsets: Vec<u32>,
     /// Prefix degree sums, `offsets[v+1] - offsets[v] = deg(v)`.
     offsets: Vec<u32>,
 }
@@ -170,6 +240,24 @@ fn checked_prefix_offsets(degrees: impl Iterator<Item = usize>) -> Result<Vec<u3
     Ok(offsets)
 }
 
+/// Writes `template << c`, read as one `64·len`-bit number, into `out`
+/// (both `len` words). Bits shifted past the last word are dropped.
+#[inline]
+fn shift_into(template: &[u64], c: usize, out: &mut [u64]) {
+    let len = out.len();
+    let (ws, bs) = ((c / 64).min(len), (c % 64) as u32);
+    out[..ws].fill(0);
+    let (out, src) = (&mut out[ws..], &template[..len - ws]);
+    if bs == 0 {
+        out.copy_from_slice(src);
+    } else if let Some(first) = out.first_mut() {
+        *first = src[0] << bs;
+        for (o, pair) in out[1..].iter_mut().zip(src.windows(2)) {
+            *o = (pair[1] << bs) | (pair[0] >> (64 - bs));
+        }
+    }
+}
+
 impl BitsetGraph {
     /// Converts a CSR graph into bit rows (`O(n·words + m)`).
     ///
@@ -187,6 +275,7 @@ impl BitsetGraph {
     /// [`GraphError::TooLarge`] when the half-edge count overflows the
     /// `u32` degree prefix array (the offsets are computed *before* the
     /// quadratic row buffer is allocated, so the error path is cheap).
+    /// Each node is a group of one with no ranges.
     pub fn try_from_graph(g: &Graph) -> Result<Self, GraphError> {
         let n = g.node_count();
         let offsets = checked_prefix_offsets(g.nodes().map(|v| g.degree(v)))?;
@@ -198,27 +287,55 @@ impl BitsetGraph {
                 row[u.index() / 64] |= 1u64 << (u.index() % 64);
             }
         }
-        Ok(BitsetGraph { n, words, rows, offsets })
+        Ok(Self::from_groups(n, 1, rows, Vec::new(), vec![0; n + 1], offsets))
     }
 
-    /// Assembles a bitset graph from finished parts. The caller
-    /// guarantees symmetry and loop-freeness (debug builds re-check) —
-    /// this is the entry point for builders that emit bit rows
-    /// directly instead of converting from CSR.
+    /// Assembles a bitset graph from rows stored in groups of `group`
+    /// consecutive nodes: row `i·group + c` is template `i` (the
+    /// `⌈n/64⌉` words from `templates[i·⌈n/64⌉]` on) shifted left by
+    /// `c` bits, OR'd with the ranges
+    /// `ranges[range_offsets[i]..range_offsets[i + 1]]`, and `offsets`
+    /// is the degree prefix array. This is the entry point for builders
+    /// that emit rows directly instead of converting from CSR. The
+    /// caller guarantees symmetry, loop-freeness, that no template bit
+    /// is shifted past node `n − 1`, and that no hole is a neighbor of
+    /// its row (see [`FixedRange::new`]); debug builds re-check that
+    /// every row's popcount is its degree and that it has no loop.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer shapes are inconsistent.
-    pub fn from_raw_parts(n: usize, rows: Vec<u64>, offsets: Vec<u32>) -> Self {
-        let words = n.div_ceil(64);
-        assert_eq!(rows.len(), n * words, "row buffer shape mismatch");
+    /// Panics if `group` is 0, if the buffer shapes are inconsistent,
+    /// or if a range or its moving hole leaves the node range.
+    pub fn from_groups(
+        n: usize,
+        group: usize,
+        templates: Vec<u64>,
+        ranges: Vec<FixedRange>,
+        range_offsets: Vec<u32>,
+        offsets: Vec<u32>,
+    ) -> Self {
+        assert!(group > 0 && n.is_multiple_of(group), "group size must divide the node count");
+        let (words, groups) = (n.div_ceil(64), n / group);
+        assert_eq!(templates.len(), groups * words, "template buffer shape mismatch");
+        assert_eq!(range_offsets.len(), groups + 1, "range offsets length mismatch");
+        assert_eq!(range_offsets[groups] as usize, ranges.len(), "range offsets length mismatch");
         assert_eq!(offsets.len(), n + 1, "offsets length mismatch");
-        let b = BitsetGraph { n, words, rows, offsets };
-        debug_assert!((0..n).all(|v| {
-            b.row(NodeId::new(v)).iter().map(|w| w.count_ones()).sum::<u32>()
-                == b.degree(NodeId::new(v)) as u32
-        }));
-        debug_assert!((0..n).all(|v| b.row(NodeId::new(v))[v / 64] & (1 << (v % 64)) == 0));
+        assert!(
+            ranges.iter().all(|r| r.lo <= r.hi
+                && r.hi as usize <= n
+                && (r.hole == NO_HOLE
+                    || r.lo <= r.hole && r.hole as usize + group <= r.hi as usize)),
+            "a fixed range or its hole leaves the node range"
+        );
+        let b = BitsetGraph { n, words, group, templates, ranges, range_offsets, offsets };
+        debug_assert!({
+            let mut buf = Vec::new();
+            (0..n).all(|v| {
+                let row = b.row(NodeId::new(v), &mut buf);
+                row.iter().map(|w| w.count_ones()).sum::<u32>() == b.degree(NodeId::new(v)) as u32
+                    && row[v / 64] & (1 << (v % 64)) == 0
+            })
+        });
         b
     }
 
@@ -240,6 +357,16 @@ impl BitsetGraph {
         self.words
     }
 
+    /// Heap bytes of the stored rows: the templates, and the fixed
+    /// ranges with their offsets (not the degree array). About `n²/8`
+    /// for [`from_graph`](Self::from_graph), about `k` times less for a
+    /// `G_k` built one group per slot.
+    pub fn row_bytes(&self) -> usize {
+        8 * self.templates.len()
+            + std::mem::size_of::<FixedRange>() * self.ranges.len()
+            + 4 * self.range_offsets.len()
+    }
+
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
@@ -251,16 +378,49 @@ impl BitsetGraph {
         (1..=self.n).map(|v| (self.offsets[v] - self.offsets[v - 1]) as usize).max().unwrap_or(0)
     }
 
-    /// The bit row of `v`.
+    /// Group `i`'s fixed ranges.
     #[inline]
-    pub fn row(&self, v: NodeId) -> &[u64] {
-        &self.rows[v.index() * self.words..(v.index() + 1) * self.words]
+    fn ranges_of(&self, i: usize) -> &[FixedRange] {
+        &self.ranges[self.range_offsets[i] as usize..self.range_offsets[i + 1] as usize]
     }
 
-    /// Adjacency test in `O(1)`.
+    /// Group `i`'s template.
     #[inline]
+    fn template(&self, i: usize) -> &[u64] {
+        &self.templates[i * self.words..(i + 1) * self.words]
+    }
+
+    /// The bit row of `v`. The first row of a group without ranges is
+    /// its template, lent in place; any other row is shifted into
+    /// `buf` (resized to [`words`](Self::words)), in `O(words + ranges)`.
+    #[inline]
+    pub fn row<'a>(&'a self, v: NodeId, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        // Node ids are u32s, and u32 division is the cheaper instruction
+        // on this per-row path.
+        let (v, group) = (v.index() as u32, self.group as u32);
+        let (i, c) = ((v / group) as usize, (v % group) as usize);
+        let ranges = self.ranges_of(i);
+        if c == 0 && ranges.is_empty() {
+            return self.template(i);
+        }
+        buf.resize(self.words, 0);
+        shift_into(self.template(i), c, buf);
+        for &r in ranges {
+            r.set(buf, c as u32);
+        }
+        buf
+    }
+
+    /// Adjacency test in `O(ranges of u's group)`, without building the
+    /// row.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.row(u)[v.index() / 64] & (1u64 << (v.index() % 64)) != 0
+        let (i, c) = (u.index() / self.group, u.index() % self.group);
+        let shifted = v.index().checked_sub(c).is_some_and(|b| {
+            let template = self.template(i);
+            template[b / 64] & (1u64 << (b % 64)) != 0
+        });
+        let (b, c) = (v.index() as u32, c as u32);
+        shifted || self.ranges_of(i).iter().any(|r| r.contains(b, c))
     }
 
     /// Word-parallel independence check: returns a conflicting adjacent
@@ -276,8 +436,9 @@ impl BitsetGraph {
             }
             member[v.index() / 64] |= 1u64 << (v.index() % 64);
         }
+        let mut buf = Vec::new();
         for &v in vs {
-            for (wi, (&rw, &mw)) in self.row(v).iter().zip(&member).enumerate() {
+            for (wi, (&rw, &mw)) in self.row(v, &mut buf).iter().zip(&member).enumerate() {
                 let hit = rw & mw;
                 if hit != 0 {
                     let u = NodeId::new(wi * 64 + hit.trailing_zeros() as usize);
@@ -290,7 +451,8 @@ impl BitsetGraph {
 
     /// Deletes `v` and its alive neighbors from `alive` in one masked
     /// word sweep, appending the dying *neighbors* (ascending) to
-    /// `dying`. Returns the number of neighbors killed.
+    /// `dying`. Returns the number of neighbors killed. `buf` holds
+    /// `v`'s row while it is read (see [`row`](Self::row)).
     ///
     /// # Panics
     ///
@@ -300,11 +462,12 @@ impl BitsetGraph {
         v: NodeId,
         alive: &mut [u64],
         dying: &mut Vec<u32>,
+        buf: &mut Vec<u64>,
     ) -> usize {
         assert_eq!(alive.len(), self.words, "alive mask shape mismatch");
         let before = dying.len();
         alive[v.index() / 64] &= !(1u64 << (v.index() % 64));
-        for (wi, (&rw, aw)) in self.row(v).iter().zip(alive.iter_mut()).enumerate() {
+        for (wi, (&rw, aw)) in self.row(v, buf).iter().zip(alive.iter_mut()).enumerate() {
             let mut m = rw & *aw;
             *aw &= !rw;
             while m != 0 {
@@ -377,7 +540,7 @@ impl BitsetGraph {
             }
             chosen.push(NodeId::new(v));
             s.dlist.clear();
-            self.delete_closed_neighborhood(NodeId::new(v), &mut s.alive, &mut s.dlist);
+            self.delete_closed_neighborhood(NodeId::new(v), &mut s.alive, &mut s.dlist, &mut s.row);
             for w in s.seen.iter_mut() {
                 *w = 0;
             }
@@ -390,18 +553,19 @@ impl BitsetGraph {
             s.ranges.clear();
             s.ranges.resize(s.dlist.len(), (0, 0));
             for (idx, &u) in s.dlist.iter().enumerate().rev() {
-                let row_u = &self.rows[u as usize * words..(u as usize + 1) * words];
+                let row_u = self.row(NodeId::new(u as usize), &mut s.row);
                 let dst = &mut s.news[idx * words..(idx + 1) * words];
                 let start = s.pairs.len() as u32;
-                for wi in 0..words {
-                    let rw = row_u[wi] & s.alive[wi];
+                let words = row_u.iter().zip(&s.alive).zip(s.seen.iter_mut().zip(dst));
+                for (wi, ((&r, &a), (seen, news))) in words.enumerate() {
+                    let rw = r & a;
                     if rw == 0 {
                         continue;
                     }
-                    let nw = rw & !s.seen[wi];
+                    let nw = rw & !*seen;
                     if nw != 0 {
-                        dst[wi] = nw;
-                        s.seen[wi] |= nw;
+                        *news = nw;
+                        *seen |= nw;
                         s.pairs.push(wi as u32);
                     }
                     let mut m = rw;
@@ -434,6 +598,20 @@ impl BitsetGraph {
     }
 }
 
+impl PartialEq for BitsetGraph {
+    /// Equal node counts, degrees and rows, however either graph groups
+    /// its rows.
+    fn eq(&self, other: &Self) -> bool {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.n == other.n
+            && self.offsets == other.offsets
+            && (0..self.n)
+                .all(|v| self.row(NodeId::new(v), &mut a) == other.row(NodeId::new(v), &mut b))
+    }
+}
+
+impl Eq for BitsetGraph {}
+
 /// Reusable buffers for [`BitsetGraph::min_degree_greedy`]. One
 /// instance serves any number of runs on graphs of any size — every
 /// buffer is (re)sized on entry, so holding the scratch across phases
@@ -452,6 +630,8 @@ pub struct BitsetScratch {
     pairs: Vec<u32>,
     /// `ranges[idx]` = the `pairs` span recorded for dying vertex `idx`.
     ranges: Vec<(u32, u32)>,
+    /// The row being read, shifted out of its group's template.
+    row: Vec<u64>,
 }
 
 impl BitsetScratch {
@@ -474,7 +654,7 @@ mod tests {
     use super::*;
     use crate::generators::classic::{complete, cycle, star};
     use crate::generators::random::gnp;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn roundtrip_preserves_structure() {
@@ -491,18 +671,126 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_parts_matches_from_graph() {
+    fn from_groups_of_one_match_from_graph() {
         let g = complete(9);
         let b = g.to_bitset();
-        let rebuilt =
-            BitsetGraph::from_raw_parts(b.node_count(), b.rows.clone(), b.offsets.clone());
+        let rebuilt = BitsetGraph::from_groups(
+            b.node_count(),
+            1,
+            b.templates.clone(),
+            Vec::new(),
+            vec![0; 10],
+            b.offsets.clone(),
+        );
         assert_eq!(rebuilt, b);
+        // A group of one without ranges lends its template in place.
+        let mut buf = Vec::new();
+        assert_eq!(b.row(NodeId::new(4), &mut buf), &[0b1_1110_1111]);
+        assert!(buf.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "row buffer shape mismatch")]
-    fn from_raw_parts_rejects_bad_shape() {
-        BitsetGraph::from_raw_parts(65, vec![0u64; 65], vec![0u32; 66]);
+    #[should_panic(expected = "template buffer shape mismatch")]
+    fn from_groups_rejects_bad_shape() {
+        BitsetGraph::from_groups(65, 1, vec![0u64; 65], Vec::new(), vec![0; 66], vec![0u32; 66]);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the node range")]
+    fn from_groups_rejects_a_hole_that_leaves_its_range() {
+        // At row 2 of the group the hole would sit at node 3, past `hi`.
+        let range = FixedRange::new(0, 3, Some(1));
+        BitsetGraph::from_groups(3, 3, vec![0], vec![range], vec![0, 1], vec![0, 2, 4, 6]);
+    }
+
+    /// Row `c` of a group by its definition: the template shifted one
+    /// bit at a time, and each range filled by [`set_bit_range`] on
+    /// both sides of its hole.
+    fn reference_row(n: usize, template: &[u64], c: usize, ranges: &[FixedRange]) -> Vec<u64> {
+        let mut row = vec![0u64; n.div_ceil(64)];
+        for t in 0..n - c {
+            if template[t / 64] >> (t % 64) & 1 == 1 {
+                row[(t + c) / 64] |= 1u64 << ((t + c) % 64);
+            }
+        }
+        for r in ranges {
+            if r.hole == NO_HOLE {
+                set_bit_range(&mut row, r.lo, r.hi);
+            } else {
+                set_bit_range(&mut row, r.lo, r.hole + c as u32);
+                set_bit_range(&mut row, r.hole + c as u32 + 1, r.hi);
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn grouped_rows_match_a_per_bit_reference_across_words() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        // Groups of 64 and more shift by whole words; 70 and 130 also
+        // carry bits across words and start groups mid-word.
+        for group in [1usize, 3, 63, 64, 70, 130] {
+            let groups = 3;
+            let n = group * groups;
+            let words = n.div_ceil(64);
+            let mut templates = vec![0u64; groups * words];
+            let (mut ranges, mut range_offsets) = (Vec::new(), vec![0u32]);
+            for i in 0..groups {
+                let template = &mut templates[i * words..(i + 1) * words];
+                // Each group holds its own group as a range with its
+                // hole at the row's own node, and the next group as a
+                // range with or without a hole at the same offset.
+                let lo = (i * group) as u32;
+                ranges.push(FixedRange::new(lo, lo + group as u32, Some(lo)));
+                let other = (((i + 1) % groups) * group) as u32;
+                let hole = rng.gen_bool(0.5).then_some(other);
+                ranges.push(FixedRange::new(other, other + group as u32, hole));
+                // Template bits stay below n − (group − 1), so no shift
+                // passes the last node, and skip the first node of both
+                // ranges, which row c would shift onto a hole.
+                for t in 0..n - (group - 1) {
+                    if t != lo as usize && t != other as usize && rng.gen_bool(0.3) {
+                        template[t / 64] |= 1u64 << (t % 64);
+                    }
+                }
+                range_offsets.push(ranges.len() as u32);
+            }
+            let reference: Vec<Vec<u64>> = (0..n)
+                .map(|v| {
+                    let i = v / group;
+                    let own = &ranges[2 * i..2 * i + 2];
+                    reference_row(n, &templates[i * words..(i + 1) * words], v % group, own)
+                })
+                .collect();
+            let mut offsets = vec![0u32];
+            for row in &reference {
+                let degree: u32 = row.iter().map(|w| w.count_ones()).sum();
+                offsets.push(offsets.last().unwrap() + degree);
+            }
+            let b = BitsetGraph::from_groups(n, group, templates, ranges, range_offsets, offsets);
+            let mut buf = Vec::new();
+            for (v, want) in reference.iter().enumerate() {
+                let v = NodeId::new(v);
+                assert_eq!(b.row(v, &mut buf), &want[..], "group {group}, row {v}");
+                for u in 0..n {
+                    let bit = want[u / 64] >> (u % 64) & 1 == 1;
+                    assert_eq!(b.has_edge(v, NodeId::new(u)), bit, "group {group}, {v}–{u}");
+                }
+            }
+            // The same rows stored flat compare equal and hash the same.
+            // (The rows are not symmetric, so no greedy runs on them.)
+            let flat_offsets = b.offsets.clone();
+            let flat = BitsetGraph::from_groups(
+                n,
+                1,
+                reference.concat(),
+                Vec::new(),
+                vec![0; n + 1],
+                flat_offsets,
+            );
+            assert_eq!(b, flat, "group {group}");
+            assert_eq!(b.fingerprint(), flat.fingerprint(), "group {group}");
+        }
     }
 
     #[test]
@@ -537,7 +825,8 @@ mod tests {
         let b = g.to_bitset();
         let mut alive = vec![(1u64 << 6) - 1];
         let mut dying = Vec::new();
-        let killed = b.delete_closed_neighborhood(NodeId::new(0), &mut alive, &mut dying);
+        let killed =
+            b.delete_closed_neighborhood(NodeId::new(0), &mut alive, &mut dying, &mut Vec::new());
         assert_eq!(killed, g.node_count() - 1);
         assert_eq!(dying, [1, 2, 3, 4, 5]);
         assert_eq!(alive, vec![0u64]);

@@ -129,9 +129,10 @@ impl BitsetGraph {
         let mut f = Fnv1a::new();
         f.word(self.node_count() as u64);
         f.word(self.edge_count() as u64);
+        let mut buf = Vec::new();
         for v in 0..self.node_count() {
             f.word(self.degree(crate::NodeId::new(v)) as u64);
-            for (wi, &w) in self.row(crate::NodeId::new(v)).iter().enumerate() {
+            for (wi, &w) in self.row(crate::NodeId::new(v), &mut buf).iter().enumerate() {
                 let mut m = w;
                 while m != 0 {
                     f.word((wi * 64) as u64 + m.trailing_zeros() as u64);

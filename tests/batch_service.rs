@@ -479,6 +479,23 @@ fn cli_batch_gives_every_response_one_service_request_span() {
     indices.sort();
     assert_eq!(indices, ["0", "1"], "metrics: {jsonl}");
     assert_eq!(jsonl.matches(r#""counter":"requests_deadline_exceeded""#).count(), 1);
+    // Each request's `reduction` span opens under its own
+    // `service-request` span, so the file holds one tree per request.
+    let field = |line: &str, key: &str| {
+        let value = line.split(&format!(r#""{key}":"#)).nth(1).unwrap_or("");
+        value.split([',', '}']).next().unwrap_or("").trim_matches('"').to_string()
+    };
+    let starts: Vec<&str> =
+        jsonl.lines().filter(|l| l.contains(r#""event":"span_start""#)).collect();
+    let named = |name: &str, key: &str| -> Vec<String> {
+        starts.iter().filter(|l| field(l, "name") == name).map(|l| field(l, key)).collect()
+    };
+    let requests = named("service-request", "id");
+    let mut parents = named("reduction", "parent");
+    assert_eq!(parents.len(), 2, "one reduction per request: {jsonl}");
+    assert!(parents.iter().all(|p| requests.contains(p)), "reduction parents {parents:?}: {jsonl}");
+    parents.dedup();
+    assert_eq!(parents.len(), 2, "each request holds its own reduction: {jsonl}");
 }
 
 #[test]

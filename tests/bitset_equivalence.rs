@@ -24,13 +24,13 @@ use pslocal::maxis::{
 use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
 use rand::{Rng, SeedableRng};
 
-/// A random hypergraph: `m` edges of 1–4 distinct vertices over `n ≤ 40`
+/// A random hypergraph: `m` edges of 1–6 distinct vertices over `n ≤ 40`
 /// vertices (sizes and members seeded, so failures replay exactly).
 fn random_hypergraph(seed: u64, n: usize, m: usize) -> Hypergraph {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
-        let size = rng.gen_range(1..=4usize.min(n));
+        let size = rng.gen_range(1..=6usize.min(n));
         let mut members: Vec<usize> = Vec::new();
         while members.len() < size {
             let v = rng.gen_range(0..n);
@@ -43,8 +43,13 @@ fn random_hypergraph(seed: u64, n: usize, m: usize) -> Hypergraph {
     Hypergraph::from_edges(n, edges).expect("generated edges are valid")
 }
 
+/// A random hypergraph with a palette of up to 8 colors, the widest the
+/// benchmark's serve-dense requests use. The bit rows store one group
+/// of `k` rows per `(e, v)` slot, read by shifting a template up to
+/// `k − 1` bits: with `k` not dividing 64, blocks straddle word
+/// boundaries and shifts carry bits across words.
 fn instance() -> impl Strategy<Value = (Hypergraph, usize)> {
-    (0u64..10_000, 2usize..=40, 1usize..=12, 1usize..=5)
+    (0u64..10_000, 2usize..=40, 1usize..=12, 1usize..=8)
         .prop_map(|(seed, n, m, k)| (random_hypergraph(seed, n, m), k))
 }
 
@@ -94,6 +99,25 @@ proptest! {
         prop_assert_eq!(dense.fingerprint(), reference.fingerprint());
         // Materializing the CSR on demand reproduces the reference CSR.
         prop_assert_eq!(dense.graph(), reference.graph());
+    }
+
+    /// The greedy picks the same vertices in the same order on the
+    /// slot-grouped rows the kernel builds as on the reference graph's
+    /// flat rows, in both `E_color` readings. With `pslocal-maxis`'
+    /// `greedy::tests::pick_sequences_match_reference_and_dense_kernel`
+    /// (flat rows against the CSR greedy) this ties the slot rows to the
+    /// CSR greedy.
+    #[test]
+    fn greedy_picks_match_on_grouped_and_flat_rows((h, k) in instance(), literal_bit in 0u8..2) {
+        let literal = literal_bit == 1;
+        let reference = ConflictGraph::build_reference(
+            &h, k, kernel_options(literal, KernelStrategy::Csr));
+        let dense = ConflictGraph::build_with_options(
+            &h, k, kernel_options(literal, KernelStrategy::Bitset));
+        let grouped = dense.bitset().expect("forced bitset kernel builds bit rows");
+        let mut scratch = BitsetScratch::default();
+        let picks = grouped.min_degree_greedy(&mut scratch);
+        prop_assert_eq!(picks, reference.graph().to_bitset().min_degree_greedy(&mut scratch));
     }
 
     /// The dense greedy route returns the same set as the CSR route on
@@ -195,6 +219,28 @@ fn bench_instance_takes_the_dense_route() {
         kernel_options(false, KernelStrategy::Auto),
     );
     assert!(cg.bitset().is_some(), "dense bench instance must resolve to the bitset kernel");
+}
+
+/// The dense bench instance's bit rows are stored one template per
+/// `(e, v)` slot, not one row per node: under a sixth of the bytes of
+/// the same rows stored flat (`k = 8`, so an eighth plus the slots'
+/// fixed ranges).
+#[test]
+fn bench_instance_stores_one_group_per_slot() {
+    let cg = ConflictGraph::build_with_options(
+        &dense_bench_instance(),
+        8,
+        kernel_options(false, KernelStrategy::Auto),
+    );
+    let grouped = cg.bitset().expect("dense bench instance takes the bitset kernel");
+    let flat = cg.graph().to_bitset();
+    assert_eq!(grouped, &flat);
+    assert!(
+        grouped.row_bytes() * 6 < flat.row_bytes(),
+        "{} bytes grouped, {} flat",
+        grouped.row_bytes(),
+        flat.row_bytes()
+    );
 }
 
 /// On the dense bench instance, `Auto` builds bit rows only for the
