@@ -1,12 +1,12 @@
 //! Criterion bench: conflict graph `G_k` construction (the per-phase
 //! cost driver of the Theorem 1.1 reduction) across instance sizes and
-//! palette sizes, and the fingerprint a checkpointing run journals per
-//! phase.
+//! palette sizes, the restriction a multi-phase run rebuilds after each
+//! commit, and the fingerprint a checkpointing run journals per phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pslocal_core::{ConflictGraph, ConflictGraphOptions};
 use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
-use pslocal_graph::KernelStrategy;
+use pslocal_graph::{HyperedgeId, KernelStrategy};
 use rand::SeedableRng;
 
 fn bench_build(c: &mut Criterion) {
@@ -31,6 +31,29 @@ fn bench_build(c: &mut Criterion) {
         &inst.hypergraph,
         |b, h| b.iter(|| ConflictGraph::build_with_options(h, 4, csr)),
     );
+    group.finish();
+}
+
+/// `ConflictGraph::restrict_to_edges` on the reduce-checkpointed
+/// shape's phase-0 `G_k` (the n = 2048 instance above, on the CSR route
+/// its phases take), keeping every 2nd and every 8th hyperedge.
+fn bench_restrict(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let h = planted_cf_instance(&mut rng, PlantedCfParams::new(2048, 1024, 4)).hypergraph;
+    let cg = ConflictGraph::build_with_options(
+        &h,
+        4,
+        ConflictGraphOptions::with_kernel(KernelStrategy::Csr),
+    );
+    let mut group = c.benchmark_group("conflict_graph_restrict");
+    for (name, step) in [("half", 2), ("eighth", 8)] {
+        let keep: Vec<HyperedgeId> = h.edge_ids().step_by(step).collect();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n2048_m1024_k4_{name}")),
+            &keep,
+            |b, keep| b.iter(|| cg.restrict_to_edges(keep)),
+        );
+    }
     group.finish();
 }
 
@@ -67,6 +90,6 @@ fn bench_fingerprint(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_build, bench_triple_roundtrip, bench_fingerprint
+    targets = bench_build, bench_restrict, bench_triple_roundtrip, bench_fingerprint
 }
 criterion_main!(benches);

@@ -100,9 +100,10 @@ pub struct ConflictGraphOptions {
     /// heuristic says flat words beat CSR pointer chasing, `Csr` and
     /// `Bitset` force a route. The reduction drivers resolve `Auto` to
     /// `Csr` before the first build unless the primary oracle reads bit
-    /// rows ([`MaxIsOracle::supports_dense`]), and restriction keeps
-    /// the resolved route. Every route yields identical phase outputs —
-    /// the bitset equivalence suite proves it.
+    /// rows ([`MaxIsOracle::supports_dense`]). Restriction rebuilds
+    /// with the same options, so a forced route stays and `Auto`
+    /// re-resolves on every residual. Every route yields identical
+    /// phase outputs — the bitset equivalence suite proves it.
     ///
     /// [`MaxIsOracle::supports_dense`]: pslocal_maxis::MaxIsOracle::supports_dense
     pub kernel: KernelStrategy,
@@ -289,78 +290,26 @@ impl ConflictGraph {
 
     /// The conflict graph of the residual hypergraph obtained by keeping
     /// only the hyperedges `keep` (ids of **this** graph's hypergraph,
-    /// strictly increasing) — the phase-incremental step of the
-    /// Theorem 1.1 reduction pipeline.
+    /// strictly increasing) — the restriction step of the Theorem 1.1
+    /// reduction pipeline.
     ///
+    /// `G_k(H_i)` is rebuilt from the restricted hypergraph by the
+    /// construction kernel, under no span, with this graph's options:
+    /// a forced route stays, and `Auto` re-resolves on the residual.
     /// Removing hyperedges removes their triple blocks and cannot
     /// create new conflicts (every family predicate depends only on the
-    /// two triples' own hyperedges), so `G_k(H_i)` is exactly the
-    /// induced subgraph of `G_k(H)` on the surviving blocks. The
-    /// construction therefore filters the retained CSR rows in
-    /// `O(Σ_{surviving} deg + |V(G_k)|)` — no predicate is re-evaluated
-    /// — and produces a graph byte-identical to
-    /// `ConflictGraph::build_with_options(&restricted, k, options)`,
-    /// which the equivalence property suite verifies.
+    /// two triples' own hyperedges), so the result is the induced
+    /// subgraph of `G_k(H)` on the surviving blocks, which the
+    /// equivalence property suite verifies.
     ///
     /// # Panics
     ///
     /// Panics if `keep` is not strictly increasing or contains an
     /// out-of-range hyperedge.
     pub fn restrict_to_edges(&self, keep: &[HyperedgeId]) -> Self {
-        self.restrict_to_edges_in(keep, &mut csr::InducedArena::new(), &mut Vec::new())
-    }
-
-    /// [`restrict_to_edges`](Self::restrict_to_edges) reusing
-    /// caller-owned scratch — the phase workspace's CSR arena and node
-    /// keep-list — so the multi-phase restriction loop performs no
-    /// steady-state allocation on the CSR route.
-    ///
-    /// On the dense route the restricted instance is rebuilt through
-    /// the kernel dispatch instead: re-emitting bit rows costs about as
-    /// much as gathering scattered bit columns would, and the Auto
-    /// resolution re-applies to the (smaller) residual — falling back
-    /// to CSR once the density heuristic stops paying. Identical output
-    /// either way, by the builder equivalence.
-    pub(crate) fn restrict_to_edges_in(
-        &self,
-        keep: &[HyperedgeId],
-        arena: &mut csr::InducedArena,
-        nodes: &mut Vec<NodeId>,
-    ) -> Self {
         assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep set must be strictly increasing");
-        let k = self.k;
         let (hypergraph, _) = self.hypergraph.restrict_edges(keep);
-        if self.bits.is_some() {
-            return Self::build_with_options(&hypergraph, k, self.options);
-        }
-        let mut base = vec![0u32; keep.len() + 1];
-        nodes.clear();
-        nodes.reserve(self.node_count);
-        for (new_e, &old_e) in keep.iter().enumerate() {
-            let (lo, hi) = (self.base[old_e.index()], self.base[old_e.index() + 1]);
-            base[new_e + 1] = base[new_e] + (hi - lo);
-            nodes.extend((lo..hi).map(|i| NodeId::new(i as usize)));
-        }
-        let graph = csr::induced_sorted_in(self.graph(), nodes, arena);
-        let node_count = graph.node_count();
-        let edge_count = graph.edge_count();
-        ConflictGraph {
-            graph: OnceLock::from(graph),
-            bits: None,
-            node_count,
-            edge_count,
-            hypergraph,
-            k,
-            options: self.options,
-            base,
-        }
-    }
-
-    /// Tears down into the materialized CSR (if any), so a driver can
-    /// recycle the retired phase graph's buffers into its workspace
-    /// arena.
-    pub(crate) fn into_graph(self) -> Option<Graph> {
-        self.graph.into_inner()
+        Self::build_with_options(&hypergraph, self.k, self.options)
     }
 
     /// The options the graph was built with.
@@ -579,7 +528,7 @@ impl Error for TooLarge {}
 /// The panic of the builders that document one instead of returning
 /// [`TooLarge`]; the phase loop calls `build_traced` and gets the error.
 fn or_panic<T>(built: Result<T, TooLarge>) -> T {
-    // pslocal: allow(panic-path, "documented contract: the untraced and reference builders panic on a graph too large to build, and a lazy CSR cannot be (bit rows hold at most 2^15 nodes)")
+    // pslocal: allow(panic-path, "documented contract: the untraced and reference builders panic on a graph too large to build; a restriction cannot be, as a subgraph of a graph already built, nor a lazy CSR (bit rows hold at most 2^15 nodes)")
     built.unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -630,9 +579,10 @@ fn block_bases(h: &Hypergraph, k: usize) -> Result<Vec<u32>, TooLarge> {
 /// `W = Σ_v deg(v)²` is the wedge count.
 ///
 /// The `k` rows of one `(e, v)` slot differ only in the row's color
-/// `c`, so both kernels merge once per slot (`merge_slot`) and derive
-/// its `k` rows from that one merge: the CSR kernel stamps them from a
-/// reused row buffer (`RowStamper`), the bitset kernel stores them as
+/// `c`, so every pass merges once per slot (`merge_slot`) and derives
+/// all `k` rows from that one merge: the CSR kernel's count pass sums
+/// their length (`RowLen`) and its emission pass stamps them from a
+/// reused row buffer (`RowStamper`); the bitset kernel stores them as
 /// one group of bit rows, a color-0 template plus fixed ranges, that
 /// readers shift (`SlotBits`).
 mod kernel {
@@ -785,12 +735,12 @@ mod kernel {
     /// gated on `S::ENABLED`, so the disabled pipeline never touches the
     /// clock.
     ///
-    /// An exact count pass comes first: one [`row_len`] per `(e, v)`
-    /// slot, since the slot's `k` rows share one length. It sizes the
-    /// target array exactly, and it refuses a graph whose row entries
-    /// overflow the `u32` offsets before anything that size is
-    /// allocated. The emission pass then merges each slot once
-    /// ([`merge_slot`]) into a [`RowStamper`] and stamps the slot's `k`
+    /// An exact count pass comes first: one [`merge_slot`] per `(e, v)`
+    /// slot into a [`RowLen`], since the slot's `k` rows share one
+    /// length. It sizes the target array exactly, and it refuses a
+    /// graph whose row entries overflow the `u32` offsets before
+    /// anything that size is allocated. The emission pass then merges
+    /// each slot again into a [`RowStamper`] and stamps the slot's `k`
     /// rows from it. Rows come out sorted and in node order, so the
     /// arrays *are* the finished CSR — nothing is ever sorted,
     /// deduplicated, or post-processed.
@@ -815,8 +765,11 @@ mod kernel {
         let literal = options.literal_ecolor;
         let mut total = 0usize;
         for e in 0..m {
-            for &v in h.edge(HyperedgeId::new(e)) {
-                total += k * row_len(e, k, literal, base, idx.slots(v.index()).0, wedges.of(e));
+            for (pv, &v) in h.edge(HyperedgeId::new(e)).iter().enumerate() {
+                let mut len = RowLen(0);
+                let slot = idx.slots(v.index());
+                merge_slot(e, pv as u32, kw, literal, base, slot, wedges.of(e), &mut len);
+                total += k * len.0;
             }
         }
         if total > u32::MAX as usize {
@@ -840,34 +793,6 @@ mod kernel {
         Ok(csr::from_raw_parts(offsets, targets))
     }
 
-    /// The length of each of the `k` rows of slot `(e, v)` — the same
-    /// closed-form merge as [`merge_slot`], summing block contributions
-    /// instead of writing them.
-    fn row_len(
-        e: usize,
-        k: usize,
-        literal: bool,
-        base: &[u32],
-        vg: &[u32],
-        wedges: &[u32],
-    ) -> usize {
-        let mut len = wedges.len();
-        let mut j = 0usize;
-        for &g in vg {
-            let g = g as usize;
-            let (gbase, gend) = (base[g], base[g + 1]);
-            j += count_below(&wedges[j..], gbase);
-            // Wedges into a block containing `v` are subsumed by its
-            // member sweep.
-            let inside = count_below(&wedges[j..], gend);
-            j += inside;
-            len -= inside;
-            let block = (gend - gbase) as usize;
-            len += if g == e { block - 1 } else { block / k + k - 2 + literal as usize };
-        }
-        len
-    }
-
     /// Where [`merge_slot`] writes the color-0 row of one `(e, v)` slot,
     /// entry by entry in ascending order.
     ///
@@ -879,8 +804,9 @@ mod kernel {
     /// moves right by one: the row's own node in the clique, and the
     /// row's color in an own slot (none under `literal_ecolor`, which
     /// keeps all `k` colors). So one merge describes all `k` rows of the
-    /// slot: [`RowStamper`] stamps them as CSR rows, [`SlotBits`] keeps
-    /// them as one group of bit rows.
+    /// slot: [`RowLen`] counts their common length, [`RowStamper`]
+    /// stamps them as CSR rows, [`SlotBits`] keeps them as one group of
+    /// bit rows.
     trait SlotRow {
         /// Appends targets that move with the row's color.
         fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>);
@@ -926,6 +852,20 @@ mod kernel {
             }
         }
         out.moving(wedges[j..].iter().copied());
+    }
+
+    /// The length of each of one slot's `k` rows, summed from a
+    /// [`merge_slot`] that writes nothing: the exact count pass.
+    struct RowLen(usize);
+
+    impl SlotRow for RowLen {
+        fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>) {
+            self.0 += targets.len();
+        }
+
+        fn fixed(&mut self, lo: u32, hi: u32, hole: Option<u32>) {
+            self.0 += (hi - lo) as usize - usize::from(hole.is_some());
+        }
     }
 
     /// The `k` sorted neighbor rows of one `(e, v)` slot, stamped from a
@@ -1292,6 +1232,28 @@ mod tests {
                 assert_eq!(bits, &csr.graph().to_bitset(), "k = {k}, literal {literal_ecolor}");
             }
         }
+    }
+
+    #[test]
+    fn restriction_re_resolves_auto() {
+        // Eight overlapping 8-vertex edges over 12 vertices, then 3,000
+        // disjoint pairs. At k = 8 the whole G_k is past the bit rows'
+        // node bound, so Auto builds CSR; its 8-edge core is small and
+        // dense, so Auto must take bit rows there.
+        let k = 8;
+        let core = (0..8).map(|i| (0..8).map(|j| (i + j) % 12).collect::<Vec<usize>>());
+        let pairs = (0..3000).map(|p| vec![12 + 2 * p, 13 + 2 * p]);
+        let h = Hypergraph::from_edges(6012, core.chain(pairs)).unwrap();
+        let whole = ConflictGraph::build(&h, k);
+        assert_eq!(whole.node_count(), 48_512);
+        assert!(whole.bitset().is_none(), "the whole G_k is CSR-resident");
+        let keep: Vec<HyperedgeId> = (0..8).map(HyperedgeId::new).collect();
+        let restricted = whole.restrict_to_edges(&keep);
+        let bits = restricted.bitset().expect("the restricted core holds bit rows");
+        let csr_opts = ConflictGraphOptions::with_kernel(KernelStrategy::Csr);
+        let csr = ConflictGraph::build_with_options(&h.restrict_edges(&keep).0, k, csr_opts);
+        assert_eq!(bits, &csr.graph().to_bitset());
+        assert_eq!(restricted.graph(), csr.graph());
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //! parse is answered `{"outcome":"bad_request","error":..}` and the
 //! stream carries on. So is a shape the generator cannot realize (see
 //! [`PlantedCfParams::check`]), a line with a key outside this table or
-//! with the same key twice, a line longer than
-//! [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES), and a line whose
-//! instance generation panics. `batch` waits for queue room rather than
-//! reject its own input; after answering every line it exits 1 if a
-//! line was bad, naming the first as `stdin line N: …`.
+//! with the same key twice, a line that is not valid UTF-8, a line
+//! longer than [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES), and a
+//! line whose instance generation panics. `batch` waits for queue room
+//! rather than reject its own input; after answering every line it
+//! exits 1 if a line was bad, naming the first as `stdin line N: …`.
 //!
 //! # Response schema
 //!

@@ -94,7 +94,7 @@ pub(crate) fn decay_allowed(edges_before: usize, lambda: f64) -> usize {
 /// palette, and drop the edges it made happy. `keep_pos` holds the
 /// survivors' positions *within the incoming residual* — their
 /// hyperedge ids inside `cg`'s hypergraph, which is what the
-/// incremental conflict-graph restriction consumes — and `record` the
+/// conflict-graph restriction consumes — and `record` the
 /// phase's [`PhaseRecord`].
 pub(crate) struct PhaseCommit {
     pub keep_pos: Vec<HyperedgeId>,
@@ -785,7 +785,7 @@ mod tests {
         // Two back-to-back reductions through ONE workspace must equal
         // two fresh-allocation runs — the workspace carries buffers,
         // never semantic state. PrecisionOracle(4) forces multi-phase
-        // runs so the restriction arena actually gets recycled.
+        // runs, so phases follow each other through the same workspace.
         let k = 3;
         let h1 = planted(31, 40, 18, k);
         let h2 = planted(32, 36, 15, k);

@@ -632,8 +632,9 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
 
     // `Auto` takes bit rows only for a primary that reads them: for any
     // other, λ and the oracle call would build the same `G_k` a second
-    // time as CSR. Restriction, journal replay and later phases inherit
-    // the resolved route through the options.
+    // time as CSR. Restriction, in the loop and in journal replay,
+    // rebuilds with these options: a forced route stays, and `Auto`
+    // re-resolves on every residual.
     let kernel = match config.kernel {
         KernelStrategy::Auto if !primary.supports_dense() => KernelStrategy::Csr,
         kernel => kernel,
@@ -893,18 +894,8 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
 
         phase += 1;
         if !residual.is_empty() && phase < budget {
-            // Phase-incremental pipeline: `G_k^{i+1}` is the induced
-            // subgraph of `G_k^i` on the surviving hyperedges' triple
-            // blocks (removing edges never creates conflicts), so later
-            // phases filter the retained CSR rows instead of re-running
-            // the construction kernel, recycling the retired graph's
-            // buffers through the workspace arena.
             let restrict_span = span!(phase_span, names::RESTRICT);
-            let restricted =
-                cg.restrict_to_edges_in(&commit.keep_pos, &mut ws.arena, &mut ws.nodes);
-            if let Some(old) = std::mem::replace(&mut cg, restricted).into_graph() {
-                ws.arena.recycle(old);
-            }
+            cg = cg.restrict_to_edges(&commit.keep_pos);
             restrict_span.add(Counter::CsrBytes, cg.csr_bytes());
         }
     }

@@ -29,11 +29,12 @@
 //!   `{"outcome":"overloaded",...}` line and closed — load shedding at
 //!   the accept boundary ([`Counter::ConnectionsRefused`]), never
 //!   unbounded buffering.
-//! * **Bad lines.** A line that does not parse, is longer than
-//!   [`MAX_LINE_BYTES`], or whose instance generation panics gets one
-//!   `{"outcome":"bad_request",...}` line, and the connection keeps
-//!   serving. An over-long line is skipped up to its newline without
-//!   being stored, so no line grows a buffer past the bound.
+//! * **Bad lines.** A line that does not parse, is not valid UTF-8, is
+//!   longer than [`MAX_LINE_BYTES`], or whose instance generation
+//!   panics gets one `{"outcome":"bad_request",...}` line, and the
+//!   connection keeps serving. An over-long line is skipped up to its
+//!   newline without being stored, so no line grows a buffer past the
+//!   bound.
 //! * **Admission backpressure.** A request the bounded queue refuses
 //!   ([`QueueFull`](crate::QueueFull)) becomes a
 //!   `{"outcome":"rejected"}` line on the same connection; the server
@@ -98,6 +99,7 @@ use crate::protocol::{
 };
 use crate::service::{Admission, Service, ServiceConfig};
 use pslocal_telemetry::{names, span, Counter, Sink, Telemetry};
+use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::catch_unwind;
@@ -396,9 +398,10 @@ pub struct LinesReport {
 /// of the [module docs](self) are answered. Any other line is a
 /// request, parsed (generation included) and submitted under
 /// `admission`; its result line is written when a worker finishes it.
-/// A line that does not parse, is longer than [`MAX_LINE_BYTES`] or
-/// whose generation panics is answered `bad_request`. One writer
-/// thread that owns `output` writes and flushes every outbound line.
+/// A line that does not parse, is not valid UTF-8, is longer than
+/// [`MAX_LINE_BYTES`] or whose generation panics is answered
+/// `bad_request`. One writer thread that owns `output` writes and
+/// flushes every outbound line.
 ///
 /// The loop reads until end of input, a read error, `QUIT`, `SHUTDOWN`
 /// (which sets `draining`), a set `draining` flag or a failed write,
@@ -439,7 +442,10 @@ pub fn serve_lines<S: Sink + Send + Sync + 'static>(
                 }
             };
             line_no += 1;
+            // A request line must be valid UTF-8, which is exactly when
+            // `from_utf8_lossy` borrows.
             let text = String::from_utf8_lossy(&buf);
+            let valid_utf8 = matches!(text, Cow::Borrowed(_));
             let reply = match within_bound.then(|| text.trim()) {
                 Some("") => continue,
                 Some(comment) if comment.starts_with('#') => continue,
@@ -462,6 +468,7 @@ pub fn serve_lines<S: Sink + Send + Sync + 'static>(
                     ordinal += 1;
                     let parsed = match request_line {
                         None => Err(format!("request line longer than {MAX_LINE_BYTES} bytes")),
+                        Some(_) if !valid_utf8 => Err("request line is not valid UTF-8".into()),
                         Some(line) => catch_unwind(|| parse_request(line, default_deadline))
                             .unwrap_or_else(|_| Err("request generation panicked".to_string())),
                     };

@@ -14,9 +14,8 @@
 //!   past [`ServiceConfig::queue_capacity`].
 //! * **Fixed worker pool, long-lived workspaces.** Each worker thread
 //!   owns one [`PhaseWorkspace`] for its whole life, so steady-state
-//!   requests reuse the CSR arena, keep-list, bitset scratch, and
-//!   oracle memo instead of hitting the allocator (the PR 7 arena,
-//!   now pooled per worker).
+//!   requests reuse its bitset scratch and oracle memo instead of
+//!   hitting the allocator.
 //! * **Per-request deadlines, cooperative cancellation.** A request's
 //!   deadline is measured from *submission*; the resilient driver
 //!   checks it at every phase boundary (as

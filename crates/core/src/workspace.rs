@@ -1,16 +1,14 @@
 //! Reusable per-run scratch for the multi-phase reduction loop.
 //!
-//! Every phase of the Theorem 1.1 reduction restricts the conflict
-//! graph, runs the oracle, and commits — a loop whose steady state
-//! used to allocate a fresh CSR (offsets + targets), a fresh keep-list,
-//! and fresh oracle scratch per phase. [`PhaseWorkspace`] owns all of
-//! that once per *run*: the trusting and resilient drivers thread it
-//! through [`ConflictGraph::restrict_to_edges_in`] (CSR arena +
-//! keep-list), the dense oracle dispatch
-//! ([`MaxIsOracle::independent_set_dense`] gets the
-//! [`BitsetScratch`]), and the optional fingerprint-keyed oracle memo
-//! (`OracleCache`), so later phases recycle the earlier phases'
-//! buffers instead of hitting the allocator.
+//! Every phase of the Theorem 1.1 reduction runs the oracle on the
+//! phase's conflict graph and commits. [`PhaseWorkspace`] owns the
+//! oracle-side scratch once per *run*: the trusting and resilient
+//! drivers thread it through the dense oracle dispatch
+//! ([`MaxIsOracle::independent_set_dense`] gets the [`BitsetScratch`])
+//! and the optional fingerprint-keyed oracle memo (`OracleCache`), so
+//! later phases and later runs reuse those buffers instead of hitting
+//! the allocator. It holds no graph: the `G_k` kernel builds each
+//! phase graph, restriction included.
 //!
 //! A workspace carries **no semantic state**: running two reductions
 //! back-to-back through one workspace yields byte-identical outcomes
@@ -20,12 +18,11 @@
 //! fingerprint — and is consulted only when
 //! [`ReductionConfig::oracle_cache`] is explicitly enabled.
 //!
-//! [`ConflictGraph::restrict_to_edges_in`]: crate::ConflictGraph::restrict_to_edges
 //! [`MaxIsOracle::independent_set_dense`]: pslocal_maxis::MaxIsOracle::independent_set_dense
 //! [`ReductionConfig::oracle_cache`]: crate::ReductionConfig::oracle_cache
 
 use crate::conflict_graph::ConflictGraph;
-use pslocal_graph::{csr, BitsetScratch, IndependentSet, NodeId};
+use pslocal_graph::{BitsetScratch, IndependentSet, NodeId};
 
 /// Default number of memoized phase answers `OracleCache` retains.
 /// Phases see a shrinking chain of restrictions, so a repeat — the
@@ -39,13 +36,6 @@ const CACHE_CAPACITY: usize = 16;
 /// [`reduce_cf_to_maxis_with_workspace`](crate::reduction::reduce_cf_to_maxis_with_workspace).
 #[derive(Debug, Default)]
 pub struct PhaseWorkspace {
-    /// CSR induced-subgraph build arena: the position map and retired
-    /// offsets/targets buffers `csr::induced_sorted_in` fills the next
-    /// restricted graph into.
-    pub(crate) arena: csr::InducedArena,
-    /// The restriction keep-list (surviving triple nodes), rebuilt in
-    /// place each phase.
-    pub(crate) nodes: Vec<NodeId>,
     /// Word-parallel scratch for the dense oracle kernels.
     pub(crate) scratch: BitsetScratch,
     /// Fingerprint-keyed memo of whole-phase oracle answers.

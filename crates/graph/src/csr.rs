@@ -21,8 +21,8 @@
 //!   caller already holds the canonical sorted edge list;
 //! * [`induced_sorted`] — induced subgraphs on a *sorted* keep set
 //!   without re-sorting anything (the vertex renumbering is monotone,
-//!   so filtered rows stay sorted). This is the engine of the
-//!   phase-incremental conflict-graph pipeline in `pslocal-core`.
+//!   so filtered rows stay sorted). The component executor and the
+//!   oracles copy components and clusters out of a phase graph with it.
 
 use crate::{Graph, NodeId};
 
@@ -168,9 +168,10 @@ pub fn induced_sorted(graph: &Graph, keep: &[NodeId]) -> Graph {
 
 /// Reusable buffers for [`induced_sorted_in`]: the vertex-renumbering
 /// scratch plus a recycled pair of CSR output buffers, so a loop that
-/// repeatedly restricts graphs (the per-phase reduction pipeline) does
-/// no steady-state allocation — each finished graph's buffers are
-/// [`recycle`](InducedArena::recycle)d and reused for the next build.
+/// copies out one subgraph after another (the oracles' per-component
+/// and per-cluster copies) does no steady-state allocation — each
+/// finished subgraph's buffers are [`recycle`](InducedArena::recycle)d
+/// and reused for the next build.
 ///
 /// Between calls the renumbering map reads "not kept" for every vertex,
 /// so a call through a warm arena costs `O(|keep| + Σ_{v ∈ keep}

@@ -75,7 +75,8 @@ pub mod names {
     /// The bit-row construction kernel's emission pass, child of the
     /// conflict-graph span when the graph is built on the bitset route.
     pub const BITSET: &str = "bitset";
-    /// Phase-incremental restriction of the previous conflict graph.
+    /// Restriction of the previous conflict graph to the surviving
+    /// hyperedges (a kernel rebuild of the residual's `G_k`).
     pub const RESTRICT: &str = "restrict";
     /// One reduction phase (index = phase number).
     pub const PHASE: &str = "phase";

@@ -36,8 +36,8 @@ pub struct PhaseTiming {
 
 /// A whole reduction's cost split, aggregated from its span tree.
 ///
-/// `build_ns` covers the initial conflict-graph construction plus all
-/// phase-incremental restrictions; `total_ns` is the root reduction
+/// `build_ns` covers the initial conflict-graph construction plus every
+/// phase's restriction; `total_ns` is the root reduction
 /// span, so `total_ns ≥ build_ns + oracle_ns + commit_ns` (the
 /// remainder is driver bookkeeping).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -263,11 +263,11 @@ fn expired_deadline_on_a_zero_edge_instance_is_exceeded_at_phase_0() {
 // CLI-level equivalence: the `pslocal batch` subcommand end to end.
 // ---------------------------------------------------------------------
 
-fn run_cli(args: &[&str], stdin: &str) -> Output {
+fn run_cli(args: &[&str], stdin: impl AsRef<[u8]>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pslocal"));
     cmd.args(args).stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::piped());
     let mut child = cmd.spawn().expect("binary spawns");
-    child.stdin.as_mut().unwrap().write_all(stdin.as_bytes()).expect("stdin written");
+    child.stdin.as_mut().unwrap().write_all(stdin.as_ref()).expect("stdin written");
     child.wait_with_output().expect("binary finishes")
 }
 
@@ -378,7 +378,7 @@ fn cli_batch_reports_deadline_and_rejection_outcomes() {
 fn cli_batch_waits_for_queue_room_instead_of_rejecting() {
     let batch: Vec<String> =
         (0..300).map(|i| format!(r#"{{"id":"r{i}","n":128,"m":64,"k":4}}"#)).collect();
-    let out = run_cli(&["batch"], &batch.join("\n"));
+    let out = run_cli(&["batch"], batch.join("\n"));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let lines = sorted_result_lines(&out);
     assert_eq!(lines.len(), 300);
@@ -520,16 +520,19 @@ fn cli_batch_answers_a_bad_line_and_exits_1_after_the_rest() {
 #[test]
 fn cli_batch_answers_unbuildable_and_over_long_lines_with_bad_request() {
     // A shape that passes the planted-parameter check but whose
-    // generation panics (capacity overflow), and a line far over the
-    // bound: each gets one bad_request, and the lines around it run.
+    // generation panics (capacity overflow), a line far over the bound,
+    // and a line that is not valid UTF-8 (decoded lossily, it would run
+    // as a request with the id "\u{fffd}\u{fffd}"): each gets one
+    // bad_request, and the lines around it run.
     let over_long = format!(r#"{{"id":"{}","n":24,"m":10,"k":3}}"#, "x".repeat(1 << 20));
-    for bad in [r#"{"id":"x","n":18446744073709551615}"#, over_long.as_str()] {
+    let not_utf8 = b"{\"id\":\"\xff\xfe\",\"n\":10,\"m\":5,\"k\":2}";
+    for bad in [br#"{"id":"x","n":18446744073709551615}"#, over_long.as_bytes(), not_utf8] {
         let batch = [
-            r#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#,
+            br#"{"id":"a","n":64,"m":32,"k":3,"seed":1}"#.as_slice(),
             bad,
-            r#"{"id":"b","n":48,"m":20,"k":3,"seed":2}"#,
+            br#"{"id":"b","n":48,"m":20,"k":3,"seed":2}"#,
         ]
-        .join("\n");
+        .join(&b'\n');
         let out = run_cli(&["batch"], &batch);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
@@ -567,7 +570,7 @@ fn cli_batch_rejects_malformed_lines_with_the_line_number() {
         r#"{"id":"typo","n":40,"m":20,"k":3,"orcale":"luby"}"#,
         r#"{"id":"dup","n":40,"m":20,"k":3,"k":0}"#,
     ] {
-        let out = run_cli(&["batch"], &format!("{{\"id\":\"ok\"}}\n{shape}\n"));
+        let out = run_cli(&["batch"], format!("{{\"id\":\"ok\"}}\n{shape}\n"));
         assert_eq!(out.status.code(), Some(1), "{shape}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("line 2"), "{shape}: {stderr}");

@@ -68,6 +68,15 @@ fn over_long_line(bytes: usize) -> String {
     format!(r#"{{"id":"{}","n":24,"m":10,"k":3}}"#, "y".repeat(bytes))
 }
 
+/// Request lines the codec refuses: invalid UTF-8, a `\u` escape, a
+/// negative number and a nested value.
+const CODEC_CASES: [&[u8]; 4] = [
+    b"{\"id\":\"\xff\xfe\",\"n\":24,\"m\":10,\"k\":3}",
+    br#"{"id":"\u0041","n":24,"m":10,"k":3}"#,
+    br#"{"id":"neg","n":-24,"m":10,"k":3}"#,
+    br#"{"id":"nest","n":24,"m":{"k":3}}"#,
+];
+
 /// One seeded mix of lines through [`serve_lines`], against a
 /// one-worker service with a queue of 1.
 fn check_serve_lines(seed: u64, admission: Admission) {
@@ -75,26 +84,31 @@ fn check_serve_lines(seed: u64, admission: Admission) {
     let over_long = over_long_line(70 * 1024);
     let lines = rng.gen_range(1..24usize);
     let quit_at = rng.gen_bool(0.3).then(|| rng.gen_range(0..lines));
-    let (mut input, mut requests, mut pings, mut first_bad) = (String::new(), 0, 0, None);
+    let (mut input, mut requests, mut pings, mut first_bad) = (Vec::new(), 0, 0, None);
     for i in 0..lines {
         if quit_at == Some(i) {
-            input.push_str("QUIT\n");
+            input.extend_from_slice(b"QUIT\n");
         }
         let answered = quit_at.is_none_or(|q| i < q);
         let line_no = i as u64 + 1 + u64::from(quit_at.is_some_and(|q| q <= i));
         // `Some(bad)` for a request line, `None` for a skipped line or PING.
-        let (line, bad) = match rng.gen_range(0..9u32) {
-            0..=2 => (format!(r#"{{"id":"v{i}","n":24,"m":10,"k":3,"seed":{i}}}"#), Some(false)),
-            3 => (r#"{"id":"m","n":"#.to_string(), Some(true)),
-            4 => (r#"{"id":"u","orcale":"luby"}"#.to_string(), Some(true)),
-            5 => (r#"{"id":"z","k":0}"#.to_string(), Some(true)),
-            6 => (if rng.gen_bool(0.5) { "  ".to_string() } else { format!("# note {i}") }, None),
-            7 => ("PING".to_string(), None),
-            _ if rng.gen_bool(0.5) => (over_long.clone(), Some(true)),
-            _ => (UNBUILDABLE.to_string(), Some(true)),
+        let (line, bad): (Vec<u8>, _) = match rng.gen_range(0..10u32) {
+            0..=2 => {
+                (format!(r#"{{"id":"v{i}","n":24,"m":10,"k":3,"seed":{i}}}"#).into(), Some(false))
+            }
+            3 => (br#"{"id":"m","n":"#.into(), Some(true)),
+            4 => (br#"{"id":"u","orcale":"luby"}"#.into(), Some(true)),
+            5 => (br#"{"id":"z","k":0}"#.into(), Some(true)),
+            6 => {
+                (if rng.gen_bool(0.5) { b"  ".into() } else { format!("# note {i}").into() }, None)
+            }
+            7 => (b"PING".into(), None),
+            8 => (CODEC_CASES[rng.gen_range(0..CODEC_CASES.len())].into(), Some(true)),
+            _ if rng.gen_bool(0.5) => (over_long.clone().into(), Some(true)),
+            _ => (UNBUILDABLE.into(), Some(true)),
         };
-        input.push_str(&line);
-        input.push('\n');
+        input.extend_from_slice(&line);
+        input.push(b'\n');
         if !answered {
             continue;
         }
@@ -105,7 +119,7 @@ fn check_serve_lines(seed: u64, admission: Admission) {
                     first_bad = Some(line_no);
                 }
             }
-            None => pings += usize::from(line == "PING"),
+            None => pings += usize::from(line == b"PING"),
         }
     }
     let service =
@@ -113,7 +127,7 @@ fn check_serve_lines(seed: u64, admission: Admission) {
     let mut output = Vec::new();
     let report = serve_lines(
         &service,
-        input.as_bytes(),
+        input.as_slice(),
         &mut output,
         admission,
         None,
@@ -124,6 +138,7 @@ fn check_serve_lines(seed: u64, admission: Admission) {
     let output = String::from_utf8(output).expect("UTF-8 output");
     let responses = output.lines().filter(|l| l.starts_with('{')).count();
     let pongs = output.lines().filter(|l| *l == "PONG").count();
+    let input = String::from_utf8_lossy(&input);
     assert_eq!(responses + pongs, output.lines().count(), "{output}");
     assert_eq!(responses, requests, "one response line per request line:\n{input}");
     assert_eq!(pongs, pings, "one PONG per PING:\n{input}");
@@ -134,8 +149,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Seeded mixes of valid requests, malformed JSON, unknown keys,
-    /// `k: 0`, blank and `#` lines, `PING`, over-long lines and a line
-    /// whose generation panics, under both admissions.
+    /// `k: 0`, the codec cases, blank and `#` lines, `PING`, over-long
+    /// lines and a line whose generation panics, under both admissions.
     #[test]
     fn serve_lines_answers_every_request_line_once(seed in 0u64..1_000_000, wait in 0usize..2) {
         check_serve_lines(seed, [Admission::Shed, Admission::Wait][wait]);
