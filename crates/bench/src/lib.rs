@@ -29,14 +29,24 @@ use rand::SeedableRng;
 pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
 /// Parses `--seed <u64>` from the process arguments, falling back to
-/// [`DEFAULT_SEED`].
+/// [`DEFAULT_SEED`] when there is none. A `--seed` without a value, or
+/// with one that is not a `u64`, exits 1 with an `error:` line, so a
+/// seed sweep cannot silently repeat the default run.
 pub fn seed_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
+    parse_seed(&args).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(1)
+    })
+}
+
+/// The parse behind [`seed_from_args`].
+fn parse_seed(args: &[String]) -> Result<u64, String> {
+    let Some(i) = args.iter().position(|a| a == "--seed") else {
+        return Ok(DEFAULT_SEED);
+    };
+    let value = args.get(i + 1).ok_or("option --seed needs a value")?;
+    value.parse().map_err(|_| format!("cannot parse --seed value {value:?}"))
 }
 
 /// A seeded RNG for experiment `tag` derived from the run seed, so each
@@ -67,5 +77,24 @@ mod tests {
     #[test]
     fn default_seed_is_stable() {
         assert_eq!(DEFAULT_SEED, 0xC0FFEE);
+    }
+
+    #[test]
+    fn seed_parse_takes_a_u64_and_refuses_anything_else() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_seed(&args(&["exp"])), Ok(DEFAULT_SEED));
+        assert_eq!(parse_seed(&args(&["exp", "--seed", "7"])), Ok(7));
+        assert_eq!(
+            parse_seed(&args(&["exp", "--seed", "abc"])),
+            Err("cannot parse --seed value \"abc\"".to_string())
+        );
+        assert_eq!(
+            parse_seed(&args(&["exp", "--seed", "-1"])),
+            Err("cannot parse --seed value \"-1\"".to_string())
+        );
+        assert_eq!(
+            parse_seed(&args(&["exp", "--seed"])),
+            Err("option --seed needs a value".to_string())
+        );
     }
 }

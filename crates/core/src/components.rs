@@ -37,7 +37,6 @@
 //! drivers on their exact historical serial path.
 
 use pslocal_graph::{csr, Graph, IndependentSet, NodeId};
-use pslocal_maxis::MaxIsOracle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -290,42 +289,6 @@ impl<'g> ComponentExecutor<'g> {
             // pslocal: allow(panic-path, "invariant: components are vertex-disjoint with no cross edges, so the union stays independent; a violation is a partition bug")
             .expect("union of per-component independent sets is independent")
     }
-
-    /// Convenience composition of [`run`](Self::run) and
-    /// [`merge`](Self::merge): one plain oracle call per component.
-    /// (The reduction drivers inline this to attach telemetry spans;
-    /// the CLI's `maxis --threads N` uses it directly.)
-    pub fn independent_set<O: MaxIsOracle + ?Sized>(&self, oracle: &O) -> IndependentSet {
-        let locals = self.run(|_, sub| oracle.independent_set(sub));
-        self.merge(locals)
-    }
-}
-
-/// Computes an independent set of `graph` with `oracle`, solving
-/// connected components concurrently on up to `options.threads`
-/// workers. With one thread, a connected graph, or an empty graph this
-/// is exactly `oracle.independent_set(graph)` — no partition survives
-/// and no thread is spawned on the fast path.
-///
-/// For oracles whose output on a disconnected graph is the union of
-/// their per-component outputs (e.g. the degree-bucket greedy, whose
-/// global pick sequence restricted to a component equals the local pick
-/// sequence), the result is *identical* to the serial call; for all
-/// oracles it is a verified independent set with the same per-component
-/// approximation guarantee.
-pub fn parallel_independent_set<O: MaxIsOracle + ?Sized>(
-    graph: &Graph,
-    oracle: &O,
-    options: ParallelismOptions,
-) -> IndependentSet {
-    if !options.is_parallel() {
-        return oracle.independent_set(graph);
-    }
-    let exec = ComponentExecutor::new(graph, options);
-    if !exec.should_decompose() {
-        return oracle.independent_set(graph);
-    }
-    exec.independent_set(oracle)
 }
 
 #[cfg(test)]
@@ -333,7 +296,7 @@ mod tests {
     use super::*;
     use pslocal_graph::generators::classic::cycle;
     use pslocal_graph::GraphBuilder;
-    use pslocal_maxis::{ExactOracle, GreedyOracle};
+    use pslocal_maxis::{ExactOracle, GreedyOracle, MaxIsOracle};
 
     /// A graph with three components: C_5 on 0..5, K_4 on 5..9, and the
     /// isolated vertex 9.
@@ -405,7 +368,7 @@ mod tests {
     fn merge_reassembles_and_verifies() {
         let g = three_components();
         let exec = ComponentExecutor::new(&g, ParallelismOptions::with_threads(4));
-        let set = exec.independent_set(&ExactOracle);
+        let set = exec.merge(exec.run(|_, sub| ExactOracle.independent_set(sub)));
         // α(C_5) + α(K_4) + α(K_1) = 2 + 1 + 1.
         assert_eq!(set.len(), 4);
         assert!(g.is_independent_set(set.vertices()));
@@ -416,11 +379,8 @@ mod tests {
         let g = three_components();
         let serial = GreedyOracle.independent_set(&g);
         for threads in [2, 3, 8] {
-            let par = parallel_independent_set(
-                &g,
-                &GreedyOracle,
-                ParallelismOptions::with_threads(threads),
-            );
+            let exec = ComponentExecutor::new(&g, ParallelismOptions::with_threads(threads));
+            let par = exec.merge(exec.run(|_, sub| GreedyOracle.independent_set(sub)));
             assert_eq!(par, serial, "threads = {threads}");
         }
     }

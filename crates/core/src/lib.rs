@@ -85,9 +85,7 @@ pub mod sync;
 pub mod workspace;
 
 pub use completeness::{completeness_on_instance, CompletenessReport};
-pub use components::{
-    parallel_independent_set, ComponentExecutor, ComponentPartition, ParallelismOptions,
-};
+pub use components::{ComponentExecutor, ComponentPartition, ParallelismOptions};
 pub use conflict_graph::{ConflictGraph, ConflictGraphOptions, FamilyCounts, Triple};
 pub use containment::{containment_certificate, ContainmentReport};
 pub use correspondence::{

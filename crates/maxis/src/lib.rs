@@ -45,7 +45,6 @@ pub mod greedy;
 pub mod local_search;
 pub mod luby;
 pub mod oracle;
-pub mod traced;
 
 pub use adversarial::{PrecisionOracle, WorstWitnessOracle};
 pub use bounds::{
@@ -60,7 +59,6 @@ pub use greedy::{turan_bound, wei_bound, GreedyOracle};
 pub use local_search::{improve_by_swaps, LocalSearchOracle};
 pub use luby::LubyOracle;
 pub use oracle::{ApproxGuarantee, MaxIsOracle};
-pub use traced::TracedOracle;
 
 /// All standard oracles, boxed, for sweep experiments.
 ///

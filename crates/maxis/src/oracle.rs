@@ -100,8 +100,8 @@ pub trait MaxIsOracle: Sync {
     /// representation directly via
     /// [`independent_set_dense`](Self::independent_set_dense).
     ///
-    /// Defaults to `false`, so wrappers ([`TracedOracle`](crate::TracedOracle),
-    /// [`FaultyOracle`](crate::FaultyOracle)) and oracles without a dense
+    /// Defaults to `false`, so wrappers such as
+    /// [`FaultyOracle`](crate::FaultyOracle) and oracles without a dense
     /// kernel transparently fall back to the CSR route and are called
     /// through [`independent_set`].
     ///

@@ -4,32 +4,28 @@
 //! pslocal gen planted --n 80 --m 40 --k 4 [--seed S] > instance.hg
 //! pslocal gen gnp --n 100 --p 0.05 [--seed S]        > graph.g
 //! pslocal stats    < instance.hg | graph.g
-//! pslocal maxis  [--oracle NAME] [--threads T] [--seed S]       < graph.g
-//! pslocal reduce --k 4 [--oracle NAME] [--threads T] [--seed S] < instance.hg
+//! pslocal maxis  [--oracle NAME] [--seed S]       < graph.g
+//! pslocal reduce --k 4 [--oracle NAME] [--seed S] < instance.hg
 //! ```
 //!
 //! Oracles: `exact`, `greedy`, `luby`, `clique-removal`, `decomposition`.
-//! Inputs use the text formats of `pslocal_graph::io`. `--threads T`
-//! opts into component-parallel execution: disconnected (conflict)
-//! graphs are solved one connected component per worker, merged
-//! deterministically (see `pslocal_core::components`).
+//! Inputs use the text formats of `pslocal_graph::io`.
 
 use pslocal::cfcolor::checker;
 use pslocal::core::protocol::{boxed_oracle_by_name, kernel_by_name};
 use pslocal::core::{
-    inspect_journal, parallel_independent_set, reduce_cf_to_maxis_resumable,
-    reduce_cf_to_maxis_traced, serve_lines, Admission, Checkpointing, CrashPlan,
-    ParallelismOptions, ReductionConfig, ReductionOutcome, Server, ServerConfig, Service,
-    ServiceConfig, DEFAULT_MAX_CONNECTIONS, DEFAULT_QUEUE_CAPACITY,
+    inspect_journal, reduce_cf_to_maxis_resumable, reduce_cf_to_maxis_traced, serve_lines,
+    Admission, Checkpointing, CrashPlan, ReductionConfig, ReductionOutcome, Server, ServerConfig,
+    Service, ServiceConfig, DEFAULT_MAX_CONNECTIONS, DEFAULT_QUEUE_CAPACITY,
 };
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::generators::random::gnp;
 use pslocal::graph::io::{read_graph, read_hypergraph, write_graph, write_hypergraph};
 use pslocal::graph::{GraphStats, HypergraphStats, KernelStrategy};
-use pslocal::maxis::{MaxIsOracle, TracedOracle};
+use pslocal::maxis::MaxIsOracle;
 use pslocal::telemetry::{
-    event_to_json, render_tree, AggregateSink, Counter, Histogram, JsonlSink, MemorySink,
-    PhaseTimeline, Telemetry,
+    event_to_json, names, render_tree, span, AggregateSink, Counter, Histogram, JsonlSink,
+    MemorySink, PhaseTimeline, Telemetry,
 };
 use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
@@ -44,9 +40,9 @@ USAGE:
   pslocal gen planted --n N --m M --k K [--epsilon E] [--seed S]
   pslocal gen gnp --n N --p P [--seed S]
   pslocal stats                 (reads a graph or hypergraph on stdin)
-  pslocal maxis [--oracle O] [--threads T] [--seed S]        (graph on stdin)
-  pslocal reduce --k K [--oracle O] [--threads T] [--seed S]
-                 [--kernel auto|csr|bitset] [--oracle-cache] (hypergraph on stdin)
+  pslocal maxis [--oracle O] [--seed S]        (graph on stdin)
+  pslocal reduce --k K [--oracle O] [--seed S] [--kernel auto|csr|bitset]
+                                (hypergraph on stdin)
   pslocal trace-report [--n N] [--m M] [--k K] [--oracle O] [--seed S]
                                 (run a planted reduction, render the
                                  span tree + per-phase timeline)
@@ -83,20 +79,12 @@ CHECKPOINTING (reduce):
                          before-journal | after-journal) — for
                         crash-recovery testing
 
-PARALLELISM (maxis / reduce):
-  --threads T           solve connected components on up to T workers
-                        (default 1 = serial; results are identical for
-                         every thread count, merged by component id)
-
 KERNEL (reduce):
   --kernel K            adjacency kernel for the phase conflict graphs:
                         auto (default: bit rows on a dense graph when
                         the oracle reads them, else csr), csr, bitset.
                         Identical output on every route, only the cost
                         differs
-  --oracle-cache        memoize whole-phase oracle answers by conflict-
-                        graph fingerprint (hits re-verified, counted as
-                        oracle_cache_hit instead of oracle_calls)
 
 BATCH (batched multi-instance serving):
   stdin: one flat JSON object per line. Fields: \"id\" (string,
@@ -161,18 +149,8 @@ ORACLES: exact | greedy | luby | clique-removal | decomposition
 FORMATS: see pslocal_graph::io (p graph / p hypergraph headers)";
 
 /// Options that are flags (no value argument follows them).
-const BOOLEAN_FLAGS: &[&str] = &[
-    "trace",
-    "resume",
-    "oracle-cache",
-    "stats",
-    "shutdown",
-    "ping",
-    "deny",
-    "json",
-    "fix-hints",
-    "lock-order",
-];
+const BOOLEAN_FLAGS: &[&str] =
+    &["trace", "resume", "stats", "shutdown", "ping", "deny", "json", "fix-hints", "lock-order"];
 
 /// Minimal `--key value` argument map (with a few `--flag` booleans).
 struct Args {
@@ -219,15 +197,6 @@ impl Args {
 
     fn required<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
         self.parsed(key)?.ok_or_else(|| format!("missing required option --{key}"))
-    }
-}
-
-/// Parses `--threads` (default 1 = serial) into [`ParallelismOptions`],
-/// rejecting 0 with a CLI error instead of the library's panic.
-fn threads_opt(args: &Args) -> Result<ParallelismOptions, String> {
-    match args.parsed::<usize>("threads")?.unwrap_or(1) {
-        0 => Err("--threads must be at least 1".to_string()),
-        t => Ok(ParallelismOptions::with_threads(t)),
     }
 }
 
@@ -345,17 +314,21 @@ fn cmd_stats(stdout: &mut Stdout) -> Result<(), String> {
 fn cmd_maxis(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
     let opts = TraceOpts::from(args);
-    let par = threads_opt(args)?;
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let g = read_graph(&read_stdin()?).map_err(|e| e.to_string())?;
     let set = if opts.wanted() {
+        // One whole-graph call, spanned as the phase loop spans its calls.
         let tel = Telemetry::new(MemorySink::new());
-        let traced = TracedOracle::new(oracle.as_ref(), &tel);
-        let set = parallel_independent_set(&g, &traced, par);
+        let call = span!(tel, names::ORACLE);
+        call.add(Counter::OracleCalls, 1);
+        let set = oracle.independent_set(&g);
+        call.add(Counter::StalledSteps, oracle.stalled_steps() as u64);
+        call.sample(Histogram::IndependentSetSize, set.len() as u64);
+        call.close();
         opts.emit(tel.sink(), stdout)?;
         set
     } else {
-        parallel_independent_set(&g, oracle.as_ref(), par)
+        oracle.independent_set(&g)
     };
     writeln!(
         stdout,
@@ -427,12 +400,7 @@ fn cmd_reduce(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
         k => k,
     };
     let opts = TraceOpts::from(args);
-    let config = ReductionConfig {
-        parallelism: threads_opt(args)?,
-        kernel: kernel_opt(args)?,
-        oracle_cache: args.flag("oracle-cache"),
-        ..ReductionConfig::new(k)
-    };
+    let config = ReductionConfig { kernel: kernel_opt(args)?, ..ReductionConfig::new(k) };
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let ckpt = checkpoint_opt(args)?;
     let h = read_hypergraph(&read_stdin()?).map_err(|e| e.to_string())?;
@@ -852,16 +820,14 @@ type Command = fn(&Args, &mut Stdout) -> Result<(), String>;
 const COMMANDS: &[(&str, &[&str], Command)] = &[
     ("gen", &["n", "m", "k", "epsilon", "p", "seed"], cmd_gen),
     ("stats", &[], |_, stdout| cmd_stats(stdout)),
-    ("maxis", &["oracle", "threads", "seed", "trace", "metrics-out"], cmd_maxis),
+    ("maxis", &["oracle", "seed", "trace", "metrics-out"], cmd_maxis),
     (
         "reduce",
         &[
             "k",
             "oracle",
-            "threads",
             "seed",
             "kernel",
-            "oracle-cache",
             "checkpoint-dir",
             "resume",
             "crash-at",

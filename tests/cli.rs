@@ -127,6 +127,9 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
         (&["reduce", "--k", "0"], "--k must be at least 1"),
         (&["gen", "gnp", "--n", "5", "--p", "2"], "--p must lie in [0, 1]"),
         (&["reduce", "--k", "3", "--orcale", "luby"], "unknown option --orcale for 'reduce'"),
+        (&["maxis", "--threads", "2"], "unknown option --threads for 'maxis'"),
+        (&["reduce", "--k", "3", "--threads", "2"], "unknown option --threads for 'reduce'"),
+        (&["reduce", "--k", "3", "--oracle-cache"], "option --oracle-cache needs a value"),
     ] {
         let out = run(args, Some(instance));
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -251,6 +254,44 @@ fn reduce_with_trace_and_metrics_out_emits_both() {
     }
     assert!(jsonl.contains("\"event\":\"span_start\""));
     assert!(jsonl.contains("\"name\":\"reduction\""));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn maxis_with_trace_and_metrics_out_emits_one_root_oracle_span() {
+    let dir = std::env::temp_dir().join(format!("pslocal-cli-maxis-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let metrics = dir.join("metrics.jsonl");
+    let metrics_path = metrics.to_str().unwrap();
+
+    let gen = run(&["gen", "gnp", "--n", "60", "--p", "0.1", "--seed", "3"], None);
+    let graph = stdout(&gen);
+    let maxis = run(&["maxis", "--trace", "--metrics-out", metrics_path], Some(&graph));
+    assert!(maxis.status.success(), "stderr: {}", String::from_utf8_lossy(&maxis.stderr));
+    let text = stdout(&maxis);
+    let size = text.lines().filter(|l| l.starts_with("i ")).count();
+    assert!(size > 0);
+    let root = text.lines().next().expect("span tree first");
+    assert!(root.starts_with("oracle ") && root.contains("oracle_calls=1"), "{text}");
+    assert!(root.contains(&format!("independent_set_size:{size}")), "{text}");
+
+    // The whole file: one root `oracle` span holding one call and one
+    // set-size sample, then its end.
+    let jsonl = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let events: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(events.len(), 4, "{jsonl}");
+    assert!(
+        events[0].starts_with(r#"{"event":"span_start","id":1,"parent":null,"name":"oracle","#),
+        "{jsonl}"
+    );
+    assert_eq!(events[1], r#"{"event":"counter","counter":"oracle_calls","delta":1,"span":1}"#);
+    assert_eq!(
+        events[2],
+        format!(
+            r#"{{"event":"sample","histogram":"independent_set_size","value":{size},"span":1}}"#
+        )
+    );
+    assert!(events[3].starts_with(r#"{"event":"span_end","id":1,"#), "{jsonl}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
