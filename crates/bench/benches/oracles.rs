@@ -59,21 +59,28 @@ fn bench_reduce_shape(c: &mut Criterion) {
     group.finish();
 }
 
-/// Planted n = 144, m = 72, k = 8 (about 5,700 vertices), the middle
-/// shape of the benchmark of record's serve-dense pool, on the bit rows
-/// `Auto` builds for it: the greedy's dense kernel, as the drivers call
-/// it, with a scratch held across calls.
+/// The greedy's dense kernel, as the drivers call it, with a scratch
+/// held across calls, on the bit rows `Auto` builds for two planted
+/// shapes: n = 144, m = 72, k = 8 (about 5,700 vertices), the middle
+/// shape of the benchmark of record's serve-dense pool, and n = 256,
+/// m = 128, k = 4 (2,568 vertices in 41 words, 128 picks). Each pick
+/// scans one key per alive vertex, and the picks (about `m`) grow
+/// against the row reads as `k` falls, so the k = 4 case is the one a
+/// per-pick scan is most exposed on.
 fn bench_dense_shape(c: &mut Criterion) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(144, 72, 8));
-    let cg = ConflictGraph::build(&inst.hypergraph, 8);
-    let bits = cg.bitset().expect("Auto builds the serve-dense shape on bit rows");
-    let mut scratch = BitsetScratch::default();
     let mut group = c.benchmark_group("oracles_dense_shape");
     group.sample_size(100);
-    group.bench_function(BenchmarkId::from_parameter(GreedyOracle.name()), |b| {
-        b.iter(|| GreedyOracle.independent_set_dense(bits, &mut scratch))
-    });
+    for (n, m, k) in [(144, 72, 8), (256, 128, 4)] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k));
+        let cg = ConflictGraph::build(&inst.hypergraph, k);
+        let bits = cg.bitset().expect("Auto builds the dense shapes on bit rows");
+        let mut scratch = BitsetScratch::default();
+        let id = BenchmarkId::new(GreedyOracle.name(), format!("k{k}"));
+        group.bench_function(id, |b| {
+            b.iter(|| GreedyOracle.independent_set_dense(bits, &mut scratch))
+        });
+    }
     group.finish();
 }
 

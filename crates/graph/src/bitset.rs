@@ -12,8 +12,9 @@
 //! * [`BitsetGraph::delete_closed_neighborhood`] — one masked word
 //!   sweep per deletion,
 //! * [`BitsetGraph::min_degree_greedy`] — the minimum-degree greedy
-//!   with **batched bucket pushes**, byte-identical to the CSR greedy's
-//!   pick sequence (see the proof sketch at the function).
+//!   picking the least **(degree, push-stamp) key** per vertex over the
+//!   alive words, byte-identical to the CSR greedy's pick sequence (see
+//!   the proof sketch at the function).
 //!
 //! A `G_k` row is never stored as such: the `k` rows of one `(e, v)`
 //! slot share one template that each row reads shifted by its color,
@@ -481,21 +482,31 @@ impl BitsetGraph {
     /// Minimum-degree greedy over the bit rows, **byte-identical** to
     /// the CSR degree-bucket greedy (`pslocal-maxis`' `GreedyOracle`).
     ///
-    /// A greedy that pushed a bucket entry per degree decrement could
-    /// only ever pop the *final* push per survivor per kill phase as
-    /// valid (earlier entries are stale by the time the bucket drains,
-    /// and the cursor never skips a bucket holding a valid entry), so
-    /// both kernels batch: per chosen vertex this one deletes the
-    /// closed neighborhood up front, walks the dying list top-down
-    /// marking each survivor at its *largest* dying neighbor (the
-    /// `news` sets), applies all decrements, then emits exactly one
-    /// push per touched survivor in that final-push order — ascending
-    /// dying neighbor, then ascending survivor. `pslocal-maxis`' test
+    /// A bucket greedy pops, at the least residual degree, the vertex
+    /// whose valid push came last. Here each vertex holds one key, its
+    /// residual degree in the high 32 bits and `u32::MAX − stamp` in the
+    /// low 32, the stamp being the time of its latest push (initially
+    /// its id, the order in which a queue is filled), and each pick is
+    /// the least key over the alive words. Per pick the closed
+    /// neighborhood dies, and an *ascending* walk of the dying list
+    /// takes one off the degree of each alive neighbor of each dying row
+    /// and stamps it with the next tick. The last write wins, so each
+    /// survivor ends stamped at its largest dying neighbor, ties broken
+    /// by ascending survivor: the order of the final pushes of a greedy
+    /// that pushes on every decrement, and only final pushes are ever
+    /// popped as valid (earlier ones are stale by the time their bucket
+    /// drains). `pslocal-maxis`' test
     /// `greedy::tests::pick_sequences_match_reference_and_dense_kernel`
-    /// checks the full pick sequence against the CSR kernel and a
-    /// push-per-decrement reference on random and planted instances.
+    /// checks the full pick sequence against the CSR kernel and that
+    /// push-per-decrement greedy on random, multi-word and planted
+    /// instances.
     ///
     /// Returns the chosen vertices in pick order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n + |E|` exceeds `u32::MAX`, past which the stamps
+    /// would not fit their 32 bits.
     pub fn min_degree_greedy(&self, scratch: &mut BitsetScratch) -> Vec<NodeId> {
         let mut chosen = Vec::new();
         self.min_degree_greedy_into(scratch, &mut chosen);
@@ -507,95 +518,87 @@ impl BitsetGraph {
     /// the phase workspace.
     pub fn min_degree_greedy_into(&self, s: &mut BitsetScratch, chosen: &mut Vec<NodeId>) {
         chosen.clear();
-        let (n, words) = (self.n, self.words);
-        if n == 0 {
-            return;
-        }
-        s.alive.clear();
-        s.alive.resize(words, u64::MAX);
+        let n = self.n;
+        // One stamp per vertex, then one per decrement, at most one per
+        // edge: every stamp stays below `n + |E|`.
+        assert!(
+            n as u64 + self.edge_count() as u64 <= u64::from(u32::MAX),
+            "{n} nodes and {} edges overflow the greedy's 32-bit push stamps",
+            self.edge_count()
+        );
+        let BitsetScratch { alive, keys, dying, row } = s;
+        alive.clear();
+        alive.resize(self.words, u64::MAX);
         if !n.is_multiple_of(64) {
-            s.alive[words - 1] = (1u64 << (n % 64)) - 1;
+            alive[self.words - 1] = (1u64 << (n % 64)) - 1;
         }
-        s.degree.clear();
-        s.degree.extend(self.offsets.windows(2).map(|w| w[1] - w[0]));
-        let maxdeg = s.degree.iter().copied().max().unwrap_or(0) as usize;
-        for b in s.buckets.iter_mut() {
-            b.clear();
-        }
-        s.buckets.resize(maxdeg + 1, Vec::new());
-        for v in 0..n {
-            s.buckets[s.degree[v] as usize].push(v as u32);
-        }
-        s.seen.resize(words, 0);
-        s.news.resize(words * (maxdeg + 1), 0);
-        let mut cursor = 0usize;
-        while cursor <= maxdeg {
-            let Some(v) = s.buckets[cursor].pop() else {
-                cursor += 1;
-                continue;
-            };
-            let v = v as usize;
-            if s.alive[v / 64] & (1 << (v % 64)) == 0 || s.degree[v] as usize != cursor {
-                continue; // stale entry
-            }
+        // Padded to whole words with dead keys, so every alive word
+        // owns one 64-key chunk.
+        keys.clear();
+        keys.extend(
+            self.offsets
+                .windows(2)
+                .zip(0u32..)
+                .map(|(w, v)| (u64::from(w[1] - w[0]) << 32) | u64::from(u32::MAX - v)),
+        );
+        keys.resize(64 * self.words, DEAD_KEY);
+        let mut tick = n as u64;
+        while let Some(v) = least_alive_key(keys, alive) {
             chosen.push(NodeId::new(v));
-            s.dlist.clear();
-            self.delete_closed_neighborhood(NodeId::new(v), &mut s.alive, &mut s.dlist, &mut s.row);
-            for w in s.seen.iter_mut() {
-                *w = 0;
-            }
-            // Top-down: mark each survivor in the news set of its
-            // largest dying neighbor and apply every decrement. Words
-            // with no alive neighbors are skipped outright; words that
-            // gained news bits are recorded (per dying vertex) so the
-            // push pass below touches only them.
-            s.pairs.clear();
-            s.ranges.clear();
-            s.ranges.resize(s.dlist.len(), (0, 0));
-            for (idx, &u) in s.dlist.iter().enumerate().rev() {
-                let row_u = self.row(NodeId::new(u as usize), &mut s.row);
-                let dst = &mut s.news[idx * words..(idx + 1) * words];
-                let start = s.pairs.len() as u32;
-                let words = row_u.iter().zip(&s.alive).zip(s.seen.iter_mut().zip(dst));
-                for (wi, ((&r, &a), (seen, news))) in words.enumerate() {
-                    let rw = r & a;
-                    if rw == 0 {
-                        continue;
-                    }
-                    let nw = rw & !*seen;
-                    if nw != 0 {
-                        *news = nw;
-                        *seen |= nw;
-                        s.pairs.push(wi as u32);
-                    }
-                    let mut m = rw;
+            dying.clear();
+            self.delete_closed_neighborhood(NodeId::new(v), alive, dying, row);
+            keys[v] = DEAD_KEY;
+            for &u in dying.iter() {
+                keys[u as usize] = DEAD_KEY;
+                let words = self.row(NodeId::new(u as usize), row).iter().zip(alive.iter());
+                for (wi, (&r, &a)) in words.enumerate() {
+                    let mut m = r & a;
                     while m != 0 {
-                        s.degree[(wi * 64) + m.trailing_zeros() as usize] -= 1;
-                        m &= m - 1;
-                    }
-                }
-                s.ranges[idx] = (start, s.pairs.len() as u32);
-            }
-            // Bottom-up: the one final push per touched survivor, in
-            // the CSR greedy's final-push order (ascending dying
-            // vertex, then ascending survivor — the recorded words of
-            // each dying vertex are already in ascending order).
-            for idx in 0..s.dlist.len() {
-                let (start, end) = s.ranges[idx];
-                for &wi in &s.pairs[start as usize..end as usize] {
-                    let wi = wi as usize;
-                    let mut m = s.news[idx * words + wi];
-                    while m != 0 {
-                        let w = (wi * 64) + m.trailing_zeros() as usize;
-                        let d = s.degree[w] as usize;
-                        s.buckets[d].push(w as u32);
-                        cursor = cursor.min(d);
+                        // One degree off, and the stamp `tick`: a degree
+                        // here is at least 1 (`u` is still counted) and
+                        // `tick` below `u32::MAX`, so nothing wraps.
+                        let key = &mut keys[wi * 64 + m.trailing_zeros() as usize];
+                        *key = (*key | STAMP_BITS) - (1 << 32) - tick;
+                        tick += 1;
                         m &= m - 1;
                     }
                 }
             }
         }
     }
+}
+
+/// The key of a dead vertex, and of the padding past node `n − 1`.
+const DEAD_KEY: u64 = u64::MAX;
+
+/// The low half of a greedy key, which holds `u32::MAX − stamp`.
+const STAMP_BITS: u64 = u32::MAX as u64;
+
+/// The vertex with the least key in the words whose `alive` mask is
+/// nonzero, or `None` once no vertex is alive. Alive keys are distinct,
+/// since no two vertices share a stamp.
+fn least_alive_key(keys: &[u64], alive: &[u64]) -> Option<usize> {
+    let (mut least, mut at) = (DEAD_KEY, 0);
+    for (wi, (chunk, &a)) in keys.chunks_exact(64).zip(alive).enumerate() {
+        if a != 0 {
+            // Eight running minima: one chain of dependent compares
+            // scans the word about twice as slowly.
+            let mut lanes = [DEAD_KEY; 8];
+            for eight in chunk.chunks_exact(8) {
+                for (lane, &k) in lanes.iter_mut().zip(eight) {
+                    *lane = (*lane).min(k);
+                }
+            }
+            let word_least = lanes.into_iter().fold(DEAD_KEY, u64::min);
+            if word_least < least {
+                (least, at) = (word_least, wi);
+            }
+        }
+    }
+    if least == DEAD_KEY {
+        return None;
+    }
+    keys[at * 64..(at + 1) * 64].iter().position(|&k| k == least).map(|i| at * 64 + i)
 }
 
 impl PartialEq for BitsetGraph {
@@ -619,17 +622,10 @@ impl Eq for BitsetGraph {}
 #[derive(Debug, Default, Clone)]
 pub struct BitsetScratch {
     alive: Vec<u64>,
-    degree: Vec<u32>,
-    buckets: Vec<Vec<u32>>,
-    seen: Vec<u64>,
-    news: Vec<u64>,
-    dlist: Vec<u32>,
-    /// Word indices with nonzero news bits, grouped per dying vertex —
-    /// lets the bottom-up push pass visit only populated words instead
-    /// of rescanning every `dying × words` cell.
-    pairs: Vec<u32>,
-    /// `ranges[idx]` = the `pairs` span recorded for dying vertex `idx`.
-    ranges: Vec<(u32, u32)>,
+    /// One (degree, push-stamp) key per vertex, `DEAD_KEY` once dead.
+    keys: Vec<u64>,
+    /// The pick's dying neighbors, ascending.
+    dying: Vec<u32>,
     /// The row being read, shifted out of its group's template.
     row: Vec<u64>,
 }

@@ -8,16 +8,20 @@
 //! * it meets the Turán bound `n / (d̄ + 1)` (Wei's theorem), which the
 //!   tests check explicitly.
 //!
-//! The CSR kernel keeps a degree-bucket queue and batches its pushes
-//! exactly as [`BitsetGraph::min_degree_greedy`] does: per chosen
-//! vertex it kills the closed neighborhood, walks the dying neighbors
-//! top-down applying every decrement and filing each touched survivor
-//! under its largest dying neighbor, then pushes each survivor once,
-//! ascending dying neighbor, then ascending survivor. A loop that
+//! The CSR kernel keeps a degree-bucket queue and batches its pushes:
+//! per chosen vertex it kills the closed neighborhood, walks the dying
+//! neighbors top-down applying every decrement and filing each touched
+//! survivor under its largest dying neighbor, then pushes each survivor
+//! once, ascending dying neighbor, then ascending survivor. A loop that
 //! pushes on every decrement makes its last push per survivor in that
 //! same order, and only last pushes are ever popped as valid, so the
 //! pick sequence is unchanged; the tests keep that loop as the
-//! reference. The same kernel runs on the subgraph induced by a sorted
+//! reference. [`BitsetGraph::min_degree_greedy`] reaches the same order
+//! with no queue: one (degree, push-stamp) key per vertex, restamped
+//! on every decrement of an ascending walk of the dying list, and the
+//! least key picked by a scan. That scan costs `n` per pick, which the
+//! few picks of a dense graph afford and the many of a sparse one do
+//! not. The CSR kernel also runs on the subgraph induced by a sorted
 //! member list directly on the parent's rows, which is how the
 //! decomposition oracle solves its large clusters without copying them.
 
@@ -300,10 +304,11 @@ fn count_member_degrees(degree: &mut [u32], graph: &Graph, members: &[NodeId], f
 pub(crate) mod tests {
     use super::*;
     use crate::exact::ExactOracle;
+    use pslocal_core::{ConflictGraph, ConflictGraphOptions};
     use pslocal_graph::generators::classic::{cluster_graph, complete, cycle, path, star};
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_graph::generators::random::{gnp, random_regular};
-    use pslocal_graph::{csr, GraphBuilder};
+    use pslocal_graph::{csr, GraphBuilder, KernelStrategy};
     use rand::{Rng, SeedableRng};
 
     /// The CSR greedy as it was before batching, verbatim: one bucket
@@ -488,12 +493,37 @@ pub(crate) mod tests {
     #[test]
     fn pick_sequences_match_reference_and_dense_kernel() {
         let mut dense_scratch = BitsetScratch::default();
-        for (i, g) in test_graphs().iter().enumerate() {
+        let mut check_picks = |g: &Graph, bits: &BitsetGraph, what: &str| {
             let batched = picks(g);
-            assert_eq!(batched, per_decrement_picks(g), "per-decrement reference, graph {i}");
-            let dense = g.to_bitset().min_degree_greedy(&mut dense_scratch);
-            assert_eq!(batched, dense, "dense kernel, graph {i}");
+            assert_eq!(batched, per_decrement_picks(g), "per-decrement reference, {what}");
+            let dense = bits.min_degree_greedy(&mut dense_scratch);
+            assert_eq!(batched, dense, "dense kernel, {what}");
+        };
+        for (i, g) in test_graphs().iter().enumerate() {
+            check_picks(g, &g.to_bitset(), &format!("graph {i}"));
         }
+        // Rows of more than one word, where the least key is found
+        // across words and many vertices tie on degree: cliques of one
+        // word and past it, equal cliques, and dense G(n, p).
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut wide = vec![complete(64), complete(65), complete(129), cluster_graph(9, 23)];
+        for n in [130, 257, 431, 600] {
+            for p in [0.5, 1.0] {
+                wide.push(gnp(&mut rng, n, p));
+            }
+        }
+        for (i, g) in wide.iter().enumerate() {
+            check_picks(g, &g.to_bitset(), &format!("multi-word graph {i}"));
+        }
+        // A planted `G_k` at k = 8, read through the slot-grouped rows
+        // its bit-row build stores, each shifted out of a template.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let h = planted_cf_instance(&mut rng, PlantedCfParams::new(64, 28, 8)).hypergraph;
+        let options = ConflictGraphOptions { kernel: KernelStrategy::Bitset, ..Default::default() };
+        let cg = ConflictGraph::build_with_options(&h, 8, options);
+        assert!(cg.node_count() > 2000, "{} nodes", cg.node_count());
+        let bits = cg.bitset().expect("a forced bitset build stores bit rows");
+        check_picks(cg.graph(), bits, "planted k = 8");
     }
 
     #[test]

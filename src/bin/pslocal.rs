@@ -814,15 +814,18 @@ type Stdout = std::io::BufWriter<std::io::Stdout>;
 /// A subcommand's entry point.
 type Command = fn(&Args, &mut Stdout) -> Result<(), String>;
 
-/// Every subcommand with the options it accepts — exactly those USAGE
-/// lists. `dispatch` rejects any other `--key` before the command runs,
-/// so a misspelled option fails instead of silently taking a default.
-const COMMANDS: &[(&str, &[&str], Command)] = &[
-    ("gen", &["n", "m", "k", "epsilon", "p", "seed"], cmd_gen),
-    ("stats", &[], |_, stdout| cmd_stats(stdout)),
-    ("maxis", &["oracle", "seed", "trace", "metrics-out"], cmd_maxis),
+/// Every subcommand with the number of positional arguments it takes
+/// after its name and the options it accepts — exactly those USAGE
+/// lists. `dispatch` rejects any other `--key` or positional argument
+/// before the command runs, so a misspelled option fails instead of
+/// silently taking a default.
+const COMMANDS: &[(&str, usize, &[&str], Command)] = &[
+    ("gen", 1, &["n", "m", "k", "epsilon", "p", "seed"], cmd_gen),
+    ("stats", 0, &[], |_, stdout| cmd_stats(stdout)),
+    ("maxis", 0, &["oracle", "seed", "trace", "metrics-out"], cmd_maxis),
     (
         "reduce",
+        0,
         &[
             "k",
             "oracle",
@@ -836,17 +839,23 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         ],
         cmd_reduce,
     ),
-    ("trace-report", &["n", "m", "k", "oracle", "seed", "trace", "metrics-out"], cmd_trace_report),
-    ("batch", &["workers", "queue", "deadline-ms", "trace", "metrics-out"], cmd_batch),
+    (
+        "trace-report",
+        0,
+        &["n", "m", "k", "oracle", "seed", "trace", "metrics-out"],
+        cmd_trace_report,
+    ),
+    ("batch", 0, &["workers", "queue", "deadline-ms", "trace", "metrics-out"], cmd_batch),
     (
         "serve",
+        0,
         &["addr", "workers", "queue-depth", "max-conns", "deadline-ms", "metrics-out"],
         cmd_serve,
     ),
-    ("client", &["addr", "stats", "shutdown", "ping"], cmd_client),
-    ("checkpoint-inspect", &["checkpoint-dir"], cmd_checkpoint_inspect),
-    ("lint", &["root", "deny", "json", "fix-hints", "lock-order"], cmd_lint),
-    ("help", &[], |_, stdout| writeln!(stdout, "{USAGE}").map_err(stdout_error)),
+    ("client", 0, &["addr", "stats", "shutdown", "ping"], cmd_client),
+    ("checkpoint-inspect", 0, &["checkpoint-dir"], cmd_checkpoint_inspect),
+    ("lint", 0, &["root", "deny", "json", "fix-hints", "lock-order"], cmd_lint),
+    ("help", 0, &[], |_, stdout| writeln!(stdout, "{USAGE}").map_err(stdout_error)),
 ];
 
 fn dispatch() -> Result<(), String> {
@@ -866,10 +875,13 @@ fn run_command(stdout: &mut Stdout) -> Result<(), String> {
     }
     let args = Args::parse(raw.into_iter())?;
     let name = args.positional.first().map_or("help", String::as_str);
-    let (_, accepted, run) = COMMANDS
+    let (_, positionals, accepted, run) = COMMANDS
         .iter()
         .find(|(command, ..)| *command == name)
         .ok_or_else(|| format!("unknown command {name:?}\n{USAGE}"))?;
+    if let Some(extra) = args.positional.get(1 + positionals) {
+        return Err(format!("unexpected argument {extra:?} for '{name}'"));
+    }
     if let Some((key, _)) = args.options.iter().find(|(key, _)| !accepted.contains(&key.as_str())) {
         return Err(format!("unknown option --{key} for '{name}'"));
     }

@@ -130,6 +130,19 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
         (&["maxis", "--threads", "2"], "unknown option --threads for 'maxis'"),
         (&["reduce", "--k", "3", "--threads", "2"], "unknown option --threads for 'reduce'"),
         (&["reduce", "--k", "3", "--oracle-cache"], "option --oracle-cache needs a value"),
+        // Stray positionals, such as a single-dash typo, name the first
+        // one instead of running with a default.
+        (
+            &["reduce", "--k", "3", "-oracle", "luby"],
+            "unexpected argument \"-oracle\" for 'reduce'",
+        ),
+        (
+            &["gen", "planted", "extra", "--n", "10", "--m", "5", "--k", "2"],
+            "unexpected argument \"extra\" for 'gen'",
+        ),
+        (&["stats", "junk"], "unexpected argument \"junk\" for 'stats'"),
+        (&["maxis", "extra", "junk"], "unexpected argument \"extra\" for 'maxis'"),
+        (&["help", "reduce"], "unexpected argument \"reduce\" for 'help'"),
     ] {
         let out = run(args, Some(instance));
         let stderr = String::from_utf8_lossy(&out.stderr);
