@@ -97,8 +97,8 @@ pub use distributed::{
 };
 pub use recovery::{
     crc32, fingerprint_hypergraph, inspect_journal, Checkpointing, CrashMode, CrashPlan,
-    DriverKind, JournalError, JournalHeader, JournalPhase, OpenStats, PhaseJournal, RecoveryReport,
-    StoredFaultEvent, JOURNAL_FILE_NAME,
+    CrashPoint, CrashSignal, DriverKind, JournalError, JournalHeader, JournalPhase, OpenStats,
+    PhaseJournal, RecoveryReport, JOURNAL_FILE_NAME,
 };
 pub use reduction::{
     lemma_2_1_quota, oracle_locality, reduce_cf_to_maxis, reduce_cf_to_maxis_resumable,

@@ -50,7 +50,9 @@
 //! Replay trusts nothing. For each phase record, in order:
 //!
 //! 1. **structure** — length, CRC, tag, and full decode already held at
-//!    open; the phase index must equal the replay cursor;
+//!    open; the phase index must equal the replay cursor, the record
+//!    must count calls for every chain slot with no counter shrinking,
+//!    and each of its [`FaultEvent`]s must name an oracle of the chain;
 //! 2. **fingerprint** — the stored conflict-graph fingerprint must
 //!    match [`ConflictGraph::fingerprint`] of the graph the cursor
 //!    actually reached;
@@ -69,15 +71,23 @@
 //! journal truncated to the good prefix), and the driver resumes
 //! normal execution from there. A corrupt journal can therefore cost
 //! recomputation, never correctness. The kept prefix is the driver's
-//! state: its length is the next phase, and its last record holds the
-//! cumulative oracle-call positions, retries and fallbacks.
+//! state: its length is the next phase, its records' events are the
+//! fault log so far, and its last record holds the cumulative
+//! oracle-call positions, retries and fallbacks.
+//!
+//! # Crash injection
+//!
+//! A [`CrashPlan`] is the one way to simulate a process crash: it dies
+//! at one [`CrashPoint`] of one phase, by aborting (the CLI's
+//! `--crash-at`) or by panicking with a [`CrashSignal`] (in-process
+//! tests). Every kill point fires in the phase loop itself, outside the
+//! drivers' `catch_unwind`s, so those only ever catch oracle panics.
 
 use crate::conflict_graph::ConflictGraph;
 use crate::reduction::{commit_phase, decay_allowed, PhaseRecord};
 use crate::resilient::{FaultEvent, FaultEventKind};
 use pslocal_cfcolor::Multicoloring;
 use pslocal_graph::{HyperedgeId, Hypergraph, IndependentSet, NodeId};
-use pslocal_maxis::{CrashPoint, CrashSignal};
 use pslocal_telemetry::{names, span, Counter, Sink, Span};
 use std::error::Error;
 use std::fmt;
@@ -364,52 +374,7 @@ wire_record!(JournalHeader {
     oracle_names,
 });
 
-/// A [`FaultEvent`] as stored on disk: identical fields, except the
-/// oracle name is owned. Interning back to the `&'static str` the live
-/// chain exposes happens at replay ([`StoredFaultEvent::intern`]); a
-/// name no oracle in the chain answers to marks the record corrupt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredFaultEvent {
-    /// Phase the event occurred in.
-    pub phase: usize,
-    /// Attempt index within the phase.
-    pub attempt: usize,
-    /// Name of the oracle involved.
-    pub oracle: String,
-    /// Conflict-graph component, when the phase ran parallel.
-    pub component: Option<usize>,
-    /// What happened.
-    pub kind: FaultEventKind,
-}
-
-impl StoredFaultEvent {
-    /// Converts a live fault-log entry for storage.
-    pub fn from_event(e: &FaultEvent) -> Self {
-        StoredFaultEvent {
-            phase: e.phase,
-            attempt: e.attempt,
-            oracle: e.oracle.to_string(),
-            component: e.component,
-            kind: e.kind,
-        }
-    }
-
-    /// Re-interns the stored oracle name against the live chain's
-    /// names. `None` = the journal names an oracle this run does not
-    /// have — the record cannot belong to this configuration.
-    pub fn intern(&self, names: &[&'static str]) -> Option<FaultEvent> {
-        let oracle = *names.iter().find(|n| **n == self.oracle)?;
-        Some(FaultEvent {
-            phase: self.phase,
-            attempt: self.attempt,
-            oracle,
-            component: self.component,
-            kind: self.kind,
-        })
-    }
-}
-
-wire_record!(StoredFaultEvent { phase, attempt, oracle, component, kind });
+wire_record!(FaultEvent { phase, attempt, oracle, component, kind });
 
 /// A code byte and two `usize` operands, zero where the kind has none
 /// (and ignored on decoding there).
@@ -477,7 +442,7 @@ pub struct JournalPhase {
     /// Cumulative fallback engagements after this phase.
     pub fallbacks: u64,
     /// Fault events logged during this phase.
-    pub events: Vec<StoredFaultEvent>,
+    pub events: Vec<FaultEvent>,
 }
 
 wire_record!(JournalPhase {
@@ -726,6 +691,67 @@ impl PhaseJournal {
 // Crash injection (driver-side kill points)
 // ---------------------------------------------------------------------
 
+/// Where, within a reduction phase, an injected process crash strikes:
+/// the kill points bracket every durability boundary of a phase, so
+/// the resume-equivalence suite can sweep them all by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum CrashPoint {
+    /// In place of the phase's oracle calls: the process dies before
+    /// a set is acquired, as if inside the oracle.
+    MidOracle,
+    /// After the phase's independent set was acquired, before anything
+    /// was committed.
+    AfterOracle,
+    /// After the phase committed in memory but before the journal
+    /// append — the journal is one phase behind the dead process.
+    BeforeJournal,
+    /// After the journal append was persisted — a clean phase boundary.
+    AfterJournal,
+}
+
+impl CrashPoint {
+    /// Stable kebab-case name (the CLI's `--crash-at PHASE:POINT`
+    /// argument and reports).
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashPoint::MidOracle => "mid-oracle",
+            CrashPoint::AfterOracle => "after-oracle",
+            CrashPoint::BeforeJournal => "before-journal",
+            CrashPoint::AfterJournal => "after-journal",
+        }
+    }
+
+    /// Parses [`name`](Self::name)'s output back.
+    pub fn parse(s: &str) -> Option<Self> {
+        Some(match s {
+            "mid-oracle" => CrashPoint::MidOracle,
+            "after-oracle" => CrashPoint::AfterOracle,
+            "before-journal" => CrashPoint::BeforeJournal,
+            "after-journal" => CrashPoint::AfterJournal,
+            _ => return None,
+        })
+    }
+}
+
+impl fmt::Display for CrashPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The panic payload of a [`CrashMode::Panic`] kill point, so an
+/// in-process test can tell the injected crash from any other panic.
+/// Every kill point fires outside the drivers' `catch_unwind`s, which
+/// therefore never see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrashSignal {
+    /// The phase the crash was scheduled for.
+    pub phase: usize,
+    /// The kill point within that phase.
+    pub point: CrashPoint,
+}
+
 /// How an injected crash takes the process down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashMode {
@@ -911,7 +937,6 @@ pub(crate) struct ReplayCtx<'a> {
     /// oracle, no λ override) — exactly when the original run enforced
     /// it.
     pub enforce_decay: bool,
-    pub chain_names: Vec<&'static str>,
 }
 
 fn field_mismatch(expected: &JournalHeader, found: &JournalHeader) -> Option<&'static str> {
@@ -934,12 +959,11 @@ fn field_mismatch(expected: &JournalHeader, found: &JournalHeader) -> Option<&'s
 /// `coloring`, `residual` are advanced past every accepted phase).
 ///
 /// Returns the journal cut to that prefix, which is the rest of the
-/// driver's state (see the [module docs](self)), the startup report,
-/// and the prefix's fault events interned against the live chain. On
-/// any rejection the in-memory commit of the offending record is
-/// rolled back and the remaining phases are left for live execution.
-/// Either way the file is cut to the accepted prefix, so the next
-/// append lands right after it.
+/// driver's state (see the [module docs](self)), and the startup
+/// report. On any rejection the in-memory commit of the offending
+/// record is rolled back and the remaining phases are left for live
+/// execution. Either way the file is cut to the accepted prefix, so
+/// the next append lands right after it.
 pub(crate) fn open_or_replay<S: Sink>(
     ctx: ReplayCtx<'_>,
     ckpt: &Checkpointing,
@@ -947,7 +971,7 @@ pub(crate) fn open_or_replay<S: Sink>(
     coloring: &mut Multicoloring,
     residual: &mut Vec<HyperedgeId>,
     parent: &Span<'_, S>,
-) -> Result<(PhaseJournal, RecoveryReport, Vec<FaultEvent>), JournalError> {
+) -> Result<(PhaseJournal, RecoveryReport), JournalError> {
     let (opened, stats) =
         if ckpt.resume { PhaseJournal::open(&ckpt.dir)? } else { (None, OpenStats::default()) };
     let Some(mut journal) = opened else {
@@ -961,22 +985,19 @@ pub(crate) fn open_or_replay<S: Sink>(
             journal_bytes: journal.bytes(),
             ..RecoveryReport::default()
         };
-        return Ok((journal, report, Vec::new()));
+        return Ok((journal, report));
     };
     if let Some(field) = field_mismatch(&ctx.header, journal.header()) {
         return Err(JournalError::HeaderMismatch { field });
     }
 
     let replay_span = span!(parent, names::RECOVERY_REPLAY);
-    let mut fault_log: Vec<FaultEvent> = Vec::new();
     let mut accepted = 0usize;
     for (i, jp) in journal.phases().iter().enumerate() {
         let prev = journal.phases()[..i].last();
-        let Some((keep_pos, events)) = validate_and_commit(&ctx, jp, prev, cg, coloring, residual)
-        else {
+        let Some(keep_pos) = validate_and_commit(&ctx, jp, prev, cg, coloring, residual) else {
             break;
         };
-        fault_log.extend(events);
         accepted += 1;
         replay_span.add(Counter::PhasesRecovered, 1);
         if !residual.is_empty() && accepted < ctx.header.budget {
@@ -996,13 +1017,13 @@ pub(crate) fn open_or_replay<S: Sink>(
         bytes_discarded: stats.bytes_total - journal_bytes,
         journal_bytes,
     };
-    Ok((journal, report, fault_log))
+    Ok((journal, report))
 }
 
-/// One record through replay steps 2–5 (see module docs), after the
-/// accepted record `prev` before it. Returns the survivors' positions
-/// and the interned events; `None` = rejected, and the in-memory state
-/// is exactly as before the call.
+/// One record through the replay steps (see module docs) that
+/// [`PhaseJournal::open`] left, after the accepted record `prev` before
+/// it. Returns the survivors' positions; `None` = rejected, and the
+/// in-memory state is exactly as before the call.
 fn validate_and_commit(
     ctx: &ReplayCtx<'_>,
     jp: &JournalPhase,
@@ -1010,14 +1031,19 @@ fn validate_and_commit(
     cg: &mut ConflictGraph,
     coloring: &mut Multicoloring,
     residual: &mut Vec<HyperedgeId>,
-) -> Option<(Vec<HyperedgeId>, Vec<FaultEvent>)> {
-    // The chain shape is fixed, and the counters may only grow.
+) -> Option<Vec<HyperedgeId>> {
+    // The chain shape is fixed, the counters may only grow, and every
+    // event names an oracle of the chain.
+    let chain = &ctx.header.oracle_names;
     let shrank = |p: &JournalPhase| {
         jp.chain_calls.iter().zip(&p.chain_calls).any(|(now, before)| now < before)
             || jp.retries < p.retries
             || jp.fallbacks < p.fallbacks
     };
-    if jp.chain_calls.len() != ctx.chain_names.len() || prev.is_some_and(shrank) {
+    if jp.chain_calls.len() != chain.len()
+        || prev.is_some_and(shrank)
+        || jp.events.iter().any(|ev| !chain.contains(&ev.oracle))
+    {
         return None;
     }
     // Fingerprint: the set must have been chosen on *this* graph.
@@ -1038,9 +1064,6 @@ fn validate_and_commit(
     if !cg.verify_independent(&set) || set.len() < jp.quota_required {
         return None;
     }
-    // Events must intern against the live chain.
-    let events: Vec<FaultEvent> =
-        jp.events.iter().map(|ev| ev.intern(&ctx.chain_names)).collect::<Option<_>>()?;
     // Re-commit and compare: the stored record must be *exactly* what
     // committing this set produces. Snapshot first so a lying record
     // can be rolled back.
@@ -1055,7 +1078,7 @@ fn validate_and_commit(
         *residual = residual_snapshot;
         return None;
     }
-    Some((commit.keep_pos, events))
+    Some(commit.keep_pos)
 }
 
 // ---------------------------------------------------------------------
@@ -1133,7 +1156,7 @@ mod tests {
             chain_calls: vec![phase as u64 + 1, 0],
             retries: phase as u64,
             fallbacks: 0,
-            events: vec![StoredFaultEvent {
+            events: vec![FaultEvent {
                 phase,
                 attempt: 0,
                 oracle: "greedy".into(),
@@ -1201,7 +1224,7 @@ mod tests {
                 let events = kinds
                     .into_iter()
                     .enumerate()
-                    .map(|(i, kind)| StoredFaultEvent {
+                    .map(|(i, kind)| FaultEvent {
                         phase,
                         attempt: rng.gen(),
                         oracle: NAMES[i % NAMES.len()].to_string(),
@@ -1296,7 +1319,7 @@ mod tests {
         let claims_all = [u32::MAX.to_le_bytes().as_slice(), &[7; 12]].concat();
         assert!(decode::<Vec<u64>>(&claims_all).is_none());
         assert!(decode::<Vec<String>>(&claims_all).is_none());
-        assert!(decode::<Vec<StoredFaultEvent>>(&claims_all).is_none());
+        assert!(decode::<Vec<FaultEvent>>(&claims_all).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1458,19 +1481,16 @@ mod tests {
     }
 
     #[test]
-    fn stored_fault_event_interns_only_known_oracles() {
-        let ev = StoredFaultEvent {
-            phase: 1,
-            attempt: 2,
-            oracle: "greedy".into(),
-            component: Some(4),
-            kind: FaultEventKind::FallbackEngaged,
-        };
-        let interned = ev.intern(&["exact", "greedy"]).expect("known name");
-        assert_eq!(interned.oracle, "greedy");
-        assert_eq!(interned.component, Some(4));
-        assert!(ev.intern(&["exact"]).is_none());
-        assert_eq!(StoredFaultEvent::from_event(&interned), ev);
+    fn crash_point_names_round_trip() {
+        for point in [
+            CrashPoint::MidOracle,
+            CrashPoint::AfterOracle,
+            CrashPoint::BeforeJournal,
+            CrashPoint::AfterJournal,
+        ] {
+            assert_eq!(CrashPoint::parse(point.name()), Some(point));
+        }
+        assert_eq!(CrashPoint::parse("nonsense"), None);
     }
 
     #[test]
@@ -1560,6 +1580,49 @@ mod tests {
         assert_eq!(report.bytes_discarded, before - ends[0]);
         assert_eq!(fs::read(j.path()).unwrap(), pristine);
         assert_eq!(report.journal_bytes, before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_discards_a_record_whose_event_names_an_oracle_outside_the_chain() {
+        // Phase 1 logs the scripted panic. Renamed to an oracle the chain
+        // does not have, its record still decodes, so open() keeps it;
+        // replay rejects it and every record after it, and the resumed
+        // run recomputes them to the same outcome and the same bytes.
+        use crate::resilient::{reduce_cf_resilient_resumable, ResilientConfig};
+        use pslocal_maxis::{FaultKind, FaultPlan, FaultyOracle, PrecisionOracle};
+        use pslocal_telemetry::Telemetry;
+        let k = 3;
+        let h = planted(32, 40, 18, k);
+        let run = |ckpt: &Checkpointing| {
+            let plan = FaultPlan::scripted(vec![None, Some(FaultKind::Panic)]);
+            let flaky = FaultyOracle::new(PrecisionOracle::new(4.0), plan);
+            let tel = Telemetry::disabled();
+            reduce_cf_resilient_resumable(&h, &[&flaky], ResilientConfig::new(k), ckpt, &tel)
+                .unwrap()
+        };
+        let dir = temp_dir("replay-oracle");
+        let (clean, _) = run(&Checkpointing::new(&dir));
+        let pristine = fs::read(PhaseJournal::file_path(&dir)).unwrap();
+        let (opened, _) = PhaseJournal::open(&dir).unwrap();
+        let opened = opened.expect("clean journal parses");
+        let phases = opened.phases();
+        assert!(phases.len() >= 3, "need records after the renamed one");
+        assert_eq!(phases[1].events.len(), 1, "phase 1 logs the scripted panic");
+        let mut j = PhaseJournal::create(&dir, opened.header().clone()).unwrap();
+        for p in phases {
+            let mut p = p.clone();
+            if p.phase == 1 {
+                p.events[0].oracle = "elsewhere".into();
+            }
+            j.append_phase(p).unwrap();
+        }
+        let (resumed, report) = run(&Checkpointing::new(&dir).resuming());
+        assert_eq!(report.phases_recovered, 1);
+        assert_eq!(report.records_discarded, phases.len() - 1);
+        assert_eq!(resumed.reduction.records, clean.reduction.records);
+        assert_eq!(resumed.fault_log, clean.fault_log);
+        assert_eq!(fs::read(j.path()).unwrap(), pristine);
         let _ = fs::remove_dir_all(&dir);
     }
 

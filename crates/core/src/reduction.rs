@@ -447,10 +447,10 @@ pub fn reduce_cf_to_maxis_resumable<O: MaxIsOracle + ?Sized, S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::CrashPlan;
+    use crate::recovery::{CrashPlan, CrashPoint, CrashSignal};
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_maxis::{
-        CliqueRemovalOracle, CrashPoint, DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle,
+        CliqueRemovalOracle, DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle,
     };
     use pslocal_telemetry::Counter;
     use rand::SeedableRng;
@@ -963,7 +963,7 @@ mod tests {
             reduce_cf_to_maxis_resumable(&h, &oracle, ReductionConfig::new(k), &ckpt, &tel)
         }))
         .expect_err("kill point fires");
-        assert!(died.downcast_ref::<pslocal_maxis::CrashSignal>().is_some());
+        assert!(died.downcast_ref::<CrashSignal>().is_some());
         let (out, report) = reduce_cf_to_maxis_resumable(
             &h,
             &oracle,

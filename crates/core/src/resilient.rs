@@ -11,15 +11,19 @@
 //! * **delivery** — the Lemma 2.1 quota `|I_i| ≥ ⌈|E_i|/λ⌉` against
 //!   the calling oracle's *certified* λ (skipped for heuristics, whose
 //!   λ claims nothing);
-//! * **liveness** — panics are caught and isolated
+//! * **liveness** — oracle panics are caught and isolated
 //!   ([`std::panic::catch_unwind`]); stalls reported through
 //!   [`MaxIsOracle::stalled_steps`] are billed against a per-attempt
-//!   step budget that doubles on every retry (exponential backoff).
+//!   step budget that doubles on every retry (exponential backoff). An
+//!   injected process crash never reaches that catch: the recovery
+//!   layer's kill points ([`CrashPlan`](crate::recovery::CrashPlan))
+//!   fire between a phase's steps, not inside an oracle call.
 //!
 //! A rejected answer costs one attempt; attempts walk a configurable
 //! **fallback chain** (typically `primary → GreedyOracle`) with
 //! [`ResilientConfig::max_retries`] retries per oracle. Every rejection
-//! is recorded as a [`FaultEvent`]. If a phase exhausts the whole
+//! is recorded as a [`FaultEvent`], which the checkpointing entry point
+//! journals as is. If a phase exhausts the whole
 //! chain, the driver fails *with salvage*: the
 //! [`PartialOutcome`] carries the verified partial coloring, the still
 //! unhappy edges, and the per-phase records accumulated so far.
@@ -43,8 +47,8 @@
 use crate::components::{ComponentExecutor, ParallelismOptions};
 use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
 use crate::recovery::{
-    self, fingerprint_hypergraph, Checkpointing, DriverKind, JournalHeader, JournalPhase,
-    PhaseJournal, RecoveryReport, StoredFaultEvent,
+    self, fingerprint_hypergraph, Checkpointing, CrashPoint, DriverKind, JournalHeader,
+    JournalPhase, PhaseJournal, RecoveryReport,
 };
 use crate::reduction::{
     commit_phase, decay_allowed, lemma_2_1_quota, oracle_locality, PhaseRecord, ReductionConfig,
@@ -55,7 +59,7 @@ use pslocal_cfcolor::{checker, Multicoloring};
 use pslocal_graph::{
     BitsetScratch, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy,
 };
-use pslocal_maxis::{ApproxGuarantee, CrashPoint, CrashSignal, MaxIsOracle};
+use pslocal_maxis::{ApproxGuarantee, MaxIsOracle};
 use pslocal_slocal::LocalityBudget;
 use pslocal_telemetry::{names, span, Counter, Histogram, Instrument, Sink, Span, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -141,7 +145,8 @@ impl fmt::Display for FaultEventKind {
     }
 }
 
-/// One entry of the resilient driver's fault log.
+/// One entry of the resilient driver's fault log, stored as is in the
+/// phase journal's records.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Phase the event occurred in.
@@ -150,7 +155,7 @@ pub struct FaultEvent {
     /// within the component).
     pub attempt: usize,
     /// Name of the oracle involved.
-    pub oracle: &'static str,
+    pub oracle: String,
     /// The conflict-graph component the event occurred in, when the
     /// phase ran component-parallel; `None` on the serial path.
     pub component: Option<usize>,
@@ -330,11 +335,6 @@ pub fn reduce_cf_resilient_with_workspace<S: Sink>(
 /// [`MaxIsOracle::resume_at`] so fault schedules stay aligned and the
 /// outcome is **byte-identical** to an uninterrupted run.
 ///
-/// Injected *process* crashes (panics whose payload is a
-/// [`CrashSignal`]) are re-raised, never swallowed as retryable oracle
-/// faults — a process death must actually kill the run for the
-/// journal's durability to mean anything.
-///
 /// # Errors
 ///
 /// See [`reduce_cf_resilient`]; journal I/O failures surface as
@@ -505,8 +505,7 @@ struct Walk {
 /// `target`. Each attempt gets an `oracle` span under `span`, indexed
 /// by attempt, and one `oracle_calls` tick (`parallel_oracle_calls` on
 /// a component). A panicking call is a rejected attempt, except under
-/// `Trust` or when its payload is a [`CrashSignal`]: an injected
-/// *process* crash is not an oracle fault, and both re-raise.
+/// `Trust`, which re-raises the oracle's panic.
 fn walk_chain<O: MaxIsOracle + ?Sized, S: Sink>(
     chain: &[&O],
     acquire: Acquire,
@@ -525,7 +524,7 @@ fn walk_chain<O: MaxIsOracle + ?Sized, S: Sink>(
     let event = |attempt, oracle: &O, kind| FaultEvent {
         phase,
         attempt,
-        oracle: oracle.name(),
+        oracle: oracle.name().to_string(),
         component,
         kind,
     };
@@ -543,11 +542,7 @@ fn walk_chain<O: MaxIsOracle + ?Sized, S: Sink>(
             span.add(calls, 1);
             let set = match catch_unwind(AssertUnwindSafe(|| target.solve(oracle))) {
                 Ok(set) => set,
-                Err(payload)
-                    if matches!(acquire, Acquire::Trust) || payload.is::<CrashSignal>() =>
-                {
-                    resume_unwind(payload)
-                }
+                Err(payload) if matches!(acquire, Acquire::Trust) => resume_unwind(payload),
                 Err(_) => {
                     drop(oracle_span);
                     walk.events.push(event(attempt, oracle, FaultEventKind::OraclePanicked));
@@ -675,7 +670,6 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
     let crash = checkpoint.and_then(|c| c.crash.as_ref());
 
     if let Some(ckpt) = checkpoint {
-        let chain_names: Vec<&'static str> = chain.iter().map(|o| o.name()).collect();
         let header = JournalHeader {
             driver: if trust { DriverKind::Trusting } else { DriverKind::Resilient },
             k,
@@ -684,10 +678,10 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
             budget,
             threads: config.parallelism.threads,
             instance_fingerprint: fingerprint_hypergraph(h),
-            oracle_names: chain_names.iter().map(|n| n.to_string()).collect(),
+            oracle_names: chain.iter().map(|o| o.name().to_string()).collect(),
         };
-        let ctx = recovery::ReplayCtx { h, header, enforce_decay, chain_names };
-        let (j, startup, replayed_log) =
+        let ctx = recovery::ReplayCtx { h, header, enforce_decay };
+        let (j, startup) =
             match recovery::open_or_replay(ctx, ckpt, &mut cg, &mut coloring, &mut residual, &root)
             {
                 Ok(replayed) => replayed,
@@ -697,15 +691,15 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
         // record holds the running totals.
         phase = j.phases().len();
         records = j.phases().iter().map(|p| p.record.clone()).collect();
+        fault_log = j.phases().iter().flat_map(|p| p.events.iter().cloned()).collect();
         if let Some(last) = j.phases().last() {
             chain_calls.clone_from(&last.chain_calls);
             retries = last.retries as usize;
             fallbacks_engaged = last.fallbacks as usize;
         }
-        // Replayed events re-enter the log (and the mirror counter, so
-        // `fault_events == fault_log.len()` still holds on resume).
-        root.add(Counter::FaultEvents, replayed_log.len() as u64);
-        fault_log = replayed_log;
+        // Replayed events count on the mirror counter too, so
+        // `fault_events == fault_log.len()` still holds on resume.
+        root.add(Counter::FaultEvents, fault_log.len() as u64);
         report = startup;
         journal = Some(j);
         for (oracle, &calls) in chain.iter().zip(&chain_calls) {
@@ -822,7 +816,7 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
                 fault!(FaultEvent {
                     phase,
                     attempt: attempts.saturating_sub(1),
-                    oracle: chain.last().map_or("", |o| o.name()),
+                    oracle: chain.last().map_or_else(String::new, |o| o.name().to_string()),
                     component: exec.as_ref().map(|_| c),
                     kind: FaultEventKind::RetriesExhausted { attempts },
                 });
@@ -877,10 +871,7 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
                 chain_calls: chain_calls.clone(),
                 retries: retries as u64,
                 fallbacks: fallbacks_engaged as u64,
-                events: fault_log[phase_log_start..]
-                    .iter()
-                    .map(StoredFaultEvent::from_event)
-                    .collect(),
+                events: fault_log[phase_log_start..].to_vec(),
             };
             let bytes = match j.append_phase(entry) {
                 Ok(bytes) => bytes,
@@ -935,7 +926,7 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::CrashPlan;
+    use crate::recovery::{CrashPlan, CrashSignal};
     use crate::reduction::reduce_cf_to_maxis;
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_maxis::{
@@ -1179,7 +1170,7 @@ mod tests {
         let e = FaultEvent {
             phase: 2,
             attempt: 1,
-            oracle: "greedy",
+            oracle: "greedy".into(),
             component: None,
             kind: FaultEventKind::OracleUnderDelivered { delivered: 1, required: 4 },
         };
@@ -1256,7 +1247,7 @@ mod tests {
             .expect_err("kill point fires");
             assert!(
                 died.downcast_ref::<CrashSignal>().is_some(),
-                "process crashes must escape as CrashSignal, not be retried"
+                "the kill point's CrashSignal escapes the driver"
             );
         }
         let flaky = FaultyOracle::new(PrecisionOracle::new(4.0), plan());

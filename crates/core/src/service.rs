@@ -32,7 +32,10 @@
 //! chains — composes with batching for free, and a request whose
 //! oracle chain recovers from injected faults still produces the same
 //! result lines as a clean run (pinned by the batch equivalence
-//! suite). Telemetry flows through the service's shared
+//! suite). A panic the driver does not isolate fails only its own
+//! request; the service never checkpoints, so no injected process
+//! crash (`crate::recovery::CrashPlan`) runs inside a worker. Telemetry
+//! flows through the service's shared
 //! [`Telemetry`] pipeline: queue-depth and queue-wait samples on
 //! admission/dequeue, one `service-request` span per request (indexed
 //! by admission sequence number) with the request's `reduction` span
@@ -47,12 +50,12 @@ use crate::resilient::{run_phases, ResilientConfig};
 use crate::sync::lock_unpoisoned;
 use crate::workspace::PhaseWorkspace;
 use pslocal_graph::Hypergraph;
-use pslocal_maxis::{CrashSignal, MaxIsOracle};
+use pslocal_maxis::MaxIsOracle;
 use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Telemetry};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -502,8 +505,7 @@ fn execute<S: Sink>(
         request.chain.iter().map(|o| o.as_ref() as &dyn MaxIsOracle).collect();
     // The resilient driver already isolates oracle panics; this outer
     // catch covers driver bugs so one poisoned request cannot take its
-    // worker (and eventually the pool) down with it. Injected process
-    // crashes stay fatal, as everywhere else.
+    // worker (and eventually the pool) down with it.
     let config = request.config;
     let result = catch_unwind(AssertUnwindSafe(
         #[allow(clippy::result_large_err)]
@@ -528,10 +530,7 @@ fn execute<S: Sink>(
                 RequestOutcome::Failed { error: error.to_string() }
             }
         },
-        Err(payload) => {
-            if payload.downcast_ref::<CrashSignal>().is_some() {
-                resume_unwind(payload);
-            }
+        Err(_) => {
             shared.tel.add(Counter::RequestsFailed, 1);
             RequestOutcome::Failed { error: "panic outside the oracle boundary".to_string() }
         }

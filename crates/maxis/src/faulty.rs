@@ -9,6 +9,11 @@
 //! guarantee — exactly the adversarial setting the resilient reduction
 //! driver (`pslocal-core::resilient`) must survive.
 //!
+//! Every fault here is an *oracle* fault, one the resilient driver can
+//! retry or route around. A *process* crash is not an oracle's doing:
+//! the checkpointing drivers simulate it at their own kill points
+//! (`pslocal-core::recovery::CrashPlan`).
+//!
 //! Everything is deterministic: the fault decision for call `i` is a
 //! pure function of `(seed, i)`, so two runs against the same plan
 //! produce identical fault logs and identical downstream behavior —
@@ -22,79 +27,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-/// Where, within a reduction phase, a simulated process crash strikes.
-///
-/// [`FaultKind::CrashAt`] and the recovery layer's driver-side kill
-/// points (`pslocal-core::recovery::CrashPlan`) share this vocabulary,
-/// so the resume-equivalence suite can sweep every boundary by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum CrashPoint {
-    /// Inside the oracle call itself: the set was never returned.
-    MidOracle,
-    /// After the phase's independent set was acquired, before anything
-    /// was committed.
-    AfterOracle,
-    /// After the phase committed in memory but before the journal
-    /// append — the journal is one phase behind the dead process.
-    BeforeJournal,
-    /// After the journal append was persisted — a clean phase boundary.
-    AfterJournal,
-}
-
-impl CrashPoint {
-    /// Stable kebab-case name (the CLI's `--crash-at PHASE:POINT`
-    /// argument and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            CrashPoint::MidOracle => "mid-oracle",
-            CrashPoint::AfterOracle => "after-oracle",
-            CrashPoint::BeforeJournal => "before-journal",
-            CrashPoint::AfterJournal => "after-journal",
-        }
-    }
-
-    /// Parses [`name`](Self::name)'s output back.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "mid-oracle" => CrashPoint::MidOracle,
-            "after-oracle" => CrashPoint::AfterOracle,
-            "before-journal" => CrashPoint::BeforeJournal,
-            "after-journal" => CrashPoint::AfterJournal,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for CrashPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The panic payload of a simulated process crash.
-///
-/// Fault-tolerant drivers distinguish *oracle* faults (survivable:
-/// retry, fall back) from *process* faults (not survivable in-process:
-/// the crash must propagate so the test harness — or reality — kills
-/// the run). The resilient driver's `catch_unwind` re-raises any panic
-/// whose payload is a `CrashSignal` instead of logging it as an oracle
-/// fault; the trusting driver never catches, so the signal propagates
-/// naturally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashSignal {
-    /// The phase the crash was scheduled for.
-    pub phase: usize,
-    /// The kill point within that phase.
-    pub point: CrashPoint,
-}
-
-impl fmt::Display for CrashSignal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "injected process crash at phase {} ({})", self.phase, self.point)
-    }
-}
 
 /// One way an oracle call can misbehave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,18 +48,6 @@ pub enum FaultKind {
     /// simulated steps (a slow or partitioned oracle). Resilient
     /// drivers bill the steps against a stall budget.
     Stall(usize),
-    /// Die mid-call with a [`CrashSignal`] panic payload — a simulated
-    /// *process* crash (OOM kill, preemption), not an oracle fault:
-    /// resilient drivers re-raise it instead of retrying. The `phase` /
-    /// `point` fields are the signal's metadata, letting crash-recovery
-    /// tests label which kill point a scripted plan exercises.
-    CrashAt {
-        /// The phase this kill point targets (metadata carried into the
-        /// [`CrashSignal`]; the plan's call index decides *when*).
-        phase: usize,
-        /// Which kill point the crash simulates.
-        point: CrashPoint,
-    },
 }
 
 impl fmt::Display for FaultKind {
@@ -138,7 +58,6 @@ impl fmt::Display for FaultKind {
             FaultKind::EmptySet => write!(f, "empty-set"),
             FaultKind::Panic => write!(f, "panic"),
             FaultKind::Stall(steps) => write!(f, "stall({steps})"),
-            FaultKind::CrashAt { phase, point } => write!(f, "crash-at({phase}:{point})"),
         }
     }
 }
@@ -229,10 +148,6 @@ impl FaultPlan {
                 if !rng.gen_bool(*rate) {
                     return None;
                 }
-                // Seeded plans draw only the five *survivable* kinds:
-                // `CrashAt` kills the process by design, which would
-                // make random chaos schedules unfinishable — crash
-                // injection is always scripted.
                 Some(match rng.gen_range(0..5usize) {
                     0 => FaultKind::InvalidSet,
                     1 => FaultKind::UnderDeliver,
@@ -356,12 +271,6 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
                     FaultKind::Panic => {
                         // pslocal: allow(panic-path, "this panic IS the injected fault: the crate exists to exercise the resilient driver's panic isolation")
                         panic!("injected fault: oracle panicked on call {call}")
-                    }
-                    FaultKind::CrashAt { phase, point } => {
-                        // A *process* crash, not an oracle fault: the
-                        // typed payload tells resilient drivers to
-                        // re-raise instead of retrying.
-                        std::panic::panic_any(CrashSignal { phase, point })
                     }
                     FaultKind::EmptySet => (IndependentSet::empty(), 0),
                     FaultKind::InvalidSet => (Self::corrupt_set(graph), 0),
@@ -527,25 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_panics_with_a_typed_signal() {
-        let g = cycle(6);
-        let signal = CrashSignal { phase: 3, point: CrashPoint::MidOracle };
-        let faulty = FaultyOracle::new(
-            GreedyOracle,
-            FaultPlan::scripted(vec![Some(FaultKind::CrashAt { phase: 3, point: signal.point })]),
-        );
-        let err =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faulty.independent_set(&g)))
-                .expect_err("crash point must panic");
-        let payload = err.downcast_ref::<CrashSignal>().expect("payload is a CrashSignal");
-        assert_eq!(*payload, signal);
-        assert!(payload.to_string().contains("phase 3"));
-        // A crash is still a logged injection and still consumed a call.
-        assert_eq!(faulty.calls(), 1);
-        assert_eq!(faulty.fault_log().len(), 1);
-    }
-
-    #[test]
     fn resume_at_repositions_the_fault_schedule() {
         let g = star(8);
         // Calls 0 and 1 behave, call 2 under-delivers.
@@ -560,27 +450,6 @@ mod tests {
             faulty.fault_log(),
             vec![InjectedFault { call: 2, kind: FaultKind::UnderDeliver }]
         );
-    }
-
-    #[test]
-    fn seeded_plans_never_draw_crash_points() {
-        let plan = FaultPlan::seeded(11, 1.0);
-        for call in 0..500 {
-            assert!(!matches!(plan.fault_for(call), Some(FaultKind::CrashAt { .. })));
-        }
-    }
-
-    #[test]
-    fn crash_point_names_round_trip() {
-        for point in [
-            CrashPoint::MidOracle,
-            CrashPoint::AfterOracle,
-            CrashPoint::BeforeJournal,
-            CrashPoint::AfterJournal,
-        ] {
-            assert_eq!(CrashPoint::parse(point.name()), Some(point));
-        }
-        assert_eq!(CrashPoint::parse("nonsense"), None);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use bounds::{
 pub use clique_removal::CliqueRemovalOracle;
 pub use decomposition::{DecompositionOracle, DecompositionSolve};
 pub use exact::ExactOracle;
-pub use faulty::{CrashPoint, CrashSignal, FaultKind, FaultPlan, FaultyOracle, InjectedFault};
+pub use faulty::{FaultKind, FaultPlan, FaultyOracle, InjectedFault};
 pub use greedy::{turan_bound, wei_bound, GreedyOracle};
 pub use local_search::{improve_by_swaps, LocalSearchOracle};
 pub use luby::LubyOracle;

@@ -20,8 +20,8 @@
 
 use crate::aggregate::lock_unpoisoned;
 use std::fmt;
-use std::io::Write;
-use std::sync::Mutex;
+use std::io::{self, Write};
+use std::sync::{Mutex, OnceLock};
 
 /// Identifier of one span within a [`Telemetry`](crate::Telemetry)
 /// pipeline's lifetime. Ids are allocated from 1; they are unique per
@@ -524,8 +524,9 @@ pub fn event_to_json(event: &Event) -> String {
 /// A sink writing one JSON object per event per line — the
 /// `--metrics-out` artifact format (schema `pslocal-telemetry/v1`).
 ///
-/// Write errors are deliberately swallowed: telemetry must never take
-/// down the pipeline it observes.
+/// A write error never takes down the pipeline the sink observes: the
+/// sink keeps the first one, goes on, and returns it from
+/// [`into_inner`](Self::into_inner) once the run is over.
 ///
 /// The sink is **crash-safe**: the buffered writer is flushed on every
 /// [`Event::SpanEnd`] (span closes are the natural durability
@@ -538,28 +539,45 @@ pub struct JsonlSink<W: Write + Send> {
     // `Option` so `into_inner` can move the writer out from under the
     // `Drop` impl; `None` only ever after `into_inner`.
     writer: Mutex<Option<W>>,
+    /// The first write or flush that failed.
+    error: OnceLock<io::Error>,
 }
 
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps `writer`.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer: Mutex::new(Some(writer)) }
+        JsonlSink { writer: Mutex::new(Some(writer)), error: OnceLock::new() }
     }
 
     /// Flushes and returns the inner writer.
-    pub fn into_inner(self) -> W {
+    ///
+    /// # Errors
+    ///
+    /// The first write or flush that failed since the sink was made,
+    /// this last flush included.
+    pub fn into_inner(mut self) -> io::Result<W> {
         let mut w = lock_unpoisoned(&self.writer)
             .take()
             // pslocal: allow(panic-path, "the Option is None only after into_inner, which consumes self — a second take is unreachable")
             .expect("writer present until into_inner");
-        let _ = w.flush();
-        w
+        let flushed = w.flush();
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => flushed.map(|()| w),
+        }
     }
 
     /// Flushes the inner writer.
     pub fn flush(&self) {
         if let Some(w) = lock_unpoisoned(&self.writer).as_mut() {
-            let _ = w.flush();
+            self.keep_error(w.flush());
+        }
+    }
+
+    /// Keeps `result`'s error for `into_inner` if it is the first.
+    fn keep_error(&self, result: io::Result<()>) {
+        if let Err(e) = result {
+            let _ = self.error.set(e);
         }
     }
 }
@@ -568,11 +586,11 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     fn record(&self, event: Event) {
         let mut guard = lock_unpoisoned(&self.writer);
         if let Some(w) = guard.as_mut() {
-            let _ = writeln!(w, "{}", event_to_json(&event));
+            self.keep_error(writeln!(w, "{}", event_to_json(&event)));
             // Span closes bound the stream's loss window: flush so a
             // later panic (or abort) cannot lose a closed span.
             if matches!(event, Event::SpanEnd { .. }) {
-                let _ = w.flush();
+                self.keep_error(w.flush());
             }
         }
     }
@@ -679,7 +697,7 @@ mod tests {
         });
         sink.record(Event::CounterAdd { counter: Counter::Retries, delta: 2, span: None });
         sink.record(Event::SpanEnd { id: SpanId(1), end_ns: 99 });
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(
@@ -723,6 +741,19 @@ mod tests {
         assert_eq!(flushes.load(std::sync::atomic::Ordering::SeqCst), 2, "explicit flush");
         drop(sink);
         assert!(flushes.load(std::sync::atomic::Ordering::SeqCst) >= 3, "drop flushes the tail");
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_its_first_write_error_for_into_inner() {
+        // Sixteen bytes hold no event: the first write fails, the sink
+        // goes on, and `into_inner` returns that failure.
+        let mut buf = [0u8; 16];
+        let sink = JsonlSink::new(&mut buf[..]);
+        sink.record(start(1, None, "reduction", 0));
+        sink.record(Event::SpanEnd { id: SpanId(1), end_ns: 9 });
+        let err = sink.into_inner().expect_err("the writes did not fit");
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+        assert!(JsonlSink::new(Vec::new()).into_inner().is_ok());
     }
 
     #[test]

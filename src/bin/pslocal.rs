@@ -24,8 +24,8 @@ use pslocal::graph::io::{read_graph, read_hypergraph, write_graph, write_hypergr
 use pslocal::graph::{GraphStats, HypergraphStats, KernelStrategy};
 use pslocal::maxis::MaxIsOracle;
 use pslocal::telemetry::{
-    event_to_json, names, render_tree, span, AggregateSink, Counter, Histogram, JsonlSink,
-    MemorySink, PhaseTimeline, Telemetry,
+    names, render_tree, span, AggregateSink, Counter, Histogram, JsonlSink, MemorySink,
+    PhaseTimeline, Telemetry,
 };
 use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
@@ -132,6 +132,7 @@ SERVE (the batch protocol over persistent TCP connections):
 TELEMETRY (maxis / reduce / batch / trace-report):
   --trace               render the span tree to stdout after the run
   --metrics-out FILE    append every telemetry event as JSONL to FILE
+                        as it happens (as serve does)
 
 LINT (static analysis, wired into CI as a hard gate):
   --root DIR            workspace root to analyze (default .)
@@ -159,21 +160,30 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// Parses the arguments of the command `name`, which takes exactly
+    /// the options `accepted`. Any other `--key` is refused before a
+    /// value is read for it, so a typo cannot swallow the next argument.
+    fn parse(
+        mut raw: impl Iterator<Item = String>,
+        name: &str,
+        accepted: &[&str],
+    ) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut options = Vec::new();
-        let mut iter = raw.peekable();
-        while let Some(a) = iter.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&key) {
-                    options.push((key.to_string(), "true".to_string()));
-                    continue;
-                }
-                let value = iter.next().ok_or_else(|| format!("option --{key} needs a value"))?;
-                options.push((key.to_string(), value));
-            } else {
+        while let Some(a) = raw.next() {
+            let Some(key) = a.strip_prefix("--") else {
                 positional.push(a);
+                continue;
+            };
+            if !accepted.contains(&key) {
+                return Err(format!("unknown option --{key} for '{name}'"));
             }
+            let value = if BOOLEAN_FLAGS.contains(&key) {
+                "true".to_string()
+            } else {
+                raw.next().ok_or_else(|| format!("option --{key} needs a value"))?
+            };
+            options.push((key.to_string(), value));
         }
         Ok(Args { positional, options })
     }
@@ -211,57 +221,58 @@ fn read_stdin() -> Result<String, String> {
     Ok(text)
 }
 
-/// The CLI's telemetry switches: `--trace` (render the span tree) and
-/// `--metrics-out FILE` (append raw events as JSONL). When neither is
-/// given, commands take their untraced path — static dispatch to the
-/// null sink, zero overhead.
-struct TraceOpts {
-    trace: bool,
-    metrics_out: Option<String>,
-}
+/// The `--metrics-out FILE` sink: every telemetry event appended to
+/// FILE as one JSON line while the command runs, so a long run holds
+/// none of them in memory.
+type MetricsSink = JsonlSink<std::io::BufWriter<std::fs::File>>;
 
-impl TraceOpts {
-    fn from(args: &Args) -> Self {
-        TraceOpts {
-            trace: args.flag("trace"),
-            metrics_out: args.get("metrics-out").map(String::from),
-        }
-    }
-
-    fn wanted(&self) -> bool {
-        self.trace || self.metrics_out.is_some()
-    }
-
-    /// Renders what `sink` captured to `stdout` and/or persists it.
-    fn emit(&self, sink: &MemorySink, stdout: &mut impl std::io::Write) -> Result<(), String> {
-        if self.trace {
-            write!(stdout, "{}", render_tree(&sink.spans())).map_err(stdout_error)?;
-        }
-        if let Some(path) = &self.metrics_out {
-            append_events_jsonl(path, sink)?;
-        }
-        Ok(())
-    }
-}
-
-/// The error line for a failed write to stdout, such as a closed pipe.
-fn stdout_error(e: std::io::Error) -> String {
-    format!("cannot write stdout: {e}")
-}
-
-/// Appends `sink`'s events to `path` as JSON Lines.
-fn append_events_jsonl(path: &str, sink: &MemorySink) -> Result<(), String> {
+/// Opens `--metrics-out FILE` for appending, if given; every command
+/// that takes the option records through this one sink.
+fn metrics_out(args: &Args) -> Result<Option<MetricsSink>, String> {
+    let Some(path) = args.get("metrics-out") else { return Ok(None) };
     let file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .map_err(|e| format!("cannot open {path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
-    let write_err = |e: std::io::Error| format!("cannot write {path}: {e}");
-    for event in sink.events() {
-        writeln!(w, "{}", event_to_json(&event)).map_err(write_err)?;
+    Ok(Some(JsonlSink::new(std::io::BufWriter::new(file))))
+}
+
+/// Flushes the `--metrics-out` sink once the command's work is done and
+/// reports the first write to FILE that failed: the sink itself never
+/// fails the run it records.
+fn finish_metrics(sink: Option<MetricsSink>, args: &Args) -> Result<(), String> {
+    let (Some(sink), Some(path)) = (sink, args.get("metrics-out")) else { return Ok(()) };
+    sink.into_inner().map(drop).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// The sinks of the CLI's telemetry switches: `--trace` keeps every
+/// event in memory to render the span tree after the run, and
+/// `--metrics-out FILE` streams them. With neither, `maxis` and
+/// `reduce` take their untraced path — static dispatch to the null
+/// sink, zero overhead.
+type TraceSinks = (Option<MemorySink>, Option<MetricsSink>);
+
+fn trace_sinks(args: &Args) -> Result<TraceSinks, String> {
+    Ok((args.flag("trace").then(MemorySink::new), metrics_out(args)?))
+}
+
+/// Ends a traced run: renders the span tree `--trace` kept, if it kept
+/// one, then finishes `--metrics-out`.
+fn close_trace(
+    (memory, metrics): TraceSinks,
+    args: &Args,
+    stdout: &mut Stdout,
+) -> Result<(), String> {
+    if let Some(memory) = memory {
+        write!(stdout, "{}", render_tree(&memory.spans())).map_err(stdout_error)?;
     }
-    w.flush().map_err(write_err)
+    finish_metrics(metrics, args)
+}
+
+/// The error line for a failed write to stdout, such as a closed pipe.
+fn stdout_error(e: std::io::Error) -> String {
+    format!("cannot write stdout: {e}")
 }
 
 fn cmd_gen(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
@@ -313,19 +324,19 @@ fn cmd_stats(stdout: &mut Stdout) -> Result<(), String> {
 
 fn cmd_maxis(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?.unwrap_or(0xC0FFEE);
-    let opts = TraceOpts::from(args);
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
+    let sinks = trace_sinks(args)?;
     let g = read_graph(&read_stdin()?).map_err(|e| e.to_string())?;
-    let set = if opts.wanted() {
+    let set = if sinks.0.is_some() || sinks.1.is_some() {
         // One whole-graph call, spanned as the phase loop spans its calls.
-        let tel = Telemetry::new(MemorySink::new());
+        let tel = Telemetry::new(sinks);
         let call = span!(tel, names::ORACLE);
         call.add(Counter::OracleCalls, 1);
         let set = oracle.independent_set(&g);
         call.add(Counter::StalledSteps, oracle.stalled_steps() as u64);
         call.sample(Histogram::IndependentSetSize, set.len() as u64);
         call.close();
-        opts.emit(tel.sink(), stdout)?;
+        close_trace(tel.into_sink(), args, stdout)?;
         set
     } else {
         oracle.independent_set(&g)
@@ -399,15 +410,15 @@ fn cmd_reduce(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
         0 => return Err("--k must be at least 1".to_string()),
         k => k,
     };
-    let opts = TraceOpts::from(args);
     let config = ReductionConfig { kernel: kernel_opt(args)?, ..ReductionConfig::new(k) };
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
     let ckpt = checkpoint_opt(args)?;
+    let sinks = trace_sinks(args)?;
     let h = read_hypergraph(&read_stdin()?).map_err(|e| e.to_string())?;
-    let out = if opts.wanted() {
-        let tel = Telemetry::new(MemorySink::new());
+    let out = if sinks.0.is_some() || sinks.1.is_some() {
+        let tel = Telemetry::new(sinks);
         let out = run_reduce(&h, oracle.as_ref(), config, ckpt.as_ref(), &tel)?;
-        opts.emit(tel.sink(), stdout)?;
+        close_trace(tel.into_sink(), args, stdout)?;
         out
     } else {
         run_reduce(&h, oracle.as_ref(), config, ckpt.as_ref(), &Telemetry::disabled())?
@@ -456,13 +467,11 @@ fn cmd_batch(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
         q => q,
     };
     let default_deadline = args.parsed::<u64>("deadline-ms")?.map(Duration::from_millis);
-    let opts = TraceOpts::from(args);
 
     // The aggregate feeds the summary below, as it feeds `serve`'s
-    // drain summary; the memory sink is kept only for --trace and
-    // --metrics-out.
+    // drain summary.
     let stats = AggregateSink::default();
-    let tel = Telemetry::new((stats.clone(), opts.wanted().then(MemorySink::new)));
+    let tel = Telemetry::new((stats.clone(), trace_sinks(args)?));
     let service = Service::start(ServiceConfig::new(workers).with_queue_capacity(queue), tel);
     let started = Instant::now();
     let report = serve_lines(
@@ -478,9 +487,7 @@ fn cmd_batch(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     if let Some(e) = report.write_error {
         return Err(stdout_error(e));
     }
-    if let (_, Some(memory)) = tel.sink() {
-        opts.emit(memory, stdout)?;
-    }
+    close_trace(tel.into_sink().1, args, stdout)?;
 
     let [completed, deadline_exceeded, failed, bad] = [
         Counter::RequestsCompleted,
@@ -563,20 +570,17 @@ fn cmd_trace_report(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     let params = PlantedCfParams::new(n, m, k);
     params.check()?;
     let oracle = boxed_oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
-    let opts = TraceOpts::from(args);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let inst = planted_cf_instance(&mut rng, params);
-    let tel = Telemetry::new(MemorySink::new());
+    let tel = Telemetry::new((MemorySink::new(), metrics_out(args)?));
     let out =
         reduce_cf_to_maxis_traced(&inst.hypergraph, oracle.as_ref(), ReductionConfig::new(k), &tel)
             .map_err(|e| format!("reduction failed: {e}"))?;
     if !checker::is_conflict_free(&inst.hypergraph, &out.coloring) {
         return Err("internal error: reduction returned a non-conflict-free coloring".to_string());
     }
-    let sink = tel.into_sink();
-
-    let spans = sink.spans();
+    let spans = tel.sink().0.spans();
     let timeline = PhaseTimeline::from_spans(&spans)
         .ok_or("no reduction span recorded (telemetry pipeline broken?)")?;
     write!(
@@ -593,11 +597,7 @@ fn cmd_trace_report(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
         render_tree(&spans)
     )
     .map_err(stdout_error)?;
-    if let Some(path) = &opts.metrics_out {
-        append_events_jsonl(path, &sink)?;
-        eprintln!("appended telemetry events to {path}");
-    }
-    Ok(())
+    finish_metrics(tel.into_sink().1, args)
 }
 
 /// Process-level shutdown signals for `pslocal serve`.
@@ -679,18 +679,7 @@ fn cmd_serve(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
     // Live, bounded aggregates answer the STATS command; the optional
     // JSONL sink streams every raw event to a metrics artifact.
     let stats = AggregateSink::default();
-    let jsonl = match args.get("metrics-out") {
-        None => None,
-        Some(path) => {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| format!("cannot open {path}: {e}"))?;
-            Some(JsonlSink::new(std::io::BufWriter::new(file)))
-        }
-    };
-    let tel = Telemetry::new((stats.clone(), jsonl));
+    let tel = Telemetry::new((stats.clone(), metrics_out(args)?));
 
     signals::install();
     let server = Server::start(addr.as_str(), config, tel)
@@ -728,10 +717,7 @@ fn cmd_serve(args: &Args, stdout: &mut Stdout) -> Result<(), String> {
         completed - deadline_exceeded - failed,
     );
     eprint!("{}", stats.render());
-    // Dropping the telemetry pipeline flushes the JSONL metrics
-    // artifact's buffered tail.
-    drop(tel);
-    Ok(())
+    finish_metrics(tel.into_sink().1, args)
 }
 
 /// `pslocal client` — a line-oriented helper for talking to a running
@@ -873,17 +859,14 @@ fn run_command(stdout: &mut Stdout) -> Result<(), String> {
     if raw.iter().any(|a| a == "--help") || raw.first().is_some_and(|a| a == "-h") {
         return writeln!(stdout, "{USAGE}").map_err(stdout_error);
     }
-    let args = Args::parse(raw.into_iter())?;
-    let name = args.positional.first().map_or("help", String::as_str);
+    let name = raw.first().map_or("help", String::as_str);
     let (_, positionals, accepted, run) = COMMANDS
         .iter()
         .find(|(command, ..)| *command == name)
         .ok_or_else(|| format!("unknown command {name:?}\n{USAGE}"))?;
+    let args = Args::parse(raw.iter().cloned(), name, accepted)?;
     if let Some(extra) = args.positional.get(1 + positionals) {
         return Err(format!("unexpected argument {extra:?} for '{name}'"));
-    }
-    if let Some((key, _)) = args.options.iter().find(|(key, _)| !accepted.contains(&key.as_str())) {
-        return Err(format!("unknown option --{key} for '{name}'"));
     }
     run(&args, stdout)
 }

@@ -386,15 +386,16 @@ fn cli_batch_waits_for_queue_room_instead_of_rejecting() {
     assert_eq!(ok, 300, "default flags answer every clean line ok");
 }
 
-/// Peak RSS of `pslocal batch` once it has answered every line of
-/// `lines` while its stdin is still open, in kB. Answering before end
-/// of input is part of the check: a batch that reads all of its input
-/// first never answers within the timeout.
+/// Peak RSS of `pslocal batch` with `args` once it has answered every
+/// line of `lines` with `outcome` while its stdin is still open, in kB.
+/// Answering before end of input is part of the check: a batch that
+/// reads all of its input first never answers within the timeout.
 #[cfg(target_os = "linux")]
-fn batch_peak_rss_kb(lines: &[String]) -> u64 {
+fn batch_peak_rss_kb(args: &[&str], lines: &[String], outcome: &str) -> u64 {
     use std::io::{BufRead as _, BufReader};
     let mut child = Command::new(env!("CARGO_BIN_EXE_pslocal"))
         .arg("batch")
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -420,7 +421,7 @@ fn batch_peak_rss_kb(lines: &[String]) -> u64 {
         let line = rx
             .recv_timeout(Duration::from_secs(120))
             .expect("batch answers while its stdin is still open");
-        assert!(line.contains("\"outcome\":\"deadline_exceeded\""), "{line}");
+        assert!(line.contains(&format!(r#""outcome":"{outcome}""#)), "{line}");
     }
     let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
     let peak = status
@@ -443,9 +444,30 @@ fn cli_batch_memory_does_not_grow_with_its_input() {
     let lines: Vec<String> = (0..500)
         .map(|i| format!(r#"{{"id":"r{i}","n":2048,"m":1024,"k":4,"seed":{i},"deadline_ms":0}}"#))
         .collect();
-    let short = batch_peak_rss_kb(&lines[..50]);
-    let long = batch_peak_rss_kb(&lines);
+    let short = batch_peak_rss_kb(&[], &lines[..50], "deadline_exceeded");
+    let long = batch_peak_rss_kb(&[], &lines, "deadline_exceeded");
     assert!(long < short + 4096, "peak RSS {short} kB for 50 lines, {long} kB for 500");
+
+    // `--metrics-out` streams each event to its file as it happens. A
+    // batch that kept the events of its completed requests in memory
+    // until exit grew by about 5 MB from 300 requests to 3,000.
+    let dir = std::env::temp_dir().join(format!("pslocal-batch-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.jsonl");
+    let args = ["--workers", "1", "--metrics-out", metrics.to_str().unwrap()];
+    let lines: Vec<String> =
+        (0..3000).map(|i| format!(r#"{{"id":"s{i}","n":32,"m":16,"k":2}}"#)).collect();
+    let short = batch_peak_rss_kb(&args, &lines[..300], "ok");
+    let long = batch_peak_rss_kb(&args, &lines, "ok");
+    let jsonl = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(long < short + 4096, "peak RSS {short} kB for 300 requests, {long} kB for 3,000");
+    let request_spans = jsonl
+        .lines()
+        .filter(|l| l.contains(r#""event":"span_start""#))
+        .filter(|l| l.contains(r#""name":"service-request""#))
+        .count();
+    assert_eq!(request_spans, 3300, "both runs appended one span per request");
 }
 
 #[test]

@@ -129,7 +129,12 @@ fn bad_arguments_exit_with_an_error_line_not_a_panic() {
         (&["reduce", "--k", "3", "--orcale", "luby"], "unknown option --orcale for 'reduce'"),
         (&["maxis", "--threads", "2"], "unknown option --threads for 'maxis'"),
         (&["reduce", "--k", "3", "--threads", "2"], "unknown option --threads for 'reduce'"),
-        (&["reduce", "--k", "3", "--oracle-cache"], "option --oracle-cache needs a value"),
+        (&["reduce", "--k", "3", "--oracle-cache"], "unknown option --oracle-cache for 'reduce'"),
+        // An unknown option is named as such wherever it sits: it
+        // neither asks for a value nor swallows the next argument.
+        (&["reduce", "--k", "3", "--orcale"], "unknown option --orcale for 'reduce'"),
+        (&["reduce", "--reusme", "--k", "3"], "unknown option --reusme for 'reduce'"),
+        (&["reduce", "--k"], "option --k needs a value"),
         // Stray positionals, such as a single-dash typo, name the first
         // one instead of running with a default.
         (
@@ -221,6 +226,37 @@ fn writing_into_a_closed_pipe_is_an_error_line_not_a_panic() {
             stderr.lines().any(|l| l.starts_with("error: ") && l.contains("cannot write stdout")),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_metrics_file_that_cannot_be_written_is_an_error_line() {
+    // Every write to /dev/full fails. The metrics sink records on
+    // regardless, and the command reports the failure once its work is
+    // done: `batch` still answers its request.
+    let hypergraph = "p hypergraph 3 1\nh 0 1 2\n";
+    let graph = "p graph 3 2\ne 0 1\ne 1 2\n";
+    let request = "{\"id\":\"a\",\"n\":24,\"m\":10,\"k\":3}\n";
+    let full = ["--metrics-out", "/dev/full"];
+    for (command, input) in [
+        (&["reduce", "--k", "3"][..], Some(hypergraph)),
+        (&["maxis"], Some(graph)),
+        (&["batch"], Some(request)),
+        (&["trace-report", "--n", "24", "--m", "10", "--k", "3"], None),
+    ] {
+        let args = [command, &full[..]].concat();
+        let out = run(&args, input);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: cannot write /dev/full: ")),
+            "{args:?}: {stderr}"
+        );
+        if command[0] == "batch" {
+            assert!(stdout(&out).starts_with(r#"{"id":"a","outcome":"ok""#));
+        }
     }
 }
 

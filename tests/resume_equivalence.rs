@@ -17,16 +17,14 @@
 
 use pslocal::core::{
     reduce_cf_resilient, reduce_cf_resilient_resumable, reduce_cf_to_maxis,
-    reduce_cf_to_maxis_resumable, Checkpointing, CrashPlan, PhaseJournal, ReductionConfig,
-    ResilientConfig,
+    reduce_cf_to_maxis_resumable, Checkpointing, CrashPlan, CrashPoint, CrashSignal, PhaseJournal,
+    ReductionConfig, ResilientConfig,
 };
 use pslocal::graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
 };
 use pslocal::graph::{Hypergraph, KernelStrategy};
-use pslocal::maxis::{
-    CrashPoint, CrashSignal, FaultKind, FaultPlan, FaultyOracle, PrecisionOracle,
-};
+use pslocal::maxis::{FaultKind, FaultPlan, FaultyOracle, PrecisionOracle};
 use pslocal::telemetry::Telemetry;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -194,10 +192,10 @@ fn resilient_driver_resumes_identically_from_every_kill_point() {
 
 #[test]
 fn a_crash_inside_the_oracle_itself_kills_the_run_and_resumes_cleanly() {
-    // `FaultKind::CrashAt` panics with a `CrashSignal` from *inside* an
-    // oracle call — the resilient driver must re-raise it (a process
-    // death is not a retryable fault), and the resumed run must realign
-    // the surviving fault schedule via `resume_at`.
+    // The process dies at phase 2's mid-oracle kill point, after a
+    // survivable panic burned a retry in phase 1. The resumed run must
+    // realign the fault schedule through `resume_at` from the call
+    // positions phase 1 journaled.
     let k = 3;
     let h = planted(44, 40, 18, k);
     let plan = || {
@@ -215,7 +213,7 @@ fn a_crash_inside_the_oracle_itself_kills_the_run_and_resumes_cleanly() {
         let flaky = FaultyOracle::new(weak_oracle(), plan());
         reduce_cf_resilient(&h, &[&flaky], config).unwrap()
     };
-    assert!(base.reduction.phases_used >= 2);
+    assert!(base.reduction.phases_used >= 3, "need a phase 2 to kill");
     assert_eq!(base.retries, 1, "the scripted panic must fire");
     let tel = Telemetry::disabled();
     let clean_journal = {
@@ -225,29 +223,21 @@ fn a_crash_inside_the_oracle_itself_kills_the_run_and_resumes_cleanly() {
             .unwrap();
         take_journal(&dir)
     };
-    // Now the same schedule, but the 4th call (phase 2's attempt) is a
-    // process crash instead of a survivable fault.
-    let crashing_plan = FaultPlan::scripted(vec![
-        None,
-        Some(FaultKind::Panic),
-        None,
-        Some(FaultKind::CrashAt { phase: 2, point: CrashPoint::MidOracle }),
-        None,
-        None,
-    ]);
     let dir = ckpt_dir("oracle-crash");
     {
-        let flaky = FaultyOracle::new(weak_oracle(), crashing_plan);
-        let ckpt = Checkpointing::new(&dir);
+        let flaky = FaultyOracle::new(weak_oracle(), plan());
+        let ckpt =
+            Checkpointing::new(&dir).with_crash(CrashPlan::panicking(2, CrashPoint::MidOracle));
         let died = catch_unwind(AssertUnwindSafe(|| {
             reduce_cf_resilient_resumable(&h, &[&flaky], config, &ckpt, &tel)
         }))
-        .expect_err("the in-oracle crash escapes the retry loop");
+        .expect_err("the kill point fires");
         assert!(died.downcast_ref::<CrashSignal>().is_some());
+        assert_eq!(flaky.calls(), 3, "phase 2 made no oracle call");
     }
-    // Resume with a fresh copy of the *clean-tail* schedule: calls 0-2
-    // already happened before the crash, and `resume_at` fast-forwards
-    // past them, so the resumed run draws from position 3 onward.
+    // Resume with a fresh copy of the schedule: calls 0-2 happened
+    // before the crash, and `resume_at` fast-forwards past them, so the
+    // resumed run draws from position 3 onward.
     let flaky = FaultyOracle::new(weak_oracle(), plan());
     let (out, report) = reduce_cf_resilient_resumable(
         &h,

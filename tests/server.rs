@@ -145,6 +145,116 @@ fn check_serve_lines(seed: u64, admission: Admission) {
     assert_eq!(report.first_bad.map(|(line, _)| line), first_bad, "{input}");
 }
 
+/// One line of random fragments: JSON punctuation, `[`, `-` and
+/// spaces; the request keys and unknown ones; strings with escapes,
+/// `\u` included; digit runs of at most two digits; and bytes of 0x80
+/// and above, alone or as whole characters. Most lines open like a
+/// request. No digit run follows a digit, so every number a line can
+/// carry is below 100 and every instance it can generate is small. The
+/// line is never blank, so it is always a request line.
+fn arbitrary_line(rng: &mut impl Rng) -> Vec<u8> {
+    const PUNCTUATION: [&str; 8] = ["{", "}", ":", ",", "\"", "[", "-", " "];
+    const KEYS: [&str; 13] = [
+        "id",
+        "n",
+        "m",
+        "k",
+        "seed",
+        "epsilon",
+        "oracle",
+        "kernel",
+        "deadline_ms",
+        "faults",
+        "orcale",
+        "",
+        "ID",
+    ];
+    const PIECES: [&str; 12] = [
+        "a",
+        "greedy",
+        "luby,exact",
+        "bitset",
+        "panic,ok",
+        "stall:9",
+        r#"\""#,
+        r"\\",
+        r"\n",
+        r"\u0041",
+        r"\u00e",
+        r"\q",
+    ];
+    let mut line = Vec::new();
+    if rng.gen_bool(0.75) {
+        line.push(b'{');
+    }
+    for _ in 0..rng.gen_range(1..=16) {
+        match rng.gen_range(0..10u32) {
+            0..=2 => line.extend(PUNCTUATION[rng.gen_range(0..PUNCTUATION.len())].bytes()),
+            3 | 4 => {
+                line.extend(format!(r#""{}""#, KEYS[rng.gen_range(0..KEYS.len())]).bytes());
+                if rng.gen_bool(0.5) {
+                    line.push(b':');
+                }
+            }
+            5 | 6 => {
+                line.push(b'"');
+                for _ in 0..rng.gen_range(0..3) {
+                    line.extend(PIECES[rng.gen_range(0..PIECES.len())].bytes());
+                }
+                if rng.gen_bool(0.8) {
+                    line.push(b'"');
+                }
+            }
+            7 | 8 => {
+                if line.last().is_some_and(u8::is_ascii_digit) {
+                    line.push(b' ');
+                }
+                for _ in 0..rng.gen_range(1..=2) {
+                    line.push(rng.gen_range(b'0'..=b'9'));
+                }
+            }
+            _ if rng.gen_bool(0.5) => line.push(rng.gen_range(0x80..=0xFF)),
+            _ => {
+                let c = char::from_u32(rng.gen_range(0x80..0x11_0000)).unwrap_or('\u{FFFD}');
+                line.extend(c.to_string().bytes());
+            }
+        }
+    }
+    if std::str::from_utf8(&line).is_ok_and(|text| text.trim().is_empty()) {
+        line.push(b'{');
+    }
+    line
+}
+
+/// Seeded lines of random fragments through [`serve_lines`] with a 0 ms
+/// default deadline, against a one-worker service with a queue of 1:
+/// one JSON line answers each line, and none reports a panic.
+fn check_arbitrary_lines(seed: u64, admission: Admission) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let lines: Vec<Vec<u8>> = (0..rng.gen_range(1..64)).map(|_| arbitrary_line(&mut rng)).collect();
+    let input: Vec<u8> = lines.iter().flat_map(|l| l.iter().chain(b"\n")).copied().collect();
+    let service =
+        Service::start(ServiceConfig::new(1).with_queue_capacity(1), Telemetry::disabled());
+    let mut output = Vec::new();
+    let report = serve_lines(
+        &service,
+        input.as_slice(),
+        &mut output,
+        admission,
+        Some(Duration::ZERO),
+        &AtomicBool::new(false),
+    );
+    assert!(service.shutdown().drained.is_empty());
+    assert!(report.write_error.is_none());
+    let output = String::from_utf8(output).expect("UTF-8 output");
+    let input = String::from_utf8_lossy(&input);
+    assert_eq!(output.lines().count(), lines.len(), "one line per line:\n{input}\n{output}");
+    for line in output.lines() {
+        assert!(line.starts_with('{') && line.ends_with('}'), "{line}\n{input}");
+        assert!(!line.contains("panicked"), "{line}\n{input}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -154,6 +264,12 @@ proptest! {
     #[test]
     fn serve_lines_answers_every_request_line_once(seed in 0u64..1_000_000, wait in 0usize..2) {
         check_serve_lines(seed, [Admission::Shed, Admission::Wait][wait]);
+    }
+
+    /// Lines of random fragments, under both admissions.
+    #[test]
+    fn serve_lines_answers_arbitrary_lines_once(seed in 0u64..1_000_000, wait in 0usize..2) {
+        check_arbitrary_lines(seed, [Admission::Shed, Admission::Wait][wait]);
     }
 }
 
