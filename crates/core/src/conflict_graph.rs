@@ -583,8 +583,8 @@ fn block_bases(h: &Hypergraph, k: usize) -> Result<Vec<u32>, TooLarge> {
 /// all `k` rows from that one merge: the CSR kernel's count pass sums
 /// their length (`RowLen`) and its emission pass stamps them from a
 /// reused row buffer (`RowStamper`); the bitset kernel stores them as
-/// one group of bit rows, a color-0 template plus fixed ranges, that
-/// readers shift (`SlotBits`).
+/// one group of bit rows, a list of color-0 targets plus fixed ranges,
+/// that readers stamp (`SlotBits`).
 mod kernel {
     use super::{ConflictGraphOptions, TooLarge};
     use pslocal_graph::bitset::{BitsetGraph, FixedRange, BITSET_MAX_NODES};
@@ -935,12 +935,12 @@ mod kernel {
     }
 
     /// One slot's group of bit rows, as [`BitsetGraph::from_groups`]
-    /// stores it: the moving targets as bits of a color-0 template,
-    /// which row `c` reads shifted left by `c`, and the fixed ranges as
-    /// they are. `len` sums the entries, the length of each of the
-    /// slot's `k` rows.
+    /// stores it: the moving targets as the ascending list of color-0
+    /// targets, which row `c` reads moved up by `c`, and the fixed
+    /// ranges as they are. `len` sums the entries, the length of each of
+    /// the slot's `k` rows.
     struct SlotBits<'a> {
-        template: &'a mut [u64],
+        targets: &'a mut Vec<u32>,
         ranges: &'a mut Vec<FixedRange>,
         len: u32,
     }
@@ -948,9 +948,7 @@ mod kernel {
     impl SlotRow for SlotBits<'_> {
         fn moving(&mut self, targets: impl ExactSizeIterator<Item = u32>) {
             self.len += targets.len() as u32;
-            for t in targets {
-                self.template[(t / 64) as usize] |= 1u64 << (t % 64);
-            }
+            self.targets.extend(targets);
         }
 
         fn fixed(&mut self, lo: u32, hi: u32, hole: Option<u32>) {
@@ -962,9 +960,9 @@ mod kernel {
     /// The dense-kernel twin of the streamed CSR build: the same
     /// [`merge_slot`] per `(e, v)` slot, kept as one group of `k` bit
     /// rows ([`SlotBits`]) instead of being stamped. The group holds the
-    /// slot's moving targets as a color-0 template and its fixed ranges,
-    /// so the rows take `⌈n/64⌉` words per slot, not per node, and no
-    /// row is written until a consumer shifts it out
+    /// slot's moving targets as one list of color-0 targets and its
+    /// fixed ranges, so a slot takes one `u32` per moving target, and no
+    /// row is written until a consumer stamps it
     /// ([`BitsetGraph::row`]). The result equals `to_bitset()` of the
     /// CSR that [`build_csr`] emits (checked by the bitset equivalence
     /// suite, and in debug builds by `from_groups`' popcount re-check).
@@ -994,10 +992,11 @@ mod kernel {
         let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
         let wedge_lists = WedgeLists::build(h, &idx, base, k as u32)?;
-        let (words, slots) = (n.div_ceil(64), n / k);
-        let mut templates = vec![0u64; slots * words];
-        let mut ranges = Vec::new();
+        let slots = n / k;
+        let (mut targets, mut ranges) = (Vec::new(), Vec::new());
+        let mut target_offsets: Vec<u32> = Vec::with_capacity(slots + 1);
         let mut range_offsets: Vec<u32> = Vec::with_capacity(slots + 1);
+        target_offsets.push(0);
         range_offsets.push(0);
         let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
         offsets.push(0);
@@ -1006,14 +1005,13 @@ mod kernel {
         for e in 0..m {
             let wedges = wedge_lists.of(e);
             for (pv, &v) in h.edge(HyperedgeId::new(e)).iter().enumerate() {
-                // Slot (e, v) holds nodes base[e] + pv·k + c: group
-                // base[e] / k + pv.
-                let slot = base[e] as usize / k + pv;
-                let template = &mut templates[slot * words..(slot + 1) * words];
-                let mut bits = SlotBits { template, ranges: &mut ranges, len: 0 };
+                // Slot (e, v) holds nodes base[e] + pv·k + c, so slots
+                // come in group order.
+                let mut bits = SlotBits { targets: &mut targets, ranges: &mut ranges, len: 0 };
                 let vslots = idx.slots(v.index());
                 merge_slot(e, pv as u32, kw, literal, base, vslots, wedges, &mut bits);
                 let len = bits.len;
+                target_offsets.push(targets.len() as u32);
                 range_offsets.push(ranges.len() as u32);
                 for _ in 0..k {
                     half_edges += len;
@@ -1024,7 +1022,7 @@ mod kernel {
         if let Some(t0) = t0 {
             pass_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
         }
-        Ok(BitsetGraph::from_groups(n, k, templates, ranges, range_offsets, offsets))
+        Ok(BitsetGraph::from_groups(n, k, targets, target_offsets, ranges, range_offsets, offsets))
     }
 }
 
@@ -1219,8 +1217,8 @@ mod tests {
 
     #[test]
     fn bit_rows_match_csr_for_palettes_wider_than_a_word() {
-        // A slot's rows are read by shifting its template up to k − 1
-        // bits: past 64, whole words as well as bits.
+        // A slot's rows are read by moving its targets up to k − 1
+        // nodes: past 64, across whole words as well as bits.
         let h =
             Hypergraph::from_edges(5, [vec![0, 1, 2], vec![1, 3], vec![2, 3, 4], vec![4]]).unwrap();
         for k in [63, 64, 65, 70, 130] {

@@ -12,15 +12,18 @@
 //! * [`BitsetGraph::delete_closed_neighborhood`] — one masked word
 //!   sweep per deletion,
 //! * [`BitsetGraph::min_degree_greedy`] — the minimum-degree greedy
-//!   picking the least **(degree, push-stamp) key** per vertex over the
+//!   picking the least **(degree, stamp, id) key** per vertex over the
 //!   alive words, byte-identical to the CSR greedy's pick sequence (see
 //!   the proof sketch at the function).
 //!
 //! A `G_k` row is never stored as such: the `k` rows of one `(e, v)`
-//! slot share one template that each row reads shifted by its color,
-//! plus a few [`FixedRange`]s, so the rows take `⌈n/64⌉` words per slot
-//! rather than per node. Every kernel reads a row through
-//! [`BitsetGraph::row`], which shifts it into a reused buffer.
+//! slot share one ascending list of color-0 targets, which row `c`
+//! reads moved up by `c`, plus a few [`FixedRange`]s, so a slot costs
+//! one `u32` per moving target and 12 bytes per range, not `⌈n/64⌉`
+//! words per node. The kernels read a row through
+//! [`BitsetGraph::row`], which stamps it into a reused buffer, except
+//! the greedy's decrement walk: it reads each dying slot's list once
+//! for all of the slot's dying rows.
 //!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
@@ -50,18 +53,21 @@ pub enum KernelStrategy {
     Auto,
     /// Always take the CSR (sparse) route.
     Csr,
-    /// Always take the bitset (dense) route. Flat bit rows cost `n²/8`
-    /// bytes and a `G_k`'s slot templates `n²/8k`, and each row read
-    /// scans `⌈n/64⌉` words, so a build on this route refuses a graph
-    /// over [`BITSET_MAX_NODES`] nodes (the `G_k` build in
-    /// `pslocal-core` panics with `conflict graph too large`).
+    /// Always take the bitset (dense) route. The stored lists cost four
+    /// bytes per target, but each row read stamps and scans `⌈n/64⌉`
+    /// words, so a build on this route refuses a graph over
+    /// [`BITSET_MAX_NODES`] nodes (the `G_k` build in `pslocal-core`
+    /// panics with `conflict graph too large`).
     Bitset,
 }
 
 /// `Auto` resolves to the bitset route only below this node count —
-/// past ~32k nodes the quadratic footprint stops fitting anything
-/// cache-like: `n²/8` bytes of flat rows (128 MiB), `n²/8k` of a
-/// `G_k`'s slot templates, and `n/8` bytes scanned per row read.
+/// past ~32k nodes a row stops fitting anything cache-like: every row
+/// read stamps and scans `n/8` bytes (4 KiB at the bound), and each
+/// greedy pick scans `8n` bytes of keys. The stored rows are lists at
+/// four bytes per entry: `2|E|` entries for
+/// [`BitsetGraph::from_graph`], and for a `G_k` one per moving target
+/// of each `(e, v)` slot.
 pub const BITSET_MAX_NODES: usize = 1 << 15;
 
 /// `Auto` requires at least this average (undirected) degree — below
@@ -82,7 +88,7 @@ impl KernelStrategy {
     /// `edges` undirected edges: `true` means take the bitset route.
     ///
     /// The heuristic behind `Auto`: bit rows win when the graph is
-    /// small enough for its quadratic rows to stay cache-resident
+    /// small enough for the rows it reads to stay cache-resident
     /// ([`BITSET_MAX_NODES`]) *and* dense enough that scanning a row's
     /// `⌈n/64⌉` words beats walking the CSR neighbor list — which
     /// needs both a floor on the average degree
@@ -155,7 +161,7 @@ impl FixedRange {
     /// The range `lo..hi` (half-open), less `hole` in the group's first
     /// row. A hole must stay inside the range in every row of its
     /// group, which [`BitsetGraph::from_groups`] checks, and must not be
-    /// a neighbor of its row: no template bit or other range may cover
+    /// a neighbor of its row: no moved target or other range may cover
     /// it.
     pub fn new(lo: u32, hi: u32, hole: Option<u32>) -> Self {
         FixedRange { lo, hi, hole: hole.unwrap_or(NO_HOLE) }
@@ -183,14 +189,15 @@ impl FixedRange {
 /// prefix array so consumers can read them without popcounting.
 ///
 /// Rows are stored in groups of `g` consecutive nodes that share one
-/// template: row `i·g + c` is template `i` shifted left by `c` bits,
-/// OR'd with group `i`'s [`FixedRange`]s. The `k` triples of one
-/// `(e, v)` slot of `G_k` differ only in their color, so its build
-/// stores one group per slot, `k` times smaller than flat rows;
-/// [`from_graph`](Self::from_graph) makes groups of one node with no
-/// ranges, where the template is the row. [`row`](Self::row) is the
-/// one accessor every kernel reads through: it shifts a row into a
-/// caller's buffer, or lends a template in place when it is the row.
+/// ascending list of *targets*: row `i·g + c` holds `t + c` for every
+/// target `t` of group `i`, and group `i`'s [`FixedRange`]s. The `k`
+/// triples of one `(e, v)` slot of `G_k` differ only in their color, so
+/// its build stores one group per slot, whose list holds the slot's
+/// color-0 moving targets; [`from_graph`](Self::from_graph) makes groups
+/// of one node with no ranges, whose list is the node's neighbor list.
+/// [`row`](Self::row) stamps a row into a caller's buffer, and every
+/// kernel reads rows through it except the greedy's decrement walk,
+/// which reads the lists themselves.
 ///
 /// # Examples
 ///
@@ -211,8 +218,10 @@ pub struct BitsetGraph {
     words: usize,
     /// Nodes per group; `n` is a multiple of it.
     group: usize,
-    /// One `words`-word template per group.
-    templates: Vec<u64>,
+    /// Every group's targets, ascending within a group, in group order.
+    targets: Vec<u32>,
+    /// `target_offsets[i]..target_offsets[i + 1]` are group `i`'s targets.
+    target_offsets: Vec<u32>,
     /// Every group's fixed ranges, in group order.
     ranges: Vec<FixedRange>,
     /// `range_offsets[i]..range_offsets[i + 1]` are group `i`'s ranges.
@@ -241,26 +250,9 @@ fn checked_prefix_offsets(degrees: impl Iterator<Item = usize>) -> Result<Vec<u3
     Ok(offsets)
 }
 
-/// Writes `template << c`, read as one `64·len`-bit number, into `out`
-/// (both `len` words). Bits shifted past the last word are dropped.
-#[inline]
-fn shift_into(template: &[u64], c: usize, out: &mut [u64]) {
-    let len = out.len();
-    let (ws, bs) = ((c / 64).min(len), (c % 64) as u32);
-    out[..ws].fill(0);
-    let (out, src) = (&mut out[ws..], &template[..len - ws]);
-    if bs == 0 {
-        out.copy_from_slice(src);
-    } else if let Some(first) = out.first_mut() {
-        *first = src[0] << bs;
-        for (o, pair) in out[1..].iter_mut().zip(src.windows(2)) {
-            *o = (pair[1] << bs) | (pair[0] >> (64 - bs));
-        }
-    }
-}
-
 impl BitsetGraph {
-    /// Converts a CSR graph into bit rows (`O(n·words + m)`).
+    /// Converts a CSR graph into bit rows (`O(n + m)`): each node is a
+    /// group of one, whose target list is its neighbor list.
     ///
     /// # Panics
     ///
@@ -275,49 +267,59 @@ impl BitsetGraph {
     /// Fallible [`from_graph`](Self::from_graph): returns
     /// [`GraphError::TooLarge`] when the half-edge count overflows the
     /// `u32` degree prefix array (the offsets are computed *before* the
-    /// quadratic row buffer is allocated, so the error path is cheap).
-    /// Each node is a group of one with no ranges.
+    /// target lists are copied, so the error path is cheap).
     pub fn try_from_graph(g: &Graph) -> Result<Self, GraphError> {
         let n = g.node_count();
         let offsets = checked_prefix_offsets(g.nodes().map(|v| g.degree(v)))?;
-        let words = n.div_ceil(64);
-        let mut rows = vec![0u64; n * words];
-        for v in g.nodes() {
-            let row = &mut rows[v.index() * words..(v.index() + 1) * words];
-            for &u in g.neighbors(v) {
-                row[u.index() / 64] |= 1u64 << (u.index() % 64);
-            }
-        }
-        Ok(Self::from_groups(n, 1, rows, Vec::new(), vec![0; n + 1], offsets))
+        let targets = g.nodes().flat_map(|v| g.neighbors(v)).map(|u| u.raw()).collect();
+        Ok(Self::from_groups(n, 1, targets, offsets.clone(), Vec::new(), vec![0; n + 1], offsets))
     }
 
     /// Assembles a bitset graph from rows stored in groups of `group`
-    /// consecutive nodes: row `i·group + c` is template `i` (the
-    /// `⌈n/64⌉` words from `templates[i·⌈n/64⌉]` on) shifted left by
-    /// `c` bits, OR'd with the ranges
-    /// `ranges[range_offsets[i]..range_offsets[i + 1]]`, and `offsets`
-    /// is the degree prefix array. This is the entry point for builders
-    /// that emit rows directly instead of converting from CSR. The
-    /// caller guarantees symmetry, loop-freeness, that no template bit
-    /// is shifted past node `n − 1`, and that no hole is a neighbor of
-    /// its row (see [`FixedRange::new`]); debug builds re-check that
-    /// every row's popcount is its degree and that it has no loop.
+    /// consecutive nodes: row `i·group + c` holds `t + c` for every
+    /// target `t` in `targets[target_offsets[i]..target_offsets[i + 1]]`
+    /// and the ranges `ranges[range_offsets[i]..range_offsets[i + 1]]`,
+    /// and `offsets` is the degree prefix array. This is the entry point
+    /// for builders that emit rows directly instead of converting from
+    /// CSR. The caller guarantees symmetry, loop-freeness, that no row
+    /// holds a node twice (through two targets, or a target and a
+    /// range), and that no hole is a neighbor of its row (see
+    /// [`FixedRange::new`]); debug builds re-check that every row's
+    /// popcount is its degree and that it has no loop.
     ///
     /// # Panics
     ///
-    /// Panics if `group` is 0, if the buffer shapes are inconsistent,
-    /// or if a range or its moving hole leaves the node range.
+    /// Panics if `group` is 0, if the buffer shapes are inconsistent, if
+    /// a group's targets are not strictly ascending or one would move
+    /// past node `n − 1` (`t + group > n`), or if a range or its moving
+    /// hole leaves the node range.
     pub fn from_groups(
         n: usize,
         group: usize,
-        templates: Vec<u64>,
+        targets: Vec<u32>,
+        target_offsets: Vec<u32>,
         ranges: Vec<FixedRange>,
         range_offsets: Vec<u32>,
         offsets: Vec<u32>,
     ) -> Self {
         assert!(group > 0 && n.is_multiple_of(group), "group size must divide the node count");
-        let (words, groups) = (n.div_ceil(64), n / group);
-        assert_eq!(templates.len(), groups * words, "template buffer shape mismatch");
+        let groups = n / group;
+        // The greedy indexes `t + c` without a range check of its own,
+        // and `has_edge` binary-searches each list.
+        assert!(
+            target_offsets.len() == groups + 1
+                && target_offsets[groups] as usize == targets.len()
+                && target_offsets.windows(2).all(|w| {
+                    targets.get(w[0] as usize..w[1] as usize).is_some_and(|list| {
+                        // No early exit, so the compares vectorize.
+                        let next = list.get(1..).unwrap_or_default();
+                        let descends =
+                            list.iter().zip(next).fold(0, |d, (a, b)| d | u32::from(a >= b));
+                        descends == 0 && list.last().is_none_or(|&t| t as usize + group <= n)
+                    })
+                }),
+            "target list shape mismatch"
+        );
         assert_eq!(range_offsets.len(), groups + 1, "range offsets length mismatch");
         assert_eq!(range_offsets[groups] as usize, ranges.len(), "range offsets length mismatch");
         assert_eq!(offsets.len(), n + 1, "offsets length mismatch");
@@ -328,7 +330,17 @@ impl BitsetGraph {
                     || r.lo <= r.hole && r.hole as usize + group <= r.hi as usize)),
             "a fixed range or its hole leaves the node range"
         );
-        let b = BitsetGraph { n, words, group, templates, ranges, range_offsets, offsets };
+        let words = n.div_ceil(64);
+        let b = BitsetGraph {
+            n,
+            words,
+            group,
+            targets,
+            target_offsets,
+            ranges,
+            range_offsets,
+            offsets,
+        };
         debug_assert!({
             let mut buf = Vec::new();
             (0..n).all(|v| {
@@ -358,14 +370,14 @@ impl BitsetGraph {
         self.words
     }
 
-    /// Heap bytes of the stored rows: the templates, and the fixed
-    /// ranges with their offsets (not the degree array). About `n²/8`
-    /// for [`from_graph`](Self::from_graph), about `k` times less for a
-    /// `G_k` built one group per slot.
+    /// Heap bytes of the stored rows: the target lists and the fixed
+    /// ranges, with their offsets (not the degree array). About `8·|E|`
+    /// for [`from_graph`](Self::from_graph); for a `G_k` built one group
+    /// per slot, one `u32` per moving target of each slot and 12 bytes
+    /// per range.
     pub fn row_bytes(&self) -> usize {
-        8 * self.templates.len()
+        4 * (self.targets.len() + self.target_offsets.len() + self.range_offsets.len())
             + std::mem::size_of::<FixedRange>() * self.ranges.len()
-            + 4 * self.range_offsets.len()
     }
 
     /// Degree of `v`.
@@ -379,49 +391,46 @@ impl BitsetGraph {
         (1..=self.n).map(|v| (self.offsets[v] - self.offsets[v - 1]) as usize).max().unwrap_or(0)
     }
 
+    /// Group `i`'s targets, ascending.
+    #[inline]
+    fn targets_of(&self, i: usize) -> &[u32] {
+        &self.targets[self.target_offsets[i] as usize..self.target_offsets[i + 1] as usize]
+    }
+
     /// Group `i`'s fixed ranges.
     #[inline]
     fn ranges_of(&self, i: usize) -> &[FixedRange] {
         &self.ranges[self.range_offsets[i] as usize..self.range_offsets[i + 1] as usize]
     }
 
-    /// Group `i`'s template.
+    /// The bit row of `v`, stamped into `buf` (resized to
+    /// [`words`](Self::words)) from its group's targets and ranges, in
+    /// `O(words + targets + ranges)`.
     #[inline]
-    fn template(&self, i: usize) -> &[u64] {
-        &self.templates[i * self.words..(i + 1) * self.words]
-    }
-
-    /// The bit row of `v`. The first row of a group without ranges is
-    /// its template, lent in place; any other row is shifted into
-    /// `buf` (resized to [`words`](Self::words)), in `O(words + ranges)`.
-    #[inline]
-    pub fn row<'a>(&'a self, v: NodeId, buf: &'a mut Vec<u64>) -> &'a [u64] {
+    pub fn row<'a>(&self, v: NodeId, buf: &'a mut Vec<u64>) -> &'a [u64] {
         // Node ids are u32s, and u32 division is the cheaper instruction
         // on this per-row path.
         let (v, group) = (v.index() as u32, self.group as u32);
-        let (i, c) = ((v / group) as usize, (v % group) as usize);
-        let ranges = self.ranges_of(i);
-        if c == 0 && ranges.is_empty() {
-            return self.template(i);
-        }
+        let (i, c) = ((v / group) as usize, v % group);
+        buf.clear();
         buf.resize(self.words, 0);
-        shift_into(self.template(i), c, buf);
-        for &r in ranges {
-            r.set(buf, c as u32);
+        for &t in self.targets_of(i) {
+            let b = t + c;
+            buf[(b / 64) as usize] |= 1u64 << (b % 64);
+        }
+        for &r in self.ranges_of(i) {
+            r.set(buf, c);
         }
         buf
     }
 
-    /// Adjacency test in `O(ranges of u's group)`, without building the
-    /// row.
+    /// Adjacency test in `O(log targets + ranges)` of `u`'s group,
+    /// without building the row.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let (i, c) = (u.index() / self.group, u.index() % self.group);
-        let shifted = v.index().checked_sub(c).is_some_and(|b| {
-            let template = self.template(i);
-            template[b / 64] & (1u64 << (b % 64)) != 0
-        });
-        let (b, c) = (v.index() as u32, c as u32);
-        shifted || self.ranges_of(i).iter().any(|r| r.contains(b, c))
+        let (i, c) = (u.index() / self.group, (u.index() % self.group) as u32);
+        let b = v.index() as u32;
+        b.checked_sub(c).is_some_and(|t| self.targets_of(i).binary_search(&t).is_ok())
+            || self.ranges_of(i).iter().any(|r| r.contains(b, c))
     }
 
     /// Word-parallel independence check: returns a conflicting adjacent
@@ -483,30 +492,45 @@ impl BitsetGraph {
     /// the CSR degree-bucket greedy (`pslocal-maxis`' `GreedyOracle`).
     ///
     /// A bucket greedy pops, at the least residual degree, the vertex
-    /// whose valid push came last. Here each vertex holds one key, its
-    /// residual degree in the high 32 bits and `u32::MAX − stamp` in the
-    /// low 32, the stamp being the time of its latest push (initially
-    /// its id, the order in which a queue is filled), and each pick is
-    /// the least key over the alive words. Per pick the closed
-    /// neighborhood dies, and an *ascending* walk of the dying list
-    /// takes one off the degree of each alive neighbor of each dying row
-    /// and stamps it with the next tick. The last write wins, so each
-    /// survivor ends stamped at its largest dying neighbor, ties broken
-    /// by ascending survivor: the order of the final pushes of a greedy
-    /// that pushes on every decrement, and only final pushes are ever
-    /// popped as valid (earlier ones are stale by the time their bucket
-    /// drains). `pslocal-maxis`' test
+    /// whose valid push came last, and only a vertex's final push is
+    /// ever popped as valid (earlier ones are stale by the time their
+    /// bucket drains). One that pushes on every decrement, walking each
+    /// pick's dying rows ascending and each row's survivors ascending,
+    /// makes every survivor's final push at its largest dying neighbor,
+    /// in the order (largest dying neighbor, survivor); vertices never
+    /// pushed keep the order in which the queue was filled, by id.
+    ///
+    /// Here each vertex holds one key of three 21-bit fields, compared as
+    /// one number: its residual degree, then `!stamp`, then `!id`, and
+    /// each pick is the least key over the alive words. Every dying row
+    /// has a stamp, the running count of dying rows walked, so stamps
+    /// ascend from pick to pick and, within a pick, with the row; a key
+    /// starts at stamp 0. Each decrement keeps the later of the key's
+    /// stamp and the row's, so a survivor ends stamped at its largest
+    /// dying neighbor in whatever order its decrements come, and keys
+    /// tied on a stamp go to the larger id, which that greedy pushed
+    /// later. So the least key is the bucket greedy's pop.
+    ///
+    /// The walk uses that freedom of order. It takes the dying rows
+    /// group by group, in chunks of at most 64 colors, with `S` the
+    /// chunk's dying colors: each target `t` of the group takes one
+    /// decrement at `t + c` for every `c ∈ S`, and each fixed range is
+    /// applied once, skipping the words with no alive node of it, a node
+    /// taking the number of rows of `S` that hold it (`|S|` outside the
+    /// hole's window, `|S \ {j}|` at window position `j`), stamped by
+    /// the last of them. A select leaves dead keys alone, so no bit
+    /// loop runs over the rows. `pslocal-maxis`' test
     /// `greedy::tests::pick_sequences_match_reference_and_dense_kernel`
     /// checks the full pick sequence against the CSR kernel and that
     /// push-per-decrement greedy on random, multi-word and planted
-    /// instances.
+    /// instances, and on `G_k`s whose palettes span two chunks.
     ///
     /// Returns the chosen vertices in pick order.
     ///
     /// # Panics
     ///
-    /// Panics if `n + |E|` exceeds `u32::MAX`, past which the stamps
-    /// would not fit their 32 bits.
+    /// Panics unless `n < 2^21`, past which ids would not fit their
+    /// 21-bit field (degrees and stamps stay below `n`).
     pub fn min_degree_greedy(&self, scratch: &mut BitsetScratch) -> Vec<NodeId> {
         let mut chosen = Vec::new();
         self.min_degree_greedy_into(scratch, &mut chosen);
@@ -519,13 +543,7 @@ impl BitsetGraph {
     pub fn min_degree_greedy_into(&self, s: &mut BitsetScratch, chosen: &mut Vec<NodeId>) {
         chosen.clear();
         let n = self.n;
-        // One stamp per vertex, then one per decrement, at most one per
-        // edge: every stamp stays below `n + |E|`.
-        assert!(
-            n as u64 + self.edge_count() as u64 <= u64::from(u32::MAX),
-            "{n} nodes and {} edges overflow the greedy's 32-bit push stamps",
-            self.edge_count()
-        );
+        assert!(n <= FIELD as usize, "{n} nodes overflow the greedy's {FIELD_BITS}-bit key fields");
         let BitsetScratch { alive, keys, dying, row } = s;
         alive.clear();
         alive.resize(self.words, u64::MAX);
@@ -538,11 +556,12 @@ impl BitsetGraph {
         keys.extend(
             self.offsets
                 .windows(2)
-                .zip(0u32..)
-                .map(|(w, v)| (u64::from(w[1] - w[0]) << 32) | u64::from(u32::MAX - v)),
+                .zip(0u64..)
+                .map(|(w, v)| (u64::from(w[1] - w[0]) * ONE_DEGREE) | STAMP_BITS | (FIELD - v)),
         );
         keys.resize(64 * self.words, DEAD_KEY);
-        let mut tick = n as u64;
+        let group = self.group as u32;
+        let mut walked = 0u32;
         while let Some(v) = least_alive_key(keys, alive) {
             chosen.push(NodeId::new(v));
             dying.clear();
@@ -550,33 +569,124 @@ impl BitsetGraph {
             keys[v] = DEAD_KEY;
             for &u in dying.iter() {
                 keys[u as usize] = DEAD_KEY;
-                let words = self.row(NodeId::new(u as usize), row).iter().zip(alive.iter());
-                for (wi, (&r, &a)) in words.enumerate() {
-                    let mut m = r & a;
-                    while m != 0 {
-                        // One degree off, and the stamp `tick`: a degree
-                        // here is at least 1 (`u` is still counted) and
-                        // `tick` below `u32::MAX`, so nothing wraps.
-                        let key = &mut keys[wi * 64 + m.trailing_zeros() as usize];
-                        *key = (*key | STAMP_BITS) - (1 << 32) - tick;
-                        tick += 1;
-                        m &= m - 1;
-                    }
-                }
             }
+            let mut rest = &dying[..];
+            while let Some(&first) = rest.first() {
+                // The chunk of at most 64 colors of `first`'s group that
+                // holds `first`, from node `base` on.
+                let c = first % group;
+                let base = first - c % 64;
+                let end = base + (group - (c - c % 64)).min(64);
+                let len = rest.iter().take_while(|&&u| u < end).count();
+                let set = rest[..len].iter().fold(0u64, |set, &u| set | 1 << (u - base));
+                rest = &rest[len..];
+                walked += len as u32;
+                self.decrement_chunk(base, set, walked, keys, alive);
+            }
+        }
+    }
+
+    /// Takes the dying rows `base + j`, `j ∈ set`, of one group's chunk
+    /// off every alive key they hold (see
+    /// [`min_degree_greedy`](Self::min_degree_greedy)). `last` is the
+    /// stamp of the chunk's last row, and the rows' stamps run up to it
+    /// in ascending order.
+    fn decrement_chunk(&self, base: u32, set: u64, last: u32, keys: &mut [u64], alive: &[u64]) {
+        let group = self.group as u32;
+        let (i, c0) = ((base / group) as usize, base % group);
+        let size = set.count_ones();
+        let (mut rest, mut stamp) = (set, last + 1 - size);
+        while rest != 0 {
+            let c = c0 + rest.trailing_zeros();
+            let restamp = stamp_field(stamp);
+            for &t in self.targets_of(i) {
+                let key = &mut keys[(t + c) as usize];
+                *key = decremented(*key, ONE_DEGREE, restamp);
+            }
+            (rest, stamp) = (rest & (rest - 1), stamp + 1);
+        }
+        // Outside its hole's window a range node is held by every row of
+        // `set`, the last stamped `last`. At window position `j` it is
+        // held by the rows of `set \ {j}`, whose last is `top`'s row
+        // unless `j` is `top`, and then the row before it; with no row
+        // left it takes no degree and stamp 0, which never wins.
+        let (top, len) = (63 - set.leading_zeros(), (group - c0).min(64));
+        let (all, all_restamp) = (u64::from(size) * ONE_DEGREE, stamp_field(last));
+        for &r in self.ranges_of(i) {
+            let (window, window_end) = match r.hole {
+                NO_HOLE => (r.hi, r.hi),
+                hole => (hole + c0, hole + c0 + len),
+            };
+            decrement_span(keys, alive, r.lo, window, all, all_restamp);
+            for (j, key) in (0..).zip(&mut keys[window as usize..window_end as usize]) {
+                let count = u64::from(size) - (set >> j & 1);
+                let restamp =
+                    if count == 0 { STAMP_BITS } else { stamp_field(last - u32::from(j == top)) };
+                *key = decremented(*key, count * ONE_DEGREE, restamp);
+            }
+            decrement_span(keys, alive, window_end, r.hi, all, all_restamp);
         }
     }
 }
 
+/// Takes `by` degrees off every key of `lo..hi` (half-open), keeping
+/// the later of its stamp and `restamp`'s, and skips the words of
+/// `alive` that hold no node of the span.
+#[inline]
+fn decrement_span(keys: &mut [u64], alive: &[u64], lo: u32, hi: u32, by: u64, restamp: u64) {
+    let mut x = lo;
+    while x < hi {
+        let end = hi.min((x | 63) + 1);
+        let mask = (u64::MAX << (x % 64)) & (u64::MAX >> (63 - (end - 1) % 64));
+        if alive[(x / 64) as usize] & mask != 0 {
+            for key in &mut keys[x as usize..end as usize] {
+                *key = decremented(*key, by, restamp);
+            }
+        }
+        x = end;
+    }
+}
+
+/// The width of each of a greedy key's three fields: degree, `!stamp`
+/// and `!id`, from the high bits down.
+const FIELD_BITS: u32 = 21;
+
+/// The largest value of one key field.
+const FIELD: u64 = (1 << FIELD_BITS) - 1;
+
+/// One degree in a greedy key.
+const ONE_DEGREE: u64 = 1 << (2 * FIELD_BITS);
+
+/// The middle field of a greedy key, which holds `FIELD − stamp`.
+const STAMP_BITS: u64 = FIELD << FIELD_BITS;
+
 /// The key of a dead vertex, and of the padding past node `n − 1`.
+/// Every alive key is below it, since the top bit stays clear.
 const DEAD_KEY: u64 = u64::MAX;
 
-/// The low half of a greedy key, which holds `u32::MAX − stamp`.
-const STAMP_BITS: u64 = u32::MAX as u64;
+/// The stamp field of a row stamped `stamp`.
+#[inline]
+fn stamp_field(stamp: u32) -> u64 {
+    (FIELD - u64::from(stamp)) << FIELD_BITS
+}
+
+/// `key` less `by` degrees, keeping the later of its stamp and
+/// `restamp`'s; a dead key stays dead. An alive key's degree counts
+/// every row that decrements it, so the subtraction never borrows.
+#[inline]
+fn decremented(key: u64, by: u64, restamp: u64) -> u64 {
+    let less = key - by;
+    let next = less.min((less & !STAMP_BITS) | restamp);
+    if key == DEAD_KEY {
+        key
+    } else {
+        next
+    }
+}
 
 /// The vertex with the least key in the words whose `alive` mask is
 /// nonzero, or `None` once no vertex is alive. Alive keys are distinct,
-/// since no two vertices share a stamp.
+/// since each holds its vertex's id.
 fn least_alive_key(keys: &[u64], alive: &[u64]) -> Option<usize> {
     let (mut least, mut at) = (DEAD_KEY, 0);
     for (wi, (chunk, &a)) in keys.chunks_exact(64).zip(alive).enumerate() {
@@ -622,11 +732,11 @@ impl Eq for BitsetGraph {}
 #[derive(Debug, Default, Clone)]
 pub struct BitsetScratch {
     alive: Vec<u64>,
-    /// One (degree, push-stamp) key per vertex, `DEAD_KEY` once dead.
+    /// One (degree, stamp, id) key per vertex, `DEAD_KEY` once dead.
     keys: Vec<u64>,
     /// The pick's dying neighbors, ascending.
     dying: Vec<u32>,
-    /// The row being read, shifted out of its group's template.
+    /// The picked vertex's row, stamped from its group's list.
     row: Vec<u64>,
 }
 
@@ -673,22 +783,44 @@ mod tests {
         let rebuilt = BitsetGraph::from_groups(
             b.node_count(),
             1,
-            b.templates.clone(),
+            b.targets.clone(),
+            b.target_offsets.clone(),
             Vec::new(),
             vec![0; 10],
             b.offsets.clone(),
         );
         assert_eq!(rebuilt, b);
-        // A group of one without ranges lends its template in place.
+        // A group of one without ranges holds its neighbor list, which
+        // a read stamps into the buffer.
+        assert_eq!(b.targets_of(4), &[0, 1, 2, 3, 5, 6, 7, 8]);
         let mut buf = Vec::new();
         assert_eq!(b.row(NodeId::new(4), &mut buf), &[0b1_1110_1111]);
-        assert!(buf.is_empty());
+        assert_eq!(buf, [0b1_1110_1111]);
     }
 
     #[test]
-    #[should_panic(expected = "template buffer shape mismatch")]
+    #[should_panic(expected = "target list shape mismatch")]
     fn from_groups_rejects_bad_shape() {
-        BitsetGraph::from_groups(65, 1, vec![0u64; 65], Vec::new(), vec![0; 66], vec![0u32; 66]);
+        let offsets = vec![0u32; 66];
+        BitsetGraph::from_groups(65, 1, vec![0], vec![0; 65], Vec::new(), vec![0; 66], offsets);
+    }
+
+    #[test]
+    #[should_panic(expected = "target list shape mismatch")]
+    fn from_groups_rejects_unsorted_targets() {
+        // Groups of two over four nodes: group 0 lists 2 before 1.
+        let (targets, target_offsets) = (vec![2, 1], vec![0, 2, 2]);
+        let offsets = vec![0, 2, 4, 5, 6];
+        BitsetGraph::from_groups(4, 2, targets, target_offsets, Vec::new(), vec![0; 3], offsets);
+    }
+
+    #[test]
+    #[should_panic(expected = "target list shape mismatch")]
+    fn from_groups_rejects_a_target_moved_past_the_last_node() {
+        // Row 1 of group 0 would hold node 3 + 1, past the last node.
+        let (targets, target_offsets) = (vec![3], vec![0, 1, 1]);
+        let offsets = vec![0, 1, 2, 3, 4];
+        BitsetGraph::from_groups(4, 2, targets, target_offsets, Vec::new(), vec![0; 3], offsets);
     }
 
     #[test]
@@ -696,18 +828,18 @@ mod tests {
     fn from_groups_rejects_a_hole_that_leaves_its_range() {
         // At row 2 of the group the hole would sit at node 3, past `hi`.
         let range = FixedRange::new(0, 3, Some(1));
-        BitsetGraph::from_groups(3, 3, vec![0], vec![range], vec![0, 1], vec![0, 2, 4, 6]);
+        let offsets = vec![0, 2, 4, 6];
+        BitsetGraph::from_groups(3, 3, Vec::new(), vec![0, 0], vec![range], vec![0, 1], offsets);
     }
 
-    /// Row `c` of a group by its definition: the template shifted one
-    /// bit at a time, and each range filled by [`set_bit_range`] on
-    /// both sides of its hole.
-    fn reference_row(n: usize, template: &[u64], c: usize, ranges: &[FixedRange]) -> Vec<u64> {
+    /// Row `c` of a group by its definition: every target moved up by
+    /// `c` one bit at a time, and each range filled by [`set_bit_range`]
+    /// on both sides of its hole.
+    fn reference_row(n: usize, targets: &[u32], c: usize, ranges: &[FixedRange]) -> Vec<u64> {
         let mut row = vec![0u64; n.div_ceil(64)];
-        for t in 0..n - c {
-            if template[t / 64] >> (t % 64) & 1 == 1 {
-                row[(t + c) / 64] |= 1u64 << ((t + c) % 64);
-            }
+        for &t in targets {
+            let b = t as usize + c;
+            row[b / 64] |= 1u64 << (b % 64);
         }
         for r in ranges {
             if r.hole == NO_HOLE {
@@ -723,16 +855,14 @@ mod tests {
     #[test]
     fn grouped_rows_match_a_per_bit_reference_across_words() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        // Groups of 64 and more shift by whole words; 70 and 130 also
-        // carry bits across words and start groups mid-word.
+        // Groups of 64 and more move targets by whole words; 70 and 130
+        // also carry them across words and start groups mid-word.
         for group in [1usize, 3, 63, 64, 70, 130] {
             let groups = 3;
             let n = group * groups;
-            let words = n.div_ceil(64);
-            let mut templates = vec![0u64; groups * words];
+            let (mut targets, mut target_offsets) = (Vec::new(), vec![0u32]);
             let (mut ranges, mut range_offsets) = (Vec::new(), vec![0u32]);
             for i in 0..groups {
-                let template = &mut templates[i * words..(i + 1) * words];
                 // Each group holds its own group as a range with its
                 // hole at the row's own node, and the next group as a
                 // range with or without a hole at the same offset.
@@ -741,21 +871,23 @@ mod tests {
                 let other = (((i + 1) % groups) * group) as u32;
                 let hole = rng.gen_bool(0.5).then_some(other);
                 ranges.push(FixedRange::new(other, other + group as u32, hole));
-                // Template bits stay below n − (group − 1), so no shift
-                // passes the last node, and skip the first node of both
-                // ranges, which row c would shift onto a hole.
-                for t in 0..n - (group - 1) {
-                    if t != lo as usize && t != other as usize && rng.gen_bool(0.3) {
-                        template[t / 64] |= 1u64 << (t % 64);
+                // Targets stay below n − (group − 1), so no row moves one
+                // past the last node, and skip the first node of both
+                // ranges, which row c would move onto a hole.
+                for t in 0..(n - (group - 1)) as u32 {
+                    if t != lo && t != other && rng.gen_bool(0.3) {
+                        targets.push(t);
                     }
                 }
+                target_offsets.push(targets.len() as u32);
                 range_offsets.push(ranges.len() as u32);
             }
             let reference: Vec<Vec<u64>> = (0..n)
                 .map(|v| {
                     let i = v / group;
                     let own = &ranges[2 * i..2 * i + 2];
-                    reference_row(n, &templates[i * words..(i + 1) * words], v % group, own)
+                    let list = &targets[target_offsets[i] as usize..target_offsets[i + 1] as usize];
+                    reference_row(n, list, v % group, own)
                 })
                 .collect();
             let mut offsets = vec![0u32];
@@ -763,7 +895,15 @@ mod tests {
                 let degree: u32 = row.iter().map(|w| w.count_ones()).sum();
                 offsets.push(offsets.last().unwrap() + degree);
             }
-            let b = BitsetGraph::from_groups(n, group, templates, ranges, range_offsets, offsets);
+            let b = BitsetGraph::from_groups(
+                n,
+                group,
+                targets,
+                target_offsets,
+                ranges,
+                range_offsets,
+                offsets,
+            );
             let mut buf = Vec::new();
             for (v, want) in reference.iter().enumerate() {
                 let v = NodeId::new(v);
@@ -773,16 +913,24 @@ mod tests {
                     assert_eq!(b.has_edge(v, NodeId::new(u)), bit, "group {group}, {v}–{u}");
                 }
             }
-            // The same rows stored flat compare equal and hash the same.
-            // (The rows are not symmetric, so no greedy runs on them.)
-            let flat_offsets = b.offsets.clone();
+            // The same rows stored as one list per node compare equal and
+            // hash the same. (Rows hold nodes through a target and a
+            // range at once and are not symmetric, so no greedy runs on
+            // them.)
+            let flat_targets: Vec<u32> = reference
+                .iter()
+                .flat_map(|row| {
+                    (0..n as u32).filter(|&u| row[u as usize / 64] >> (u % 64) & 1 == 1)
+                })
+                .collect();
             let flat = BitsetGraph::from_groups(
                 n,
                 1,
-                reference.concat(),
+                flat_targets,
+                b.offsets.clone(),
                 Vec::new(),
                 vec![0; n + 1],
-                flat_offsets,
+                b.offsets.clone(),
             );
             assert_eq!(b, flat, "group {group}");
             assert_eq!(b.fingerprint(), flat.fingerprint(), "group {group}");

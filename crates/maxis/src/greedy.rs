@@ -17,13 +17,19 @@
 //! same order, and only last pushes are ever popped as valid, so the
 //! pick sequence is unchanged; the tests keep that loop as the
 //! reference. [`BitsetGraph::min_degree_greedy`] reaches the same order
-//! with no queue: one (degree, push-stamp) key per vertex, restamped
-//! on every decrement of an ascending walk of the dying list, and the
-//! least key picked by a scan. That scan costs `n` per pick, which the
-//! few picks of a dense graph afford and the many of a sparse one do
-//! not. The CSR kernel also runs on the subgraph induced by a sorted
-//! member list directly on the parent's rows, which is how the
-//! decomposition oracle solves its large clusters without copying them.
+//! with no queue: one (degree, stamp, id) key per vertex, where each
+//! dying row has a stamp that rises with the row and a decrement keeps
+//! the later of the key's stamp and the row's. The order of the
+//! decrements then does not matter, so the dense walk takes a `G_k`
+//! slot's dying rows together from the slot's one target list. The
+//! least key is picked by a scan, which costs `n` per pick: the few
+//! picks of a dense graph afford it, the many of a sparse one would
+//! not. The pick-order test checks all three on random, multi-word and
+//! planted graphs, and on `G_k`s whose palettes span two of the dense
+//! walk's 64-color chunks. The CSR kernel also runs on the subgraph
+//! induced by a sorted member list directly on the parent's rows,
+//! which is how the decomposition oracle solves its large clusters
+//! without copying them.
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
@@ -308,7 +314,7 @@ pub(crate) mod tests {
     use pslocal_graph::generators::classic::{cluster_graph, complete, cycle, path, star};
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_graph::generators::random::{gnp, random_regular};
-    use pslocal_graph::{csr, GraphBuilder, KernelStrategy};
+    use pslocal_graph::{csr, GraphBuilder, Hypergraph, KernelStrategy};
     use rand::{Rng, SeedableRng};
 
     /// The CSR greedy as it was before batching, verbatim: one bucket
@@ -516,7 +522,7 @@ pub(crate) mod tests {
             check_picks(g, &g.to_bitset(), &format!("multi-word graph {i}"));
         }
         // A planted `G_k` at k = 8, read through the slot-grouped rows
-        // its bit-row build stores, each shifted out of a template.
+        // its bit-row build stores, one target list per slot.
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let h = planted_cf_instance(&mut rng, PlantedCfParams::new(64, 28, 8)).hypergraph;
         let options = ConflictGraphOptions { kernel: KernelStrategy::Bitset, ..Default::default() };
@@ -524,6 +530,21 @@ pub(crate) mod tests {
         assert!(cg.node_count() > 2000, "{} nodes", cg.node_count());
         let bits = cg.bitset().expect("a forced bitset build stores bit rows");
         check_picks(cg.graph(), bits, "planted k = 8");
+        // The wide-palette `G_k`s of `pslocal-core`'s
+        // `bit_rows_match_csr_for_palettes_wider_than_a_word`, in both
+        // `E_color` readings: past k = 64 a slot's colors span two of the
+        // dense walk's 64-color chunks.
+        let h = Hypergraph::from_edges(5, [vec![0, 1, 2], vec![1, 3], vec![2, 3, 4], vec![4]])
+            .expect("valid edges");
+        for k in [63, 64, 65, 70, 130] {
+            for literal_ecolor in [false, true] {
+                let options =
+                    ConflictGraphOptions { literal_ecolor, kernel: KernelStrategy::Bitset };
+                let cg = ConflictGraph::build_with_options(&h, k, options);
+                let bits = cg.bitset().expect("a forced bitset build stores bit rows");
+                check_picks(cg.graph(), bits, &format!("k = {k}, literal {literal_ecolor}"));
+            }
+        }
     }
 
     #[test]

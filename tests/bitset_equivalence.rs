@@ -45,9 +45,9 @@ fn random_hypergraph(seed: u64, n: usize, m: usize) -> Hypergraph {
 
 /// A random hypergraph with a palette of up to 8 colors, the widest the
 /// benchmark's serve-dense requests use. The bit rows store one group
-/// of `k` rows per `(e, v)` slot, read by shifting a template up to
-/// `k − 1` bits: with `k` not dividing 64, blocks straddle word
-/// boundaries and shifts carry bits across words.
+/// of `k` rows per `(e, v)` slot, whose targets row `c` reads moved up
+/// by `c`: with `k` not dividing 64, blocks straddle word boundaries
+/// and a moved target can cross into the next word.
 fn instance() -> impl Strategy<Value = (Hypergraph, usize)> {
     (0u64..10_000, 2usize..=40, 1usize..=12, 1usize..=8)
         .prop_map(|(seed, n, m, k)| (random_hypergraph(seed, n, m), k))
@@ -221,10 +221,10 @@ fn bench_instance_takes_the_dense_route() {
     assert!(cg.bitset().is_some(), "dense bench instance must resolve to the bitset kernel");
 }
 
-/// The dense bench instance's bit rows are stored one template per
-/// `(e, v)` slot, not one row per node: under a sixth of the bytes of
-/// the same rows stored flat (`k = 8`, so an eighth plus the slots'
-/// fixed ranges).
+/// The dense bench instance's bit rows are stored one target list per
+/// `(e, v)` slot, not one per node: under a sixth of the bytes of the
+/// same rows stored as one neighbor list per node (`k = 8` rows share
+/// each slot's list, and a fixed range stands for its whole run).
 #[test]
 fn bench_instance_stores_one_group_per_slot() {
     let cg = ConflictGraph::build_with_options(
