@@ -1,8 +1,9 @@
 //! Criterion bench: each MaxIS oracle on a fixed conflict graph (the
 //! workload the reduction feeds them) and on a sparse random graph,
 //! plus the polynomial-time oracles on a phase-0 `G_k` of the
-//! benchmark of record's reduce-checkpointed shape, and the greedy's
-//! dense kernel on the bit rows of its serve-dense shape.
+//! benchmark of record's reduce-checkpointed shape, and the dense
+//! kernels of the greedy and the decomposition oracle on the bit rows
+//! of its serve-dense shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pslocal_core::ConflictGraph;
@@ -59,26 +60,36 @@ fn bench_reduce_shape(c: &mut Criterion) {
     group.finish();
 }
 
-/// The greedy's dense kernel, as the drivers call it, with a scratch
-/// held across calls, on the bit rows `Auto` builds for two planted
-/// shapes: n = 144, m = 72, k = 8 (about 5,700 vertices), the middle
-/// shape of the benchmark of record's serve-dense pool, and n = 256,
-/// m = 128, k = 4 (2,568 vertices in 41 words, 128 picks). Each pick
-/// scans one key per alive vertex, and the picks (about `m`) grow
-/// against the row reads as `k` falls, so the k = 4 case is the one a
-/// per-pick scan is most exposed on.
+/// The dense kernels, as the drivers call them, with a scratch held
+/// across calls, on the bit rows `Auto` builds for two planted shapes:
+/// n = 144, m = 72, k = 8 (about 5,700 vertices), the middle shape of
+/// the benchmark of record's serve-dense pool, and n = 256, m = 128,
+/// k = 4 (2,568 vertices in 41 words, 128 picks). Each pick of the
+/// greedy scans one key per alive vertex, and the picks (about `m`)
+/// grow against the row reads as `k` falls, so the k = 4 case is the
+/// one a per-pick scan is most exposed on. The decomposition oracle
+/// runs on the same bit rows and, as `decomposition-csr`, on the CSR
+/// form of the same graph, built before timing.
 fn bench_dense_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracles_dense_shape");
     group.sample_size(100);
+    let decomposition = DecompositionOracle::default();
     for (n, m, k) in [(144, 72, 8), (256, 128, 4)] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k));
         let cg = ConflictGraph::build(&inst.hypergraph, k);
         let bits = cg.bitset().expect("Auto builds the dense shapes on bit rows");
         let mut scratch = BitsetScratch::default();
-        let id = BenchmarkId::new(GreedyOracle.name(), format!("k{k}"));
-        group.bench_function(id, |b| {
-            b.iter(|| GreedyOracle.independent_set_dense(bits, &mut scratch))
+        let shape = format!("k{k}");
+        for oracle in [&GreedyOracle as &dyn MaxIsOracle, &decomposition] {
+            let id = BenchmarkId::new(oracle.name(), &shape);
+            group.bench_function(id, |b| {
+                b.iter(|| oracle.independent_set_dense(bits, &mut scratch))
+            });
+        }
+        let graph = cg.graph();
+        group.bench_function(BenchmarkId::new("decomposition-csr", &shape), |b| {
+            b.iter(|| decomposition.independent_set(graph))
         });
     }
     group.finish();

@@ -7,7 +7,7 @@ use pslocal_graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
 };
 use pslocal_graph::KernelStrategy;
-use pslocal_maxis::{ExactOracle, GreedyOracle, LubyOracle, MaxIsOracle};
+use pslocal_maxis::{DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle, MaxIsOracle};
 use rand::SeedableRng;
 
 fn bench_reduction(c: &mut Criterion) {
@@ -56,9 +56,12 @@ fn bench_reduction_scaling(c: &mut Criterion) {
 /// with the adjacency route pinned to CSR, pinned to bit rows, and
 /// left to `Auto`. Under greedy, `Auto` resolves to bit rows here, and
 /// the `bitset`/`csr` ratio is the dense-route speedup the perf notes
-/// quote. Luby has no dense kernel, so `Auto` builds CSR for it and
-/// `luby_auto` should time like `luby_csr`. Every case of one oracle
-/// computes the identical output; the spread is pure kernel cost.
+/// quote. The decomposition oracle reads bit rows too, so
+/// `decomposition_auto` runs its dense kernel end to end against
+/// `decomposition_csr`. Luby has no dense kernel, so `Auto` builds CSR
+/// for it and `luby_auto` should time like `luby_csr`. Every case of
+/// one oracle computes the identical output; the spread is pure kernel
+/// cost.
 fn bench_reduction_dense_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduction_dense_kernel");
     group.sample_size(10);
@@ -66,10 +69,13 @@ fn bench_reduction_dense_kernel(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
     let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(128, 64, k));
     let luby = LubyOracle::new(9);
+    let decomposition = DecompositionOracle::default();
     for (name, oracle, kernel) in [
         ("csr", &GreedyOracle as &dyn MaxIsOracle, KernelStrategy::Csr),
         ("bitset", &GreedyOracle, KernelStrategy::Bitset),
         ("auto", &GreedyOracle, KernelStrategy::Auto),
+        ("decomposition_csr", &decomposition, KernelStrategy::Csr),
+        ("decomposition_auto", &decomposition, KernelStrategy::Auto),
         ("luby_csr", &luby, KernelStrategy::Csr),
         ("luby_auto", &luby, KernelStrategy::Auto),
     ] {

@@ -30,8 +30,8 @@
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
 //! `auto` takes bit rows only on a dense graph and only when the
-//! primary oracle reads them (greedy); otherwise it builds CSR. The
-//! route never changes a response.
+//! primary oracle reads them (greedy and decomposition); otherwise it
+//! builds CSR. The route never changes a response.
 //!
 //! # Line rules
 //!

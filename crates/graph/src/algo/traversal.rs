@@ -177,22 +177,30 @@ impl BallExtractor {
 /// Connected components; `components[v]` is the 0-based component index
 /// of `v`, components numbered in order of their smallest vertex.
 ///
+/// The search stops as soon as every vertex has a label, so on a
+/// connected graph the rows still queued then are never read.
+///
 /// Returns `(component_of, component_count)`.
 pub fn connected_components(graph: &Graph) -> (Vec<u32>, usize) {
     let n = graph.node_count();
     let mut comp = vec![u32::MAX; n];
     let mut next = 0u32;
+    let mut labeled = 0usize;
     let mut queue = VecDeque::new();
     for s in 0..n {
         if comp[s] != u32::MAX {
             continue;
         }
         comp[s] = next;
+        labeled += 1;
+        queue.clear();
         queue.push_back(NodeId::new(s));
-        while let Some(v) = queue.pop_front() {
+        while labeled < n {
+            let Some(v) = queue.pop_front() else { break };
             for &u in graph.neighbors(v) {
                 if comp[u.index()] == u32::MAX {
                     comp[u.index()] = next;
+                    labeled += 1;
                     queue.push_back(u);
                 }
             }
@@ -235,6 +243,7 @@ pub fn diameter(graph: &Graph) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
@@ -321,6 +330,51 @@ mod tests {
         assert_eq!(sets[0].len(), 3);
         assert!(!is_connected(&g));
         assert!(is_connected(&path(4)));
+    }
+
+    /// Components by a BFS that drains every queue: the reference for
+    /// the early stop.
+    fn full_bfs_components(graph: &Graph) -> (Vec<u32>, usize) {
+        let n = graph.node_count();
+        let mut comp = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for s in 0..n {
+            if comp[s] != u32::MAX {
+                continue;
+            }
+            comp[s] = next;
+            let mut queue = VecDeque::from([NodeId::new(s)]);
+            while let Some(v) = queue.pop_front() {
+                for &u in graph.neighbors(v) {
+                    if comp[u.index()] == u32::MAX {
+                        comp[u.index()] = next;
+                        queue.push_back(u);
+                    }
+                }
+            }
+            next += 1;
+        }
+        (comp, next as usize)
+    }
+
+    #[test]
+    fn early_stop_labels_like_a_full_bfs() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(1), Graph::empty(4), path(9)];
+        // Connected and disconnected: a cycle, two paths, and G(n, p)
+        // around the connectivity threshold.
+        graphs.push(Graph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6))).unwrap());
+        graphs.push(Graph::from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)]).unwrap());
+        for p in [0.02, 0.05, 0.1, 0.5] {
+            graphs.push(crate::generators::random::gnp(&mut rng, 60, p));
+        }
+        let mut shapes = [0usize; 2];
+        for (i, g) in graphs.iter().enumerate() {
+            let (comp, count) = connected_components(g);
+            assert_eq!((comp, count), full_bfs_components(g), "graph {i}");
+            shapes[usize::from(count == 1)] += 1;
+        }
+        assert!(shapes.iter().all(|&graphs| graphs > 1), "{shapes:?}");
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //! * [`BitsetGraph::min_degree_greedy`] — the minimum-degree greedy
 //!   picking the least **(degree, stamp, id) key** per vertex over the
 //!   alive words, byte-identical to the CSR greedy's pick sequence (see
-//!   the proof sketch at the function).
+//!   the proof sketch at the function), on the whole graph or, through
+//!   [`BitsetGraph::min_degree_greedy_members_into`], on the subgraph a
+//!   member list induces.
+//!
+//! [`BitsetGraph::or_rows`] ORs many rows into one mask, a slot's rows
+//! at once, which is how the network decomposition of
+//! `pslocal-slocal` grows a ball by one level.
 //!
 //! A `G_k` row is never stored as such: the `k` rows of one `(e, v)`
 //! slot share one ascending list of color-0 targets, which row `c`
@@ -22,8 +28,8 @@
 //! one `u32` per moving target and 12 bytes per range, not `⌈n/64⌉`
 //! words per node. The kernels read a row through
 //! [`BitsetGraph::row`], which stamps it into a reused buffer, except
-//! the greedy's decrement walk: it reads each dying slot's list once
-//! for all of the slot's dying rows.
+//! the greedy's decrement walk and [`BitsetGraph::or_rows`]: they read
+//! each slot's list once for all of the slot's rows they take.
 //!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
@@ -42,8 +48,9 @@ use crate::{Graph, GraphError, NodeId};
 /// rows pay only for a consumer that reads them, so the reduction
 /// drivers resolve `Auto` to `Csr` before the first build unless the
 /// primary oracle has a dense kernel (`MaxIsOracle::supports_dense`,
-/// in `pslocal-maxis`); otherwise λ and the oracle would build the same
-/// graph a second time as CSR. The explicit variants force a route
+/// in `pslocal-maxis`: the min-degree greedy and the decomposition
+/// oracle); otherwise λ and the oracle would build the same graph a
+/// second time as CSR. The explicit variants force a route
 /// (useful for equivalence tests and ablations — every route produces
 /// identical output, only the constants differ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -167,14 +174,16 @@ impl FixedRange {
         FixedRange { lo, hi, hole: hole.unwrap_or(NO_HOLE) }
     }
 
-    /// ORs the range into `row`, the group's row `c`, then clears its
-    /// hole (no other source sets that bit).
+    /// ORs the range into `row`, the group's row `c`, on both sides of
+    /// its hole, so the hole's bit keeps whatever `row` held there.
     #[inline]
     fn set(self, row: &mut [u64], c: u32) {
-        set_bit_range(row, self.lo, self.hi);
-        if self.hole != NO_HOLE {
+        if self.hole == NO_HOLE {
+            set_bit_range(row, self.lo, self.hi);
+        } else {
             let b = self.hole + c;
-            row[(b / 64) as usize] &= !(1u64 << (b % 64));
+            set_bit_range(row, self.lo, b);
+            set_bit_range(row, b + 1, self.hi);
         }
     }
 
@@ -196,8 +205,8 @@ impl FixedRange {
 /// color-0 moving targets; [`from_graph`](Self::from_graph) makes groups
 /// of one node with no ranges, whose list is the node's neighbor list.
 /// [`row`](Self::row) stamps a row into a caller's buffer, and every
-/// kernel reads rows through it except the greedy's decrement walk,
-/// which reads the lists themselves.
+/// kernel reads rows through it except the greedy's decrement walk and
+/// [`or_rows`](Self::or_rows), which read the lists themselves.
 ///
 /// # Examples
 ///
@@ -408,20 +417,85 @@ impl BitsetGraph {
     /// `O(words + targets + ranges)`.
     #[inline]
     pub fn row<'a>(&self, v: NodeId, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        buf.clear();
+        buf.resize(self.words, 0);
+        self.or_row(v, buf);
+        buf
+    }
+
+    /// ORs the bit row of `v` into `mask`.
+    #[inline]
+    fn or_row(&self, v: NodeId, mask: &mut [u64]) {
         // Node ids are u32s, and u32 division is the cheaper instruction
         // on this per-row path.
         let (v, group) = (v.index() as u32, self.group as u32);
         let (i, c) = ((v / group) as usize, v % group);
-        buf.clear();
-        buf.resize(self.words, 0);
         for &t in self.targets_of(i) {
             let b = t + c;
-            buf[(b / 64) as usize] |= 1u64 << (b % 64);
+            mask[(b / 64) as usize] |= 1u64 << (b % 64);
         }
         for &r in self.ranges_of(i) {
-            r.set(buf, c);
+            r.set(mask, c);
         }
-        buf
+    }
+
+    /// ORs the bit rows of the ascending `rows` into `mask`, one group's
+    /// chunk of at most 64 colors at a time: each target of the group
+    /// ORs the chunk's colors in as one shifted word, and each range is
+    /// filled once, whole when two or more rows of the chunk cover each
+    /// other's holes. So the rows of one slot cost about what one row
+    /// costs, and no row is stamped or scanned word by word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not strictly increasing, holds a node out of
+    /// range, or `mask` is shorter than [`words`](Self::words).
+    pub fn or_rows(&self, rows: &[NodeId], mask: &mut [u64]) {
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be strictly increasing");
+        let group = self.group as u32;
+        self.for_each_chunk(rows, |base, set, len| {
+            let (i, c0) = ((base / group) as usize, base % group);
+            for &t in self.targets_of(i) {
+                // Row `c0 + j` holds `t + c0 + j`, so the chunk's rows
+                // put `set` at bit `t + c0`, spilling into the next word.
+                let at = t + c0;
+                let (w, shift) = ((at / 64) as usize, at % 64);
+                mask[w] |= set << shift;
+                let spill = set.checked_shr(64 - shift).unwrap_or(0);
+                if spill != 0 {
+                    mask[w + 1] |= spill;
+                }
+            }
+            for &r in self.ranges_of(i) {
+                if len == 1 {
+                    r.set(mask, c0 + set.trailing_zeros());
+                } else {
+                    set_bit_range(mask, r.lo, r.hi);
+                }
+            }
+        });
+    }
+
+    /// Splits the ascending `rows` into chunks of one group's rows whose
+    /// colors lie within one 64-color span, and calls `f(base, set, len)`
+    /// on each in order: the chunk is the `len` rows `base + j` for
+    /// `j ∈ set`.
+    #[inline]
+    fn for_each_chunk<T: Copy + Into<u32>>(&self, rows: &[T], mut f: impl FnMut(u32, u64, u32)) {
+        let group = self.group as u32;
+        let mut rest = rows;
+        while let Some(&first) = rest.first() {
+            // The chunk of at most 64 colors of `first`'s group that
+            // holds `first`, from node `base` on.
+            let first: u32 = first.into();
+            let c = first % group;
+            let base = first - c % 64;
+            let end = base + (group - (c - c % 64)).min(64);
+            let len = rest.iter().take_while(|&&u| u.into() < end).count();
+            let set = rest[..len].iter().fold(0u64, |set, &u| set | 1 << (u.into() - base));
+            rest = &rest[len..];
+            f(base, set, len as u32);
+        }
     }
 
     /// Adjacency test in `O(log targets + ranges)` of `u`'s group,
@@ -544,7 +618,7 @@ impl BitsetGraph {
         chosen.clear();
         let n = self.n;
         assert!(n <= FIELD as usize, "{n} nodes overflow the greedy's {FIELD_BITS}-bit key fields");
-        let BitsetScratch { alive, keys, dying, row } = s;
+        let BitsetScratch { alive, keys, .. } = s;
         alive.clear();
         alive.resize(self.words, u64::MAX);
         if !n.is_multiple_of(64) {
@@ -553,14 +627,73 @@ impl BitsetGraph {
         // Padded to whole words with dead keys, so every alive word
         // owns one 64-key chunk.
         keys.clear();
-        keys.extend(
-            self.offsets
-                .windows(2)
-                .zip(0u64..)
-                .map(|(w, v)| (u64::from(w[1] - w[0]) * ONE_DEGREE) | STAMP_BITS | (FIELD - v)),
-        );
+        keys.extend(self.offsets.windows(2).zip(0u32..).map(|(w, v)| fresh_key(w[1] - w[0], v)));
         keys.resize(64 * self.words, DEAD_KEY);
-        let group = self.group as u32;
+        self.pick_all(s, chosen);
+    }
+
+    /// The greedy of [`min_degree_greedy`](Self::min_degree_greedy) on
+    /// the subgraph induced by `members`, in place on these rows: its
+    /// alive set starts at the members, and a member's degree counts
+    /// member neighbors only. Appends the picks to `chosen` in pick
+    /// order; they are the whole-graph greedy's picks on that subgraph
+    /// renumbered in ascending order, mapped back, since the renumbering
+    /// is monotone and keys tie-break by id.
+    ///
+    /// Member degrees are counted over the rows of the smaller side: a
+    /// member's row masked by the members, or, when members are the
+    /// majority, the non-members' rows, each taking one degree off
+    /// every member it holds (the decomposition oracle's largest
+    /// cluster often holds most of the graph). That pass walks the
+    /// non-members' rows as the picks walk dying rows, but stamps no
+    /// key, so every member starts at stamp 0. `pslocal-maxis`' test
+    /// `greedy::tests::member_pick_sequences_match_reference_and_dense_kernel`
+    /// checks the picks against its CSR kernel's in-place member run.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n < 2^21` (see
+    /// [`min_degree_greedy`](Self::min_degree_greedy)), or if a member
+    /// is out of range.
+    pub fn min_degree_greedy_members_into(
+        &self,
+        members: &[NodeId],
+        s: &mut BitsetScratch,
+        chosen: &mut Vec<NodeId>,
+    ) {
+        let n = self.n;
+        assert!(n <= FIELD as usize, "{n} nodes overflow the greedy's {FIELD_BITS}-bit key fields");
+        let BitsetScratch { alive, keys, dying, row } = s;
+        alive.clear();
+        alive.resize(self.words, 0);
+        for &v in members {
+            assert!(v.index() < n, "member {v} out of range 0..{n}");
+            alive[v.index() / 64] |= 1u64 << (v.index() % 64);
+        }
+        keys.clear();
+        keys.resize(64 * self.words, DEAD_KEY);
+        if 2 * members.len() > n {
+            for &v in members {
+                keys[v.index()] = fresh_key(self.degree(v) as u32, v.raw());
+            }
+            dying.clear();
+            dying.extend((0..n as u32).filter(|&u| alive[u as usize / 64] >> (u % 64) & 1 == 0));
+            self.decrement_rows(dying, None, keys, alive);
+        } else {
+            for &v in members {
+                let inside = self.row(v, row).iter().zip(alive.iter());
+                let degree = inside.map(|(&r, &a)| (r & a).count_ones()).sum();
+                keys[v.index()] = fresh_key(degree, v.raw());
+            }
+        }
+        self.pick_all(s, chosen);
+    }
+
+    /// The pick loop over keys and an alive mask already set up: picks
+    /// the least alive key until none is left, appending each pick to
+    /// `chosen`.
+    fn pick_all(&self, s: &mut BitsetScratch, chosen: &mut Vec<NodeId>) {
+        let BitsetScratch { alive, keys, dying, row } = s;
         let mut walked = 0u32;
         while let Some(v) = least_alive_key(keys, alive) {
             chosen.push(NodeId::new(v));
@@ -570,35 +703,57 @@ impl BitsetGraph {
             for &u in dying.iter() {
                 keys[u as usize] = DEAD_KEY;
             }
-            let mut rest = &dying[..];
-            while let Some(&first) = rest.first() {
-                // The chunk of at most 64 colors of `first`'s group that
-                // holds `first`, from node `base` on.
-                let c = first % group;
-                let base = first - c % 64;
-                let end = base + (group - (c - c % 64)).min(64);
-                let len = rest.iter().take_while(|&&u| u < end).count();
-                let set = rest[..len].iter().fold(0u64, |set, &u| set | 1 << (u - base));
-                rest = &rest[len..];
-                walked += len as u32;
-                self.decrement_chunk(base, set, walked, keys, alive);
-            }
+            self.decrement_rows(dying, Some(&mut walked), keys, alive);
         }
+    }
+
+    /// Takes the ascending `rows` off every alive key they hold, each
+    /// group's rows in chunks of at most 64 colors. With `walked`, the
+    /// rows are stamped by the running count of rows walked, which they
+    /// advance; without it they change no key's stamp.
+    fn decrement_rows(
+        &self,
+        rows: &[u32],
+        mut walked: Option<&mut u32>,
+        keys: &mut [u64],
+        alive: &[u64],
+    ) {
+        self.for_each_chunk(rows, |base, set, len| {
+            let last = walked.as_deref_mut().map(|walked| {
+                *walked += len;
+                *walked
+            });
+            self.decrement_chunk(base, set, last, keys, alive);
+        });
     }
 
     /// Takes the dying rows `base + j`, `j ∈ set`, of one group's chunk
     /// off every alive key they hold (see
     /// [`min_degree_greedy`](Self::min_degree_greedy)). `last` is the
     /// stamp of the chunk's last row, and the rows' stamps run up to it
-    /// in ascending order.
-    fn decrement_chunk(&self, base: u32, set: u64, last: u32, keys: &mut [u64], alive: &[u64]) {
+    /// in ascending order; without it the rows carry no stamp.
+    fn decrement_chunk(
+        &self,
+        base: u32,
+        set: u64,
+        last: Option<u32>,
+        keys: &mut [u64],
+        alive: &[u64],
+    ) {
         let group = self.group as u32;
         let (i, c0) = ((base / group) as usize, base % group);
         let size = set.count_ones();
+        // Unstamped rows raise every restamp to stamp 0's field, which
+        // `decremented` never keeps over a key's own.
+        let (last, unstamped) = match last {
+            Some(last) => (last, 0),
+            None => (size, STAMP_BITS),
+        };
+        let field = |stamp| stamp_field(stamp) | unstamped;
         let (mut rest, mut stamp) = (set, last + 1 - size);
         while rest != 0 {
             let c = c0 + rest.trailing_zeros();
-            let restamp = stamp_field(stamp);
+            let restamp = field(stamp);
             for &t in self.targets_of(i) {
                 let key = &mut keys[(t + c) as usize];
                 *key = decremented(*key, ONE_DEGREE, restamp);
@@ -611,7 +766,7 @@ impl BitsetGraph {
         // unless `j` is `top`, and then the row before it; with no row
         // left it takes no degree and stamp 0, which never wins.
         let (top, len) = (63 - set.leading_zeros(), (group - c0).min(64));
-        let (all, all_restamp) = (u64::from(size) * ONE_DEGREE, stamp_field(last));
+        let (all, all_restamp) = (u64::from(size) * ONE_DEGREE, field(last));
         for &r in self.ranges_of(i) {
             let (window, window_end) = match r.hole {
                 NO_HOLE => (r.hi, r.hi),
@@ -621,7 +776,7 @@ impl BitsetGraph {
             for (j, key) in (0..).zip(&mut keys[window as usize..window_end as usize]) {
                 let count = u64::from(size) - (set >> j & 1);
                 let restamp =
-                    if count == 0 { STAMP_BITS } else { stamp_field(last - u32::from(j == top)) };
+                    if count == 0 { STAMP_BITS } else { field(last - u32::from(j == top)) };
                 *key = decremented(*key, count * ONE_DEGREE, restamp);
             }
             decrement_span(keys, alive, window_end, r.hi, all, all_restamp);
@@ -663,6 +818,12 @@ const STAMP_BITS: u64 = FIELD << FIELD_BITS;
 /// The key of a dead vertex, and of the padding past node `n − 1`.
 /// Every alive key is below it, since the top bit stays clear.
 const DEAD_KEY: u64 = u64::MAX;
+
+/// The key a greedy run starts vertex `v` at: `degree`, stamp 0.
+#[inline]
+fn fresh_key(degree: u32, v: u32) -> u64 {
+    (u64::from(degree) * ONE_DEGREE) | STAMP_BITS | (FIELD - u64::from(v))
+}
 
 /// The stamp field of a row stamped `stamp`.
 #[inline]
@@ -934,6 +1095,61 @@ mod tests {
             );
             assert_eq!(b, flat, "group {group}");
             assert_eq!(b.fingerprint(), flat.fingerprint(), "group {group}");
+        }
+    }
+
+    #[test]
+    fn or_rows_is_the_union_of_the_stamped_rows() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        // Groups of 64 and more split into two chunks; 70 and 130 also
+        // move targets across words, so a chunk's colors spill over.
+        for group in [1usize, 3, 63, 64, 70, 130] {
+            let groups = 3;
+            let n = group * groups;
+            let (mut targets, mut target_offsets) = (Vec::new(), vec![0u32]);
+            let (mut ranges, mut range_offsets) = (Vec::new(), vec![0u32]);
+            for i in 0..groups {
+                // A group's own block with its hole at the row's node,
+                // and the next block without a hole.
+                let lo = (i * group) as u32;
+                ranges.push(FixedRange::new(lo, lo + group as u32, Some(lo)));
+                let other = (((i + 1) % groups) * group) as u32;
+                ranges.push(FixedRange::new(other, other + group as u32, None));
+                for t in 0..(n - (group - 1)) as u32 {
+                    if t != lo && rng.gen_bool(0.2) {
+                        targets.push(t);
+                    }
+                }
+                target_offsets.push(targets.len() as u32);
+                range_offsets.push(ranges.len() as u32);
+            }
+            let b = BitsetGraph {
+                n,
+                words: n.div_ceil(64),
+                group,
+                targets,
+                target_offsets,
+                ranges,
+                range_offsets,
+                offsets: vec![0; n + 1],
+            };
+            let mut buf = Vec::new();
+            for keep_pct in [2, 30, 100] {
+                let rows: Vec<NodeId> =
+                    (0..n).filter(|_| rng.gen_range(0..100) < keep_pct).map(NodeId::new).collect();
+                // Into a mask holding one row already, as a ball's level
+                // mask holds its earlier rows.
+                let mut want = vec![0u64; b.words];
+                want[0] = 0b1011;
+                let mut mask = want.clone();
+                for &v in &rows {
+                    for (w, &r) in want.iter_mut().zip(b.row(v, &mut buf)) {
+                        *w |= r;
+                    }
+                }
+                b.or_rows(&rows, &mut mask);
+                assert_eq!(mask, want, "group {group}, keep {keep_pct}%");
+            }
         }
     }
 

@@ -22,9 +22,10 @@
 //! * [`induced_sorted`] — induced subgraphs on a *sorted* keep set
 //!   without re-sorting anything (the vertex renumbering is monotone,
 //!   so filtered rows stay sorted). The component executor and the
-//!   oracles copy components and clusters out of a phase graph with it.
+//!   oracles copy components and clusters out of a phase graph with it,
+//!   and [`induced_sorted_bits_in`] copies a small one out of bit rows.
 
-use crate::{Graph, NodeId};
+use crate::{BitsetGraph, Graph, NodeId};
 
 /// Builds a graph from undirected endpoint pairs via counting sort.
 ///
@@ -251,6 +252,39 @@ pub fn induced_sorted_in(graph: &Graph, keep: &[NodeId], arena: &mut InducedAren
     Graph::from_csr_parts(offsets, targets)
 }
 
+/// [`induced_sorted_in`] read from bit rows: the subgraph of `bits`
+/// induced by the **strictly increasing** `keep`, renumbered
+/// `0..keep.len()` in order, built into the arena's pooled buffers.
+/// Each pair of kept vertices is one [`BitsetGraph::has_edge`] lookup,
+/// `O(|keep|²)` of them and no row stamped, which suits the small
+/// clusters the decomposition oracle copies for its exact solver.
+///
+/// # Panics
+///
+/// Panics if `keep` is not strictly increasing or contains an
+/// out-of-range vertex.
+pub fn induced_sorted_bits_in(
+    bits: &BitsetGraph,
+    keep: &[NodeId],
+    arena: &mut InducedArena,
+) -> Graph {
+    assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep set must be strictly increasing");
+    if let Some(&last) = keep.last() {
+        assert!(last.index() < bits.node_count(), "vertex {last} out of range");
+    }
+    let mut offsets = std::mem::take(&mut arena.offsets_pool);
+    offsets.clear();
+    offsets.push(0);
+    let mut targets = std::mem::take(&mut arena.targets_pool);
+    targets.clear();
+    for &v in keep {
+        let kept = (0..).zip(keep).filter(|&(_, &u)| bits.has_edge(v, u));
+        targets.extend(kept.map(|(new, _)| NodeId::new(new)));
+        offsets.push(targets.len() as u32);
+    }
+    Graph::from_csr_parts(offsets, targets)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,6 +345,24 @@ mod tests {
             let (general, _) = g.induced_subgraph(&keep);
             assert_eq!(induced_sorted(&g, &keep), general);
         }
+    }
+
+    #[test]
+    fn induced_from_bit_rows_matches_induced_from_csr() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let mut arena = InducedArena::new();
+        for trial in 0..10 {
+            let g = gnp(&mut rng, 30 + 7 * trial, [0.1, 0.5, 1.0][trial % 3]);
+            let bits = g.to_bitset();
+            let keep: Vec<NodeId> = g.nodes().step_by(1 + trial % 4).collect();
+            let sub = induced_sorted_bits_in(&bits, &keep, &mut arena);
+            assert_eq!(sub, induced_sorted(&g, &keep), "trial {trial}");
+            arena.recycle(sub);
+        }
+        assert_eq!(
+            induced_sorted_bits_in(&Graph::empty(3).to_bitset(), &[], &mut arena).node_count(),
+            0
+        );
     }
 
     #[test]

@@ -28,7 +28,20 @@
 //! the members' degrees over the non-members' rows when those are
 //! fewer. A cluster up to the threshold is copied for the exact solver
 //! through one [`InducedArena`] shared by all of them, at
-//! `O(|cluster| + Σ deg)` per copy.
+//! `O(|cluster| + Σ deg)` per copy from CSR rows.
+//!
+//! The oracle reads both representations of a phase graph, so it
+//! reports [`MaxIsOracle::supports_dense`] and the reduction drivers
+//! build a dense `G_k` for it once, on bit rows. One carve loop and one
+//! class sweep serve both: on bit rows the carve grows each level by
+//! OR-ing the frontier's rows into a mask
+//! ([`carve_decomposition_dense`]), a large cluster runs the dense
+//! greedy with its alive set started at the members
+//! ([`BitsetGraph::min_degree_greedy_members_into`]), and a small one is
+//! copied from bit rows by `O(|cluster|²)` adjacency lookups
+//! ([`csr::induced_sorted_bits_in`]). Each piece gives what its CSR
+//! counterpart gives, so [`MaxIsOracle::independent_set_dense`] returns
+//! exactly the set [`MaxIsOracle::independent_set`] returns.
 //!
 //! A class's union has at most as many vertices as the class, and only
 //! a strictly larger union replaces the best one. So the oracle path,
@@ -38,10 +51,12 @@
 
 use crate::exact::ExactOracle;
 use crate::greedy::GreedyScratch;
-use crate::oracle::{ApproxGuarantee, MaxIsOracle};
+use crate::oracle::{decomposition_colors, ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::csr::{self, InducedArena};
-use pslocal_graph::{Graph, IndependentSet, NodeId};
-use pslocal_slocal::decomposition::{carve_decomposition, NetworkDecomposition};
+use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
+use pslocal_slocal::decomposition::{
+    carve_decomposition, carve_decomposition_dense, NetworkDecomposition,
+};
 
 /// Default cluster size up to which clusters are solved exactly.
 pub const DEFAULT_EXACT_THRESHOLD: usize = 48;
@@ -76,6 +91,72 @@ pub struct DecompositionSolve {
     pub certified: bool,
 }
 
+/// What the class sweep reads of the graph: the two ways it solves a
+/// cluster, given as its strictly increasing members, and the check of
+/// the union it returns.
+trait Clusters {
+    /// The cluster's induced subgraph, renumbered in member order and
+    /// built into `arena`'s buffers, for the exact solver.
+    fn copy(&self, members: &[NodeId], arena: &mut InducedArena) -> Graph;
+
+    /// Appends the min-degree greedy's picks on the cluster's induced
+    /// subgraph to `union`, computed in place on the graph's rows.
+    fn greedy(&mut self, members: &[NodeId], union: &mut Vec<NodeId>);
+
+    /// The best union as a verified set. Invariant, not a fallible
+    /// path: the decomposition's verifier has already certified the
+    /// cluster coloring, so same-color clusters are non-adjacent.
+    fn verified(&self, union: Vec<NodeId>) -> IndependentSet;
+}
+
+/// CSR rows, with one greedy scratch for every large cluster.
+struct CsrClusters<'a> {
+    graph: &'a Graph,
+    greedy: GreedyScratch,
+}
+
+impl Clusters for CsrClusters<'_> {
+    fn copy(&self, members: &[NodeId], arena: &mut InducedArena) -> Graph {
+        csr::induced_sorted_in(self.graph, members, arena)
+    }
+
+    fn greedy(&mut self, members: &[NodeId], union: &mut Vec<NodeId>) {
+        self.greedy.run_members(self.graph, members, union);
+    }
+
+    fn verified(&self, union: Vec<NodeId>) -> IndependentSet {
+        IndependentSet::new(self.graph, union)
+            // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
+            .expect("same-color clusters are non-adjacent, so the union is independent")
+    }
+}
+
+/// Bit rows, with the caller's dense scratch for the greedy.
+struct BitClusters<'a> {
+    bits: &'a BitsetGraph,
+    scratch: &'a mut BitsetScratch,
+}
+
+impl Clusters for BitClusters<'_> {
+    fn copy(&self, members: &[NodeId], arena: &mut InducedArena) -> Graph {
+        csr::induced_sorted_bits_in(self.bits, members, arena)
+    }
+
+    fn greedy(&mut self, members: &[NodeId], union: &mut Vec<NodeId>) {
+        self.bits.min_degree_greedy_members_into(members, self.scratch, union);
+    }
+
+    /// The word-parallel checker stands in for `IndependentSet::new`'s
+    /// CSR check before the unchecked constructor takes ownership.
+    fn verified(&self, union: Vec<NodeId>) -> IndependentSet {
+        if let Some((u, v)) = self.bits.is_independent_set(&union) {
+            // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
+            panic!("decomposition output is not independent: {u:?} conflicts with {v:?}");
+        }
+        IndependentSet::new_unchecked(union)
+    }
+}
+
 impl DecompositionOracle {
     /// Runs the oracle, returning the full per-class breakdown that
     /// experiment T7 tabulates. Every color class is solved, so
@@ -84,8 +165,9 @@ impl DecompositionOracle {
     pub fn solve(&self, graph: &Graph) -> DecompositionSolve {
         let decomposition = carve_decomposition(graph);
         let mut class_sizes = Vec::with_capacity(decomposition.color_count());
+        let mut clusters = CsrClusters { graph, greedy: GreedyScratch::default() };
         let (independent_set, best_color, certified) =
-            self.best_class(graph, &decomposition, Some(&mut class_sizes));
+            self.best_class(&decomposition, &mut clusters, Some(&mut class_sizes));
         DecompositionSolve { independent_set, decomposition, best_color, class_sizes, certified }
     }
 
@@ -98,36 +180,35 @@ impl DecompositionOracle {
     /// dominated class could never win.
     fn best_class(
         &self,
-        graph: &Graph,
         decomposition: &NetworkDecomposition,
+        clusters: &mut impl Clusters,
         mut class_sizes: Option<&mut Vec<usize>>,
     ) -> (IndependentSet, usize, bool) {
         let cluster_sets = decomposition.cluster_vertex_sets();
         let mut arena = InducedArena::new();
-        let mut greedy = GreedyScratch::default();
         let mut best: Vec<NodeId> = Vec::new();
         let mut best_color = 0;
         let mut best_certified = true;
-        for (color, clusters) in decomposition.clusters_by_color().iter().enumerate() {
+        for (color, class) in decomposition.clusters_by_color().iter().enumerate() {
             if class_sizes.is_none() {
-                let vertices: usize = clusters.iter().map(|&c| cluster_sets[c].len()).sum();
+                let vertices: usize = class.iter().map(|&c| cluster_sets[c].len()).sum();
                 if vertices <= best.len() {
                     continue;
                 }
             }
             let mut union: Vec<NodeId> = Vec::new();
             let mut certified = true;
-            for &c in clusters {
+            for &c in class {
                 // Members are ascending, so local vertex `i` is `members[i]`.
                 let members = &cluster_sets[c];
                 if members.len() <= self.exact_threshold {
-                    let sub = csr::induced_sorted_in(graph, members, &mut arena);
+                    let sub = clusters.copy(members, &mut arena);
                     let local = ExactOracle.independent_set(&sub);
                     union.extend(local.iter().map(|v| members[v.index()]));
                     arena.recycle(sub);
                 } else {
                     certified = false;
-                    greedy.run_members(graph, members, &mut union);
+                    clusters.greedy(members, &mut union);
                 }
             }
             if let Some(sizes) = class_sizes.as_deref_mut() {
@@ -139,13 +220,7 @@ impl DecompositionOracle {
                 best_certified = certified;
             }
         }
-
-        // Invariant, not a fallible path: the decomposition's verifier
-        // has already certified the cluster coloring.
-        let independent_set = IndependentSet::new(graph, best)
-            // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
-            .expect("same-color clusters are non-adjacent, so the union is independent");
-        (independent_set, best_color, best_certified)
+        (clusters.verified(best), best_color, best_certified)
     }
 }
 
@@ -157,7 +232,29 @@ impl MaxIsOracle for DecompositionOracle {
     /// The best class union, as [`DecompositionOracle::solve`] chooses
     /// it, without solving the classes that cannot win.
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
-        self.best_class(graph, &carve_decomposition(graph), None).0
+        let mut clusters = CsrClusters { graph, greedy: GreedyScratch::default() };
+        self.best_class(&carve_decomposition(graph), &mut clusters, None).0
+    }
+
+    fn supports_dense(&self) -> bool {
+        true
+    }
+
+    /// The set [`independent_set`](MaxIsOracle::independent_set) returns
+    /// on the CSR form: the same carve and class sweep, with the levels
+    /// grown from bit rows, large clusters solved by the dense greedy
+    /// and small ones copied from bit rows for the exact solver.
+    fn independent_set_dense(
+        &self,
+        bits: &BitsetGraph,
+        scratch: &mut BitsetScratch,
+    ) -> IndependentSet {
+        let mut clusters = BitClusters { bits, scratch };
+        self.best_class(&carve_decomposition_dense(bits), &mut clusters, None).0
+    }
+
+    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
+        Some(decomposition_colors(bits.node_count()))
     }
 
     fn guarantee(&self) -> ApproxGuarantee {

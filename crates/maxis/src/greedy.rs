@@ -26,10 +26,13 @@
 //! picks of a dense graph afford it, the many of a sparse one would
 //! not. The pick-order test checks all three on random, multi-word and
 //! planted graphs, and on `G_k`s whose palettes span two of the dense
-//! walk's 64-color chunks. The CSR kernel also runs on the subgraph
-//! induced by a sorted member list directly on the parent's rows,
-//! which is how the decomposition oracle solves its large clusters
-//! without copying them.
+//! walk's 64-color chunks. Both kernels also run on the subgraph
+//! induced by a member list directly on the parent's rows, which is how
+//! the decomposition oracle solves its large clusters without copying
+//! them, on either representation; a sibling test checks those picks
+//! on random member sets. The CSR kernel marks a survivor filed in the
+//! current pick with the high bit of its degree entry, so it needs no
+//! array beyond the degrees.
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
@@ -114,6 +117,11 @@ pub fn wei_bound(graph: &Graph) -> f64 {
 /// killed, or not a member of the run.
 const DEAD: u32 = u32::MAX;
 
+/// The high bit of a live `degree` entry: its survivor is filed in the
+/// current pick. Degrees stay below `FILED - 1`, so a filed entry never
+/// reads `DEAD`.
+const FILED: u32 = 1 << 31;
+
 /// Buffers of the CSR min-degree greedy, reusable across runs on
 /// graphs of any size.
 ///
@@ -125,11 +133,9 @@ const DEAD: u32 = u32::MAX;
 /// rows.
 #[derive(Debug, Default)]
 pub(crate) struct GreedyScratch {
-    /// Residual degree, or `DEAD`.
+    /// Residual degree, with the `FILED` bit set while its survivor is
+    /// filed, or `DEAD`.
     degree: Vec<u32>,
-    /// `stamp[w] == epoch`: survivor `w` is filed in this kill phase.
-    stamp: Vec<u32>,
-    epoch: u32,
     /// `buckets[d]` holds vertices last pushed at degree `d`; an entry
     /// whose vertex has died or moved on is stale and skipped at pop.
     buckets: Vec<Vec<u32>>,
@@ -186,7 +192,6 @@ impl GreedyScratch {
     fn reserve(&mut self, n: usize) {
         if self.degree.len() < n {
             self.degree.resize(n, DEAD);
-            self.stamp.resize(n, 0);
         }
     }
 
@@ -198,13 +203,14 @@ impl GreedyScratch {
         alive: impl Iterator<Item = NodeId> + Clone,
         chosen: &mut Vec<NodeId>,
     ) {
-        let GreedyScratch { degree, stamp, epoch, buckets, dying, fresh, ends } = self;
+        let GreedyScratch { degree, buckets, dying, fresh, ends } = self;
         let (mut count, mut maxdeg, mut maxrow) = (0usize, 0usize, 0usize);
         for v in alive.clone() {
             count += 1;
             maxdeg = maxdeg.max(degree[v.index()] as usize);
             maxrow = maxrow.max(graph.degree(v));
         }
+        assert!(maxdeg < (FILED - 1) as usize, "degree {maxdeg} leaves no room for the filed bit");
         // `dying` and `fresh` take an unconditional write one slot past
         // their live length, so each has a spare slot.
         if dying.len() <= maxrow {
@@ -242,33 +248,30 @@ impl GreedyScratch {
                 dlen += usize::from(degree[u.index()] != DEAD);
                 degree[u.index()] = DEAD;
             }
-            *epoch = epoch.wrapping_add(1);
-            if *epoch == 0 {
-                stamp.fill(0);
-                *epoch = 1;
-            }
             // Top-down: apply every decrement, and file each survivor
-            // at the first (largest) dying neighbor that reaches it.
+            // at the first (largest) dying neighbor that reaches it,
+            // marking it `FILED`.
             let mut len = 0usize;
             ends[dlen] = 0;
             for i in (0..dlen).rev() {
                 for &w in graph.neighbors(NodeId::from(dying[i])) {
                     let w = w.index();
-                    let live = degree[w] != DEAD;
-                    degree[w] -= u32::from(live);
+                    let d = degree[w];
+                    let live = u32::from(d != DEAD);
+                    degree[w] = (d - live) | (live * FILED);
                     fresh[len] = w as u32;
-                    len += usize::from(live & (stamp[w] != *epoch));
-                    stamp[w] = *epoch;
+                    len += (live & u32::from(d & FILED == 0)) as usize;
                 }
                 ends[i] = len as u32;
             }
             // Bottom-up: one push per survivor, ascending dying
-            // neighbor, then ascending survivor.
+            // neighbor, then ascending survivor, clearing its mark.
             for i in 0..dlen {
                 for &w in &fresh[ends[i + 1] as usize..ends[i] as usize] {
-                    let d = degree[w as usize] as usize;
-                    buckets[d].push(w);
-                    cursor = cursor.min(d);
+                    let d = degree[w as usize] & !FILED;
+                    degree[w as usize] = d;
+                    buckets[d as usize].push(w);
+                    cursor = cursor.min(d as usize);
                 }
             }
         }
@@ -547,13 +550,69 @@ pub(crate) mod tests {
         }
     }
 
+    /// The pick-order checks of
+    /// `pick_sequences_match_reference_and_dense_kernel` on random member
+    /// sets: the dense kernel's member-restricted run picks what
+    /// `run_members` picks in place and what the per-decrement reference
+    /// picks on the induced copy. Member shares below and above half
+    /// take the dense kernel's two ways of counting member degrees.
+    #[test]
+    fn member_pick_sequences_match_reference_and_dense_kernel() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let (mut scratch, mut dense_scratch) = (GreedyScratch::default(), BitsetScratch::default());
+        let mut check_members = |g: &Graph, bits: &BitsetGraph, what: &str| {
+            for keep_pct in [0u32, 10, 45, 55, 90, 100] {
+                let members: Vec<NodeId> =
+                    g.nodes().filter(|_| rng.gen_range(0u32..100) < keep_pct).collect();
+                let mut in_place = Vec::new();
+                scratch.run_members(g, &members, &mut in_place);
+                let (sub, map) = g.induced_subgraph(&members);
+                let reference: Vec<NodeId> =
+                    per_decrement_picks(&sub).iter().map(|v| map[v.index()]).collect();
+                assert_eq!(in_place, reference, "run_members, {what}, keep {keep_pct}%");
+                let mut dense = vec![NodeId::new(9999)]; // appended to, not cleared
+                bits.min_degree_greedy_members_into(&members, &mut dense_scratch, &mut dense);
+                assert_eq!(dense[1..], reference[..], "dense kernel, {what}, keep {keep_pct}%");
+            }
+        };
+        for (i, g) in test_graphs().iter().enumerate() {
+            check_members(g, &g.to_bitset(), &format!("graph {i}"));
+        }
+        let mut gnp_rng = rand::rngs::StdRng::seed_from_u64(43);
+        let mut wide = vec![complete(65), cluster_graph(9, 23)];
+        for n in [130, 257] {
+            for p in [0.5, 1.0] {
+                wide.push(gnp(&mut gnp_rng, n, p));
+            }
+        }
+        for (i, g) in wide.iter().enumerate() {
+            check_members(g, &g.to_bitset(), &format!("multi-word graph {i}"));
+        }
+        let mut planted_rng = rand::rngs::StdRng::seed_from_u64(31);
+        let h = planted_cf_instance(&mut planted_rng, PlantedCfParams::new(64, 28, 8)).hypergraph;
+        let options = ConflictGraphOptions { kernel: KernelStrategy::Bitset, ..Default::default() };
+        let cg = ConflictGraph::build_with_options(&h, 8, options);
+        let bits = cg.bitset().expect("a forced bitset build stores bit rows");
+        check_members(cg.graph(), bits, "planted k = 8");
+        let h = Hypergraph::from_edges(5, [vec![0, 1, 2], vec![1, 3], vec![2, 3, 4], vec![4]])
+            .expect("valid edges");
+        for k in [64, 70, 130] {
+            for literal_ecolor in [false, true] {
+                let options =
+                    ConflictGraphOptions { literal_ecolor, kernel: KernelStrategy::Bitset };
+                let cg = ConflictGraph::build_with_options(&h, k, options);
+                let bits = cg.bitset().expect("a forced bitset build stores bit rows");
+                check_members(cg.graph(), bits, &format!("k = {k}, literal {literal_ecolor}"));
+            }
+        }
+    }
+
     #[test]
     fn members_in_place_equal_the_induced_copy() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         // One scratch across every graph and subset, sizes rising and
-        // falling, with the stamp epoch about to wrap.
-        let start = u32::MAX - 40;
-        let mut scratch = GreedyScratch { epoch: start, ..GreedyScratch::default() };
+        // falling.
+        let mut scratch = GreedyScratch::default();
         for (i, g) in test_graphs().iter().enumerate() {
             // 95% is the decomposition's shape: one cluster holding
             // nearly the whole graph, its degrees counted from outside.
@@ -568,7 +627,6 @@ pub(crate) mod tests {
                 assert!(scratch.degree.iter().all(|&d| d == DEAD), "a run left a live degree");
             }
         }
-        assert!(scratch.epoch < start, "the epoch never wrapped");
         // A sorted arena copy gives the same picks as the general one.
         let g = &test_graphs()[10];
         let keep: Vec<NodeId> = g.nodes().step_by(2).collect();

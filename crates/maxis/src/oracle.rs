@@ -42,7 +42,7 @@ impl ApproxGuarantee {
             ApproxGuarantee::Exact => Some(1.0),
             ApproxGuarantee::Factor(f) => Some(*f),
             ApproxGuarantee::MaxDegreePlusOne => Some(graph.max_degree() as f64 + 1.0),
-            ApproxGuarantee::DecompositionColors => Some(n.log2().ceil().max(1.0) + 1.0),
+            ApproxGuarantee::DecompositionColors => Some(decomposition_colors(graph.node_count())),
             ApproxGuarantee::CliqueRemoval => {
                 let log = n.log2().floor().max(1.0);
                 Some((n / (log * log)).max(1.0))
@@ -50,6 +50,12 @@ impl ApproxGuarantee {
             ApproxGuarantee::Heuristic => None,
         }
     }
+}
+
+/// The ball carving's color bound `⌈log₂ n⌉ + 1` on `n` vertices, at
+/// least 2: the λ of [`ApproxGuarantee::DecompositionColors`].
+pub(crate) fn decomposition_colors(n: usize) -> f64 {
+    (n.max(1) as f64).log2().ceil().max(1.0) + 1.0
 }
 
 impl fmt::Display for ApproxGuarantee {
@@ -103,7 +109,9 @@ pub trait MaxIsOracle: Sync {
     /// Defaults to `false`, so wrappers such as
     /// [`FaultyOracle`](crate::FaultyOracle) and oracles without a dense
     /// kernel transparently fall back to the CSR route and are called
-    /// through [`independent_set`].
+    /// through [`independent_set`]. Two oracles read bit rows:
+    /// [`GreedyOracle`](crate::GreedyOracle) and
+    /// [`DecompositionOracle`](crate::DecompositionOracle).
     ///
     /// The reduction drivers also read it to pick the route: under
     /// `KernelStrategy::Auto`, a primary that returns `false` gets the

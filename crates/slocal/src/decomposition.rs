@@ -24,7 +24,7 @@
 //! decomposition — exactly the "polylog/polylog" object the paper's
 //! completeness landscape revolves around.
 
-use pslocal_graph::{Graph, NodeId};
+use pslocal_graph::{BitsetGraph, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -221,18 +221,23 @@ pub fn carve_decomposition(graph: &Graph) -> NetworkDecomposition {
     carve_decomposition_with_order(graph, &order)
 }
 
+/// [`carve_decomposition`] on the bit-row form of a graph: the same
+/// decomposition, with each ball level grown by OR-ing the frontier's
+/// rows into one mask ([`BitsetGraph::or_rows`]) and keeping its
+/// available vertices. Which vertices join a level depends only on
+/// distances, never on the order in which a level is found, so the
+/// clusters, centers and radii are those of the CSR carve.
+pub fn carve_decomposition_dense(bits: &BitsetGraph) -> NetworkDecomposition {
+    let order: Vec<NodeId> = (0..bits.node_count()).map(NodeId::new).collect();
+    let words = bits.words();
+    carve(&order, RowLevels { bits, free: vec![0; words], level: vec![0; words] })
+}
+
 /// Carves a network decomposition, sweeping each color class in the
 /// given vertex order (the SLOCAL processing order).
 ///
 /// Guarantees (see module docs): at most `⌈log₂ n⌉ + 1` colors, carving
-/// radius at most `⌊log₂ n⌋`. Each ball grows by breadth-first levels
-/// held as consecutive ranges of one visit list, which every carve
-/// reuses. One array holds both availability and BFS distance: a
-/// vertex is `FREE` (available, not yet visited), `BLOCKED`
-/// (clustered, or removed with an earlier ball of this color), or its
-/// distance from the current center. So a visit reads one array, and
-/// committing a ball marks it and its shell `BLOCKED`, which also
-/// leaves nothing to reset before the next carve.
+/// radius at most `⌊log₂ n⌋`.
 ///
 /// # Panics
 ///
@@ -248,17 +253,99 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
             "order must list every vertex exactly once"
         );
     }
+    carve(order, graph)
+}
 
-    const UNCLUSTERED: u32 = u32::MAX;
-    // Distances stay at most `⌊log₂ n⌋ + 1`, far below both sentinels.
-    const FREE: u32 = u32::MAX;
-    const BLOCKED: u32 = u32::MAX - 1;
+const UNCLUSTERED: u32 = u32::MAX;
+// Distances stay at most `⌊log₂ n⌋ + 1`, far below both sentinels.
+const FREE: u32 = u32::MAX;
+const BLOCKED: u32 = u32::MAX - 1;
+
+/// The one step of a carve that reads adjacency: growing a ball by a
+/// level.
+trait Levels {
+    /// Called at the start of each color class, once `dist` is `FREE`
+    /// exactly at the unclustered vertices.
+    fn open_class(&mut self, dist: &[u32]) {
+        let _ = dist;
+    }
+
+    /// Marks every `FREE` neighbor of the frontier `touched[level..]`
+    /// with distance `next` in `dist` and appends it to `touched`.
+    fn expand(&mut self, dist: &mut [u32], touched: &mut Vec<NodeId>, level: usize, next: u32);
+}
+
+/// CSR rows: a breadth-first scan of each frontier vertex's neighbors.
+impl Levels for &Graph {
+    fn expand(&mut self, dist: &mut [u32], touched: &mut Vec<NodeId>, level: usize, next: u32) {
+        for i in level..touched.len() {
+            for &w in self.neighbors(touched[i]) {
+                if dist[w.index()] == FREE {
+                    dist[w.index()] = next;
+                    touched.push(w);
+                }
+            }
+        }
+    }
+}
+
+/// Bit rows: the frontier's rows OR-ed into `level`, masked by `free`,
+/// which mirrors `dist == FREE` word by word.
+struct RowLevels<'a> {
+    bits: &'a BitsetGraph,
+    free: Vec<u64>,
+    level: Vec<u64>,
+}
+
+impl Levels for RowLevels<'_> {
+    fn open_class(&mut self, dist: &[u32]) {
+        self.free.fill(0);
+        for (v, _) in dist.iter().enumerate().filter(|&(_, &d)| d == FREE) {
+            self.free[v / 64] |= 1 << (v % 64);
+        }
+    }
+
+    fn expand(&mut self, dist: &mut [u32], touched: &mut Vec<NodeId>, level: usize, next: u32) {
+        let RowLevels { bits, free, level: mask } = self;
+        // A center is still marked free when its first level grows
+        // (`level` 0). Every later frontier vertex left `free` when its
+        // level was found, and clearing its bit again changes nothing.
+        let first = touched[level];
+        free[first.index() / 64] &= !(1 << (first.index() % 64));
+        mask.fill(0);
+        // Each level after the center's is found in ascending order.
+        bits.or_rows(&touched[level..], mask);
+        for (wi, (&m, f)) in mask.iter().zip(free.iter_mut()).enumerate() {
+            let mut found = m & *f;
+            *f &= !found;
+            while found != 0 {
+                let w = wi * 64 + found.trailing_zeros() as usize;
+                dist[w] = next;
+                touched.push(NodeId::new(w));
+                found &= found - 1;
+            }
+        }
+    }
+}
+
+/// The carve, sweeping each color class in `order` (a permutation of
+/// the vertex set) and growing balls through `levels`.
+///
+/// Each ball grows by breadth-first levels held as consecutive ranges
+/// of one visit list, which every carve reuses. One array holds both
+/// availability and BFS distance: a vertex is `FREE` (available, not
+/// yet visited), `BLOCKED` (clustered, or removed with an earlier ball
+/// of this color), or its distance from the current center. So a visit
+/// reads one array, and committing a ball marks it and its shell
+/// `BLOCKED`, which also leaves nothing to reset before the next carve.
+fn carve(order: &[NodeId], mut levels: impl Levels) -> NetworkDecomposition {
+    let n = order.len();
     let mut cluster_of = vec![UNCLUSTERED; n];
     let mut cluster_colors = Vec::new();
     let mut cluster_centers = Vec::new();
     let mut cluster_radii = Vec::new();
 
-    // BFS scratch: `touched` lists the ball in visit order, so BFS
+    // BFS scratch: `touched` lists the ball level by level, so BFS
     // level `r` is a contiguous range of it.
     let mut dist = vec![FREE; n];
     let mut touched: Vec<NodeId> = Vec::new();
@@ -269,6 +356,7 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
         for (d, &c) in dist.iter_mut().zip(&cluster_of) {
             *d = if c == UNCLUSTERED { FREE } else { BLOCKED };
         }
+        levels.open_class(&dist);
         for &v in order {
             if dist[v.index()] != FREE {
                 continue;
@@ -284,14 +372,7 @@ pub fn carve_decomposition_with_order(graph: &Graph, order: &[NodeId]) -> Networ
             loop {
                 // Expand one more level.
                 let ball = touched.len();
-                for i in level..ball {
-                    for &w in graph.neighbors(touched[i]) {
-                        if dist[w.index()] == FREE {
-                            dist[w.index()] = radius + 1;
-                            touched.push(w);
-                        }
-                    }
-                }
+                levels.expand(&mut dist, &mut touched, level, radius + 1);
                 // An empty level leaves `grown == ball`, which also stops.
                 let grown = touched.len();
                 if grown <= 2 * ball {
@@ -497,6 +578,26 @@ mod tests {
                 let carved = carve_decomposition_with_order(g, &order);
                 assert_eq!(carved, two_array_carve(g, &order), "graph {i}, {name} order");
             }
+        }
+    }
+
+    #[test]
+    fn dense_carve_matches_the_csr_carve() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(5), grid(7, 9), star(70), complete(65)];
+        for trial in 0..12 {
+            let n = 20 + trial * 17;
+            graphs.push(gnp(&mut rng, n, [0.02, 0.06, 0.15, 0.4, 0.9][trial % 5]));
+        }
+        for (seed, n, m, k) in [(1, 12, 6, 1), (2, 20, 10, 2), (4, 32, 12, 4)] {
+            graphs.push(planted_conflict_graph(seed, n, m, k));
+        }
+        for (i, g) in graphs.iter().enumerate() {
+            assert_eq!(
+                carve_decomposition_dense(&g.to_bitset()),
+                carve_decomposition(g),
+                "graph {i}"
+            );
         }
     }
 

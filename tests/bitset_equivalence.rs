@@ -1,8 +1,9 @@
 //! Bitset-kernel equivalence suite.
 //!
 //! The dense (word-parallel) pipeline must be a pure cost knob: the
-//! direct bit-row conflict-graph build, the dense greedy oracle route,
-//! and a phase loop running through a reused [`PhaseWorkspace`] all
+//! direct bit-row conflict-graph build, the dense greedy and
+//! decomposition oracle routes, and a phase loop running through a
+//! reused [`PhaseWorkspace`] all
 //! have to reproduce the CSR reference **byte-for-byte** — same
 //! adjacency, same phase records, same coloring. These properties are
 //! what lets `KernelStrategy::Auto` switch routes per graph without
@@ -17,10 +18,11 @@ use pslocal::core::{
 };
 use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
-use pslocal::graph::{BitsetGraph, BitsetScratch, Hypergraph, KernelStrategy};
+use pslocal::graph::{BitsetGraph, BitsetScratch, Graph, Hypergraph, KernelStrategy};
 use pslocal::maxis::{
     DecompositionOracle, FaultPlan, FaultyOracle, GreedyOracle, LubyOracle, MaxIsOracle,
 };
+use pslocal::slocal::decomposition::{carve_decomposition, carve_decomposition_dense};
 use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
 use rand::{Rng, SeedableRng};
 
@@ -57,10 +59,42 @@ fn kernel_options(literal_ecolor: bool, kernel: KernelStrategy) -> ConflictGraph
     ConflictGraphOptions { literal_ecolor, kernel }
 }
 
-/// The oracles `reduction_is_kernel_invariant` runs: greedy, the only
-/// one with a dense kernel, and three that read CSR only — Luby, the
-/// decomposition oracle, and greedy behind a fault wrapper that does
-/// not pass its dense kernel through.
+/// A `G_k` for the decomposition tests: a planted instance at palettes
+/// up to the serve-dense pool's 8, or a random hypergraph at palettes
+/// up to 70, where a slot's rows span two 64-color chunks.
+fn decomposition_instance() -> impl Strategy<Value = (Hypergraph, usize)> {
+    prop_oneof![
+        (0u64..10_000, 8usize..=48, 1usize..=12, 1usize..=8).prop_map(|(seed, n, m, k)| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Three vertices per color leave every edge enough vertices
+            // of other colors.
+            let params = PlantedCfParams::new(n.max(3 * k), m, k);
+            (planted_cf_instance(&mut rng, params).hypergraph, k)
+        }),
+        (0u64..10_000, 2usize..=12, 1usize..=4, 1usize..=70)
+            .prop_map(|(seed, n, m, k)| (random_hypergraph(seed, n, m), k)),
+    ]
+}
+
+/// The decomposition oracle's dense route against its CSR route on one
+/// graph: the same carve, and at exact thresholds 0, 4 and 48 the same
+/// set and λ.
+fn check_dense_decomposition(bits: &BitsetGraph, graph: &Graph) {
+    assert_eq!(carve_decomposition_dense(bits), carve_decomposition(graph));
+    let mut scratch = BitsetScratch::default();
+    for exact_threshold in [0, 4, 48] {
+        let oracle = DecompositionOracle { exact_threshold };
+        let dense = oracle.independent_set_dense(bits, &mut scratch);
+        assert_eq!(dense, oracle.independent_set(graph), "threshold {exact_threshold}");
+    }
+    let oracle = DecompositionOracle::default();
+    assert_eq!(oracle.lambda_for_dense(bits), oracle.lambda_for(graph));
+}
+
+/// The oracles `reduction_is_kernel_invariant` runs: greedy and the
+/// decomposition oracle, which have dense kernels, and two that read
+/// CSR only — Luby, and greedy behind a fault wrapper that does not
+/// pass its dense kernel through.
 fn oracle(case: u8, seed: u64) -> Box<dyn MaxIsOracle> {
     match case {
         0 => Box::new(GreedyOracle),
@@ -138,6 +172,33 @@ proptest! {
             GreedyOracle.lambda_for_dense(&bits),
             GreedyOracle.lambda_for(&g)
         );
+    }
+
+    /// The decomposition oracle reads bit rows exactly as CSR on random
+    /// G(n, p), from empty to complete, at sizes within one, two and
+    /// more than two 64-bit words.
+    #[test]
+    fn dense_decomposition_matches_csr_on_gnp(
+        seed in 0u64..10_000,
+        n in 1usize..200,
+        p_pct in 0u32..=100,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let g = pslocal::graph::generators::random::gnp(&mut rng, n, f64::from(p_pct) / 100.0);
+        check_dense_decomposition(&BitsetGraph::from_graph(&g), &g);
+    }
+
+    /// The same on the slot-grouped rows of forced-bitset `G_k`s, in
+    /// both `E_color` readings, against their lazily built CSR.
+    #[test]
+    fn dense_decomposition_matches_csr_on_conflict_graphs(
+        (h, k) in decomposition_instance(),
+        literal_bit in 0u8..2,
+    ) {
+        let options = kernel_options(literal_bit == 1, KernelStrategy::Bitset);
+        let cg = ConflictGraph::build_with_options(&h, k, options);
+        let bits = cg.bitset().expect("forced bitset kernel builds bit rows");
+        check_dense_decomposition(bits, cg.graph());
     }
 
     /// End-to-end: forcing `Csr`, forcing `Bitset`, and letting `Auto`
@@ -244,9 +305,10 @@ fn bench_instance_stores_one_group_per_slot() {
 }
 
 /// On the dense bench instance, `Auto` builds bit rows only for the
-/// primary that reads them: Luby and the decomposition oracle get one
-/// `csr` build, greedy one `bitset` build, and no phase builds its graph
-/// twice. Forcing bit rows under Luby costs a lazy CSR in every phase.
+/// primary that reads them: Luby gets one `csr` build, greedy and the
+/// decomposition oracle one `bitset` build, and no phase builds its
+/// graph twice. Forcing bit rows under Luby costs a lazy CSR in every
+/// phase.
 #[test]
 fn auto_builds_one_representation_per_phase() {
     let h = dense_bench_instance();
@@ -261,7 +323,7 @@ fn auto_builds_one_representation_per_phase() {
     let decomposition = DecompositionOracle::default();
     for (oracle, route) in [
         (&luby as &dyn MaxIsOracle, names::CSR),
-        (&decomposition, names::CSR),
+        (&decomposition, names::BITSET),
         (&GreedyOracle, names::BITSET),
     ] {
         let (_, sink) = traced(oracle, KernelStrategy::Auto);
