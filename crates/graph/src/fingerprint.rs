@@ -4,9 +4,10 @@
 //! workspace: the crash-recovery journal pins conflict graphs and
 //! instances with them, the oracle memoization cache keys phase graphs
 //! with them, and the Luby oracle derives its per-component RNG stream
-//! from them (so component-parallel and serial runs draw identical
-//! randomness). The byte layout is therefore **frozen**: changing it
-//! silently invalidates on-disk journals.
+//! from a component's degree sequence ([`degree_fingerprint`]), so
+//! component-parallel and serial runs draw identical randomness. The
+//! byte layout is therefore **frozen**: changing it silently
+//! invalidates on-disk journals and changes Luby's sets.
 //!
 //! The stream is defined byte by byte: each `u64` word feeds its eight
 //! little-endian bytes through `h = (h ^ byte) · PRIME`. `Fnv1a::word`
@@ -18,10 +19,10 @@
 //! the byte-at-a-time definition.
 //!
 //! A [`Graph`] is immutable, so it computes its fingerprint once and
-//! memoizes it ([`Graph::fingerprint`]): the journal's per-phase pin
-//! and the Luby oracle's seed share one pass over a connected phase
-//! graph. [`BitsetGraph`] and [`Hypergraph`] fingerprints are not
-//! memoized.
+//! memoizes it ([`Graph::fingerprint`]). Only the journal's per-phase
+//! pin and the oracle cache read a graph's fingerprint; Luby's seed
+//! reads degrees, in `O(n)`, not the `O(|E|)` adjacency hash.
+//! [`BitsetGraph`] and [`Hypergraph`] fingerprints are not memoized.
 
 use crate::{bitset::BitsetGraph, Graph, Hypergraph};
 
@@ -68,6 +69,33 @@ impl Fnv1a {
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// FNV-1a fold of a degree sequence: its length, then every degree in
+/// order, as one word each.
+///
+/// The Luby oracle seeds each connected component's RNG stream with
+/// this fold of the component's members' degrees in ascending id order.
+/// A component is closed under adjacency, so those are its induced
+/// degrees, and the value is the same whether the component is read in
+/// place or as a renumbered copy. It costs `O(n)`, where
+/// [`Graph::fingerprint`] hashes every adjacency entry.
+///
+/// # Examples
+///
+/// ```
+/// use pslocal_graph::fingerprint::degree_fingerprint;
+///
+/// assert_eq!(degree_fingerprint([2, 2, 2].into_iter()), degree_fingerprint(vec![2; 3].into_iter()));
+/// assert_ne!(degree_fingerprint([1, 1].into_iter()), degree_fingerprint([1, 1, 0].into_iter()));
+/// ```
+pub fn degree_fingerprint(degrees: impl ExactSizeIterator<Item = usize>) -> u64 {
+    let mut f = Fnv1a::new();
+    f.word(degrees.len() as u64);
+    for d in degrees {
+        f.word(d as u64);
+    }
+    f.finish()
 }
 
 impl Graph {
@@ -214,6 +242,15 @@ mod tests {
             }
             assert_eq!(h.fingerprint(), bytewise(Fnv1a::OFFSET, &words));
         }
+    }
+
+    #[test]
+    fn degree_fingerprint_matches_the_bytewise_definition() {
+        let degrees = [0usize, 3, 255, 256, 70_000, 1 << 30];
+        let mut words = vec![degrees.len() as u64];
+        words.extend(degrees.iter().map(|&d| d as u64));
+        assert_eq!(degree_fingerprint(degrees.into_iter()), bytewise(Fnv1a::OFFSET, &words));
+        assert_eq!(degree_fingerprint(std::iter::empty()), bytewise(Fnv1a::OFFSET, &[0]));
     }
 
     #[test]

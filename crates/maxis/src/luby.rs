@@ -9,7 +9,8 @@
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::algo::traversal::component_vertex_sets;
-use pslocal_graph::{csr, Graph, IndependentSet, NodeId};
+use pslocal_graph::fingerprint::degree_fingerprint;
+use pslocal_graph::{Graph, IndependentSet, NodeId};
 use pslocal_local::algorithms::LubyMis;
 use pslocal_local::{Engine, Network};
 use rand::{Rng, SeedableRng};
@@ -18,12 +19,15 @@ use rand::{Rng, SeedableRng};
 /// algorithm.
 ///
 /// The centralized fast path ([`MaxIsOracle::independent_set`]) is
-/// *component-local*: each connected component is solved with its own
-/// RNG stream seeded by `seed ^ component.fingerprint()`. Because the
-/// stream depends only on the component's own structure, solving the
-/// whole graph at once and solving its components separately (as the
-/// component-parallel phase executor does) produce the identical set —
-/// Luby is thread-invariant like every other oracle.
+/// *component-local*: each connected component is solved in place with
+/// its own RNG stream, seeded by `seed ^` the [`degree_fingerprint`] of
+/// the component's members' degrees in ascending id order. A component
+/// is closed under adjacency, so those are its induced degrees, and a
+/// monotone renumbering changes neither the order in which its members
+/// draw nor the `(priority, id)` tie-break. So solving the whole graph
+/// at once and solving its components separately, as renumbered copies
+/// (as the component-parallel phase executor does), produce the
+/// identical set — Luby is thread-invariant like every other oracle.
 ///
 /// # Examples
 ///
@@ -40,13 +44,66 @@ pub struct LubyOracle {
     seed: u64,
 }
 
+/// What a Luby run reads of the graph: its components, its degrees and
+/// its rows, and the check of the set it returns.
+trait LubyRows {
+    fn node_count(&self) -> usize;
+
+    fn degree(&self, v: NodeId) -> usize;
+
+    /// The connected components, ordered by smallest member, each in
+    /// ascending vertex order.
+    fn components(&self) -> Vec<Vec<NodeId>>;
+
+    /// Whether `f` holds for some neighbor of `v`, visiting the
+    /// neighbors in any order until it does.
+    fn any_neighbor(&self, v: NodeId, f: impl FnMut(NodeId) -> bool) -> bool;
+
+    /// The joined vertices as a verified set. Invariant, not a fallible
+    /// path: joiners are strict local maxima and exclude their entire
+    /// neighborhoods.
+    fn verified(&self, members: Vec<NodeId>) -> IndependentSet;
+}
+
+/// CSR rows.
+impl LubyRows for Graph {
+    fn node_count(&self) -> usize {
+        Graph::node_count(self)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        Graph::degree(self, v)
+    }
+
+    fn components(&self) -> Vec<Vec<NodeId>> {
+        component_vertex_sets(self)
+    }
+
+    fn any_neighbor(&self, v: NodeId, f: impl FnMut(NodeId) -> bool) -> bool {
+        self.neighbors(v).iter().copied().any(f)
+    }
+
+    fn verified(&self, members: Vec<NodeId>) -> IndependentSet {
+        // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
+        IndependentSet::new(self, members).expect("Luby returns an independent set")
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum State {
+    Undecided,
+    In,
+    Out,
+}
+
 impl LubyOracle {
     /// Creates the oracle with the given randomness seed.
     pub fn new(seed: u64) -> Self {
         LubyOracle { seed }
     }
 
-    /// Centralized Luby on one (component of a) graph.
+    /// Centralized Luby, component by component, in place on the
+    /// graph's rows.
     ///
     /// Direct execution of the same per-round rule as the LOCAL version
     /// (draw priorities; strict local maxima join, their neighborhoods
@@ -55,48 +112,53 @@ impl LubyOracle {
     /// round-reporting path keeps the simulator, which is the object
     /// experiment F3 measures.
     ///
-    /// The RNG stream is `seed ^ graph.fingerprint()`: a function of the
-    /// component alone, never of the ambient graph it was cut from.
-    fn solve_connected(&self, graph: &Graph) -> Vec<NodeId> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum State {
-            Undecided,
-            In,
-            Out,
-        }
-        let n = graph.node_count();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ graph.fingerprint());
+    /// A component's undecided members draw their priorities in
+    /// ascending id order from the component's own stream, so the set
+    /// is a function of the component alone, never of the ambient graph
+    /// it sits in.
+    fn solve(&self, rows: &impl LubyRows) -> IndependentSet {
+        let n = rows.node_count();
         let mut state = vec![State::Undecided; n];
         let mut priority = vec![0u64; n];
-        let mut undecided: Vec<NodeId> = graph.nodes().collect();
+        let mut undecided: Vec<NodeId> = Vec::new();
         let mut joined: Vec<NodeId> = Vec::new();
-        while !undecided.is_empty() {
-            for &v in &undecided {
-                priority[v.index()] = rng.gen();
-            }
-            joined.clear();
-            for &v in &undecided {
-                let pv = (priority[v.index()], v);
-                // (priority, id) is a total order, so adjacent undecided
-                // vertices can never both win their neighborhoods.
-                let wins = graph.neighbors(v).iter().all(|&u| {
-                    state[u.index()] != State::Undecided || (priority[u.index()], u) < pv
-                });
-                if wins {
-                    joined.push(v);
+        let mut picked: Vec<NodeId> = Vec::new();
+        for component in rows.components() {
+            let degrees = component.iter().map(|&v| rows.degree(v));
+            let mut rng =
+                rand::rngs::StdRng::seed_from_u64(self.seed ^ degree_fingerprint(degrees));
+            undecided.clone_from(&component);
+            while !undecided.is_empty() {
+                for &v in &undecided {
+                    priority[v.index()] = rng.gen();
                 }
-            }
-            for &v in &joined {
-                state[v.index()] = State::In;
-                for &u in graph.neighbors(v) {
-                    if state[u.index()] == State::Undecided {
-                        state[u.index()] = State::Out;
+                joined.clear();
+                for &v in &undecided {
+                    let pv = (priority[v.index()], v);
+                    // (priority, id) is a total order, so adjacent
+                    // undecided vertices can never both win their
+                    // neighborhoods. `u` is never `v`: rows hold no loops.
+                    let beaten = rows.any_neighbor(v, |u| {
+                        state[u.index()] == State::Undecided && (priority[u.index()], u) > pv
+                    });
+                    if !beaten {
+                        joined.push(v);
                     }
                 }
+                for &v in &joined {
+                    state[v.index()] = State::In;
+                    rows.any_neighbor(v, |u| {
+                        if state[u.index()] == State::Undecided {
+                            state[u.index()] = State::Out;
+                        }
+                        false
+                    });
+                }
+                undecided.retain(|&v| state[v.index()] == State::Undecided);
             }
-            undecided.retain(|&v| state[v.index()] == State::Undecided);
+            picked.extend(component.iter().filter(|&&v| state[v.index()] == State::In));
         }
-        graph.nodes().filter(|&v| state[v.index()] == State::In).collect()
+        rows.verified(picked)
     }
 }
 
@@ -111,34 +173,12 @@ impl MaxIsOracle for LubyOracle {
         "luby-local-mis"
     }
 
+    /// Solves each connected component in place, with a stream seeded
+    /// from its degrees, so the answer does not depend on whether
+    /// components are fed to the oracle together or separately (thread
+    /// invariance; see the type-level docs).
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
-        // Solve per connected component with a structure-derived seed so
-        // the answer does not depend on whether components are fed to
-        // the oracle together or separately (thread invariance; see the
-        // type-level docs). The component order and within-component
-        // vertex order match `csr::induced_sorted`, i.e. exactly the
-        // renumbering the component-parallel executor uses.
-        let components = component_vertex_sets(graph);
-        let members: Vec<NodeId> = if components.len() <= 1 {
-            // Connected (or empty): the induced subgraph on all vertices
-            // is the graph itself, so solve in place. `Graph::fingerprint`
-            // equals the fingerprint of that full induced copy.
-            self.solve_connected(graph)
-        } else {
-            // One arena for every component: a copy costs its own size.
-            let mut arena = csr::InducedArena::new();
-            let mut picked = Vec::new();
-            for comp in &components {
-                let sub = csr::induced_sorted_in(graph, comp, &mut arena);
-                picked.extend(self.solve_connected(&sub).into_iter().map(|v| comp[v.index()]));
-                arena.recycle(sub);
-            }
-            picked
-        };
-        // Invariant, not a fallible path: joiners are strict local
-        // maxima and exclude their entire neighborhoods.
-        // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
-        IndependentSet::new(graph, members).expect("Luby returns an independent set")
+        self.solve(graph)
     }
 
     /// Runs the oracle on the LOCAL simulator and reports the round
@@ -172,6 +212,7 @@ impl MaxIsOracle for LubyOracle {
 mod tests {
     use super::*;
     use crate::exact::ExactOracle;
+    use pslocal_graph::csr;
     use pslocal_graph::generators::classic::{complete, grid};
     use pslocal_graph::generators::random::gnp;
     use rand::SeedableRng;
@@ -217,8 +258,8 @@ mod tests {
         let a = LubyOracle::new(42).independent_set(&g);
         let b = LubyOracle::new(42).independent_set(&g);
         assert_eq!(a, b);
-        // A checkpointing run fingerprints the phase graph before
-        // the oracle runs; the seed then comes from the memo.
+        // A checkpointing run fingerprints the phase graph before the
+        // oracle runs; the seed reads degrees, not that memo.
         let journaled = grid(5, 5);
         journaled.fingerprint();
         assert_eq!(LubyOracle::new(42).independent_set(&journaled), a);
