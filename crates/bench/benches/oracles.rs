@@ -2,8 +2,8 @@
 //! workload the reduction feeds them) and on a sparse random graph,
 //! plus the polynomial-time oracles on a phase-0 `G_k` of the
 //! benchmark of record's reduce-checkpointed shape, and the dense
-//! kernels of the greedy and the decomposition oracle on the bit rows
-//! of its serve-dense shape.
+//! kernels of the greedy, the decomposition oracle and Luby on the bit
+//! rows of its serve-dense shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pslocal_core::ConflictGraph;
@@ -68,12 +68,13 @@ fn bench_reduce_shape(c: &mut Criterion) {
 /// greedy scans one key per alive vertex, and the picks (about `m`)
 /// grow against the row reads as `k` falls, so the k = 4 case is the
 /// one a per-pick scan is most exposed on. The decomposition oracle
-/// runs on the same bit rows and, as `decomposition-csr`, on the CSR
-/// form of the same graph, built before timing.
+/// and Luby run on the same bit rows and, as `decomposition-csr` and
+/// `luby-csr`, on the CSR form of the same graph, built before timing.
 fn bench_dense_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracles_dense_shape");
     group.sample_size(100);
     let decomposition = DecompositionOracle::default();
+    let luby = LubyOracle::new(6);
     for (n, m, k) in [(144, 72, 8), (256, 128, 4)] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k));
@@ -81,16 +82,24 @@ fn bench_dense_shape(c: &mut Criterion) {
         let bits = cg.bitset().expect("Auto builds the dense shapes on bit rows");
         let mut scratch = BitsetScratch::default();
         let shape = format!("k{k}");
-        for oracle in [&GreedyOracle as &dyn MaxIsOracle, &decomposition] {
-            let id = BenchmarkId::new(oracle.name(), &shape);
-            group.bench_function(id, |b| {
+        let oracles = [
+            ("greedy-min-degree", &GreedyOracle as &dyn MaxIsOracle),
+            ("decomposition", &decomposition),
+            ("luby", &luby),
+        ];
+        for (label, oracle) in oracles {
+            group.bench_function(BenchmarkId::new(label, &shape), |b| {
                 b.iter(|| oracle.independent_set_dense(bits, &mut scratch))
             });
         }
         let graph = cg.graph();
-        group.bench_function(BenchmarkId::new("decomposition-csr", &shape), |b| {
-            b.iter(|| decomposition.independent_set(graph))
-        });
+        for (label, oracle) in
+            [("decomposition-csr", &decomposition as &dyn MaxIsOracle), ("luby-csr", &luby)]
+        {
+            group.bench_function(BenchmarkId::new(label, &shape), |b| {
+                b.iter(|| oracle.independent_set(graph))
+            });
+        }
     }
     group.finish();
 }

@@ -7,7 +7,9 @@ use pslocal_graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
 };
 use pslocal_graph::KernelStrategy;
-use pslocal_maxis::{DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle, MaxIsOracle};
+use pslocal_maxis::{
+    CliqueRemovalOracle, DecompositionOracle, ExactOracle, GreedyOracle, LubyOracle, MaxIsOracle,
+};
 use rand::SeedableRng;
 
 fn bench_reduction(c: &mut Criterion) {
@@ -56,12 +58,12 @@ fn bench_reduction_scaling(c: &mut Criterion) {
 /// with the adjacency route pinned to CSR, pinned to bit rows, and
 /// left to `Auto`. Under greedy, `Auto` resolves to bit rows here, and
 /// the `bitset`/`csr` ratio is the dense-route speedup the perf notes
-/// quote. The decomposition oracle reads bit rows too, so
-/// `decomposition_auto` runs its dense kernel end to end against
-/// `decomposition_csr`. Luby has no dense kernel, so `Auto` builds CSR
-/// for it and `luby_auto` should time like `luby_csr`. Every case of
-/// one oracle computes the identical output; the spread is pure kernel
-/// cost.
+/// quote. The decomposition oracle and Luby read bit rows too, so
+/// `decomposition_auto` and `luby_auto` run their dense kernels end to
+/// end against `decomposition_csr` and `luby_csr`. Clique removal has no
+/// dense kernel, so `Auto` builds CSR for it: `clique_removal_auto`
+/// keeps that route covered. Every case of one oracle computes the
+/// identical output; the spread is pure kernel cost.
 fn bench_reduction_dense_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduction_dense_kernel");
     group.sample_size(10);
@@ -78,6 +80,7 @@ fn bench_reduction_dense_kernel(c: &mut Criterion) {
         ("decomposition_auto", &decomposition, KernelStrategy::Auto),
         ("luby_csr", &luby, KernelStrategy::Csr),
         ("luby_auto", &luby, KernelStrategy::Auto),
+        ("clique_removal_auto", &CliqueRemovalOracle, KernelStrategy::Auto),
     ] {
         let mut config = ReductionConfig::new(k);
         config.kernel = kernel;

@@ -399,9 +399,9 @@ impl ConflictGraph {
     /// and oracle memoization never force a CSR materialization.
     ///
     /// On the CSR route this is the graph's memoized value: the first
-    /// call hashes `G_k`, and later calls, including an oracle's own
-    /// `Graph::fingerprint` of the same graph (Luby's RNG seed), reuse
-    /// it. The dense route hashes the bit rows on every call.
+    /// call hashes `G_k`, and later calls reuse it. The dense route
+    /// hashes the bit rows on every call. Only the journal and the
+    /// oracle cache read it.
     pub fn fingerprint(&self) -> u64 {
         match &self.bits {
             Some(bits) => bits.fingerprint(),

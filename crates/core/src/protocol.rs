@@ -30,8 +30,9 @@
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
 //! `auto` takes bit rows only on a dense graph and only when the
-//! primary oracle reads them (greedy and decomposition); otherwise it
-//! builds CSR. The route never changes a response.
+//! primary oracle reads them (greedy, luby and decomposition, with or
+//! without a `faults` script); otherwise it builds CSR. The route never
+//! changes a response.
 //!
 //! # Line rules
 //!

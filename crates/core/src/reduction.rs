@@ -727,7 +727,7 @@ mod tests {
     #[test]
     fn luby_parallel_config_reproduces_the_serial_run() {
         // Luby derives each component's RNG stream from the component's
-        // own fingerprint, so — like every other oracle — it must not
+        // own degree sequence, so — like every other oracle — it must not
         // care whether the executor decomposes a phase or not.
         use pslocal_graph::generators::hyper::multi_component_cf_instance;
         let k = 3;

@@ -719,9 +719,8 @@ pub(crate) fn run_phases<O: MaxIsOracle + ?Sized, S: Sink>(
         // The journal stores the conflict graph's fingerprint *at phase
         // start* — the graph the set is about to be chosen on. The
         // dense and CSR routes fingerprint to the same value, so the
-        // journal stays kernel-agnostic. A CSR graph memoizes it, so an
-        // oracle that fingerprints the same graph (Luby's seed) reuses
-        // this pass.
+        // journal stays kernel-agnostic. No oracle reads it: Luby seeds
+        // from degrees.
         let cg_fingerprint = journal.as_ref().map(|_| {
             let _span = span!(phase_span, names::FINGERPRINT);
             cg.fingerprint()

@@ -5,6 +5,7 @@
 //! [`ball`] of radius `r` around itself — and of the LOCAL model, where
 //! after `r` rounds a node's state can depend only on that same ball.
 
+use crate::bitset::{set_bit_range, BitsetGraph};
 use crate::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -213,10 +214,68 @@ pub fn connected_components(graph: &Graph) -> (Vec<u32>, usize) {
 /// The vertex sets of all connected components, ordered by smallest
 /// member, each in ascending vertex order.
 pub fn component_vertex_sets(graph: &Graph) -> Vec<Vec<NodeId>> {
-    let (comp, count) = connected_components(graph);
+    vertex_sets(connected_components(graph))
+}
+
+/// [`component_vertex_sets`] on bit rows. Each component grows level by
+/// level: the level's rows are OR-ed into one mask
+/// ([`BitsetGraph::or_rows`]), and its bits still set in the mask of
+/// unvisited vertices are the next level, found in ascending order. As
+/// in [`connected_components`], the search stops as soon as every
+/// vertex has a label: the mask is checked every 64 rows, so on a
+/// connected graph the last level's remaining rows are never read.
+pub fn component_vertex_sets_dense(bits: &BitsetGraph) -> Vec<Vec<NodeId>> {
+    let n = bits.node_count();
+    let mut comp = vec![u32::MAX; n];
+    let mut unvisited = vec![0u64; bits.words()];
+    set_bit_range(&mut unvisited, 0, n as u32);
+    let mut mask = vec![0u64; bits.words()];
+    let mut level: Vec<NodeId> = Vec::new();
+    let mut next = 0u32;
+    let mut labeled = 0usize;
+    for s in 0..n {
+        if comp[s] != u32::MAX {
+            continue;
+        }
+        comp[s] = next;
+        labeled += 1;
+        unvisited[s / 64] &= !(1 << (s % 64));
+        level.clear();
+        level.push(NodeId::new(s));
+        while labeled < n && !level.is_empty() {
+            mask.fill(0);
+            // Once the mask covers every unvisited vertex, the rest of
+            // the level can add none, and the search ends with it.
+            for rows in level.chunks(64) {
+                bits.or_rows(rows, &mut mask);
+                if mask.iter().zip(&unvisited).all(|(&m, &u)| u & !m == 0) {
+                    break;
+                }
+            }
+            level.clear();
+            for (wi, (&m, u)) in mask.iter().zip(&mut unvisited).enumerate() {
+                let mut found = m & *u;
+                *u &= !found;
+                while found != 0 {
+                    let v = wi * 64 + found.trailing_zeros() as usize;
+                    comp[v] = next;
+                    level.push(NodeId::new(v));
+                    found &= found - 1;
+                }
+            }
+            labeled += level.len();
+        }
+        next += 1;
+    }
+    vertex_sets((comp, next as usize))
+}
+
+/// The vertex sets of a labeling `(component_of, component_count)`, each
+/// in ascending vertex order.
+fn vertex_sets((comp, count): (Vec<u32>, usize)) -> Vec<Vec<NodeId>> {
     let mut sets = vec![Vec::new(); count];
-    for v in graph.nodes() {
-        sets[comp[v.index()] as usize].push(v);
+    for (v, &c) in comp.iter().enumerate() {
+        sets[c as usize].push(NodeId::new(v));
     }
     sets
 }
@@ -373,6 +432,24 @@ mod tests {
             let (comp, count) = connected_components(g);
             assert_eq!((comp, count), full_bfs_components(g), "graph {i}");
             shapes[usize::from(count == 1)] += 1;
+        }
+        assert!(shapes.iter().all(|&graphs| graphs > 1), "{shapes:?}");
+    }
+
+    #[test]
+    fn dense_components_match_csr_components() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(1), Graph::empty(70), path(9)];
+        graphs.push(Graph::from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)]).unwrap());
+        // One, two and three row words, around the connectivity threshold.
+        for (n, p) in [(60, 0.02), (60, 0.1), (130, 0.01), (130, 0.03), (150, 0.3)] {
+            graphs.push(crate::generators::random::gnp(&mut rng, n, p));
+        }
+        let mut shapes = [0usize; 2];
+        for (i, g) in graphs.iter().enumerate() {
+            let sets = component_vertex_sets(g);
+            assert_eq!(component_vertex_sets_dense(&g.to_bitset()), sets, "graph {i}");
+            shapes[usize::from(sets.len() == 1)] += 1;
         }
         assert!(shapes.iter().all(|&graphs| graphs > 1), "{shapes:?}");
     }

@@ -20,7 +20,10 @@
 //!
 //! [`BitsetGraph::or_rows`] ORs many rows into one mask, a slot's rows
 //! at once, which is how the network decomposition of
-//! `pslocal-slocal` grows a ball by one level.
+//! `pslocal-slocal` grows a ball by one level and
+//! [`component_vertex_sets_dense`](crate::algo::traversal::component_vertex_sets_dense)
+//! a component. [`BitsetGraph::any_neighbor`] visits one row's
+//! neighbors until a predicate holds, as Luby's rounds read them.
 //!
 //! A `G_k` row is never stored as such: the `k` rows of one `(e, v)`
 //! slot share one ascending list of color-0 targets, which row `c`
@@ -28,8 +31,10 @@
 //! one `u32` per moving target and 12 bytes per range, not `⌈n/64⌉`
 //! words per node. The kernels read a row through
 //! [`BitsetGraph::row`], which stamps it into a reused buffer, except
-//! the greedy's decrement walk and [`BitsetGraph::or_rows`]: they read
-//! each slot's list once for all of the slot's rows they take.
+//! the greedy's decrement walk and [`BitsetGraph::or_rows`], which read
+//! each slot's list once for all of the slot's rows they take, and
+//! [`BitsetGraph::any_neighbor`], which reads one row's list and
+//! ranges.
 //!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
@@ -48,8 +53,8 @@ use crate::{Graph, GraphError, NodeId};
 /// rows pay only for a consumer that reads them, so the reduction
 /// drivers resolve `Auto` to `Csr` before the first build unless the
 /// primary oracle has a dense kernel (`MaxIsOracle::supports_dense`,
-/// in `pslocal-maxis`: the min-degree greedy and the decomposition
-/// oracle); otherwise λ and the oracle would build the same graph a
+/// in `pslocal-maxis`: the min-degree greedy, Luby and the
+/// decomposition oracle); otherwise λ and the oracle would build the same graph a
 /// second time as CSR. The explicit variants force a route
 /// (useful for equivalence tests and ablations — every route produces
 /// identical output, only the constants differ).
@@ -205,8 +210,9 @@ impl FixedRange {
 /// color-0 moving targets; [`from_graph`](Self::from_graph) makes groups
 /// of one node with no ranges, whose list is the node's neighbor list.
 /// [`row`](Self::row) stamps a row into a caller's buffer, and every
-/// kernel reads rows through it except the greedy's decrement walk and
-/// [`or_rows`](Self::or_rows), which read the lists themselves.
+/// kernel reads rows through it except the greedy's decrement walk,
+/// [`or_rows`](Self::or_rows) and [`any_neighbor`](Self::any_neighbor),
+/// which read the lists themselves.
 ///
 /// # Examples
 ///
@@ -505,6 +511,24 @@ impl BitsetGraph {
         let b = v.index() as u32;
         b.checked_sub(c).is_some_and(|t| self.targets_of(i).binary_search(&t).is_ok())
             || self.ranges_of(i).iter().any(|r| r.contains(b, c))
+    }
+
+    /// Whether `f` holds for some neighbor of `v`, stopping at the first
+    /// one it accepts. The neighbors are read from `v`'s group directly,
+    /// its moved targets first and then its fixed ranges around their
+    /// holes, so no row is stamped: a visit costs what it reads, not
+    /// [`words`](Self::words).
+    #[inline]
+    pub fn any_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId) -> bool) -> bool {
+        let (v, group) = (v.index() as u32, self.group as u32);
+        let (i, c) = ((v / group) as usize, v % group);
+        let mut f = |u: u32| f(NodeId::new(u as usize));
+        self.targets_of(i).iter().any(|&t| f(t + c))
+            || self.ranges_of(i).iter().any(|r| {
+                // Two plain loops: a chained range iterator runs slower.
+                let hole = if r.hole == NO_HOLE { r.hi } else { r.hole + c };
+                (r.lo..hole).any(&mut f) || (hole + 1..r.hi).any(&mut f)
+            })
     }
 
     /// Word-parallel independence check: returns a conflicting adjacent
@@ -1069,6 +1093,23 @@ mod tests {
             for (v, want) in reference.iter().enumerate() {
                 let v = NodeId::new(v);
                 assert_eq!(b.row(v, &mut buf), &want[..], "group {group}, row {v}");
+                // The neighbor visit reaches every bit of the row and
+                // none outside it, and stops at the first accepted one.
+                let mut seen = vec![0u64; want.len()];
+                let mut visits = 0;
+                assert!(!b.any_neighbor(v, |u| {
+                    seen[u.index() / 64] |= 1 << (u.index() % 64);
+                    visits += 1;
+                    false
+                }));
+                assert_eq!(seen, *want, "group {group}, row {v}: visited");
+                visits = 0;
+                let found = b.any_neighbor(v, |_| {
+                    visits += 1;
+                    true
+                });
+                assert_eq!(found, b.degree(v) > 0, "group {group}, row {v}");
+                assert_eq!(visits, usize::from(found), "group {group}, row {v}");
                 for u in 0..n {
                     let bit = want[u / 64] >> (u % 64) & 1 == 1;
                     assert_eq!(b.has_edge(v, NodeId::new(u)), bit, "group {group}, {v}–{u}");

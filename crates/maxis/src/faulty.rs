@@ -20,7 +20,7 @@
 //! chaos tests shrink to a seed.
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
-use pslocal_graph::{Graph, IndependentSet, NodeId};
+use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -197,6 +197,12 @@ pub struct InjectedFault {
 /// before; under concurrent use each call still atomically claims a
 /// unique call index, so the *multiset* of injected faults is still a
 /// pure function of the plan and the call count.
+///
+/// The wrapper passes its inner oracle's dense kernel through
+/// ([`MaxIsOracle::supports_dense`]), so a fault script does not send a
+/// dense phase graph to CSR. Every fault gives the same set and the same
+/// log on both routes: [`FaultKind::InvalidSet`] claims the graph's
+/// first edge in canonical order, read from the CSR or the bit rows.
 #[derive(Debug)]
 pub struct FaultyOracle<O> {
     inner: O,
@@ -246,19 +252,9 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
         self.log.lock().unwrap_or_else(PoisonError::into_inner).push(InjectedFault { call, kind });
     }
 
-    /// A claimed-but-not independent set: an adjacent pair where the
-    /// graph has edges, an out-of-range vertex otherwise.
-    fn corrupt_set(graph: &Graph) -> IndependentSet {
-        if let Some((u, v)) = graph.edges().next() {
-            IndependentSet::new_unchecked(vec![u, v])
-        } else {
-            IndependentSet::new_unchecked(vec![NodeId::new(graph.node_count())])
-        }
-    }
-
     fn apply(
         &self,
-        graph: &Graph,
+        host: &impl Host,
         compute: impl FnOnce() -> (IndependentSet, usize),
     ) -> (IndependentSet, usize) {
         let call = self.calls.fetch_add(1, Ordering::SeqCst);
@@ -273,17 +269,12 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
                         panic!("injected fault: oracle panicked on call {call}")
                     }
                     FaultKind::EmptySet => (IndependentSet::empty(), 0),
-                    FaultKind::InvalidSet => (Self::corrupt_set(graph), 0),
+                    FaultKind::InvalidSet => (host.corrupt_set(), 0),
                     FaultKind::UnderDeliver => {
                         let (set, rounds) = compute();
                         let keep: Vec<NodeId> =
                             set.vertices().iter().copied().take(set.len() / 2).collect();
-                        let set = IndependentSet::new(graph, keep)
-                            // Invariant: a subset of an independent set
-                            // is independent.
-                            // pslocal: allow(panic-path, "subset of the inner oracle's independent set is independent; a failure means the inner oracle lied")
-                            .expect("subset of inner oracle's independent set");
-                        (set, rounds)
+                        (host.subset(keep), rounds)
                     }
                     FaultKind::Stall(steps) => {
                         let out = compute();
@@ -293,6 +284,63 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
                 }
             }
         }
+    }
+}
+
+/// The graph a call answers on, as the faults read it.
+trait Host {
+    /// A claimed-but-not independent set: the first edge in canonical
+    /// order where the graph has edges, an out-of-range vertex otherwise.
+    fn corrupt_set(&self) -> IndependentSet;
+
+    /// `keep`, a subset of the inner oracle's set, as a verified set.
+    /// Invariant, not a fallible path: a subset of an independent set
+    /// is independent, so a failure means the inner oracle lied.
+    fn subset(&self, keep: Vec<NodeId>) -> IndependentSet;
+}
+
+/// CSR rows.
+impl Host for Graph {
+    fn corrupt_set(&self) -> IndependentSet {
+        let pair = match self.edges().next() {
+            Some((u, v)) => vec![u, v],
+            None => vec![NodeId::new(self.node_count())],
+        };
+        IndependentSet::new_unchecked(pair)
+    }
+
+    fn subset(&self, keep: Vec<NodeId>) -> IndependentSet {
+        IndependentSet::new(self, keep)
+            // pslocal: allow(panic-path, "subset of the inner oracle's independent set is independent; a failure means the inner oracle lied")
+            .expect("subset of inner oracle's independent set")
+    }
+}
+
+/// Bit rows.
+impl Host for BitsetGraph {
+    /// The first edge in canonical order is the least `u` with a
+    /// neighbor above it, paired with its least such neighbor.
+    fn corrupt_set(&self) -> IndependentSet {
+        let mut buf = Vec::new();
+        let first = (0..self.node_count()).find_map(|u| {
+            let row = self.row(NodeId::new(u), &mut buf);
+            let (w, b) = (u / 64, u % 64);
+            let above = std::iter::once(row[w] & !(u64::MAX >> (63 - b)))
+                .chain(row[w + 1..].iter().copied());
+            let (i, word) = above.enumerate().find(|&(_, word)| word != 0)?;
+            Some(vec![NodeId::new(u), NodeId::new((w + i) * 64 + word.trailing_zeros() as usize)])
+        });
+        IndependentSet::new_unchecked(first.unwrap_or_else(|| vec![NodeId::new(self.node_count())]))
+    }
+
+    /// The word-parallel checker stands in for `IndependentSet::new`'s
+    /// CSR check.
+    fn subset(&self, keep: Vec<NodeId>) -> IndependentSet {
+        if let Some((u, v)) = self.is_independent_set(&keep) {
+            // pslocal: allow(panic-path, "subset of the inner oracle's independent set is independent; a failure means the inner oracle lied")
+            panic!("subset of inner oracle's independent set: {u:?} conflicts with {v:?}");
+        }
+        IndependentSet::new_unchecked(keep)
     }
 }
 
@@ -307,6 +355,22 @@ impl<O: MaxIsOracle> MaxIsOracle for FaultyOracle<O> {
 
     fn independent_set_with_rounds(&self, graph: &Graph) -> (IndependentSet, usize) {
         self.apply(graph, || self.inner.independent_set_with_rounds(graph))
+    }
+
+    fn supports_dense(&self) -> bool {
+        self.inner.supports_dense()
+    }
+
+    fn independent_set_dense(
+        &self,
+        bits: &BitsetGraph,
+        scratch: &mut BitsetScratch,
+    ) -> IndependentSet {
+        self.apply(bits, || (self.inner.independent_set_dense(bits, scratch), 1)).0
+    }
+
+    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
+        self.inner.lambda_for_dense(bits)
     }
 
     fn stalled_steps(&self) -> usize {

@@ -6,11 +6,23 @@
 //! Theorem 1.1 reduction — and, importantly for the paper's narrative,
 //! it is the *distributed* oracle: plugging it in makes the whole
 //! reduction run on the LOCAL simulator.
+//!
+//! As in the LOCAL model, where every node draws its own coins, the
+//! centralized fast path reads nothing of the graph beyond each
+//! component for its randomness: a component's stream is seeded from its
+//! degree sequence in `O(n)`, not from an `O(|E|)` hash of the whole
+//! adjacency. One kernel reads both representations of a phase graph
+//! behind a small private trait, so the oracle reports
+//! [`MaxIsOracle::supports_dense`] and the reduction drivers build a
+//! dense `G_k` for it once, on bit rows: there the components grow by
+//! OR-ing each level's rows into a mask, and the rounds visit a row's
+//! neighbors from its slot list and fixed ranges
+//! ([`BitsetGraph::any_neighbor`]).
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
-use pslocal_graph::algo::traversal::component_vertex_sets;
+use pslocal_graph::algo::traversal::{component_vertex_sets, component_vertex_sets_dense};
 use pslocal_graph::fingerprint::degree_fingerprint;
-use pslocal_graph::{Graph, IndependentSet, NodeId};
+use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
 use pslocal_local::algorithms::LubyMis;
 use pslocal_local::{Engine, Network};
 use rand::{Rng, SeedableRng};
@@ -86,6 +98,36 @@ impl LubyRows for Graph {
     fn verified(&self, members: Vec<NodeId>) -> IndependentSet {
         // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
         IndependentSet::new(self, members).expect("Luby returns an independent set")
+    }
+}
+
+/// Bit rows: components grown by OR-ing each level's rows, and
+/// neighbors read from each row's slot list and fixed ranges.
+impl LubyRows for BitsetGraph {
+    fn node_count(&self) -> usize {
+        BitsetGraph::node_count(self)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        BitsetGraph::degree(self, v)
+    }
+
+    fn components(&self) -> Vec<Vec<NodeId>> {
+        component_vertex_sets_dense(self)
+    }
+
+    fn any_neighbor(&self, v: NodeId, f: impl FnMut(NodeId) -> bool) -> bool {
+        BitsetGraph::any_neighbor(self, v, f)
+    }
+
+    /// The word-parallel checker stands in for `IndependentSet::new`'s
+    /// CSR check before the unchecked constructor takes ownership.
+    fn verified(&self, members: Vec<NodeId>) -> IndependentSet {
+        if let Some((u, v)) = self.is_independent_set(&members) {
+            // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
+            panic!("Luby output is not independent: {u:?} conflicts with {v:?}");
+        }
+        IndependentSet::new_unchecked(members)
     }
 }
 
@@ -179,6 +221,21 @@ impl MaxIsOracle for LubyOracle {
     /// invariance; see the type-level docs).
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
         self.solve(graph)
+    }
+
+    fn supports_dense(&self) -> bool {
+        true
+    }
+
+    /// The set [`independent_set`](MaxIsOracle::independent_set)
+    /// returns on the CSR form: the same components, seeds and rounds,
+    /// read from bit rows.
+    fn independent_set_dense(&self, bits: &BitsetGraph, _: &mut BitsetScratch) -> IndependentSet {
+        self.solve(bits)
+    }
+
+    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
+        Some(bits.max_degree() as f64 + 1.0)
     }
 
     /// Runs the oracle on the LOCAL simulator and reports the round

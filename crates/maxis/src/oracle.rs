@@ -106,12 +106,15 @@ pub trait MaxIsOracle: Sync {
     /// representation directly via
     /// [`independent_set_dense`](Self::independent_set_dense).
     ///
-    /// Defaults to `false`, so wrappers such as
-    /// [`FaultyOracle`](crate::FaultyOracle) and oracles without a dense
-    /// kernel transparently fall back to the CSR route and are called
-    /// through [`independent_set`]. Two oracles read bit rows:
-    /// [`GreedyOracle`](crate::GreedyOracle) and
-    /// [`DecompositionOracle`](crate::DecompositionOracle).
+    /// Defaults to `false`, so oracles without a dense kernel
+    /// transparently fall back to the CSR route and are called through
+    /// [`independent_set`]. Three oracles read bit rows:
+    /// [`GreedyOracle`](crate::GreedyOracle),
+    /// [`LubyOracle`](crate::LubyOracle) and
+    /// [`DecompositionOracle`](crate::DecompositionOracle). Wrappers pass
+    /// their inner oracle's answer through: a `Box`, and
+    /// [`FaultyOracle`](crate::FaultyOracle), whose faults act alike on
+    /// both routes.
     ///
     /// The reduction drivers also read it to pick the route: under
     /// `KernelStrategy::Auto`, a primary that returns `false` gets the

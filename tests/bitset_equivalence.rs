@@ -1,8 +1,9 @@
 //! Bitset-kernel equivalence suite.
 //!
 //! The dense (word-parallel) pipeline must be a pure cost knob: the
-//! direct bit-row conflict-graph build, the dense greedy and
-//! decomposition oracle routes, and a phase loop running through a
+//! direct bit-row conflict-graph build, the dense greedy, Luby and
+//! decomposition oracle routes, a fault wrapper passing its inner
+//! oracle's dense kernel through, and a phase loop running through a
 //! reused [`PhaseWorkspace`] all
 //! have to reproduce the CSR reference **byte-for-byte** — same
 //! adjacency, same phase records, same coloring. These properties are
@@ -20,11 +21,13 @@ use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::{BitsetGraph, BitsetScratch, Graph, Hypergraph, KernelStrategy};
 use pslocal::maxis::{
-    DecompositionOracle, FaultPlan, FaultyOracle, GreedyOracle, LubyOracle, MaxIsOracle,
+    CliqueRemovalOracle, DecompositionOracle, FaultKind, FaultPlan, FaultyOracle, GreedyOracle,
+    LubyOracle, MaxIsOracle,
 };
 use pslocal::slocal::decomposition::{carve_decomposition, carve_decomposition_dense};
 use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
 use rand::{Rng, SeedableRng};
+use std::panic::AssertUnwindSafe;
 
 /// A random hypergraph: `m` edges of 1–6 distinct vertices over `n ≤ 40`
 /// vertices (sizes and members seeded, so failures replay exactly).
@@ -59,10 +62,11 @@ fn kernel_options(literal_ecolor: bool, kernel: KernelStrategy) -> ConflictGraph
     ConflictGraphOptions { literal_ecolor, kernel }
 }
 
-/// A `G_k` for the decomposition tests: a planted instance at palettes
+/// A `G_k` for the dense oracle tests: a planted instance at palettes
 /// up to the serve-dense pool's 8, or a random hypergraph at palettes
-/// up to 70, where a slot's rows span two 64-color chunks.
-fn decomposition_instance() -> impl Strategy<Value = (Hypergraph, usize)> {
+/// up to 70, where a slot's rows span two 64-color chunks. The random
+/// hypergraphs' `G_k` often has several components.
+fn dense_oracle_instance() -> impl Strategy<Value = (Hypergraph, usize)> {
     prop_oneof![
         (0u64..10_000, 8usize..=48, 1usize..=12, 1usize..=8).prop_map(|(seed, n, m, k)| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -91,16 +95,26 @@ fn check_dense_decomposition(bits: &BitsetGraph, graph: &Graph) {
     assert_eq!(oracle.lambda_for_dense(bits), oracle.lambda_for(graph));
 }
 
-/// The oracles `reduction_is_kernel_invariant` runs: greedy and the
-/// decomposition oracle, which have dense kernels, and two that read
-/// CSR only — Luby, and greedy behind a fault wrapper that does not
-/// pass its dense kernel through.
+/// Luby's dense route against its CSR route on one graph: the same
+/// set and the same λ.
+fn check_dense_luby(bits: &BitsetGraph, graph: &Graph, seed: u64) {
+    let oracle = LubyOracle::new(seed);
+    let dense = oracle.independent_set_dense(bits, &mut BitsetScratch::default());
+    assert_eq!(dense, oracle.independent_set(graph));
+    assert_eq!(oracle.lambda_for_dense(bits), oracle.lambda_for(graph));
+}
+
+/// The oracles `reduction_is_kernel_invariant` runs: greedy, Luby, the
+/// decomposition oracle and greedy behind a fault wrapper, which read
+/// bit rows (the wrapper passes greedy's dense kernel through), and
+/// clique removal, which reads CSR only.
 fn oracle(case: u8, seed: u64) -> Box<dyn MaxIsOracle> {
     match case {
         0 => Box::new(GreedyOracle),
         1 => Box::new(LubyOracle::new(seed)),
         2 => Box::new(DecompositionOracle::default()),
-        _ => Box::new(FaultyOracle::new(GreedyOracle, FaultPlan::none())),
+        3 => Box::new(FaultyOracle::new(GreedyOracle, FaultPlan::none())),
+        _ => Box::new(CliqueRemovalOracle),
     }
 }
 
@@ -192,7 +206,7 @@ proptest! {
     /// both `E_color` readings, against their lazily built CSR.
     #[test]
     fn dense_decomposition_matches_csr_on_conflict_graphs(
-        (h, k) in decomposition_instance(),
+        (h, k) in dense_oracle_instance(),
         literal_bit in 0u8..2,
     ) {
         let options = kernel_options(literal_bit == 1, KernelStrategy::Bitset);
@@ -201,12 +215,52 @@ proptest! {
         check_dense_decomposition(bits, cg.graph());
     }
 
+    /// Luby reads bit rows exactly as CSR on random G(n, p), from empty
+    /// to complete, at sizes within one, two and more than two 64-bit
+    /// words. With `blocks` ≥ 2 the graph is the union of that many
+    /// G(n, p) on interleaved ids (block `b` holds the ids `≡ b` mod
+    /// `blocks`), so it has several components whose members are not
+    /// consecutive.
+    #[test]
+    fn dense_luby_matches_csr_on_gnp(
+        seed in 0u64..10_000,
+        n in 1usize..200,
+        p_pct in 0u32..=100,
+        blocks in 1usize..=3,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let p = f64::from(p_pct) / 100.0;
+        let mut edges = Vec::new();
+        for b in 0..blocks {
+            let size = (n + blocks - 1 - b) / blocks;
+            let block = pslocal::graph::generators::random::gnp(&mut rng, size, p);
+            let id = |v: pslocal::graph::NodeId| v.index() * blocks + b;
+            edges.extend(block.edges().map(|(u, v)| (id(u), id(v))));
+        }
+        let g = Graph::from_edges(n, edges).expect("interleaved blocks are simple");
+        check_dense_luby(&BitsetGraph::from_graph(&g), &g, seed);
+    }
+
+    /// The same on the slot-grouped rows of forced-bitset `G_k`s, in
+    /// both `E_color` readings, against their lazily built CSR.
+    #[test]
+    fn dense_luby_matches_csr_on_conflict_graphs(
+        (h, k) in dense_oracle_instance(),
+        literal_bit in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let options = kernel_options(literal_bit == 1, KernelStrategy::Bitset);
+        let cg = ConflictGraph::build_with_options(&h, k, options);
+        let bits = cg.bitset().expect("forced bitset kernel builds bit rows");
+        check_dense_luby(bits, cg.graph(), seed);
+    }
+
     /// End-to-end: forcing `Csr`, forcing `Bitset`, and letting `Auto`
     /// decide all produce the identical reduction — records, coloring,
-    /// color count — with a dense-capable oracle and with oracles that
-    /// read CSR only.
+    /// color count — with dense-capable oracles and with one that reads
+    /// CSR only (clique removal).
     #[test]
-    fn reduction_is_kernel_invariant((h, k) in instance(), case in 0u8..4, seed in 0u64..1000) {
+    fn reduction_is_kernel_invariant((h, k) in instance(), case in 0u8..5, seed in 0u64..1000) {
         let run = |kernel| {
             let mut config = ReductionConfig::new(k);
             config.kernel = kernel;
@@ -304,11 +358,12 @@ fn bench_instance_stores_one_group_per_slot() {
     );
 }
 
-/// On the dense bench instance, `Auto` builds bit rows only for the
-/// primary that reads them: Luby gets one `csr` build, greedy and the
-/// decomposition oracle one `bitset` build, and no phase builds its
-/// graph twice. Forcing bit rows under Luby costs a lazy CSR in every
-/// phase.
+/// On the dense bench instance, `Auto` builds bit rows only for a
+/// primary that reads them: greedy, Luby, the decomposition oracle and
+/// a fault-wrapped greedy (the wrapper passes greedy's dense kernel
+/// through) get one `bitset` build, clique removal, which reads CSR
+/// only, one `csr` build, and no phase builds its graph twice. Forcing
+/// bit rows under clique removal costs a lazy CSR in every phase.
 #[test]
 fn auto_builds_one_representation_per_phase() {
     let h = dense_bench_instance();
@@ -321,10 +376,13 @@ fn auto_builds_one_representation_per_phase() {
     let built = |sink: &MemorySink, name| sink.spans().iter().filter(|s| s.name == name).count();
     let luby = LubyOracle::new(5);
     let decomposition = DecompositionOracle::default();
+    let faulty = FaultyOracle::new(GreedyOracle, FaultPlan::none());
     for (oracle, route) in [
-        (&luby as &dyn MaxIsOracle, names::CSR),
+        (&CliqueRemovalOracle as &dyn MaxIsOracle, names::CSR),
+        (&luby, names::BITSET),
         (&decomposition, names::BITSET),
         (&GreedyOracle, names::BITSET),
+        (&faulty, names::BITSET),
     ] {
         let (_, sink) = traced(oracle, KernelStrategy::Auto);
         let other = if route == names::CSR { names::BITSET } else { names::CSR };
@@ -332,8 +390,60 @@ fn auto_builds_one_representation_per_phase() {
         assert_eq!(built(&sink, other), 0, "{}: no {other} build", oracle.name());
         assert_eq!(sink.counter_total(Counter::LazyCsrBuilds), 0, "{}", oracle.name());
     }
-    let (out, sink) = traced(&luby, KernelStrategy::Bitset);
+    let (out, sink) = traced(&CliqueRemovalOracle, KernelStrategy::Bitset);
     assert_eq!(sink.counter_total(Counter::LazyCsrBuilds), out.phases_used as u64);
     let phases = sink.spans().into_iter().filter(|s| s.name == names::PHASE);
     assert!(phases.map(|p| p.counter(Counter::LazyCsrBuilds)).all(|lazy| lazy == 1));
+}
+
+/// A fault wrapper passes its inner oracle's dense kernel through, and
+/// every fault kind gives the same set, the same fault log and the same
+/// stall on both routes: greedy, Luby and the decomposition oracle, on
+/// forced-bitset `G_k`s and on bit rows whose first edge is not at
+/// vertex 0. An injected panic panics on both routes.
+#[test]
+fn faulty_oracle_passes_the_dense_kernel_through() {
+    let forced = |h: &Hypergraph, k| {
+        ConflictGraph::build_with_options(h, k, kernel_options(false, KernelStrategy::Bitset))
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let planted = planted_cf_instance(&mut rng, PlantedCfParams::new(24, 10, 3)).hypergraph;
+    let graphs = [forced(&dense_bench_instance(), 8), forced(&planted, 3)];
+    let late_edge = Graph::from_edges(6, [(2, 5), (3, 4), (1, 4)]).unwrap();
+    let late_bits = BitsetGraph::from_graph(&late_edge);
+    let mut cases: Vec<(&BitsetGraph, &Graph)> =
+        graphs.iter().map(|cg| (cg.bitset().expect("forced bit rows"), cg.graph())).collect();
+    cases.push((&late_bits, &late_edge));
+    let kinds = [
+        FaultKind::InvalidSet,
+        FaultKind::UnderDeliver,
+        FaultKind::EmptySet,
+        FaultKind::Panic,
+        FaultKind::Stall(7),
+    ];
+    for (i, &(bits, graph)) in cases.iter().enumerate() {
+        // Greedy, Luby and the decomposition oracle.
+        for inner in 0..3 {
+            for kind in kinds {
+                let plan = FaultPlan::scripted(vec![Some(kind)]);
+                let csr = FaultyOracle::new(oracle(inner, 11), plan.clone());
+                let dense = FaultyOracle::new(oracle(inner, 11), plan);
+                let case = format!("graph {i}, {}, {kind}", dense.inner().name());
+                assert!(dense.supports_dense(), "{case}");
+                assert_eq!(dense.lambda_for_dense(bits), csr.lambda_for(graph), "{case}");
+                let on_csr =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| csr.independent_set(graph))).ok();
+                let on_bits = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    dense.independent_set_dense(bits, &mut BitsetScratch::default())
+                }))
+                .ok();
+                assert_eq!(on_bits, on_csr, "{case}");
+                assert_eq!(on_bits.is_none(), kind == FaultKind::Panic, "{case}");
+                assert_eq!(dense.fault_log(), csr.fault_log(), "{case}");
+                assert_eq!(dense.stalled_steps(), csr.stalled_steps(), "{case}");
+            }
+        }
+    }
+    let plan = FaultPlan::none();
+    assert!(!FaultyOracle::new(CliqueRemovalOracle, plan).supports_dense());
 }
