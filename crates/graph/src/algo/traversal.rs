@@ -441,6 +441,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
         let mut graphs = vec![Graph::empty(0), Graph::empty(1), Graph::empty(70), path(9)];
         graphs.push(Graph::from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)]).unwrap());
+        // A star whose 100th leaf alone reaches vertex 101: the level of
+        // leaves spans two 64-row checks, and only its last row finds 101.
+        let broom = (1..=100).map(|v| (0, v)).chain([(100, 101)]);
+        graphs.push(Graph::from_edges(102, broom).unwrap());
         // One, two and three row words, around the connectivity threshold.
         for (n, p) in [(60, 0.02), (60, 0.1), (130, 0.01), (130, 0.03), (150, 0.3)] {
             graphs.push(crate::generators::random::gnp(&mut rng, n, p));

