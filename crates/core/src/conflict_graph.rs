@@ -50,7 +50,8 @@
 //! compare every kernel against.
 
 use pslocal_graph::{
-    csr, BitsetGraph, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, NodeId,
+    csr, Adjacency, BitsetGraph, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy,
+    NodeId,
 };
 use pslocal_telemetry::{names, Counter, Instrument, Sink, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -411,15 +412,23 @@ impl ConflictGraph {
 
     /// Re-validates a claimed independent set against `G_k` (range
     /// check plus full adjacency re-check) on whichever representation
-    /// is resident — the resilient driver's acceptance check and the
-    /// oracle cache's fingerprint-collision check.
+    /// is resident — the resilient driver's acceptance check.
     pub fn verify_independent(&self, set: &IndependentSet) -> bool {
-        if let Some(bits) = &self.bits {
-            return bits.is_independent_set(set.vertices()).is_none();
+        match &self.bits {
+            Some(bits) => bits.first_conflict(set.vertices()).is_none(),
+            None => self.graph().first_conflict(set.vertices()).is_none(),
         }
-        let g = self.graph();
-        let n = g.node_count();
-        set.vertices().iter().all(|v| v.index() < n) && g.is_independent_set(set.vertices())
+    }
+
+    /// `vertices` as an independent set of `G_k`, or `None` if they are
+    /// not one, checked by [`IndependentSet::new`] on whichever
+    /// representation is resident — how journal replay and the oracle
+    /// cache rebuild a stored set.
+    pub(crate) fn verified_set(&self, vertices: Vec<NodeId>) -> Option<IndependentSet> {
+        match &self.bits {
+            Some(bits) => IndependentSet::new(bits, vertices).ok(),
+            None => IndependentSet::new(self.graph(), vertices).ok(),
+        }
     }
 
     /// The byte footprint of the phase graph's CSR form (`u32` offsets,

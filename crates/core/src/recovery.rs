@@ -87,7 +87,7 @@ use crate::conflict_graph::ConflictGraph;
 use crate::reduction::{commit_phase, decay_allowed, PhaseRecord};
 use crate::resilient::{FaultEvent, FaultEventKind};
 use pslocal_cfcolor::Multicoloring;
-use pslocal_graph::{HyperedgeId, Hypergraph, IndependentSet, NodeId};
+use pslocal_graph::{HyperedgeId, Hypergraph, NodeId};
 use pslocal_telemetry::{names, span, Counter, Sink, Span};
 use std::error::Error;
 use std::fmt;
@@ -1060,8 +1060,8 @@ fn validate_and_commit(
         return None;
     }
     let vertices: Vec<NodeId> = jp.set.iter().map(|&v| NodeId::new(v as usize)).collect();
-    let set = IndependentSet::new_unchecked(vertices);
-    if !cg.verify_independent(&set) || set.len() < jp.quota_required {
+    let set = cg.verified_set(vertices)?;
+    if set.len() < jp.quota_required {
         return None;
     }
     // Re-commit and compare: the stored record must be *exactly* what

@@ -415,17 +415,14 @@ fn certified<O: MaxIsOracle + ?Sized>(oracle: &O) -> bool {
     matches!(oracle.guarantee(), ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne)
 }
 
-/// The oracle's concrete λ on a phase conflict graph, preferring the
-/// dense route ([`MaxIsOracle::lambda_for_dense`]) when the graph was
-/// built on the bitset kernel, so the budget computation does not
-/// force a CSR materialization.
+/// The oracle's concrete λ on a phase conflict graph, read from the
+/// resident form ([`MaxIsOracle::lambda_for_dense`] on bit rows), so
+/// the budget computation never builds a CSR.
 fn lambda_for_phase<O: MaxIsOracle + ?Sized>(cg: &ConflictGraph, oracle: &O) -> Option<f64> {
-    if let Some(bits) = cg.bitset() {
-        if let Some(l) = oracle.lambda_for_dense(bits) {
-            return Some(l);
-        }
+    match cg.bitset() {
+        Some(bits) => oracle.lambda_for_dense(bits),
+        None => oracle.lambda_for(cg.graph()),
     }
-    oracle.lambda_for(cg.graph())
 }
 
 /// The graph one chain walk solves, with the residual hyperedge count
@@ -461,12 +458,7 @@ impl Target<'_> {
     fn is_independent(&self, set: &IndependentSet) -> bool {
         match self {
             Target::Whole { cg, .. } => cg.verify_independent(set),
-            // The range check must come first: `is_independent_set`
-            // panics on out-of-range vertices.
-            Target::Component { sub, .. } => {
-                set.vertices().iter().all(|v| v.index() < sub.node_count())
-                    && sub.is_independent_set(set.vertices())
-            }
+            Target::Component { sub, .. } => sub.is_independent_set(set.vertices()),
         }
     }
 

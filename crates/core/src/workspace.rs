@@ -90,8 +90,7 @@ impl OracleCache {
         let Some(pos) = self.entries.iter().position(|(fp, _)| *fp == fingerprint) else {
             return CacheLookup::Miss;
         };
-        let set = IndependentSet::new_unchecked(self.entries[pos].1.clone());
-        if cg.verify_independent(&set) {
+        if let Some(set) = cg.verified_set(self.entries[pos].1.clone()) {
             let entry = self.entries.remove(pos);
             self.entries.push(entry);
             CacheLookup::Hit(set)

@@ -8,7 +8,9 @@
 //! provides that dense representation ([`BitsetGraph`]) plus the three
 //! kernels the reduction hot path needs:
 //!
-//! * [`BitsetGraph::is_independent_set`] — membership mask AND row,
+//! * the independence check,
+//!   [`Adjacency::first_conflict`](crate::Adjacency::first_conflict) on
+//!   bit rows — membership mask AND row,
 //! * [`BitsetGraph::delete_closed_neighborhood`] — one masked word
 //!   sweep per deletion,
 //! * [`BitsetGraph::min_degree_greedy`] — the minimum-degree greedy
@@ -35,6 +37,9 @@
 //! each slot's list once for all of the slot's rows they take, and
 //! [`BitsetGraph::any_neighbor`], which reads one row's list and
 //! ranges.
+//!
+//! Code that serves CSR and bit rows alike reads either through
+//! [`Adjacency`](crate::Adjacency).
 //!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
@@ -217,13 +222,13 @@ impl FixedRange {
 /// # Examples
 ///
 /// ```
-/// use pslocal_graph::{bitset::BitsetGraph, Graph, NodeId};
+/// use pslocal_graph::{bitset::BitsetGraph, Adjacency, Graph, NodeId};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
 /// let b = BitsetGraph::from_graph(&g);
 /// assert_eq!(b.degree(NodeId::new(1)), 2);
-/// assert!(b.is_independent_set(&[NodeId::new(0), NodeId::new(2)]).is_none());
+/// assert!(b.first_conflict(&[NodeId::new(0), NodeId::new(2)]).is_none());
 /// # Ok(())
 /// # }
 /// ```
@@ -529,32 +534,6 @@ impl BitsetGraph {
                 let hole = if r.hole == NO_HOLE { r.hi } else { r.hole + c };
                 (r.lo..hole).any(&mut f) || (hole + 1..r.hi).any(&mut f)
             })
-    }
-
-    /// Word-parallel independence check: returns a conflicting adjacent
-    /// pair if one exists, `None` when `vs` is independent.
-    ///
-    /// Out-of-range vertices are reported as self-conflicts `(v, v)`.
-    /// `O(|vs|·words)` after building the membership mask.
-    pub fn is_independent_set(&self, vs: &[NodeId]) -> Option<(NodeId, NodeId)> {
-        let mut member = vec![0u64; self.words];
-        for &v in vs {
-            if v.index() >= self.n {
-                return Some((v, v));
-            }
-            member[v.index() / 64] |= 1u64 << (v.index() % 64);
-        }
-        let mut buf = Vec::new();
-        for &v in vs {
-            for (wi, (&rw, &mw)) in self.row(v, &mut buf).iter().zip(&member).enumerate() {
-                let hit = rw & mw;
-                if hit != 0 {
-                    let u = NodeId::new(wi * 64 + hit.trailing_zeros() as usize);
-                    return Some((v, u));
-                }
-            }
-        }
-        None
     }
 
     /// Deletes `v` and its alive neighbors from `alive` in one masked
@@ -944,7 +923,9 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::generators::classic::{complete, cycle, star};
+    use crate::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use crate::generators::random::gnp;
+    use crate::{Adjacency, HyperedgeId, NotIndependentError};
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -1194,30 +1175,146 @@ mod tests {
         }
     }
 
-    #[test]
-    fn independence_check_matches_csr() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let g = gnp(&mut rng, 70, 0.1);
-            let b = g.to_bitset();
-            let is = crate::IndependentSet::new(&g, g.nodes().step_by(7).collect());
-            match is {
-                Ok(set) => assert!(b.is_independent_set(set.vertices()).is_none()),
-                Err(e) => {
-                    let (u, v) = b
-                        .is_independent_set(&g.nodes().step_by(7).collect::<Vec<_>>())
-                        .expect("bitset check must also reject");
-                    assert!(g.neighbors(u).contains(&v));
-                    let _ = e;
+    /// The Section 2 conflict graph `G_k` of a planted instance, on bit
+    /// rows stored one group per `(e, v)` slot as the bitset `G_k` build
+    /// stores them, and in CSR form from the three family predicates
+    /// (`E_color` without the literal reading). Triples are numbered
+    /// hyperedge-major, then member, then color.
+    fn planted_conflict_graph(seed: u64, n: usize, m: usize, k: usize) -> (BitsetGraph, Graph) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let h = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k)).hypergraph;
+        let mut block = vec![0u32];
+        for e in h.edge_ids() {
+            block.push(block[e.index()] + (h.edge(e).len() * k) as u32);
+        }
+        let slot = |g: HyperedgeId, u: NodeId| {
+            block[g.index()] + (h.edge(g).binary_search(&u).unwrap() * k) as u32
+        };
+        let (mut targets, mut target_offsets) = (Vec::new(), vec![0u32]);
+        let (mut ranges, mut range_offsets, mut offsets) = (Vec::new(), vec![0u32], vec![0u32]);
+        for e in h.edge_ids() {
+            for &v in h.edge(e) {
+                let (t0, r0) = (targets.len(), ranges.len());
+                // E_edge: the block of `e`, less the row's own node.
+                let (lo, hi) = (block[e.index()], block[e.index() + 1]);
+                ranges.push(FixedRange::new(lo, hi, Some(slot(e, v))));
+                for g in h.edge_ids().filter(|&g| g != e) {
+                    let v_in_g = h.edge_contains(g, v);
+                    if v_in_g {
+                        // E_vertex: the slot of `v` in `g`, less the row's color.
+                        let at = slot(g, v);
+                        ranges.push(FixedRange::new(at, at + k as u32, Some(at)));
+                    }
+                    // E_color: the row's color at every other member of
+                    // `g` if `v ∈ g`, else at the members `g` shares with `e`.
+                    let colored = h.edge(g).iter().filter(|&&u| {
+                        if v_in_g {
+                            u != v
+                        } else {
+                            h.edge_contains(e, u)
+                        }
+                    });
+                    targets.extend(colored.map(|&u| slot(g, u)));
+                }
+                let held = ranges[r0..].iter().map(|r| r.hi - r.lo - u32::from(r.hole != NO_HOLE));
+                let degree = (targets.len() - t0) as u32 + held.sum::<u32>();
+                for _ in 0..k {
+                    offsets.push(offsets.last().unwrap() + degree);
+                }
+                target_offsets.push(targets.len() as u32);
+                range_offsets.push(ranges.len() as u32);
+            }
+        }
+        let nodes = *block.last().unwrap() as usize;
+        let bits = BitsetGraph::from_groups(
+            nodes,
+            k,
+            targets,
+            target_offsets,
+            ranges,
+            range_offsets,
+            offsets,
+        );
+        let triples: Vec<_> = h
+            .edge_ids()
+            .flat_map(|e| h.edge(e).iter().flat_map(move |&v| (0..k).map(move |c| (e, v, c))))
+            .collect();
+        let mut builder = crate::GraphBuilder::new(nodes);
+        for (i, &(e, v, c)) in triples.iter().enumerate() {
+            for (j, &(g, u, d)) in triples.iter().enumerate().skip(i + 1) {
+                let vertex_family = v == u && c != d;
+                let color_family =
+                    c == d && v != u && (h.edge_contains(e, u) || h.edge_contains(g, v));
+                if vertex_family || e == g || color_family {
+                    builder.add_edge(NodeId::new(i), NodeId::new(j));
                 }
             }
         }
+        (bits, builder.build())
+    }
+
+    /// `IndependentSet::new` gives the same result on both forms of a
+    /// graph: the same set, or the same error, naming the same adjacent
+    /// pair or the same out-of-range vertex. So does `first_conflict` on
+    /// the unsorted list. Each graph is checked on independent sets,
+    /// sets with one conflicting vertex added, and sets with an
+    /// out-of-range vertex added.
+    #[test]
+    fn independence_check_matches_csr() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut graphs: Vec<(BitsetGraph, Graph)> = (0..20)
+            .map(|trial| {
+                let g = gnp(&mut rng, [70, 64, 130][trial % 3], [0.1, 0.3][trial % 2]);
+                (g.to_bitset(), g)
+            })
+            .collect();
+        for (seed, n, m, k) in [(1, 12, 6, 1), (2, 20, 10, 2), (3, 24, 10, 3), (4, 32, 12, 4)] {
+            let (bits, g) = planted_conflict_graph(seed, n, m, k);
+            assert_eq!(bits, g.to_bitset(), "slot-grouped G_k rows, seed {seed}");
+            graphs.push((bits, g));
+        }
+        let mut scratch = BitsetScratch::new();
+        let (mut accepted, mut conflicts, mut outside) = (0, 0, 0);
+        for (b, g) in &graphs {
+            let n = g.node_count();
+            let independent = b.min_degree_greedy(&mut scratch);
+            let mut sets = vec![Vec::new(), independent.clone(), g.nodes().step_by(7).collect()];
+            for _ in 0..4 {
+                let mut set = independent.clone();
+                set.insert(rng.gen_range(0..=set.len()), NodeId::new(rng.gen_range(0..n)));
+                sets.push(set.clone());
+                set.insert(rng.gen_range(0..=set.len()), NodeId::new(n + rng.gen_range(0..3usize)));
+                sets.push(set);
+            }
+            for set in sets {
+                assert_eq!(b.first_conflict(&set), g.first_conflict(&set), "{set:?}");
+                let csr = crate::IndependentSet::new(g, set.clone());
+                assert_eq!(crate::IndependentSet::new(b, set.clone()), csr, "{set:?}");
+                match csr {
+                    Ok(_) => accepted += 1,
+                    Err(e) if e.out_of_range.is_some() => outside += 1,
+                    Err(e) => {
+                        let (u, v) = e.conflicting_pair.unwrap();
+                        assert!(g.has_edge(u, v));
+                        conflicts += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 40 && conflicts > 40 && outside > 40,
+            "{accepted} {conflicts} {outside}"
+        );
     }
 
     #[test]
     fn independence_check_flags_out_of_range() {
         let b = cycle(5).to_bitset();
-        assert_eq!(b.is_independent_set(&[NodeId::new(7)]), Some((NodeId::new(7), NodeId::new(7))));
+        let err = b.first_conflict(&[NodeId::new(1), NodeId::new(7), NodeId::new(2)]).unwrap();
+        assert_eq!(
+            err,
+            NotIndependentError { conflicting_pair: None, out_of_range: Some(NodeId::new(7)) }
+        );
     }
 
     #[test]

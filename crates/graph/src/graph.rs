@@ -7,7 +7,7 @@
 //! constructors), which lets every consumer share them freely across
 //! threads, and lets a graph memoize its [`Graph::fingerprint`].
 
-use crate::{EdgeId, GraphError, NodeId};
+use crate::{Adjacency, EdgeId, GraphError, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -244,27 +244,13 @@ impl Graph {
         builder.build()
     }
 
-    /// Checks whether `set` is an independent set (pairwise non-adjacent).
+    /// Checks whether `set` is an independent set (pairwise non-adjacent
+    /// and in range): whether it has no
+    /// [`first_conflict`](Adjacency::first_conflict).
     ///
-    /// Runs in `O(Σ_{v ∈ set} deg(v))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` contains an out-of-range vertex.
+    /// Runs in `O(n + Σ_{v ∈ set} deg(v))`.
     pub fn is_independent_set(&self, set: &[NodeId]) -> bool {
-        let mut member = vec![false; self.node_count()];
-        for &v in set {
-            if member[v.index()] {
-                continue;
-            }
-            member[v.index()] = true;
-        }
-        for &v in set {
-            if self.neighbors(v).iter().any(|&u| u != v && member[u.index()]) {
-                return false;
-            }
-        }
-        true
+        self.first_conflict(set).is_none()
     }
 
     /// Checks whether `set` is a *maximal* independent set: independent,

@@ -2,11 +2,12 @@
 //!
 //! Every MaxIS oracle in the workspace returns an [`IndependentSet`]
 //! rather than a bare vertex list: the constructor verifies independence
-//! against the host graph, so downstream code (in particular the
-//! Theorem 1.1 reduction, whose correctness argument leans on Lemma 2.1
-//! applying to *actual* independent sets) never has to re-check.
+//! against the host graph, in either adjacency form, so downstream code
+//! (in particular the Theorem 1.1 reduction, whose correctness argument
+//! leans on Lemma 2.1 applying to *actual* independent sets) never has
+//! to re-check.
 
-use crate::{Graph, NodeId};
+use crate::{Adjacency, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -36,7 +37,8 @@ impl fmt::Display for NotIndependentError {
 
 impl Error for NotIndependentError {}
 
-/// An independent set of some [`Graph`], verified at construction.
+/// An independent set of some graph, verified at construction on its
+/// CSR or its bit rows.
 ///
 /// The vertex list is sorted and duplicate free. The set remembers only
 /// the vertices, not the graph; pair it with the graph it was built
@@ -67,29 +69,21 @@ impl IndependentSet {
     ///
     /// # Errors
     ///
-    /// Returns [`NotIndependentError`] if two members are adjacent or a
-    /// member is out of range.
-    pub fn new(graph: &Graph, mut vertices: Vec<NodeId>) -> Result<Self, NotIndependentError> {
+    /// Returns [`NotIndependentError`] if a member is out of range (the
+    /// least such), or else if two members are adjacent (the least
+    /// member with a member neighbor, and its least one): the
+    /// [`Adjacency::first_conflict`] of the sorted list, which is the
+    /// same on both forms of a graph.
+    pub fn new(
+        graph: &impl Adjacency,
+        mut vertices: Vec<NodeId>,
+    ) -> Result<Self, NotIndependentError> {
         vertices.sort_unstable();
         vertices.dedup();
-        if let Some(&v) = vertices.iter().find(|v| v.index() >= graph.node_count()) {
-            return Err(NotIndependentError { conflicting_pair: None, out_of_range: Some(v) });
+        match graph.first_conflict(&vertices) {
+            Some(err) => Err(err),
+            None => Ok(IndependentSet { vertices }),
         }
-        let mut member = vec![false; graph.node_count()];
-        for &v in &vertices {
-            member[v.index()] = true;
-        }
-        for &v in &vertices {
-            for &u in graph.neighbors(v) {
-                if member[u.index()] {
-                    return Err(NotIndependentError {
-                        conflicting_pair: Some((v, u)),
-                        out_of_range: None,
-                    });
-                }
-            }
-        }
-        Ok(IndependentSet { vertices })
     }
 
     /// The empty independent set.
@@ -99,20 +93,16 @@ impl IndependentSet {
 
     /// Wraps `vertices` **without** verifying independence or range.
     ///
-    /// Two kinds of caller need this. Code that re-validates a claimed
-    /// set itself on a representation [`IndependentSet::new`] cannot
-    /// read: journal replay and the oracle cache check the set with
-    /// `ConflictGraph::verify_independent`, the range and adjacency
-    /// check on whichever of the CSR or the bit rows is resident. And
-    /// fault injection: chaos testing must be able to hand downstream
-    /// consumers a *claimed* independent set that is actually broken,
-    /// so that their own re-validation (e.g. the resilient reduction
-    /// driver's per-phase independence check) can be exercised. The
-    /// list is still sorted and deduplicated so accessor invariants
-    /// ([`contains`](Self::contains) binary search, ordered iteration)
-    /// keep holding.
+    /// This is for fault injection alone: chaos testing must be able to
+    /// hand downstream consumers a *claimed* independent set that is
+    /// actually broken, so that their own re-validation (e.g. the
+    /// resilient reduction driver's per-phase independence check) can
+    /// be exercised. The list is still sorted and deduplicated so
+    /// accessor invariants ([`contains`](Self::contains) binary search,
+    /// ordered iteration) keep holding.
     ///
-    /// Everywhere else, use [`IndependentSet::new`].
+    /// Everywhere else, use [`IndependentSet::new`], which reads either
+    /// adjacency form.
     pub fn new_unchecked(mut vertices: Vec<NodeId>) -> Self {
         vertices.sort_unstable();
         vertices.dedup();

@@ -14,6 +14,9 @@
 //!   two-way incidence, built via [`HypergraphBuilder`].
 //! * [`IndependentSet`] — independence verified at construction, the
 //!   return type of every MaxIS oracle.
+//! * [`Adjacency`] — the reads that CSR rows and the bit rows of
+//!   [`BitsetGraph`] share, so code that serves both forms is written
+//!   once.
 //! * [`palette::Palette`] — disjoint per-phase color palettes for the
 //!   Theorem 1.1 reduction.
 //! * [`generators`] — deterministic and seeded random graph families,
@@ -38,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adjacency;
 pub mod algo;
 pub mod bitset;
 pub mod csr;
@@ -53,6 +57,7 @@ pub mod ops;
 pub mod palette;
 pub mod stats;
 
+pub use adjacency::Adjacency;
 pub use bitset::{BitsetGraph, BitsetScratch, KernelStrategy};
 pub use error::GraphError;
 pub use graph::{Edges, Graph, GraphBuilder};

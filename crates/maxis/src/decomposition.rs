@@ -41,7 +41,10 @@
 //! copied from bit rows by `O(|cluster|²)` adjacency lookups
 //! ([`csr::induced_sorted_bits_in`]). Each piece gives what its CSR
 //! counterpart gives, so [`MaxIsOracle::independent_set_dense`] returns
-//! exactly the set [`MaxIsOracle::independent_set`] returns.
+//! exactly the set [`MaxIsOracle::independent_set`] returns. The two
+//! cluster kernels are a small private trait on each form; the winning
+//! union is checked through [`Adjacency`] by [`IndependentSet::new`],
+//! on whichever form the sweep ran.
 //!
 //! A class's union has at most as many vertices as the class, and only
 //! a strictly larger union replaces the best one. So the oracle path,
@@ -51,9 +54,9 @@
 
 use crate::exact::ExactOracle;
 use crate::greedy::GreedyScratch;
-use crate::oracle::{decomposition_colors, ApproxGuarantee, MaxIsOracle};
+use crate::oracle::{ApproxGuarantee, MaxIsOracle};
 use pslocal_graph::csr::{self, InducedArena};
-use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
+use pslocal_graph::{Adjacency, BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
 use pslocal_slocal::decomposition::{
     carve_decomposition, carve_decomposition_dense, NetworkDecomposition,
 };
@@ -91,69 +94,45 @@ pub struct DecompositionSolve {
     pub certified: bool,
 }
 
-/// What the class sweep reads of the graph: the two ways it solves a
-/// cluster, given as its strictly increasing members, and the check of
-/// the union it returns.
-trait Clusters {
+/// The two ways the class sweep solves a cluster, given as its
+/// strictly increasing members: each form of the graph has its own
+/// kernel for both.
+trait Clusters: Adjacency {
+    /// The min-degree greedy's buffers on this form.
+    type Scratch;
+
     /// The cluster's induced subgraph, renumbered in member order and
     /// built into `arena`'s buffers, for the exact solver.
     fn copy(&self, members: &[NodeId], arena: &mut InducedArena) -> Graph;
 
     /// Appends the min-degree greedy's picks on the cluster's induced
     /// subgraph to `union`, computed in place on the graph's rows.
-    fn greedy(&mut self, members: &[NodeId], union: &mut Vec<NodeId>);
-
-    /// The best union as a verified set. Invariant, not a fallible
-    /// path: the decomposition's verifier has already certified the
-    /// cluster coloring, so same-color clusters are non-adjacent.
-    fn verified(&self, union: Vec<NodeId>) -> IndependentSet;
+    fn greedy(&self, members: &[NodeId], scratch: &mut Self::Scratch, union: &mut Vec<NodeId>);
 }
 
-/// CSR rows, with one greedy scratch for every large cluster.
-struct CsrClusters<'a> {
-    graph: &'a Graph,
-    greedy: GreedyScratch,
-}
+/// CSR rows.
+impl Clusters for Graph {
+    type Scratch = GreedyScratch;
 
-impl Clusters for CsrClusters<'_> {
     fn copy(&self, members: &[NodeId], arena: &mut InducedArena) -> Graph {
-        csr::induced_sorted_in(self.graph, members, arena)
+        csr::induced_sorted_in(self, members, arena)
     }
 
-    fn greedy(&mut self, members: &[NodeId], union: &mut Vec<NodeId>) {
-        self.greedy.run_members(self.graph, members, union);
-    }
-
-    fn verified(&self, union: Vec<NodeId>) -> IndependentSet {
-        IndependentSet::new(self.graph, union)
-            // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
-            .expect("same-color clusters are non-adjacent, so the union is independent")
+    fn greedy(&self, members: &[NodeId], scratch: &mut GreedyScratch, union: &mut Vec<NodeId>) {
+        scratch.run_members(self, members, union);
     }
 }
 
-/// Bit rows, with the caller's dense scratch for the greedy.
-struct BitClusters<'a> {
-    bits: &'a BitsetGraph,
-    scratch: &'a mut BitsetScratch,
-}
+/// Bit rows.
+impl Clusters for BitsetGraph {
+    type Scratch = BitsetScratch;
 
-impl Clusters for BitClusters<'_> {
     fn copy(&self, members: &[NodeId], arena: &mut InducedArena) -> Graph {
-        csr::induced_sorted_bits_in(self.bits, members, arena)
+        csr::induced_sorted_bits_in(self, members, arena)
     }
 
-    fn greedy(&mut self, members: &[NodeId], union: &mut Vec<NodeId>) {
-        self.bits.min_degree_greedy_members_into(members, self.scratch, union);
-    }
-
-    /// The word-parallel checker stands in for `IndependentSet::new`'s
-    /// CSR check before the unchecked constructor takes ownership.
-    fn verified(&self, union: Vec<NodeId>) -> IndependentSet {
-        if let Some((u, v)) = self.bits.is_independent_set(&union) {
-            // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
-            panic!("decomposition output is not independent: {u:?} conflicts with {v:?}");
-        }
-        IndependentSet::new_unchecked(union)
+    fn greedy(&self, members: &[NodeId], scratch: &mut BitsetScratch, union: &mut Vec<NodeId>) {
+        self.min_degree_greedy_members_into(members, scratch, union);
     }
 }
 
@@ -165,9 +144,9 @@ impl DecompositionOracle {
     pub fn solve(&self, graph: &Graph) -> DecompositionSolve {
         let decomposition = carve_decomposition(graph);
         let mut class_sizes = Vec::with_capacity(decomposition.color_count());
-        let mut clusters = CsrClusters { graph, greedy: GreedyScratch::default() };
+        let mut scratch = GreedyScratch::default();
         let (independent_set, best_color, certified) =
-            self.best_class(&decomposition, &mut clusters, Some(&mut class_sizes));
+            self.best_class(graph, &decomposition, &mut scratch, Some(&mut class_sizes));
         DecompositionSolve { independent_set, decomposition, best_color, class_sizes, certified }
     }
 
@@ -178,10 +157,11 @@ impl DecompositionOracle {
     /// best union so far: its union cannot be larger than the class,
     /// and only a strictly larger union replaces the best, so a
     /// dominated class could never win.
-    fn best_class(
+    fn best_class<G: Clusters>(
         &self,
+        graph: &G,
         decomposition: &NetworkDecomposition,
-        clusters: &mut impl Clusters,
+        scratch: &mut G::Scratch,
         mut class_sizes: Option<&mut Vec<usize>>,
     ) -> (IndependentSet, usize, bool) {
         let cluster_sets = decomposition.cluster_vertex_sets();
@@ -202,13 +182,13 @@ impl DecompositionOracle {
                 // Members are ascending, so local vertex `i` is `members[i]`.
                 let members = &cluster_sets[c];
                 if members.len() <= self.exact_threshold {
-                    let sub = clusters.copy(members, &mut arena);
+                    let sub = graph.copy(members, &mut arena);
                     let local = ExactOracle.independent_set(&sub);
                     union.extend(local.iter().map(|v| members[v.index()]));
                     arena.recycle(sub);
                 } else {
                     certified = false;
-                    clusters.greedy(members, &mut union);
+                    graph.greedy(members, scratch, &mut union);
                 }
             }
             if let Some(sizes) = class_sizes.as_deref_mut() {
@@ -220,7 +200,13 @@ impl DecompositionOracle {
                 best_certified = certified;
             }
         }
-        (clusters.verified(best), best_color, best_certified)
+        // Invariant, not a fallible path: the decomposition's verifier
+        // has already certified the cluster coloring, so same-color
+        // clusters are non-adjacent.
+        let best = IndependentSet::new(graph, best)
+            // pslocal: allow(panic-path, "the network decomposition certified the cluster coloring above; a violation falsifies that certificate")
+            .expect("same-color clusters are non-adjacent, so the union is independent");
+        (best, best_color, best_certified)
     }
 }
 
@@ -232,8 +218,8 @@ impl MaxIsOracle for DecompositionOracle {
     /// The best class union, as [`DecompositionOracle::solve`] chooses
     /// it, without solving the classes that cannot win.
     fn independent_set(&self, graph: &Graph) -> IndependentSet {
-        let mut clusters = CsrClusters { graph, greedy: GreedyScratch::default() };
-        self.best_class(&carve_decomposition(graph), &mut clusters, None).0
+        let mut scratch = GreedyScratch::default();
+        self.best_class(graph, &carve_decomposition(graph), &mut scratch, None).0
     }
 
     fn supports_dense(&self) -> bool {
@@ -249,12 +235,7 @@ impl MaxIsOracle for DecompositionOracle {
         bits: &BitsetGraph,
         scratch: &mut BitsetScratch,
     ) -> IndependentSet {
-        let mut clusters = BitClusters { bits, scratch };
-        self.best_class(&carve_decomposition_dense(bits), &mut clusters, None).0
-    }
-
-    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
-        Some(decomposition_colors(bits.node_count()))
+        self.best_class(bits, &carve_decomposition_dense(bits), scratch, None).0
     }
 
     fn guarantee(&self) -> ApproxGuarantee {

@@ -17,10 +17,12 @@
 //! Everything is deterministic: the fault decision for call `i` is a
 //! pure function of `(seed, i)`, so two runs against the same plan
 //! produce identical fault logs and identical downstream behavior —
-//! chaos tests shrink to a seed.
+//! chaos tests shrink to a seed. A fault reads the graph it corrupts
+//! through [`Adjacency`], one function for CSR and bit rows alike, so
+//! it acts alike on both routes.
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
-use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
+use pslocal_graph::{Adjacency, BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -201,8 +203,10 @@ pub struct InjectedFault {
 /// The wrapper passes its inner oracle's dense kernel through
 /// ([`MaxIsOracle::supports_dense`]), so a fault script does not send a
 /// dense phase graph to CSR. Every fault gives the same set and the same
-/// log on both routes: [`FaultKind::InvalidSet`] claims the graph's
-/// first edge in canonical order, read from the CSR or the bit rows.
+/// log on both routes, since the faults read the graph through
+/// [`Adjacency`]: [`FaultKind::InvalidSet`] claims the graph's first
+/// edge in canonical order, and [`FaultKind::UnderDeliver`]'s half is
+/// checked with [`IndependentSet::new`], on the CSR or the bit rows.
 #[derive(Debug)]
 pub struct FaultyOracle<O> {
     inner: O,
@@ -254,7 +258,7 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
 
     fn apply(
         &self,
-        host: &impl Host,
+        host: &impl Adjacency,
         compute: impl FnOnce() -> (IndependentSet, usize),
     ) -> (IndependentSet, usize) {
         let call = self.calls.fetch_add(1, Ordering::SeqCst);
@@ -269,12 +273,17 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
                         panic!("injected fault: oracle panicked on call {call}")
                     }
                     FaultKind::EmptySet => (IndependentSet::empty(), 0),
-                    FaultKind::InvalidSet => (host.corrupt_set(), 0),
+                    FaultKind::InvalidSet => (corrupt_set(host), 0),
                     FaultKind::UnderDeliver => {
                         let (set, rounds) = compute();
                         let keep: Vec<NodeId> =
                             set.vertices().iter().copied().take(set.len() / 2).collect();
-                        (host.subset(keep), rounds)
+                        // Invariant, not a fallible path: a subset of an
+                        // independent set is independent.
+                        let keep = IndependentSet::new(host, keep)
+                            // pslocal: allow(panic-path, "subset of the inner oracle's independent set is independent; a failure means the inner oracle lied")
+                            .expect("subset of inner oracle's independent set");
+                        (keep, rounds)
                     }
                     FaultKind::Stall(steps) => {
                         let out = compute();
@@ -287,61 +296,24 @@ impl<O: MaxIsOracle> FaultyOracle<O> {
     }
 }
 
-/// The graph a call answers on, as the faults read it.
-trait Host {
-    /// A claimed-but-not independent set: the first edge in canonical
-    /// order where the graph has edges, an out-of-range vertex otherwise.
-    fn corrupt_set(&self) -> IndependentSet;
-
-    /// `keep`, a subset of the inner oracle's set, as a verified set.
-    /// Invariant, not a fallible path: a subset of an independent set
-    /// is independent, so a failure means the inner oracle lied.
-    fn subset(&self, keep: Vec<NodeId>) -> IndependentSet;
-}
-
-/// CSR rows.
-impl Host for Graph {
-    fn corrupt_set(&self) -> IndependentSet {
-        let pair = match self.edges().next() {
-            Some((u, v)) => vec![u, v],
-            None => vec![NodeId::new(self.node_count())],
-        };
-        IndependentSet::new_unchecked(pair)
-    }
-
-    fn subset(&self, keep: Vec<NodeId>) -> IndependentSet {
-        IndependentSet::new(self, keep)
-            // pslocal: allow(panic-path, "subset of the inner oracle's independent set is independent; a failure means the inner oracle lied")
-            .expect("subset of inner oracle's independent set")
-    }
-}
-
-/// Bit rows.
-impl Host for BitsetGraph {
-    /// The first edge in canonical order is the least `u` with a
-    /// neighbor above it, paired with its least such neighbor.
-    fn corrupt_set(&self) -> IndependentSet {
-        let mut buf = Vec::new();
-        let first = (0..self.node_count()).find_map(|u| {
-            let row = self.row(NodeId::new(u), &mut buf);
-            let (w, b) = (u / 64, u % 64);
-            let above = std::iter::once(row[w] & !(u64::MAX >> (63 - b)))
-                .chain(row[w + 1..].iter().copied());
-            let (i, word) = above.enumerate().find(|&(_, word)| word != 0)?;
-            Some(vec![NodeId::new(u), NodeId::new((w + i) * 64 + word.trailing_zeros() as usize)])
+/// A claimed-but-not independent set: the first edge in canonical
+/// order where the graph has edges, an out-of-range vertex otherwise.
+/// The first edge is the least `u` with a neighbor above it, paired
+/// with its least such neighbor.
+fn corrupt_set(host: &impl Adjacency) -> IndependentSet {
+    let n = host.node_count();
+    let first = (0..n).map(NodeId::new).find_map(|u| {
+        let mut least = None;
+        // Never satisfied, so every neighbor is visited.
+        host.any_neighbor(u, |v| {
+            if v > u && least.is_none_or(|l| v < l) {
+                least = Some(v);
+            }
+            false
         });
-        IndependentSet::new_unchecked(first.unwrap_or_else(|| vec![NodeId::new(self.node_count())]))
-    }
-
-    /// The word-parallel checker stands in for `IndependentSet::new`'s
-    /// CSR check.
-    fn subset(&self, keep: Vec<NodeId>) -> IndependentSet {
-        if let Some((u, v)) = self.is_independent_set(&keep) {
-            // pslocal: allow(panic-path, "subset of the inner oracle's independent set is independent; a failure means the inner oracle lied")
-            panic!("subset of inner oracle's independent set: {u:?} conflicts with {v:?}");
-        }
-        IndependentSet::new_unchecked(keep)
-    }
+        Some(vec![u, least?])
+    });
+    IndependentSet::new_unchecked(first.unwrap_or_else(|| vec![NodeId::new(n)]))
 }
 
 impl<O: MaxIsOracle> MaxIsOracle for FaultyOracle<O> {
@@ -367,10 +339,6 @@ impl<O: MaxIsOracle> MaxIsOracle for FaultyOracle<O> {
         scratch: &mut BitsetScratch,
     ) -> IndependentSet {
         self.apply(bits, || (self.inner.independent_set_dense(bits, scratch), 1)).0
-    }
-
-    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
-        self.inner.lambda_for_dense(bits)
     }
 
     fn stalled_steps(&self) -> usize {

@@ -77,18 +77,9 @@ impl MaxIsOracle for GreedyOracle {
     ) -> IndependentSet {
         let mut chosen = Vec::with_capacity(bits.node_count().div_ceil(bits.max_degree() + 1));
         bits.min_degree_greedy_into(scratch, &mut chosen);
-        // The CSR route re-verifies through `IndependentSet::new`; here
-        // the word-parallel checker plays that role before the unchecked
-        // constructor takes ownership.
-        if let Some((u, v)) = bits.is_independent_set(&chosen) {
-            // pslocal: allow(panic-path, "self-check of the dense kernel against the bitset verifier; a conflict is a kernel bug that must abort loudly")
-            panic!("greedy output is not independent: {u:?} conflicts with {v:?}");
-        }
-        IndependentSet::new_unchecked(chosen)
-    }
-
-    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
-        Some(bits.max_degree() as f64 + 1.0)
+        // The same invariant as the CSR route's, checked on the bit rows.
+        // pslocal: allow(panic-path, "invariant stated above: a chosen vertex kills its whole neighborhood, so the output is independent")
+        IndependentSet::new(bits, chosen).expect("greedy output is independent")
     }
 
     fn guarantee(&self) -> ApproxGuarantee {

@@ -12,7 +12,7 @@
 //! component for its randomness: a component's stream is seeded from its
 //! degree sequence in `O(n)`, not from an `O(|E|)` hash of the whole
 //! adjacency. One kernel reads both representations of a phase graph
-//! behind a small private trait, so the oracle reports
+//! through [`Adjacency`], so the oracle reports
 //! [`MaxIsOracle::supports_dense`] and the reduction drivers build a
 //! dense `G_k` for it once, on bit rows: there the components grow by
 //! OR-ing each level's rows into a mask, and the rounds visit a row's
@@ -20,9 +20,8 @@
 //! ([`BitsetGraph::any_neighbor`]).
 
 use crate::oracle::{ApproxGuarantee, MaxIsOracle};
-use pslocal_graph::algo::traversal::{component_vertex_sets, component_vertex_sets_dense};
 use pslocal_graph::fingerprint::degree_fingerprint;
-use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
+use pslocal_graph::{Adjacency, BitsetGraph, BitsetScratch, Graph, IndependentSet, NodeId};
 use pslocal_local::algorithms::LubyMis;
 use pslocal_local::{Engine, Network};
 use rand::{Rng, SeedableRng};
@@ -56,81 +55,6 @@ pub struct LubyOracle {
     seed: u64,
 }
 
-/// What a Luby run reads of the graph: its components, its degrees and
-/// its rows, and the check of the set it returns.
-trait LubyRows {
-    fn node_count(&self) -> usize;
-
-    fn degree(&self, v: NodeId) -> usize;
-
-    /// The connected components, ordered by smallest member, each in
-    /// ascending vertex order.
-    fn components(&self) -> Vec<Vec<NodeId>>;
-
-    /// Whether `f` holds for some neighbor of `v`, visiting the
-    /// neighbors in any order until it does.
-    fn any_neighbor(&self, v: NodeId, f: impl FnMut(NodeId) -> bool) -> bool;
-
-    /// The joined vertices as a verified set. Invariant, not a fallible
-    /// path: joiners are strict local maxima and exclude their entire
-    /// neighborhoods.
-    fn verified(&self, members: Vec<NodeId>) -> IndependentSet;
-}
-
-/// CSR rows.
-impl LubyRows for Graph {
-    fn node_count(&self) -> usize {
-        Graph::node_count(self)
-    }
-
-    fn degree(&self, v: NodeId) -> usize {
-        Graph::degree(self, v)
-    }
-
-    fn components(&self) -> Vec<Vec<NodeId>> {
-        component_vertex_sets(self)
-    }
-
-    fn any_neighbor(&self, v: NodeId, f: impl FnMut(NodeId) -> bool) -> bool {
-        self.neighbors(v).iter().copied().any(f)
-    }
-
-    fn verified(&self, members: Vec<NodeId>) -> IndependentSet {
-        // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
-        IndependentSet::new(self, members).expect("Luby returns an independent set")
-    }
-}
-
-/// Bit rows: components grown by OR-ing each level's rows, and
-/// neighbors read from each row's slot list and fixed ranges.
-impl LubyRows for BitsetGraph {
-    fn node_count(&self) -> usize {
-        BitsetGraph::node_count(self)
-    }
-
-    fn degree(&self, v: NodeId) -> usize {
-        BitsetGraph::degree(self, v)
-    }
-
-    fn components(&self) -> Vec<Vec<NodeId>> {
-        component_vertex_sets_dense(self)
-    }
-
-    fn any_neighbor(&self, v: NodeId, f: impl FnMut(NodeId) -> bool) -> bool {
-        BitsetGraph::any_neighbor(self, v, f)
-    }
-
-    /// The word-parallel checker stands in for `IndependentSet::new`'s
-    /// CSR check before the unchecked constructor takes ownership.
-    fn verified(&self, members: Vec<NodeId>) -> IndependentSet {
-        if let Some((u, v)) = self.is_independent_set(&members) {
-            // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
-            panic!("Luby output is not independent: {u:?} conflicts with {v:?}");
-        }
-        IndependentSet::new_unchecked(members)
-    }
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum State {
     Undecided,
@@ -158,7 +82,7 @@ impl LubyOracle {
     /// ascending id order from the component's own stream, so the set
     /// is a function of the component alone, never of the ambient graph
     /// it sits in.
-    fn solve(&self, rows: &impl LubyRows) -> IndependentSet {
+    fn solve(&self, rows: &impl Adjacency) -> IndependentSet {
         let n = rows.node_count();
         let mut state = vec![State::Undecided; n];
         let mut priority = vec![0u64; n];
@@ -201,7 +125,10 @@ impl LubyOracle {
             }
             picked.extend(component.iter().filter(|&&v| state[v.index()] == State::In));
         }
-        rows.verified(picked)
+        // Invariant, not a fallible path: joiners are strict local
+        // maxima and exclude their entire neighborhoods.
+        // pslocal: allow(panic-path, "invariant stated above: joiners are strict local maxima excluding their neighborhoods")
+        IndependentSet::new(rows, picked).expect("Luby returns an independent set")
     }
 }
 
@@ -235,10 +162,6 @@ impl MaxIsOracle for LubyOracle {
         self.solve(bits)
     }
 
-    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
-        Some(bits.max_degree() as f64 + 1.0)
-    }
-
     /// Runs the oracle on the LOCAL simulator and reports the round
     /// count — the quantity experiment F3 plots.
     fn independent_set_with_rounds(&self, graph: &Graph) -> (IndependentSet, usize) {
@@ -270,6 +193,7 @@ impl MaxIsOracle for LubyOracle {
 mod tests {
     use super::*;
     use crate::exact::ExactOracle;
+    use pslocal_graph::algo::component_vertex_sets;
     use pslocal_graph::csr;
     use pslocal_graph::generators::classic::{complete, grid};
     use pslocal_graph::generators::random::gnp;

@@ -6,8 +6,11 @@
 //! implementation returns a *verified* [`IndependentSet`] and declares
 //! the guarantee its theory provides, so the reduction can compute the
 //! phase budget `ρ = λ·ln m + 1` from the oracle actually plugged in.
+//! Every guarantee is a function of `n` and Δ alone, so
+//! [`ApproxGuarantee::lambda_for`] reads either adjacency form through
+//! [`Adjacency`], and no oracle computes its λ itself.
 
-use pslocal_graph::{BitsetGraph, BitsetScratch, Graph, IndependentSet};
+use pslocal_graph::{Adjacency, BitsetGraph, BitsetScratch, Graph, IndependentSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -34,15 +37,16 @@ pub enum ApproxGuarantee {
 }
 
 impl ApproxGuarantee {
-    /// The concrete λ this guarantee yields on `graph`, or `None` for
-    /// [`Heuristic`](ApproxGuarantee::Heuristic).
-    pub fn lambda_for(&self, graph: &Graph) -> Option<f64> {
+    /// The concrete λ this guarantee yields on `graph`, in CSR or bit
+    /// rows, or `None` for [`Heuristic`](ApproxGuarantee::Heuristic).
+    pub fn lambda_for(&self, graph: &impl Adjacency) -> Option<f64> {
         let n = graph.node_count().max(1) as f64;
         match self {
             ApproxGuarantee::Exact => Some(1.0),
             ApproxGuarantee::Factor(f) => Some(*f),
             ApproxGuarantee::MaxDegreePlusOne => Some(graph.max_degree() as f64 + 1.0),
-            ApproxGuarantee::DecompositionColors => Some(decomposition_colors(graph.node_count())),
+            // The ball carving's color bound `⌈log₂ n⌉ + 1`, at least 2.
+            ApproxGuarantee::DecompositionColors => Some(n.log2().ceil().max(1.0) + 1.0),
             ApproxGuarantee::CliqueRemoval => {
                 let log = n.log2().floor().max(1.0);
                 Some((n / (log * log)).max(1.0))
@@ -50,12 +54,6 @@ impl ApproxGuarantee {
             ApproxGuarantee::Heuristic => None,
         }
     }
-}
-
-/// The ball carving's color bound `⌈log₂ n⌉ + 1` on `n` vertices, at
-/// least 2: the λ of [`ApproxGuarantee::DecompositionColors`].
-pub(crate) fn decomposition_colors(n: usize) -> f64 {
-    (n.max(1) as f64).log2().ceil().max(1.0) + 1.0
 }
 
 impl fmt::Display for ApproxGuarantee {
@@ -147,14 +145,13 @@ pub trait MaxIsOracle: Sync {
         panic!("{}: oracle does not support dense input", self.name())
     }
 
-    /// The concrete λ on the dense form, when computable without
-    /// materializing the CSR graph. `None` (the default) tells the
-    /// caller to fall back to [`lambda_for`](Self::lambda_for) on the
-    /// CSR form; dense-capable oracles override this so the fast path
-    /// never touches adjacency lists.
+    /// The concrete λ on the dense form per
+    /// [`guarantee`](Self::guarantee): the value
+    /// [`lambda_for`](Self::lambda_for) gives on the CSR form of the same
+    /// graph, read from the bit rows, so a bit-row phase never builds its
+    /// CSR for λ.
     fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
-        let _ = bits;
-        None
+        self.guarantee().lambda_for(bits)
     }
 
     /// Simulated steps the most recent [`independent_set`]
@@ -193,10 +190,12 @@ pub trait MaxIsOracle: Sync {
     fn resume_at(&self, _calls: usize) {}
 }
 
-/// Boxed oracles delegate every method to the inner oracle — including
-/// the ones with non-trivial defaults (`supports_dense`,
-/// `stalled_steps`, `resume_at`), so a `Box<dyn MaxIsOracle>` behaves
-/// byte-identically to the unboxed value. The batch service and CLI
+/// Boxed oracles delegate every method an oracle may override to the
+/// inner oracle — including the ones with non-trivial defaults
+/// (`supports_dense`, `stalled_steps`, `resume_at`), so a
+/// `Box<dyn MaxIsOracle>` behaves byte-identically to the unboxed value.
+/// The two λ methods keep their provided bodies, which read the
+/// forwarded [`guarantee`](MaxIsOracle::guarantee). The batch service and CLI
 /// build their per-request oracle chains as boxes; this impl lets
 /// wrappers like `FaultyOracle<Box<dyn MaxIsOracle + Send + Sync>>`
 /// compose over them.
@@ -225,20 +224,12 @@ impl<O: MaxIsOracle + ?Sized> MaxIsOracle for Box<O> {
         (**self).independent_set_dense(bits, scratch)
     }
 
-    fn lambda_for_dense(&self, bits: &BitsetGraph) -> Option<f64> {
-        (**self).lambda_for_dense(bits)
-    }
-
     fn stalled_steps(&self) -> usize {
         (**self).stalled_steps()
     }
 
     fn guarantee(&self) -> ApproxGuarantee {
         (**self).guarantee()
-    }
-
-    fn lambda_for(&self, graph: &Graph) -> Option<f64> {
-        (**self).lambda_for(graph)
     }
 
     fn resume_at(&self, calls: usize) {

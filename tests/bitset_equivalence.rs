@@ -13,6 +13,7 @@
 //! route; the traced test at the end pins that.
 
 use proptest::prelude::*;
+use pslocal::core::protocol::boxed_oracle_by_name;
 use pslocal::core::{
     reduce_cf_to_maxis, reduce_cf_to_maxis_traced, reduce_cf_to_maxis_with_workspace,
     ConflictGraph, ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
@@ -21,8 +22,8 @@ use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::{BitsetGraph, BitsetScratch, Graph, Hypergraph, KernelStrategy};
 use pslocal::maxis::{
-    CliqueRemovalOracle, DecompositionOracle, FaultKind, FaultPlan, FaultyOracle, GreedyOracle,
-    LubyOracle, MaxIsOracle,
+    CliqueRemovalOracle, DecompositionOracle, ExactOracle, FaultKind, FaultPlan, FaultyOracle,
+    GreedyOracle, LubyOracle, MaxIsOracle, PrecisionOracle, WorstWitnessOracle,
 };
 use pslocal::slocal::decomposition::{carve_decomposition, carve_decomposition_dense};
 use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
@@ -439,6 +440,12 @@ fn faulty_oracle_passes_the_dense_kernel_through() {
                 .ok();
                 assert_eq!(on_bits, on_csr, "{case}");
                 assert_eq!(on_bits.is_none(), kind == FaultKind::Panic, "{case}");
+                if kind == FaultKind::InvalidSet {
+                    // Both routes claim the first edge in canonical order.
+                    let (u, v) = graph.edges().next().expect("every case has an edge");
+                    let claimed = on_csr.as_ref().map(|set| set.vertices());
+                    assert_eq!(claimed, Some(&[u, v][..]), "{case}");
+                }
                 assert_eq!(dense.fault_log(), csr.fault_log(), "{case}");
                 assert_eq!(dense.stalled_steps(), csr.stalled_steps(), "{case}");
             }
@@ -446,4 +453,57 @@ fn faulty_oracle_passes_the_dense_kernel_through() {
     }
     let plan = FaultPlan::none();
     assert!(!FaultyOracle::new(CliqueRemovalOracle, plan).supports_dense());
+}
+
+/// λ on bit rows equals λ on the CSR of the same forced-bitset `G_k`:
+/// for every oracle the wire names, and for a fixed-factor and a
+/// heuristic oracle, each bare, boxed and behind a fault wrapper. A
+/// heuristic has no λ on either form.
+#[test]
+fn lambda_on_bit_rows_equals_lambda_on_csr() {
+    fn check<O: MaxIsOracle + 'static>(
+        make: impl Fn() -> O,
+        bits: &BitsetGraph,
+        graph: &Graph,
+    ) -> Option<f64> {
+        let bare = make();
+        let want = bare.lambda_for(graph);
+        let boxed: Box<dyn MaxIsOracle> = Box::new(make());
+        let faulty = FaultyOracle::new(make(), FaultPlan::none());
+        let name = bare.name();
+        assert_eq!(bare.lambda_for_dense(bits), want, "{name}");
+        assert_eq!((boxed.lambda_for_dense(bits), boxed.lambda_for(graph)), (want, want), "{name}");
+        let on_faulty = (faulty.lambda_for_dense(bits), faulty.lambda_for(graph));
+        assert_eq!(on_faulty, (want, want), "faulty {name}");
+        want
+    }
+    let forced = |h: &Hypergraph, k| {
+        ConflictGraph::build_with_options(h, k, kernel_options(false, KernelStrategy::Bitset))
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let planted = planted_cf_instance(&mut rng, PlantedCfParams::new(24, 10, 3)).hypergraph;
+    for cg in [forced(&dense_bench_instance(), 8), forced(&planted, 3)] {
+        let (bits, graph) = (cg.bitset().expect("forced bit rows"), cg.graph());
+        for name in ["exact", "greedy", "luby", "clique-removal", "decomposition"] {
+            let boxed = boxed_oracle_by_name(name, 5).expect("a wire oracle");
+            let want = boxed.lambda_for(graph);
+            assert!(want.is_some(), "{name}");
+            assert_eq!(boxed.lambda_for_dense(bits), want, "{name}");
+            let faulty = FaultyOracle::new(boxed, FaultPlan::none());
+            assert_eq!(faulty.lambda_for_dense(bits), want, "faulty {name}");
+        }
+        let lambdas = [
+            check(|| ExactOracle, bits, graph),
+            check(|| GreedyOracle, bits, graph),
+            check(|| LubyOracle::new(5), bits, graph),
+            check(|| CliqueRemovalOracle, bits, graph),
+            check(DecompositionOracle::default, bits, graph),
+            check(|| PrecisionOracle::new(3.0), bits, graph),
+            check(|| WorstWitnessOracle, bits, graph),
+        ];
+        let delta_plus_one = graph.max_degree() as f64 + 1.0;
+        assert_eq!(lambdas[..3], [Some(1.0), Some(delta_plus_one), Some(delta_plus_one)]);
+        assert!(lambdas[3..5].iter().all(Option::is_some));
+        assert_eq!(lambdas[5..], [Some(3.0), None]);
+    }
 }
